@@ -1,9 +1,10 @@
 """Enumerating connected graphs up to isomorphism.
 
-Generation iterates edge-subset bitmasks of the complete graph and
-deduplicates by canonical form (the lexicographically smallest graph6
-encoding over all relabelings), so the output is one representative per
-isomorphism class in a deterministic order.
+Generation grows each order from the one below: every connected graph on
+n - 1 vertices gains a new vertex joined to each nonempty subset of the old
+ones.  The results are deduplicated by canonical form (the lexicographically
+smallest graph6 encoding over all relabelings), so the output is one
+representative per isomorphism class in a deterministic order.
 """
 
 from degbound import (

@@ -365,7 +365,7 @@ def evaluate_bound(b: BoundSpec, g: Graph, tol: float = DEFAULT_TOL,
     if not b.preconditions_met(ctx):
         return _skip_check(b, ctx, PRECONDITION_SKIPPED)
     if b.is_chain:
-        parts = [evaluate_bound(catalog_by_id()[cid], g, tol, ctx) for cid in b.chain]
+        parts = [evaluate_bound(_catalog_index()[cid], g, tol, ctx) for cid in b.chain]
         verdict = combine_chain_verdicts(p.verdict for p in parts)
         # slack of the tightest link that is not itself attained
         margins = [p.margin for p in parts if p.verdict == HOLDS]
@@ -608,11 +608,16 @@ def builtin_catalog() -> list[BoundSpec]:
     return list(_CATALOG)
 
 
-def catalog_by_id() -> dict[str, BoundSpec]:
+def _catalog_index() -> dict[str, BoundSpec]:
+    """The shared id -> bound map; callers must not mutate it."""
     global _BY_ID
     if _BY_ID is None:
         _BY_ID = {b.bound_id: b for b in builtin_catalog()}
-    return dict(_BY_ID)
+    return _BY_ID
+
+
+def catalog_by_id() -> dict[str, BoundSpec]:
+    return dict(_catalog_index())
 
 
 def _build_catalog() -> list[BoundSpec]:

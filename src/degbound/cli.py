@@ -348,10 +348,16 @@ def _emit_reports(reports, order, population, tol, fmt, out_dir):
 
 
 def _run_audit(args):
+    tol = _resolve(args.tol, "TOL", DEFAULT_TOL, float)
+    if not 0 < tol < 1:  # also false for nan
+        raise UsageError(f"tolerance must be finite with 0 < tol < 1, got {tol!r}")
+    jobs = _resolve(args.jobs, "JOBS", 1, int)
+    if jobs < 1:
+        raise UsageError(f"jobs must be >= 1, got {jobs}")
+    if args.min_degree is not None and args.min_degree < 0:
+        raise UsageError(f"--min-degree must be >= 0, got {args.min_degree}")
     graphs, population = _population(args)
     bounds = _select_bounds(args.bounds)
-    tol = _resolve(args.tol, "TOL", DEFAULT_TOL, float)
-    jobs = _resolve(args.jobs, "JOBS", 1, int)
     reports = audit_all(bounds, graphs, tol=tol, population=population, jobs=jobs)
     order = [b.bound_id for b in bounds]
     return reports, order, population, tol
@@ -436,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--molecular", action="store_true",
                        help="restrict to maximum degree <= 4")
         p.add_argument("--allow-n8", action="store_true",
-                       help="permit the 2**28-subset enumeration at N=8")
+                       help="permit the order-8 enumeration (tens of seconds)")
         p.add_argument("--bounds", metavar="LIST|all", default="all")
         p.add_argument("--tol", type=float)
         p.add_argument("--format", choices=FORMATS)

@@ -125,11 +125,11 @@ def is_molecular(g: Graph) -> bool:
     return max(g.degrees) <= 4
 
 
-def is_connected(g: Graph) -> bool:
-    """True when every vertex is reachable from vertex 0 (true for n = 1)."""
-    seen = 1
-    frontier = 1
-    adj = g.adj
+def connected_within(adj, mask: int) -> bool:
+    """True when the subgraph induced by the vertex bitmask ``mask`` is
+    connected, given one adjacency bitmask per vertex (BFS from the lowest
+    vertex in ``mask``)."""
+    seen = frontier = mask & -mask
     while frontier:
         nxt = 0
         f = frontier
@@ -137,9 +137,14 @@ def is_connected(g: Graph) -> bool:
             low = f & -f
             nxt |= adj[low.bit_length() - 1]
             f ^= low
-        frontier = nxt & ~seen
+        frontier = nxt & mask & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+    return seen == mask
+
+
+def is_connected(g: Graph) -> bool:
+    """True when every vertex is reachable from vertex 0 (true for n = 1)."""
+    return connected_within(g.adj, (1 << g.n) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,25 @@ def test_verify_usage_and_io_errors(capsys, tmp_path):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("argv, env, rule", [
+    (["--tol", "nan"], {}, "tolerance"),
+    (["--tol", "-1"], {}, "tolerance"),
+    (["--tol", "0"], {}, "tolerance"),
+    (["--tol", "1"], {}, "tolerance"),
+    ([], {"DEGBOUND_TOL": "inf"}, "tolerance"),
+    ([], {"DEGBOUND_TOL": "nan"}, "tolerance"),
+    (["--jobs", "0"], {}, "jobs"),
+    ([], {"DEGBOUND_JOBS": "-2"}, "jobs"),
+    (["--min-degree", "-1"], {}, "--min-degree"),
+])
+def test_bad_numeric_input_is_usage_error(capsys, monkeypatch, argv, env, rule):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, "audit", "--enumerate", "3", *argv)
+    assert code == EXIT_USAGE, out
+    assert err.startswith(f"error: {rule} must be")
+
+
 def test_verify_file_population(capsys, tmp_path):
     pop = tmp_path / "pop.g6"
     pop.write_text("Bw\nBg\n")

@@ -146,6 +146,24 @@ def test_counts_match_frozen_values(n):
     assert len(connected_graphs(n)) == CONNECTED_COUNTS[n]
 
 
+def test_matches_networkx_graph_atlas():
+    # The atlas lists every graph of order <= 7 once; connectivity is
+    # networkx's own test, so only the canonical form is shared.
+    nx = pytest.importorskip("networkx")
+    atlas = {n: set() for n in range(2, 8)}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n >= 2 and nx.is_connected(h):
+            atlas[n].add(canonical_form(Graph(n, h.edges())))
+    for n, forms in atlas.items():
+        assert {to_graph6(g) for g in connected_graphs(n)} == forms
+
+
+def test_order_8_count_matches_oeis():
+    # OEIS A001349: connected graphs on 8 unlabeled vertices.
+    assert len(connected_graphs(8, allow_big=True)) == 11117
+
+
 def test_filtered_count_matches_bruteforce():
     def keep(adj):
         return min(len(v) for v in adj.values()) >= 2

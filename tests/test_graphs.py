@@ -11,6 +11,7 @@ from degbound.graphs import (
     chromatic_number,
     complete_bipartite,
     complete_graph,
+    connected_within,
     cycle_graph,
     degree_sequence,
     double_star,
@@ -86,6 +87,14 @@ def test_is_connected_examples():
     assert is_connected(path_graph(4))
     assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
     assert is_connected(Graph(1))
+
+
+def test_connected_within_vertex_subsets():
+    adj = path_graph(4).adj
+    assert connected_within(adj, 0b1110)  # drop an end: still a path
+    assert not connected_within(adj, 0b1101)  # drop an inner vertex: cut
+    assert connected_within(adj, 0b0100)
+    assert connected_within(adj, 0)
 
 
 def test_degree_extremes():
