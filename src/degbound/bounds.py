@@ -12,6 +12,7 @@ where they are attained, and where they fail; it never repairs a coefficient.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -435,67 +436,80 @@ class SharpnessReport:
         }
 
 
-def _population_checks(bounds, graphs, tol: float):
-    """Checks for every (bound, graph) pair, plus family membership flags."""
-    out: dict[str, list[tuple[BoundCheck, bool]]] = {b.bound_id: [] for b in bounds}
+def _reads_chi(b: BoundSpec) -> bool:
+    """True when the bound, or a link of its chain, reads the chromatic number."""
+    links = (_catalog_index()[cid] for cid in b.chain)
+    return CHI in (b.lhs, b.rhs) or any(_reads_chi(link) for link in links)
+
+
+def _key_groups(graphs) -> list[list[GraphContext]]:
+    """The population grouped by (n, connectivity, edge-degree partition).
+
+    That key fixes all a bound reads but chi: the indices, delta, Delta and
+    the family and exclusion predicates.  Each group holds one context built
+    on its first graph, then copies of it for the other graphs that differ
+    only in the graph, its graph6 and chi (K_{3,3} and the prism share a key).
+    """
+    groups: dict[tuple, list[GraphContext]] = {}
     for g in graphs:
-        ctx = GraphContext(g)
-        for b in bounds:
-            chk = evaluate_bound(b, g, tol, ctx)
-            out[b.bound_id].append((chk, check_equality_family(b, g)))
-    return out
+        key = (g.n, is_connected(g), frozenset(edge_degree_partition(g).items()))
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [GraphContext(g)]
+        else:
+            ctx = copy.copy(members[0])
+            ctx.graph, ctx.graph6, ctx._chi = g, to_graph6(g), None
+            members.append(ctx)
+    return list(groups.values())
 
 
-def _checks_worker(args):
-    """Multiprocessing worker: graphs travel as graph6 strings, checks return
-    as plain tuples."""
-    from .graphs import parse_graph6
-
-    bound_ids, g6_list, tol = args
-    by_id = catalog_by_id()
-    bounds = [by_id[i] for i in bound_ids]
-    graphs = [parse_graph6(s) for s in g6_list]
-    checks = _population_checks(bounds, graphs, tol)
-    return {
-        bid: [
-            ((c.bound_id, c.graph6, c.lhs_value, c.rhs_side_value, c.margin,
-              c.verdict), fam)
-            for c, fam in pairs
-        ]
-        for bid, pairs in checks.items()
-    }
+def _outcomes(b: BoundSpec, groups, tol: float):
+    """(check, in_family, graph6 strings) outcomes of one bound: once per key
+    on the key's first graph, or once per graph when the bound reads chi."""
+    if _reads_chi(b):
+        for members in groups:
+            for ctx in members:
+                yield (evaluate_bound(b, ctx.graph, tol, ctx),
+                       check_equality_family(b, ctx.graph), [ctx.graph6])
+        return
+    for members in groups:
+        ctx = members[0]
+        yield (evaluate_bound(b, ctx.graph, tol, ctx),
+               check_equality_family(b, ctx.graph), [m.graph6 for m in members])
 
 
-def _aggregate(b: BoundSpec, pairs, tol: float, population: str) -> SharpnessReport:
-    """Fold one bound's checks into a report.  All witness lists and the
-    minimum-margin choice are order-independent, so any sharding of the
-    population merges to the same report."""
+def _aggregate(b: BoundSpec, outcomes, tol: float, population: str) -> SharpnessReport:
+    """Fold one bound's outcomes into a report; each outcome counts once for
+    every graph6 string it lists.  Witness lists are sorted, and the
+    minimum-margin witness is the smallest graph6 at the smallest margin, so
+    the report does not depend on the population order."""
     checked = holds = equal = violated = skipped = 0
     equality_w: list[str] = []
     violation_w: list[str] = []
     eq_not_family: list[str] = []
     family_not_eq: list[str] = []
     min_margin: tuple[float, str] | None = None
-    for chk, in_family in pairs:
+    for chk, in_family, g6s in outcomes:
+        weight = len(g6s)
         if chk.verdict in (PRECONDITION_SKIPPED, DOMAIN_SKIPPED):
-            skipped += 1
+            skipped += weight
             continue
-        checked += 1
+        checked += weight
         if chk.verdict == EQUALITY:
-            equal += 1
-            equality_w.append(chk.graph6)
+            equal += weight
+            equality_w += g6s
             if not in_family:
-                eq_not_family.append(chk.graph6)
+                eq_not_family += g6s
         else:
             if in_family:
-                family_not_eq.append(chk.graph6)
+                family_not_eq += g6s
             if chk.verdict == VIOLATED:
-                violated += 1
-                violation_w.append(chk.graph6)
+                violated += weight
+                violation_w += g6s
             else:
-                holds += 1
+                holds += weight
                 if chk.margin is not None:
-                    key = (chk.margin, chk.graph6)
+                    key = (chk.margin, min(g6s))
                     if min_margin is None or key < min_margin:
                         min_margin = key
     if violated:
@@ -538,38 +552,15 @@ def _aggregate(b: BoundSpec, pairs, tol: float, population: str) -> SharpnessRep
 def audit_all(bounds, graphs, tol: float = DEFAULT_TOL,
               population: str = "population",
               jobs: int = 1) -> dict[str, SharpnessReport]:
-    """Audit several bounds over one population, sharing per-graph work.
+    """Audit several bounds over one population, sharing per-key work.
 
     Witness lists are sorted by graph6 string, so the result does not depend
-    on the population order (for equal populations as sets).  With jobs > 1
-    the population is sharded over a process pool; sharded and serial runs
-    produce identical reports.  Parallel runs are limited to catalog bounds.
+    on the population order (for equal populations as sets).  ``jobs`` is
+    accepted and ignored: the audit runs in one process.
     """
-    bounds = list(bounds)
-    graphs = list(graphs)
-    if jobs > 1 and len(graphs) > 1:
-        by_id = catalog_by_id()
-        ids = [b.bound_id for b in bounds]
-        if any(i not in by_id for i in ids):
-            raise ValueError("parallel audits support builtin catalog bounds only")
-        import multiprocessing
-
-        g6 = [to_graph6(g) for g in graphs]
-        step = (len(g6) + jobs - 1) // jobs
-        tasks = [(ids, g6[i : i + step], tol) for i in range(0, len(g6), step)]
-        merged: dict[str, list] = {i: [] for i in ids}
-        with multiprocessing.Pool(jobs) as pool:
-            for part in pool.map(_checks_worker, tasks):
-                for bid, tuples in part.items():
-                    for tup, fam in tuples:
-                        merged[bid].append((BoundCheck(*tup), fam))
-        return {
-            b.bound_id: _aggregate(b, merged[b.bound_id], tol, population)
-            for b in bounds
-        }
-    checks = _population_checks(bounds, graphs, tol)
+    groups = _key_groups(graphs)
     return {
-        b.bound_id: _aggregate(b, checks[b.bound_id], tol, population)
+        b.bound_id: _aggregate(b, _outcomes(b, groups, tol), tol, population)
         for b in bounds
     }
 

@@ -278,7 +278,7 @@ def _population(args):
         )
         try:
             graphs = enumerate_connected(spec, allow_big=args.allow_n8)
-        except SizeLimitError as exc:
+        except GraphError as exc:  # the order is below 2 or above the cap
             raise UsageError(str(exc)) from None
         return graphs, spec.describe()
     path = Path(args.file)
@@ -447,7 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float)
         p.add_argument("--format", choices=FORMATS)
         p.add_argument("--out", metavar="DIR", help="write one report JSON per bound")
-        p.add_argument("--jobs", type=int, metavar="N")
+        p.add_argument("--jobs", type=int, metavar="N",
+                       help="accepted for compatibility (must be >= 1); "
+                            "the audit runs in one process")
 
     p = sub.add_parser("audit", help="sharpness reports over a population")
     population_flags(p)

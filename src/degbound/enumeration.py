@@ -204,12 +204,13 @@ def connected_graphs(n: int, delta_min: int | None = None, molecular: bool = Fal
 
 def read_population(path: str | Path) -> list[Graph]:
     """Read a population file: one graph6 string per line, blank lines and
-    ``#`` comments ignored."""
+    ``#`` comments (whole-line or trailing) ignored.  graph6 never contains
+    ``#``."""
     graphs = []
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         try:
             graphs.append(parse_graph6(line))

@@ -12,6 +12,7 @@ from degbound.bounds import (
     HOLDS,
     HOLDS_NOT_SHARP,
     PRECONDITION_SKIPPED,
+    VACUOUS,
     VIOLATED,
     BoundSpec,
     EqualityFamily,
@@ -326,3 +327,98 @@ def test_parallel_audit_matches_serial(populations):
     parallel = audit_all(bounds, graphs, population="p", jobs=2)
     for bid in serial:
         assert serial[bid].to_dict() == parallel[bid].to_dict()
+
+
+def _reference_report(b, graphs, tol, population):
+    """The report ``audit_all`` must produce, folded graph by graph from
+    ``evaluate_bound`` on a fresh context and ``check_equality_family``."""
+    counts = dict.fromkeys(("checked", "skipped", "holds", "equality", "violated"), 0)
+    equality, violation, eq_not_family, family_not_eq, margins = [], [], [], [], []
+    for g in graphs:
+        chk = evaluate_bound(b, g, tol)
+        in_family = check_equality_family(b, g)
+        if chk.verdict in (PRECONDITION_SKIPPED, DOMAIN_SKIPPED):
+            counts["skipped"] += 1
+            continue
+        counts["checked"] += 1
+        if chk.verdict == EQUALITY:
+            counts["equality"] += 1
+            equality.append(chk.graph6)
+            if not in_family:
+                eq_not_family.append(chk.graph6)
+            continue
+        if in_family:
+            family_not_eq.append(chk.graph6)
+        if chk.verdict == VIOLATED:
+            counts["violated"] += 1
+            violation.append(chk.graph6)
+        else:
+            counts["holds"] += 1
+            if chk.margin is not None:
+                margins.append((chk.margin, chk.graph6))
+    if counts["violated"]:
+        verdict = VIOLATED
+    elif not counts["checked"]:
+        verdict = VACUOUS
+    elif counts["equality"]:
+        verdict = CONFIRMED_SHARP
+    else:
+        verdict = HOLDS_NOT_SHARP
+    low = min(margins) if margins else None
+    return {
+        "schema_version": 1,
+        "bound_id": b.bound_id,
+        "citation": b.citation,
+        "population": population,
+        "tolerance": tol,
+        "counts": counts,
+        "min_margin": {"value": low[0], "witness_graph6": low[1]} if low else None,
+        "equality_witnesses": sorted(equality),
+        "violation_witnesses": sorted(violation),
+        "verdict": verdict,
+        "equality_family": b.claimed_equality.label if b.claimed_equality else None,
+        "family_mismatches": {
+            "equality_not_in_family": sorted(eq_not_family),
+            "family_without_equality": sorted(family_not_eq),
+        },
+        "strict_conflicts": sorted(equality) if b.strict else [],
+    }
+
+
+def test_audit_matches_per_graph_reference():
+    """Graphs sharing (n, edge-degree partition) but not connectivity (C6 and
+    2*C3) or chi (K_{3,3} and the prism), relabeled copies, K1 and bounds
+    outside the catalog all fold exactly as a graph-by-graph audit does."""
+    rng = random.Random(20140517)
+    graphs = []
+    for _ in range(25):
+        g = random_connected_graph(rng, rng.randint(4, 9))
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs.append(g.relabeled(perm))
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                      (0, 3), (1, 4), (2, 5)])
+    k33 = complete_bipartite(3, 3)
+    graphs += [cycle_graph(6), two_triangles, prism, k33,
+               prism.relabeled([5, 3, 1, 0, 2, 4]), Graph(1), complete_graph(4),
+               star_graph(5), double_star(), path_graph(2), path_graph(3)]
+    rng.shuffle(graphs)
+    by_id = catalog_by_id()
+    custom = [
+        BoundSpec("test-upper", "test", "R <= (n-1)*H, not in the catalog",
+                  lhs=IndexId.R, rhs=IndexId.H, coeff=by_id["T2U"].coeff,
+                  direction="upper", strict=True,
+                  claimed_equality=EqualityFamily("regular")),
+        BoundSpec("test-chain", "test", "a chain with a link on chi",
+                  chain=("EXT-2a", "EXT-4")),
+    ]
+    bounds = builtin_catalog() + custom
+    # alone, K_{3,3} (chi 2) and the prism (chi 3) decide the chi bounds' margins
+    for population in (graphs, [k33, prism], [prism, k33]):
+        reports = audit_all(bounds, population, tol=1e-9, population="mixed")
+        assert list(reports) == [b.bound_id for b in bounds]
+        for b in bounds:
+            want = _reference_report(b, population, 1e-9, "mixed")
+            assert reports[b.bound_id].to_dict() == want, b.bound_id

@@ -244,6 +244,25 @@ def test_bad_numeric_input_is_usage_error(capsys, monkeypatch, argv, env, rule):
     assert err.startswith(f"error: {rule} must be")
 
 
+@pytest.mark.parametrize("order", ["-1", "0", "1", "8", "12"])
+def test_enumeration_order_out_of_range_is_usage_error(capsys, order):
+    code, out, err = run(capsys, "audit", "--enumerate", order)
+    assert code == EXIT_USAGE, out
+    assert err.startswith("error: enumeration") or err.startswith("error: order")
+
+
+def test_population_file_trailing_comment(capsys, tmp_path):
+    path = tmp_path / "pop.g6"
+    path.write_text("Bw # triangle\n")
+    code, out, err = run(capsys, "compute", "--file", str(path), "--format", "json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["rows"][0]["graph6"] == "Bw"
+    code, out, err = run(capsys, "audit", "--file", str(path), "--bounds", "T2U",
+                         "--format", "json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["reports"][0]["equality_witnesses"] == ["Bw"]
+
+
 def test_verify_file_population(capsys, tmp_path):
     pop = tmp_path / "pop.g6"
     pop.write_text("Bw\nBg\n")
