@@ -4,8 +4,9 @@ over graph populations.
 
 Each catalog entry records one published inequality between two indices (or
 between the chromatic number and an index): the bounded side, the comparison
-side, a closed-form coefficient in the graph order n and minimum degree
-delta, the hypotheses, and the family of graphs claimed to attain equality.
+side, a closed-form coefficient (a constant, or a plain function of the graph
+order n or of the minimum degree delta), the hypotheses, and the family of
+graphs claimed to attain equality.
 The auditor evaluates entries verbatim and reports where the claims hold,
 where they are attained, and where they fail; it never repairs a coefficient.
 """
@@ -13,8 +14,8 @@ where they are attained, and where they fail; it never repairs a coefficient.
 from __future__ import annotations
 
 import copy
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .graphs import (
     Graph,
@@ -53,126 +54,26 @@ CHI = "CHI"
 
 
 # ---------------------------------------------------------------------------
-# Coefficient expressions in (n, delta)
+# Coefficients
 
 
+@dataclass(frozen=True)
 class Coeff:
-    """Closed-form coefficient: constants, n, delta, arithmetic, rational
-    powers and square roots."""
+    """A closed-form coefficient of one variable: ``fn`` of the graph order n
+    when ``var`` is "n" (constants too), or of the minimum degree delta when
+    ``var`` is "delta"; the ratio-grid concordance reads ``var`` to pick its
+    degree floor.
+
+    Catalog formulas write square roots and half-integer powers as float
+    ``** 0.5`` and ``** p`` (not ``math.sqrt``), so their values equal, bit
+    for bit, the values the packaged verdict fixtures were computed from.
+    """
+
+    var: str
+    fn: Callable[[int], float]
 
     def ev(self, n: int, delta: int) -> float:
-        raise NotImplementedError
-
-    def __add__(self, other):
-        return _Op("+", self, _wrap(other))
-
-    def __radd__(self, other):
-        return _Op("+", _wrap(other), self)
-
-    def __sub__(self, other):
-        return _Op("-", self, _wrap(other))
-
-    def __rsub__(self, other):
-        return _Op("-", _wrap(other), self)
-
-    def __mul__(self, other):
-        return _Op("*", self, _wrap(other))
-
-    def __rmul__(self, other):
-        return _Op("*", _wrap(other), self)
-
-    def __truediv__(self, other):
-        return _Op("/", self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return _Op("/", _wrap(other), self)
-
-    def __pow__(self, exponent):
-        return _Pow(self, Fraction(exponent))
-
-
-class _Const(Coeff):
-    def __init__(self, value):
-        self.value = Fraction(value)
-
-    def ev(self, n, delta):
-        return float(self.value)
-
-    def __str__(self):
-        return str(self.value)
-
-
-class _Var(Coeff):
-    def __init__(self, name):
-        self.name = name
-
-    def ev(self, n, delta):
-        return float(n if self.name == "n" else delta)
-
-    def __str__(self):
-        return self.name
-
-
-class _Op(Coeff):
-    def __init__(self, op, left, right):
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def ev(self, n, delta):
-        a = self.left.ev(n, delta)
-        b = self.right.ev(n, delta)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return a / b
-
-    def __str__(self):
-        return f"({self.left} {self.op} {self.right})"
-
-
-class _Pow(Coeff):
-    def __init__(self, base, exponent: Fraction):
-        self.base = base
-        self.exponent = exponent
-
-    def ev(self, n, delta):
-        return self.base.ev(n, delta) ** float(self.exponent)
-
-    def __str__(self):
-        return f"{self.base}^({self.exponent})"
-
-
-class _Sqrt(Coeff):
-    def __init__(self, arg):
-        self.arg = arg
-
-    def ev(self, n, delta):
-        return self.arg.ev(n, delta) ** 0.5
-
-    def __str__(self):
-        return f"sqrt({self.arg})"
-
-
-def _wrap(x) -> Coeff:
-    if isinstance(x, Coeff):
-        return x
-    return _Const(x)
-
-
-def const(x) -> Coeff:
-    return _Const(x)
-
-
-def sqrt(x) -> Coeff:
-    return _Sqrt(_wrap(x))
-
-
-N = _Var("n")
-DELTA = _Var("delta")
+        return float(self.fn(delta if self.var == "delta" else n))
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +480,12 @@ R, H, ABC, X, GA, AZI, M2 = ALL_INDICES
 
 def _lower(bound_id, citation, statement, lhs, rhs, coeff, **kw):
     return BoundSpec(bound_id, citation, statement, lhs=lhs, rhs=rhs,
-                     coeff=_wrap(coeff), direction="lower", **kw)
+                     coeff=coeff, direction="lower", **kw)
 
 
 def _upper(bound_id, citation, statement, lhs, rhs, coeff, **kw):
     return BoundSpec(bound_id, citation, statement, lhs=lhs, rhs=rhs,
-                     coeff=_wrap(coeff), direction="upper", **kw)
+                     coeff=coeff, direction="upper", **kw)
 
 
 _CATALOG: tuple[BoundSpec, ...] | None = None
@@ -612,158 +513,170 @@ def catalog_by_id() -> dict[str, BoundSpec]:
 
 
 def _build_catalog() -> list[BoundSpec]:
-    ub17 = (N - 1) ** 7 / (8 * (N - 2) ** 3)
-    c9_rh = DELTA**7 / (8 * (DELTA - 1) ** 3)
+    one = Coeff("n", lambda n: 1)
+    root2 = Coeff("n", lambda n: 2 ** 0.5)
+    n_minus_1 = Coeff("n", lambda n: n - 1)
+    delta = Coeff("delta", lambda d: d)
+    ub17 = Coeff("n", lambda n: (n - 1) ** 7 / (8 * (n - 2) ** 3))
+    c9_rh = Coeff("delta", lambda d: d ** 7 / (8 * (d - 1) ** 3))
     entries = [
         _lower("T1L", "Theorem 1 (lower)",
                "sqrt(2)*X(G) <= GA(G) for connected G, n >= 2; equality iff G = P2",
-               GA, X, sqrt(2), claimed_equality=P2_FAMILY),
+               GA, X, root2, claimed_equality=P2_FAMILY),
         _upper("T1U", "Theorem 1 (upper)",
                "GA(G) <= sqrt(2(n-1))*X(G) for connected G, n >= 2; equality iff G = K_n",
-               GA, X, sqrt(2 * (N - 1)), claimed_equality=COMPLETE_FAMILY),
+               GA, X, Coeff("n", lambda n: (2 * (n - 1)) ** 0.5),
+               claimed_equality=COMPLETE_FAMILY),
         _lower("C1", "Corollary 1",
                "sqrt(2*delta)*X(G) <= GA(G) for delta >= 2; equality iff G is delta-regular",
-               GA, X, sqrt(2 * DELTA), delta_min=2, claimed_equality=REGULAR_FAMILY),
+               GA, X, Coeff("delta", lambda d: (2 * d) ** 0.5),
+               delta_min=2, claimed_equality=REGULAR_FAMILY),
         _lower("T2L", "Theorem 2 (lower)",
                "R(G) <= GA(G) for connected G, n >= 2; equality iff G = P2",
-               GA, R, 1, claimed_equality=P2_FAMILY),
+               GA, R, one, claimed_equality=P2_FAMILY),
         _upper("T2U", "Theorem 2 (upper)",
                "GA(G) <= (n-1)*R(G) for connected G, n >= 2; equality iff G = K_n",
-               GA, R, N - 1, claimed_equality=COMPLETE_FAMILY),
+               GA, R, n_minus_1, claimed_equality=COMPLETE_FAMILY),
         _lower("C2", "Corollary 2",
                "delta*R(G) <= GA(G) for delta >= 2; equality iff G is delta-regular",
-               GA, R, DELTA, delta_min=2, claimed_equality=REGULAR_FAMILY),
+               GA, R, delta, delta_min=2, claimed_equality=REGULAR_FAMILY),
         _lower("C3", "Corollary 3 (first of two)",
                "sqrt(4/3)*R(G) <= GA(G) for connected G, n >= 3; equality claimed iff G = P3 "
                "(upper companion (n-1)*R(G) is entry T2U)",
-               GA, R, sqrt(Fraction(4, 3)), n_min=3, claimed_equality=P3_FAMILY),
+               GA, R, Coeff("n", lambda n: (4 / 3) ** 0.5),
+               n_min=3, claimed_equality=P3_FAMILY),
         _lower("EXT-ZT", "Zhou-Trinajstic comparison",
                "sqrt(2/3)*R(G) <= X(G) for connected G, n >= 3; equality iff G = P3",
-               X, R, sqrt(Fraction(2, 3)), n_min=3, claimed_equality=P3_FAMILY),
+               X, R, Coeff("n", lambda n: (2 / 3) ** 0.5),
+               n_min=3, claimed_equality=P3_FAMILY),
         _lower("T3L", "Theorem 3 (lower)",
                "H(G) <= GA(G) for connected G, n >= 2; equality iff G = P2",
-               GA, H, 1, claimed_equality=P2_FAMILY),
+               GA, H, one, claimed_equality=P2_FAMILY),
         _upper("T3U", "Theorem 3 (upper)",
                "GA(G) <= (n-1)*H(G) for connected G, n >= 2; equality iff G = K_n",
-               GA, H, N - 1, claimed_equality=COMPLETE_FAMILY),
+               GA, H, n_minus_1, claimed_equality=COMPLETE_FAMILY),
         _lower("C3b", "Corollary 3 (second of two), inequality (1)",
                "delta*H(G) <= GA(G) for delta >= 2; equality iff G is delta-regular",
-               GA, H, DELTA, delta_min=2, claimed_equality=REGULAR_FAMILY),
+               GA, H, delta, delta_min=2, claimed_equality=REGULAR_FAMILY),
         _lower("T4L", "Theorem 4 (lower)",
                "sqrt(2(n-2))/(n-1)*GA(G) <= ABC(G) for n >= 3, delta >= 2; equality iff G = K_n",
-               ABC, GA, sqrt(2 * (N - 2)) / (N - 1), n_min=3, delta_min=2,
-               claimed_equality=COMPLETE_FAMILY),
+               ABC, GA, Coeff("n", lambda n: (2 * (n - 2)) ** 0.5 / (n - 1)),
+               n_min=3, delta_min=2, claimed_equality=COMPLETE_FAMILY),
         _upper("T4U", "Theorem 4 (upper)",
                "ABC(G) <= (n+1)/(4*sqrt(n-1))*GA(G) for n >= 3, delta >= 2; equality iff G = C_3",
-               ABC, GA, (N + 1) / (4 * sqrt(N - 1)), n_min=3, delta_min=2,
-               claimed_equality=C3_FAMILY),
+               ABC, GA, Coeff("n", lambda n: (n + 1) / (4 * (n - 1) ** 0.5)),
+               n_min=3, delta_min=2, claimed_equality=C3_FAMILY),
         _upper("EXT-2a", "Zhong-Xu chain (2), first link",
                "H(G) <= R(G) for delta >= 2; equality iff G is regular",
-               H, R, 1, delta_min=2, claimed_equality=REGULAR_FAMILY),
+               H, R, one, delta_min=2, claimed_equality=REGULAR_FAMILY),
         _upper("EXT-2b", "Zhong-Xu chain (2), second link",
                "R(G) <= X(G) for delta >= 2; equality iff G is a cycle",
-               R, X, 1, delta_min=2, claimed_equality=CYCLE_FAMILY),
+               R, X, one, delta_min=2, claimed_equality=CYCLE_FAMILY),
         _upper("EXT-2c", "Zhong-Xu chain (2), third link",
                "X(G) < ABC(G) for delta >= 2 (strict)",
-               X, ABC, 1, delta_min=2, strict=True),
+               X, ABC, one, delta_min=2, strict=True),
         BoundSpec("C4", "Corollary 4",
                   "H(G) <= R(G) <= X(G) < ABC(G) <= (n+1)/(4*sqrt(n-1))*GA(G) "
                   "for n >= 3, delta >= 2 (chain of EXT-2a, EXT-2b, EXT-2c, T4U)",
                   n_min=3, delta_min=2, chain=("EXT-2a", "EXT-2b", "EXT-2c", "T4U")),
         _upper("EXT-3(i)", "Das-Trinajstic strict comparison (molecular)",
                "ABC(G) < GA(G) for molecular G (max degree <= 4) other than K_{1,4} and T*",
-               ABC, GA, 1, strict=True, molecular_only=True,
+               ABC, GA, one, strict=True, molecular_only=True,
                exclusions=("K_{1,4}", "T*")),
         _upper("EXT-3(ii)", "Das-Trinajstic strict comparison (small degree spread)",
                "ABC(G) < GA(G) when Delta - delta <= 3, G other than K_{1,4} and T*",
-               ABC, GA, 1, strict=True, spread_cap=const(3),
+               ABC, GA, one, strict=True, spread_cap=Coeff("n", lambda n: 3),
                exclusions=("K_{1,4}", "T*")),
         _upper("EXT-3(iii)", "strict comparison under delta >= 2 and bounded spread",
                "ABC(G) < GA(G) when delta >= 2 and Delta - delta <= (2*delta-1)^2",
-               ABC, GA, 1, strict=True, delta_min=2,
-               spread_cap=(2 * DELTA - 1) ** 2),
+               ABC, GA, one, strict=True, delta_min=2,
+               spread_cap=Coeff("delta", lambda d: (2 * d - 1) ** 2)),
         _upper("EXT-4", "Deng chromatic bound, inequality (4)",
                "chi(G) <= 2*H(G) for connected G; equality iff G = K_n",
-               CHI, H, 2, claimed_equality=COMPLETE_FAMILY),
+               CHI, H, Coeff("n", lambda n: 2), claimed_equality=COMPLETE_FAMILY),
         _upper("C6", "Corollary 6",
                "chi(G) <= (2/delta)*GA(G) for delta >= 2; equality iff G = K_n",
-               CHI, GA, 2 / DELTA, delta_min=2, claimed_equality=COMPLETE_FAMILY),
+               CHI, GA, Coeff("delta", lambda d: 2 / d),
+               delta_min=2, claimed_equality=COMPLETE_FAMILY),
         _lower("T5-(5)L", "Theorem 5, inequality (5) lower",
                "M2*(G) <= R(G) for connected G, n >= 2; equality iff G = P2",
-               R, M2, 1, claimed_equality=P2_FAMILY),
+               R, M2, one, claimed_equality=P2_FAMILY),
         _upper("T5-(5)U", "Theorem 5, inequality (5) upper",
                "R(G) <= (n-1)*M2*(G); equality iff G = K_n",
-               R, M2, N - 1, claimed_equality=COMPLETE_FAMILY),
+               R, M2, n_minus_1, claimed_equality=COMPLETE_FAMILY),
         _lower("T5-(6)L", "Theorem 5, inequality (6) lower",
                "M2*(G)/sqrt(2) <= X(G); equality iff G = P2",
-               X, M2, 1 / sqrt(2), claimed_equality=P2_FAMILY),
+               X, M2, Coeff("n", lambda n: 1 / 2 ** 0.5), claimed_equality=P2_FAMILY),
         _upper("T5-(6)U", "Theorem 5, inequality (6) upper",
                "X(G) <= (n-1)^(3/2)/sqrt(2)*M2*(G); equality iff G = K_n",
-               X, M2, (N - 1) ** Fraction(3, 2) / sqrt(2),
+               X, M2, Coeff("n", lambda n: (n - 1) ** 1.5 / 2 ** 0.5),
                claimed_equality=COMPLETE_FAMILY),
         _lower("T5-(7)L", "Theorem 5, inequality (7) lower",
                "M2*(G) <= H(G); equality iff G = P2",
-               H, M2, 1, claimed_equality=P2_FAMILY),
+               H, M2, one, claimed_equality=P2_FAMILY),
         _upper("T5-(7)U", "Theorem 5, inequality (7) upper",
                "H(G) <= (n-1)*M2*(G); equality iff G = K_n",
-               H, M2, N - 1, claimed_equality=COMPLETE_FAMILY),
+               H, M2, n_minus_1, claimed_equality=COMPLETE_FAMILY),
         _lower("T5-(8)L", "Theorem 5, inequality (8) lower",
                "M2*(G) <= GA(G); equality iff G = P2",
-               GA, M2, 1, claimed_equality=P2_FAMILY),
+               GA, M2, one, claimed_equality=P2_FAMILY),
         _upper("T5-(8)U", "Theorem 5, inequality (8) upper",
                "GA(G) <= (n-1)^2*M2*(G); equality iff G = K_n",
-               GA, M2, (N - 1) ** 2, claimed_equality=COMPLETE_FAMILY),
+               GA, M2, Coeff("n", lambda n: (n - 1) ** 2),
+               claimed_equality=COMPLETE_FAMILY),
         _lower("T5-(9)L", "Theorem 5, inequality (9) lower",
                "sqrt(2)*M2*(G) <= ABC(G) for n >= 3; equality iff G = P3",
-               ABC, M2, sqrt(2), n_min=3, claimed_equality=P3_FAMILY),
+               ABC, M2, root2, n_min=3, claimed_equality=P3_FAMILY),
         _upper("T5-(9)U", "Theorem 5, inequality (9) upper",
                "ABC(G) <= (n-1)*sqrt(2(n-2))*M2*(G) for n >= 3; equality iff G = K_n",
-               ABC, M2, (N - 1) * sqrt(2 * (N - 2)), n_min=3,
+               ABC, M2, Coeff("n", lambda n: (n - 1) * (2 * (n - 2)) ** 0.5), n_min=3,
                claimed_equality=COMPLETE_FAMILY),
         _lower("C7-(10)", "Corollary 7, inequality (10)",
                "delta*M2*(G) <= R(G) for delta >= 2; equality iff G is delta-regular",
-               R, M2, DELTA, delta_min=2, claimed_equality=REGULAR_FAMILY),
+               R, M2, delta, delta_min=2, claimed_equality=REGULAR_FAMILY),
         _lower("C7-(11)", "Corollary 7, inequality (11)",
                "delta^(3/2)/sqrt(2)*M2*(G) <= X(G) for delta >= 2; "
                "equality iff G is delta-regular",
-               X, M2, DELTA ** Fraction(3, 2) / sqrt(2), delta_min=2,
+               X, M2, Coeff("delta", lambda d: d ** 1.5 / 2 ** 0.5), delta_min=2,
                claimed_equality=REGULAR_FAMILY),
         _lower("C7-(12)", "Corollary 7, inequality (12)",
                "sqrt(delta)*M2*(G) <= H(G) for delta >= 2; "
                "equality claimed iff G is delta-regular",
-               H, M2, sqrt(DELTA), delta_min=2, claimed_equality=REGULAR_FAMILY),
+               H, M2, Coeff("delta", lambda d: d ** 0.5),
+               delta_min=2, claimed_equality=REGULAR_FAMILY),
         _lower("C7-(13)", "Corollary 7, inequality (13)",
                "delta^2*M2*(G) <= GA(G) for delta >= 2; equality iff G is delta-regular",
-               GA, M2, DELTA**2, delta_min=2, claimed_equality=REGULAR_FAMILY),
+               GA, M2, Coeff("delta", lambda d: d ** 2),
+               delta_min=2, claimed_equality=REGULAR_FAMILY),
         _lower("C7-(14)", "Corollary 7, inequality (14)",
                "delta*sqrt(2(delta-1))*M2*(G) <= ABC(G) for delta >= 2; "
                "equality iff G is delta-regular",
-               ABC, M2, DELTA * sqrt(2 * (DELTA - 1)), delta_min=2,
+               ABC, M2, Coeff("delta", lambda d: d * (2 * (d - 1)) ** 0.5), delta_min=2,
                claimed_equality=REGULAR_FAMILY),
         _lower("T6L", "Theorem 6 (lower)",
                "1536/343*X(G) <= AZI(G) for connected G, n >= 3; equality iff G = S_{1,8}",
-               AZI, X, const(Fraction(1536, 343)), n_min=3,
+               AZI, X, Coeff("n", lambda n: 1536 / 343), n_min=3,
                claimed_equality=star_family(8)),
         _upper("T6U", "Theorem 6 (upper)",
                "AZI(G) <= (n-1)^(13/2)/(sqrt(32)(n-2)^3)*X(G) for n >= 3; "
                "equality iff G = K_n",
-               AZI, X, (N - 1) ** Fraction(13, 2) / (sqrt(32) * (N - 2) ** 3),
+               AZI, X, Coeff("n", lambda n: (n - 1) ** 6.5 / (32 ** 0.5 * (n - 2) ** 3)),
                n_min=3, claimed_equality=COMPLETE_FAMILY),
         _lower("C8", "Corollary 8",
                "delta^(13/2)/(sqrt(32)(delta-1)^3)*X(G) <= AZI(G) for delta >= 2; "
                "equality iff G is delta-regular",
-               AZI, X, DELTA ** Fraction(13, 2) / (sqrt(32) * (DELTA - 1) ** 3),
+               AZI, X, Coeff("delta", lambda d: d ** 6.5 / (32 ** 0.5 * (d - 1) ** 3)),
                delta_min=2, claimed_equality=REGULAR_FAMILY),
         _lower("T7-(17)L", "Theorem 7, inequality (17) lower",
                "343*sqrt(7)/216*R(G) <= AZI(G) for n >= 3; equality iff G = S_{1,7}",
-               AZI, R, const(Fraction(343, 216)) * sqrt(7), n_min=3,
+               AZI, R, Coeff("n", lambda n: 343 / 216 * 7 ** 0.5), n_min=3,
                claimed_equality=star_family(7)),
         _upper("T7-(17)U", "Theorem 7, inequality (17) upper",
                "AZI(G) <= (n-1)^7/(8(n-2)^3)*R(G) for n >= 3; equality iff G = K_n",
                AZI, R, ub17, n_min=3, claimed_equality=COMPLETE_FAMILY),
         _lower("T7-(18)L", "Theorem 7, inequality (18) lower",
                "375/64*H(G) <= AZI(G) for n >= 3; equality iff G = S_{1,5}",
-               AZI, H, const(Fraction(375, 64)), n_min=3,
+               AZI, H, Coeff("n", lambda n: 375 / 64), n_min=3,
                claimed_equality=star_family(5)),
         _upper("T7-(18)U", "Theorem 7, inequality (18) upper",
                "AZI(G) <= (n-1)^7/(8(n-2)^3)*H(G) for n >= 3; equality iff G = K_n",
@@ -771,28 +684,30 @@ def _build_catalog() -> list[BoundSpec]:
         _lower("T7-(19)L", "Theorem 7, inequality (19) lower",
                "((n-1)/(n-2))^(7/2)*ABC(G) <= AZI(G) for n >= 3; "
                "equality claimed iff G = S_{1,n-1}",
-               AZI, ABC, ((N - 1) / (N - 2)) ** Fraction(7, 2), n_min=3,
+               AZI, ABC, Coeff("n", lambda n: ((n - 1) / (n - 2)) ** 3.5), n_min=3,
                claimed_equality=SPANNING_STAR_FAMILY),
         _upper("T7-(19)U", "Theorem 7, inequality (19) upper",
                "AZI(G) <= ((n-1)^2/(2(n-2)))^(7/2)*ABC(G) for n >= 3; "
                "equality claimed iff G = K_n",
-               AZI, ABC, ((N - 1) ** 2 / (2 * (N - 2))) ** Fraction(7, 2), n_min=3,
+               AZI, ABC, Coeff("n", lambda n: ((n - 1) ** 2 / (2 * (n - 2))) ** 3.5),
+               n_min=3,
                claimed_equality=COMPLETE_FAMILY),
         _lower("T7-(20)L", "Theorem 7, inequality (20) lower",
                "8*GA(G) <= AZI(G) for n >= 3, delta >= 2; equality iff G = C_n",
-               AZI, GA, 8, n_min=3, delta_min=2, claimed_equality=CYCLE_FAMILY),
+               AZI, GA, Coeff("n", lambda n: 8),
+               n_min=3, delta_min=2, claimed_equality=CYCLE_FAMILY),
         _upper("T7-(20)U", "Theorem 7, inequality (20) upper",
                "AZI(G) <= (n-1)^6/(8(n-2)^3)*GA(G) for n >= 3, delta >= 2; "
                "equality iff G = K_n",
-               AZI, GA, (N - 1) ** 6 / (8 * (N - 2) ** 3), n_min=3, delta_min=2,
-               claimed_equality=COMPLETE_FAMILY),
+               AZI, GA, Coeff("n", lambda n: (n - 1) ** 6 / (8 * (n - 2) ** 3)),
+               n_min=3, delta_min=2, claimed_equality=COMPLETE_FAMILY),
         _lower("T7-(21)L", "Theorem 7, inequality (21) lower",
                "4*M2*(G) <= AZI(G) for n >= 3; equality claimed iff G = P3",
-               AZI, M2, 4, n_min=3, claimed_equality=P3_FAMILY),
+               AZI, M2, Coeff("n", lambda n: 4), n_min=3, claimed_equality=P3_FAMILY),
         _upper("T7-(21)U", "Theorem 7, inequality (21) upper",
                "AZI(G) <= (n-1)^4/(2(n-2))*M2*(G) for n >= 3; "
                "equality claimed iff G = K_n",
-               AZI, M2, (N - 1) ** 4 / (2 * (N - 2)), n_min=3,
+               AZI, M2, Coeff("n", lambda n: (n - 1) ** 4 / (2 * (n - 2))), n_min=3,
                claimed_equality=COMPLETE_FAMILY),
         _lower("C9-(22)", "Corollary 9, inequality (22)",
                "delta^7/(8(delta-1)^3)*R(G) <= AZI(G) for delta >= 2; "
@@ -805,17 +720,18 @@ def _build_catalog() -> list[BoundSpec]:
         _lower("C9-(24)", "Corollary 9, inequality (24)",
                "(delta^2/(2(delta-1)))^(7/2)*ABC(G) <= AZI(G) for delta >= 2; "
                "equality claimed iff G is delta-regular",
-               AZI, ABC, (DELTA**2 / (2 * (DELTA - 1))) ** Fraction(7, 2),
+               AZI, ABC, Coeff("delta", lambda d: (d ** 2 / (2 * (d - 1))) ** 3.5),
                delta_min=2, claimed_equality=REGULAR_FAMILY),
         _lower("C9-(25)", "Corollary 9, inequality (25)",
                "delta^6/(8(delta-1)^3)*GA(G) <= AZI(G) for delta >= 2; "
                "equality iff G is delta-regular",
-               AZI, GA, DELTA**6 / (8 * (DELTA - 1) ** 3), delta_min=2,
+               AZI, GA, Coeff("delta", lambda d: d ** 6 / (8 * (d - 1) ** 3)),
+               delta_min=2,
                claimed_equality=REGULAR_FAMILY),
         _lower("C9-(26)", "Corollary 9, inequality (26)",
                "delta^4/(2(delta-1))*M2*(G) <= AZI(G) for delta >= 2; "
                "equality claimed iff G is delta-regular",
-               AZI, M2, DELTA**4 / (2 * (DELTA - 1)), delta_min=2,
+               AZI, M2, Coeff("delta", lambda d: d ** 4 / (2 * (d - 1))), delta_min=2,
                claimed_equality=REGULAR_FAMILY),
     ]
     return entries

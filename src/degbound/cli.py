@@ -72,6 +72,13 @@ def _resolve(flag_value, env_name, default, convert=str):
     return default
 
 
+def _format(args) -> str:
+    fmt = _resolve(args.format, "FORMAT", "table")
+    if fmt not in FORMATS:  # argparse checks the flag; this catches the variable
+        raise UsageError(f"bad {ENV_PREFIX}FORMAT value: {fmt!r}")
+    return fmt
+
+
 # ---------------------------------------------------------------------------
 # Output rendering
 
@@ -122,7 +129,7 @@ def _sniff_file_graphs(path: Path) -> list[Graph]:
     first = body[0].split()
     if len(first) == 1 and first[0].isdigit() and (len(body) == 1 or " " in body[1] or "\t" in body[1]):
         return [parse_edge_list(text)]
-    return [parse_graph6(ln) for ln in body]
+    return read_population(path)
 
 
 def _compute_rows(graphs):
@@ -153,6 +160,7 @@ COMPUTE_COLUMNS = ["graph6", "n", "m", "delta", "Delta", "regular", "chi",
 
 
 def cmd_compute(args) -> int:
+    fmt = _format(args)
     sources = [s for s in (args.g6, args.file, args.family) if s is not None]
     if len(sources) != 1:
         raise UsageError("compute needs exactly one of --g6, --file, --family")
@@ -163,7 +171,6 @@ def cmd_compute(args) -> int:
     else:
         tag, _, param = args.family.partition(":")
         graphs = [make_family(tag, int(param) if param else None)]
-    fmt = _resolve(args.format, "FORMAT", "table")
     _render_rows(_compute_rows(graphs), COMPUTE_COLUMNS, fmt, sys.stdout)
     return EXIT_OK
 
@@ -214,8 +221,8 @@ FAMILY_COLUMNS = ["family", "param", "n", "m", "R", "H", "ABC", "X", "GA",
 
 
 def cmd_families(args) -> int:
+    fmt = _format(args)
     rows = families_rows(args.max_n)
-    fmt = _resolve(args.format, "FORMAT", "table")
     _render_rows(rows, FAMILY_COLUMNS, fmt, sys.stdout)
     if not all(r["agrees"] for r in rows):
         print("closed forms disagree with graph evaluation", file=sys.stderr)
@@ -228,8 +235,8 @@ def cmd_families(args) -> int:
 
 
 def cmd_proofs(args) -> int:
+    fmt = _format(args)
     claims = proofs_report(args.n)
-    fmt = _resolve(args.format, "FORMAT", "table")
     if fmt == "json":
         json.dump({"n": args.n, "claims": claims}, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -364,8 +371,8 @@ def _run_audit(args):
 
 
 def cmd_audit(args) -> int:
+    fmt = _format(args)
     reports, order, population, tol = _run_audit(args)
-    fmt = _resolve(args.format, "FORMAT", "table")
     out_dir = _resolve(args.out, "OUT", None)
     _emit_reports(reports, order, population, tol, fmt, out_dir)
     return EXIT_OK
@@ -394,9 +401,9 @@ def _expected_verdicts(args) -> dict[str, str]:
 
 
 def cmd_verify(args) -> int:
+    fmt = _format(args)
     expected = _expected_verdicts(args)
     reports, order, population, tol = _run_audit(args)
-    fmt = _resolve(args.format, "FORMAT", "table")
     out_dir = _resolve(args.out, "OUT", None)
     _emit_reports(reports, order, population, tol, fmt, out_dir)
     mismatches = []

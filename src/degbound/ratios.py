@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import CHI, BoundSpec, Coeff, _Op, _Pow, _Sqrt, _Var, builtin_catalog
+from .bounds import CHI, BoundSpec, builtin_catalog
 from .indices import IndexId, UndefinedIndexError, edge_term
 
 GRID_CAP = 62
@@ -152,17 +152,6 @@ def line_samples(r: RatioFn, fixed: str, fixed_value: float,
 # Catalog concordance
 
 
-def _uses_delta(expr: Coeff) -> bool:
-    if isinstance(expr, _Var):
-        return expr.name == "delta"
-    if isinstance(expr, _Op):
-        return _uses_delta(expr.left) or _uses_delta(expr.right)
-    if isinstance(expr, (_Pow, _Sqrt)):
-        inner = expr.base if isinstance(expr, _Pow) else expr.arg
-        return _uses_delta(inner)
-    return False
-
-
 def is_concordance_candidate(b: BoundSpec) -> bool:
     """Simple non-strict bounds between two indices (strict bounds make no
     sharpness claim, and the chromatic pseudo-index has no per-edge term)."""
@@ -188,7 +177,7 @@ def concordance(b: BoundSpec, n: int, delta: int = 1,
         raise ValueError(f"bound {b.bound_id} has no ratio-grid counterpart")
     ratio = RatioFn(b.lhs, b.rhs, squared=True)
     kind = "min" if b.direction == "lower" else "max"
-    grid_floor = delta if _uses_delta(b.coeff) else b.delta_min
+    grid_floor = delta if b.coeff.var == "delta" else b.delta_min
     ext = grid_extremum(ratio, n, kind, delta_min=grid_floor,
                         exclude_one_one=b.n_min >= 3)
     coefficient = b.coeff.ev(n, delta)

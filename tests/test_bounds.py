@@ -162,6 +162,26 @@ def test_precondition_skips():
     assert evaluate_bound(by_id["EXT-3(ii)"], star_graph(6)).verdict == PRECONDITION_SKIPPED
 
 
+def test_spread_cap_boundaries():
+    by_id = catalog_by_id()
+
+    def admitted(bid, g):
+        return evaluate_bound(by_id[bid], g).verdict != PRECONDITION_SKIPPED
+
+    # EXT-3(ii) admits Delta - delta <= 3: K_{1,4} with one leaf extended
+    # (spread 3) is checked, K_{1,5} (spread 4) is skipped
+    assert admitted("EXT-3(ii)", Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)]))
+    assert not admitted("EXT-3(ii)", star_graph(5))
+    # EXT-3(iii) admits Delta - delta <= (2*delta - 1)^2, which is 9 at delta = 2:
+    # K1 joined to a triangle plus a 4-edge matching (Delta 11) is checked,
+    # K1 joined to a 6-edge matching (Delta 12) is skipped
+    hub = [(0, v) for v in range(1, 12)]
+    spread_9 = Graph(12, hub + [(1, 2), (2, 3), (1, 3), (4, 5), (6, 7), (8, 9), (10, 11)])
+    spread_10 = Graph(13, hub + [(0, 12)] + [(v, v + 1) for v in range(1, 13, 2)])
+    assert admitted("EXT-3(iii)", spread_9)
+    assert not admitted("EXT-3(iii)", spread_10)
+
+
 def test_domain_skip_azi_on_p2():
     # P2 passes no n_min=3 gate, so use a custom AZI bound at n_min=2
     b = BoundSpec("test-azi", "test", "AZI lower test", lhs=IndexId.AZI,

@@ -70,6 +70,14 @@ def test_compute_malformed_graph6_is_io_error(capsys):
     assert "error" in err
 
 
+def test_compute_file_error_names_the_line(capsys, tmp_path):
+    path = tmp_path / "pop.g6"
+    path.write_text("Bw\nBAD~LINE\n")
+    code, out, err = run(capsys, "compute", "--file", str(path))
+    assert code == EXIT_IO, out
+    assert "line 2" in err
+
+
 # ---------------------------------------------------------------------------
 # families
 
@@ -337,6 +345,21 @@ def test_compute_csv_json_parity(capsys):
     crow = next(csv.DictReader(io.StringIO(out_csv)))
     for key in ("R", "H", "ABC", "X", "GA", "AZI", "M2*"):
         assert float(crow[key]) == jrow[key]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--g6", "Bw"],
+    ["families", "--max-n", "3"],
+    ["proofs", "--n", "3"],
+    ["audit", "--enumerate", "3"],
+    ["verify", "--enumerate", "3"],
+])
+def test_bad_format_variable_is_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("DEGBOUND_FORMAT", "xml")
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "DEGBOUND_FORMAT" in err
 
 
 def test_env_variable_config(capsys, monkeypatch):

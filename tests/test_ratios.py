@@ -122,6 +122,11 @@ def test_concordance_matches_for_sharp_entries():
     assert rec.matches and rec.location == (3, 3)
     rec = concordance(by_id["T4U"], n=9, delta=2)
     assert rec.matches and rec.location == (2, 8)
+    # a delta-free coefficient keeps its own delta_min floor whatever delta is
+    rec = concordance(by_id["T4U"], n=9, delta=3)
+    assert rec.matches and rec.location == (2, 8)
+    rec = concordance(by_id["EXT-2a"], n=9, delta=3)
+    assert rec.matches and rec.location == (2, 2)
 
 
 def test_concordance_rejects_non_candidates():
