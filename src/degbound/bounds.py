@@ -5,8 +5,10 @@ over graph populations.
 Each catalog entry records one published inequality between two indices (or
 between the chromatic number and an index): the bounded side, the comparison
 side, a closed-form coefficient (a constant, or a plain function of the graph
-order n or of the minimum degree delta), the hypotheses, and the family of
-graphs claimed to attain equality.
+order n or of the minimum degree delta), the hypotheses with any excluded
+graphs, and the family of graphs claimed to attain equality.  A family and an
+excluded graph are the same kind of value: a label and a structural
+membership test.
 The auditor evaluates entries verbatim and reports where the claims hold,
 where they are attained, and where they fail; it never repairs a coefficient.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import copy
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .graphs import (
     Graph,
@@ -77,68 +79,35 @@ class Coeff:
 
 
 # ---------------------------------------------------------------------------
-# Equality families (structural membership, never numeric)
+# Equality families and excluded graphs (structural membership, never numeric)
 
 
 @dataclass(frozen=True)
 class EqualityFamily:
-    """A claimed extremal family: P2, P3, K_n, C_n, C_3, a fixed star, any
-    spanning star, or the delta-regular graphs."""
+    """A claimed extremal family, or a graph a bound excludes: its report
+    label and its membership test.  Families compare by label."""
 
-    kind: str
-    k: int | None = None
-
-    def contains(self, g: Graph) -> bool:
-        if self.kind == "P2":
-            return g.n == 2 and g.m == 1
-        if self.kind == "P3":
-            return g.n == 3 and is_path(g)
-        if self.kind == "complete":
-            return is_complete(g)
-        if self.kind == "cycle":
-            return is_cycle(g)
-        if self.kind == "C3":
-            return g.n == 3 and is_cycle(g)
-        if self.kind == "star":
-            return g.n == self.k + 1 and is_star(g)
-        if self.kind == "spanning_star":
-            return g.n >= 2 and is_star(g)
-        if self.kind == "regular":
-            return is_regular(g)
-        raise ValueError(f"unknown family kind {self.kind!r}")
-
-    @property
-    def label(self) -> str:
-        return {
-            "P2": "P2",
-            "P3": "P3",
-            "complete": "K_n",
-            "cycle": "C_n",
-            "C3": "C_3",
-            "star": f"S_{{1,{self.k}}}",
-            "spanning_star": "S_{1,n-1}",
-            "regular": "delta-regular",
-        }[self.kind]
+    label: str
+    contains: Callable[[Graph], bool] = field(compare=False)
 
 
-P2_FAMILY = EqualityFamily("P2")
-P3_FAMILY = EqualityFamily("P3")
-COMPLETE_FAMILY = EqualityFamily("complete")
-CYCLE_FAMILY = EqualityFamily("cycle")
-C3_FAMILY = EqualityFamily("C3")
-SPANNING_STAR_FAMILY = EqualityFamily("spanning_star")
-REGULAR_FAMILY = EqualityFamily("regular")
+P2_FAMILY = EqualityFamily("P2", lambda g: g.n == 2 and g.m == 1)
+P3_FAMILY = EqualityFamily("P3", lambda g: g.n == 3 and is_path(g))
+COMPLETE_FAMILY = EqualityFamily("K_n", is_complete)
+CYCLE_FAMILY = EqualityFamily("C_n", is_cycle)
+C3_FAMILY = EqualityFamily("C_3", lambda g: g.n == 3 and is_cycle(g))
+SPANNING_STAR_FAMILY = EqualityFamily("S_{1,n-1}", lambda g: g.n >= 2 and is_star(g))
+REGULAR_FAMILY = EqualityFamily("delta-regular", is_regular)
 
 
 def star_family(k: int) -> EqualityFamily:
-    return EqualityFamily("star", k)
+    """The star with ``k`` leaves."""
+    return EqualityFamily(f"S_{{1,{k}}}", lambda g: g.n == k + 1 and is_star(g))
 
 
-# Exclusion predicates for entries stated with explicit exceptional graphs.
-_EXCLUSIONS = {
-    "K_{1,4}": lambda g: g.n == 5 and is_star(g),
-    "T*": is_double_star_t,
-}
+# The exceptional graphs of the Das-Trinajstic comparison.
+K14 = EqualityFamily("K_{1,4}", star_family(4).contains)
+T_STAR = EqualityFamily("T*", is_double_star_t)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +135,7 @@ class BoundSpec:
     delta_min: int = 1
     molecular_only: bool = False
     spread_cap: Coeff | None = None
-    exclusions: tuple[str, ...] = ()
+    exclusions: tuple[EqualityFamily, ...] = ()
     claimed_equality: EqualityFamily | None = None
     chain: tuple[str, ...] = ()
 
@@ -186,10 +155,7 @@ class BoundSpec:
         if self.spread_cap is not None:
             if ctx.Delta - ctx.delta > self.spread_cap.ev(ctx.n, ctx.delta):
                 return False
-        for tag in self.exclusions:
-            if _EXCLUSIONS[tag](ctx.graph):
-                return False
-        return True
+        return not any(f.contains(ctx.graph) for f in self.exclusions)
 
 
 @dataclass(frozen=True)
@@ -207,17 +173,15 @@ class BoundCheck:
 class GraphContext:
     """Per-graph quantities shared across bound evaluations."""
 
-    __slots__ = ("graph", "graph6", "n", "m", "delta", "Delta", "partition",
-                 "indices", "connected", "_chi")
+    __slots__ = ("graph", "graph6", "n", "delta", "Delta", "indices",
+                 "connected", "_chi")
 
     def __init__(self, g: Graph):
         self.graph = g
         self.graph6 = to_graph6(g)
         self.n = g.n
-        self.m = g.m
         self.delta = min_degree(g)
         self.Delta = max_degree(g)
-        self.partition = edge_degree_partition(g)
         self.indices = all_indices(g)
         self.connected = is_connected(g)
         self._chi = None
@@ -320,21 +284,7 @@ class SharpnessReport:
     strict_conflicts: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "bound_id": self.bound_id,
-            "citation": self.citation,
-            "population": self.population,
-            "tolerance": self.tolerance,
-            "counts": dict(self.counts),
-            "min_margin": dict(self.min_margin) if self.min_margin else None,
-            "equality_witnesses": list(self.equality_witnesses),
-            "violation_witnesses": list(self.violation_witnesses),
-            "verdict": self.verdict,
-            "equality_family": self.equality_family,
-            "family_mismatches": {k: list(v) for k, v in self.family_mismatches.items()},
-            "strict_conflicts": list(self.strict_conflicts),
-        }
+        return {"schema_version": 1, **asdict(self)}
 
 
 def _reads_chi(b: BoundSpec) -> bool:
@@ -451,13 +401,11 @@ def _aggregate(b: BoundSpec, outcomes, tol: float, population: str) -> Sharpness
 
 
 def audit_all(bounds, graphs, tol: float = DEFAULT_TOL,
-              population: str = "population",
-              jobs: int = 1) -> dict[str, SharpnessReport]:
+              population: str = "population") -> dict[str, SharpnessReport]:
     """Audit several bounds over one population, sharing per-key work.
 
     Witness lists are sorted by graph6 string, so the result does not depend
-    on the population order (for equal populations as sets).  ``jobs`` is
-    accepted and ignored: the audit runs in one process.
+    on the population order (for equal populations as sets).
     """
     groups = _key_groups(graphs)
     return {
@@ -582,11 +530,11 @@ def _build_catalog() -> list[BoundSpec]:
         _upper("EXT-3(i)", "Das-Trinajstic strict comparison (molecular)",
                "ABC(G) < GA(G) for molecular G (max degree <= 4) other than K_{1,4} and T*",
                ABC, GA, one, strict=True, molecular_only=True,
-               exclusions=("K_{1,4}", "T*")),
+               exclusions=(K14, T_STAR)),
         _upper("EXT-3(ii)", "Das-Trinajstic strict comparison (small degree spread)",
                "ABC(G) < GA(G) when Delta - delta <= 3, G other than K_{1,4} and T*",
                ABC, GA, one, strict=True, spread_cap=Coeff("n", lambda n: 3),
-               exclusions=("K_{1,4}", "T*")),
+               exclusions=(K14, T_STAR)),
         _upper("EXT-3(iii)", "strict comparison under delta >= 2 and bounded spread",
                "ABC(G) < GA(G) when delta >= 2 and Delta - delta <= (2*delta-1)^2",
                ABC, GA, one, strict=True, delta_min=2,

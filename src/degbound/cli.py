@@ -4,7 +4,7 @@ proof-grid audits.
 
 Configuration precedence: command-line flags, then DEGBOUND_* environment
 variables, then defaults.  Exit codes: 0 ok, 1 verdict mismatch, 2 usage,
-3 I/O.
+3 I/O, 141 (128 + SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from .enumeration import (
 )
 from .formulas import FAMILY_FORMULAS
 from .graphs import (
-    CHROMATIC_CAP,
     Graph,
     GraphError,
     SizeLimitError,
     chromatic_number,
+    is_molecular,
     is_regular,
     make_family,
     max_degree,
@@ -47,6 +47,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_PIPE = 141
 
 ENV_PREFIX = "DEGBOUND_"
 FORMATS = ("table", "json", "csv")
@@ -124,10 +125,7 @@ def _sniff_file_graphs(path: Path) -> list[Graph]:
         raise IOError(f"cannot read {path}: {exc}") from None
     body = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     body = [ln for ln in body if ln]
-    if not body:
-        raise GraphError(f"{path}: no graphs found")
-    first = body[0].split()
-    if len(first) == 1 and first[0].isdigit() and (len(body) == 1 or " " in body[1] or "\t" in body[1]):
+    if body and body[0].isdigit() and (len(body) == 1 or " " in body[1] or "\t" in body[1]):
         return [parse_edge_list(text)]
     return read_population(path)
 
@@ -137,7 +135,7 @@ def _compute_rows(graphs):
     for g in graphs:
         vals = all_indices(g)
         try:
-            chi = chromatic_number(g) if g.n <= CHROMATIC_CAP else None
+            chi = chromatic_number(g)
         except SizeLimitError:
             chi = None
         row = {
@@ -296,7 +294,7 @@ def _population(args):
     if args.min_degree is not None:
         graphs = [g for g in graphs if min_degree(g) >= args.min_degree]
     if args.molecular:
-        graphs = [g for g in graphs if max_degree(g) <= 4]
+        graphs = [g for g in graphs if is_molecular(g)]
     return graphs, f"file({path.name})"
 
 
@@ -358,14 +356,17 @@ def _run_audit(args):
     tol = _resolve(args.tol, "TOL", DEFAULT_TOL, float)
     if not 0 < tol < 1:  # also false for nan
         raise UsageError(f"tolerance must be finite with 0 < tol < 1, got {tol!r}")
-    jobs = _resolve(args.jobs, "JOBS", 1, int)
-    if jobs < 1:
-        raise UsageError(f"jobs must be >= 1, got {jobs}")
+    jobs = _resolve(args.jobs, "JOBS", None, int)
+    if jobs is not None:
+        if jobs < 1:
+            raise UsageError(f"jobs must be >= 1, got {jobs}")
+        print("warning: --jobs is deprecated and ignored; the audit runs in one process",
+              file=sys.stderr)
     if args.min_degree is not None and args.min_degree < 0:
         raise UsageError(f"--min-degree must be >= 0, got {args.min_degree}")
     graphs, population = _population(args)
     bounds = _select_bounds(args.bounds)
-    reports = audit_all(bounds, graphs, tol=tol, population=population, jobs=jobs)
+    reports = audit_all(bounds, graphs, tol=tol, population=population)
     order = [b.bound_id for b in bounds]
     return reports, order, population, tol
 
@@ -455,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS)
         p.add_argument("--out", metavar="DIR", help="write one report JSON per bound")
         p.add_argument("--jobs", type=int, metavar="N",
-                       help="accepted for compatibility (must be >= 1); "
+                       help="deprecated and ignored (must be >= 1); "
                             "the audit runs in one process")
 
     p = sub.add_parser("audit", help="sharpness reports over a population")
@@ -489,7 +490,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the flush at exit
+        # cannot fail again (the recipe of the Python signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

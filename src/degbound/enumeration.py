@@ -205,7 +205,7 @@ def connected_graphs(n: int, delta_min: int | None = None, molecular: bool = Fal
 def read_population(path: str | Path) -> list[Graph]:
     """Read a population file: one graph6 string per line, blank lines and
     ``#`` comments (whole-line or trailing) ignored.  graph6 never contains
-    ``#``."""
+    ``#``.  A file with no graph line is an error."""
     graphs = []
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -216,4 +216,6 @@ def read_population(path: str | Path) -> list[Graph]:
             graphs.append(parse_graph6(line))
         except GraphError as exc:
             raise GraphError(f"{path}, line {lineno}: {exc}") from None
+    if not graphs:
+        raise GraphError(f"{path}: no graphs found")
     return graphs

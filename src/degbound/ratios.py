@@ -129,10 +129,10 @@ def monotonicity_audit(r: RatioFn, fixed: str, fixed_value: int,
     if all(d == 0 for d in diffs):
         return MonotonicityReport("constant", None, values)
     ref = next(d for d in diffs if d != 0)
+    # some diff is zero or against ref's sign, so the loop always returns
     for i, d in enumerate(diffs):
         if d == 0 or (d > 0) != (ref > 0):
             return MonotonicityReport(None, (points[i][0], points[i + 1][0]), values)
-    return MonotonicityReport(None, (points[0][0], points[1][0]), values)
 
 
 def line_samples(r: RatioFn, fixed: str, fixed_value: float,

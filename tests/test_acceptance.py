@@ -98,7 +98,7 @@ def test_criterion_1_exhaustive_verification_n7():
                        for n in range(2, 8)}
         union = [g for n in range(2, 8) for g in populations[n]]
         reports = audit_all(builtin_catalog(), union, tol=1e-9,
-                            population="enumerate(n=2..7)", jobs=1)
+                            population="enumerate(n=2..7)")
         elapsed = time.perf_counter() - start
 
         for n, want in EXPECTED_CLASS_COUNTS.items():

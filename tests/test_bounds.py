@@ -14,8 +14,15 @@ from degbound.bounds import (
     PRECONDITION_SKIPPED,
     VACUOUS,
     VIOLATED,
+    C3_FAMILY,
+    CYCLE_FAMILY,
+    K14,
+    P2_FAMILY,
+    P3_FAMILY,
+    REGULAR_FAMILY,
+    SPANNING_STAR_FAMILY,
+    T_STAR,
     BoundSpec,
-    EqualityFamily,
     audit,
     audit_all,
     builtin_catalog,
@@ -23,6 +30,7 @@ from degbound.bounds import (
     check_equality_family,
     combine_chain_verdicts,
     evaluate_bound,
+    star_family,
 )
 from degbound.graphs import (
     Graph,
@@ -82,7 +90,7 @@ def test_single_1536_over_343_coefficient():
 def test_entry_t7_20_shape():
     b = catalog_by_id()["T7-(20)L"]
     assert b.delta_min == 2
-    assert b.claimed_equality.kind == "cycle"
+    assert b.claimed_equality is CYCLE_FAMILY
     assert b.coeff.ev(10, 2) == 8.0
 
 
@@ -90,7 +98,7 @@ def test_entry_ext3i_shape():
     b = catalog_by_id()["EXT-3(i)"]
     assert b.strict
     assert b.molecular_only
-    assert set(b.exclusions) == {"K_{1,4}", "T*"}
+    assert b.exclusions == (K14, T_STAR)
     assert b.claimed_equality is None
 
 
@@ -232,16 +240,51 @@ def test_check_equality_family_examples():
 
 
 def test_family_membership_is_structural():
-    fam = EqualityFamily("regular")
-    assert fam.contains(complete_bipartite(3, 3))
-    assert not fam.contains(star_graph(3))
-    assert EqualityFamily("C3").contains(cycle_graph(3))
-    assert not EqualityFamily("C3").contains(cycle_graph(4))
-    assert EqualityFamily("star", 4).contains(star_graph(4))
-    assert not EqualityFamily("star", 4).contains(star_graph(5))
-    assert EqualityFamily("spanning_star").contains(star_graph(6))
-    assert EqualityFamily("P2").contains(path_graph(2))
-    assert EqualityFamily("P3").contains(path_graph(3))
+    assert REGULAR_FAMILY.contains(complete_bipartite(3, 3))
+    assert not REGULAR_FAMILY.contains(star_graph(3))
+    assert C3_FAMILY.contains(cycle_graph(3))
+    assert not C3_FAMILY.contains(cycle_graph(4))
+    assert star_family(4).contains(star_graph(4))
+    assert not star_family(4).contains(star_graph(5))
+    assert SPANNING_STAR_FAMILY.contains(star_graph(6))
+    assert P2_FAMILY.contains(path_graph(2))
+    assert P3_FAMILY.contains(path_graph(3))
+    assert K14.contains(star_graph(4))
+    assert not K14.contains(star_graph(5))
+    assert T_STAR.contains(double_star())
+    assert not T_STAR.contains(star_graph(7))
+
+
+# claimed equality family label -> catalog ids, as the reports print it
+FAMILY_LABELS = {
+    "P2": ["T1L", "T2L", "T3L", "T5-(5)L", "T5-(6)L", "T5-(7)L", "T5-(8)L"],
+    "P3": ["C3", "EXT-ZT", "T5-(9)L", "T7-(21)L"],
+    "K_n": ["T1U", "T2U", "T3U", "T4L", "EXT-4", "C6", "T5-(5)U", "T5-(6)U",
+            "T5-(7)U", "T5-(8)U", "T5-(9)U", "T6U", "T7-(17)U", "T7-(18)U",
+            "T7-(19)U", "T7-(20)U", "T7-(21)U"],
+    "C_n": ["EXT-2b", "T7-(20)L"],
+    "C_3": ["T4U"],
+    "S_{1,8}": ["T6L"],
+    "S_{1,7}": ["T7-(17)L"],
+    "S_{1,5}": ["T7-(18)L"],
+    "S_{1,n-1}": ["T7-(19)L"],
+    "delta-regular": ["C1", "C2", "C3b", "EXT-2a", "C7-(10)", "C7-(11)", "C7-(12)",
+                      "C7-(13)", "C7-(14)", "C8", "C9-(22)", "C9-(23)", "C9-(24)",
+                      "C9-(25)", "C9-(26)"],
+    None: ["EXT-2c", "C4", "EXT-3(i)", "EXT-3(ii)", "EXT-3(iii)"],
+}
+
+
+def test_family_and_exclusion_labels():
+    catalog = builtin_catalog()
+    got = {b.bound_id: b.claimed_equality.label if b.claimed_equality else None
+           for b in catalog}
+    assert got == {bid: label for label, ids in FAMILY_LABELS.items() for bid in ids}
+    assert len(got) == 55
+    exclusions = {b.bound_id: [f.label for f in b.exclusions]
+                  for b in catalog if b.exclusions}
+    assert exclusions == {"EXT-3(i)": ["K_{1,4}", "T*"],
+                          "EXT-3(ii)": ["K_{1,4}", "T*"]}
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +383,6 @@ def test_report_json_schema(full_reports):
     json.dumps(doc)  # serializable
 
 
-def test_parallel_audit_matches_serial(populations):
-    bounds = builtin_catalog()
-    graphs = populations[5] + populations[6]
-    serial = audit_all(bounds, graphs, population="p")
-    parallel = audit_all(bounds, graphs, population="p", jobs=2)
-    for bid in serial:
-        assert serial[bid].to_dict() == parallel[bid].to_dict()
-
-
 def _reference_report(b, graphs, tol, population):
     """The report ``audit_all`` must produce, folded graph by graph from
     ``evaluate_bound`` on a fresh context and ``check_equality_family``."""
@@ -430,7 +464,7 @@ def test_audit_matches_per_graph_reference():
         BoundSpec("test-upper", "test", "R <= (n-1)*H, not in the catalog",
                   lhs=IndexId.R, rhs=IndexId.H, coeff=by_id["T2U"].coeff,
                   direction="upper", strict=True,
-                  claimed_equality=EqualityFamily("regular")),
+                  claimed_equality=REGULAR_FAMILY),
         BoundSpec("test-chain", "test", "a chain with a link on chi",
                   chain=("EXT-2a", "EXT-4")),
     ]

@@ -2,10 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from degbound.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from degbound.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
 from degbound.graphs import double_star, to_graph6
 
 
@@ -269,6 +273,56 @@ def test_population_file_trailing_comment(capsys, tmp_path):
                          "--format", "json")
     assert code == EXIT_OK, err
     assert json.loads(out)["reports"][0]["equality_witnesses"] == ["Bw"]
+
+
+@pytest.mark.parametrize("command", ["audit", "verify"])
+@pytest.mark.parametrize("text", ["", "# a comment\n\n"], ids=["empty", "comment-only"])
+def test_population_file_without_graphs_is_io_error(capsys, tmp_path, command, text):
+    pop = tmp_path / "pop.g6"
+    pop.write_text(text)
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({"verdicts": {}}))
+    expected = ["--expected", str(exp)] if command == "verify" else []
+    code, out, err = run(capsys, command, "--file", str(pop), *expected)
+    assert code == EXIT_IO
+    assert out == ""
+    assert err == f"error: {pop}: no graphs found\n"
+
+
+def test_population_filtered_to_nothing_is_vacuous(capsys, tmp_path):
+    pop = tmp_path / "pop.g6"
+    pop.write_text("Bw\n")  # the triangle: delta 2
+    code, out, err = run(capsys, "audit", "--file", str(pop), "--min-degree", "3",
+                         "--bounds", "T1L", "--format", "json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["reports"][0]["verdict"] == "vacuous"
+
+
+def test_jobs_is_deprecated_and_ignored(capsys, monkeypatch):
+    args = ("audit", "--enumerate", "4", "--bounds", "T1L")
+    code, plain, err = run(capsys, *args)
+    assert (code, err) == (EXIT_OK, "")
+    warning = "warning: --jobs is deprecated and ignored; the audit runs in one process\n"
+    assert run(capsys, *args, "--jobs", "2") == (EXIT_OK, plain, warning)
+    monkeypatch.setenv("DEGBOUND_JOBS", "2")
+    assert run(capsys, *args) == (EXIT_OK, plain, warning)
+
+
+def test_closed_stdout_exits_quietly():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    # about 110 kB of table, more than a pipe holds, so the writer meets the
+    # closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "degbound.cli", "families", "--max-n", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"family")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == EXIT_PIPE == 141
 
 
 def test_verify_file_population(capsys, tmp_path):
