@@ -16,6 +16,7 @@ where they are attained, and where they fail; it never repairs a coefficient.
 from __future__ import annotations
 
 import copy
+import functools
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
@@ -436,24 +437,15 @@ def _upper(bound_id, citation, statement, lhs, rhs, coeff, **kw):
                      coeff=coeff, direction="upper", **kw)
 
 
-_CATALOG: tuple[BoundSpec, ...] | None = None
-_BY_ID: dict[str, BoundSpec] | None = None
+@functools.cache
+def _catalog_index() -> dict[str, BoundSpec]:
+    """The shared id -> bound map, in source order; callers must not mutate it."""
+    return {b.bound_id: b for b in _build_catalog()}
 
 
 def builtin_catalog() -> list[BoundSpec]:
     """All 55 inequality records, in source order."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = tuple(_build_catalog())
-    return list(_CATALOG)
-
-
-def _catalog_index() -> dict[str, BoundSpec]:
-    """The shared id -> bound map; callers must not mutate it."""
-    global _BY_ID
-    if _BY_ID is None:
-        _BY_ID = {b.bound_id: b for b in builtin_catalog()}
-    return _BY_ID
+    return list(_catalog_index().values())
 
 
 def catalog_by_id() -> dict[str, BoundSpec]:

@@ -121,7 +121,7 @@ def _render_rows(rows, columns, fmt, stream):
 def _sniff_file_graphs(path: Path) -> list[Graph]:
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IOError(f"cannot read {path}: {exc}") from None
     body = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     body = [ln for ln in body if ln]
@@ -168,7 +168,10 @@ def cmd_compute(args) -> int:
         graphs = _sniff_file_graphs(Path(args.file))
     else:
         tag, _, param = args.family.partition(":")
-        graphs = [make_family(tag, int(param) if param else None)]
+        try:
+            graphs = [make_family(tag, int(param) if param else None)]
+        except GraphError as exc:  # an unknown family or a bad parameter
+            raise UsageError(str(exc)) from None
     _render_rows(_compute_rows(graphs), COMPUTE_COLUMNS, fmt, sys.stdout)
     return EXIT_OK
 
@@ -289,7 +292,7 @@ def _population(args):
     path = Path(args.file)
     try:
         graphs = read_population(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IOError(f"cannot read {path}: {exc}") from None
     if args.min_degree is not None:
         graphs = [g for g in graphs if min_degree(g) >= args.min_degree]
@@ -384,7 +387,7 @@ def _expected_verdicts(args) -> dict[str, str]:
         path = Path(args.expected)
         try:
             doc = json.loads(path.read_text())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise IOError(f"cannot read {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise IOError(f"bad expectation file {path}: {exc}") from None

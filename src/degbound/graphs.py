@@ -268,85 +268,41 @@ CHROMATIC_CAP = 12
 
 
 def chromatic_number(g: Graph, cap: int = CHROMATIC_CAP) -> int:
-    """Exact chromatic number by branch and bound.
+    """Exact chromatic number: the smallest k for which a backtracking search
+    colours ``g`` with k colours.
 
-    A greedy clique gives the lower bound, a largest-first greedy coloring the
-    upper bound, and the gap is closed by backtracking k-colorability tests.
-    Exponential in the worst case; refuse instances above ``cap``.
+    Vertices are placed in decreasing-degree order.  Each joins an open colour
+    class (a vertex bitmask) that holds none of its neighbours, or opens a new
+    class while fewer than k are open.  Exponential in the worst case; refuse
+    instances above ``cap``.
     """
     n = g.n
     if n > cap:
         raise SizeLimitError(f"exact chromatic number capped at n <= {cap}, got {n}")
-    if g.m == 0:
-        return 1
-
     order = sorted(range(n), key=lambda v: -g.degrees[v])
     adj = g.adj
 
-    # Greedy clique from each seed vertex, best over all seeds.
-    lower = 2
-    for seed in order:
-        clique_mask = 1 << seed
-        common = adj[seed]
-        size = 1
-        while common:
-            best_v = -1
-            best_deg = -1
-            c = common
-            while c:
-                low = c & -c
-                v = low.bit_length() - 1
-                d = (adj[v] & common).bit_count()
-                if d > best_deg:
-                    best_deg = d
-                    best_v = v
-                c ^= low
-            clique_mask |= 1 << best_v
-            common &= adj[best_v]
-            size += 1
-        lower = max(lower, size)
-
-    # Greedy largest-first coloring for the upper bound.
-    color = {}
-    for v in order:
-        used = {color[u] for u in color if adj[v] >> u & 1}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-    upper = max(color.values()) + 1
-
-    if lower == upper:
-        return lower
-
-    def colorable(k: int) -> bool:
-        assignment = [-1] * n
-
-        def place(i: int, used: int) -> bool:
-            if i == n:
-                return True
-            v = order[i]
-            forbidden = 0
-            for j in range(i):
-                u = order[j]
-                if adj[v] >> u & 1:
-                    forbidden |= 1 << assignment[u]
-            limit = min(k, used + 1)
-            for c in range(limit):
-                if forbidden >> c & 1:
-                    continue
-                assignment[v] = c
-                if place(i + 1, max(used, c + 1)):
+    def colours(i: int, classes: list[int], k: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        for j, members in enumerate(classes):
+            if not adj[v] & members:
+                classes[j] = members | 1 << v
+                if colours(i + 1, classes, k):
                     return True
-            assignment[v] = -1
-            return False
+                classes[j] = members
+        if len(classes) < k:
+            classes.append(1 << v)
+            if colours(i + 1, classes, k):
+                return True
+            classes.pop()
+        return False
 
-        return place(0, 0)
-
-    for k in range(lower, upper):
-        if colorable(k):
-            return k
-    return upper
+    k = 1
+    while not colours(0, [], k):
+        k += 1
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,11 @@ def test_catalog_covers_every_entry_once():
     ids = [b.bound_id for b in builtin_catalog()]
     assert ids == EXPECTED_IDS
     assert len(ids) == 55
+    # each call hands out a fresh container
+    builtin_catalog().clear()
+    catalog_by_id().clear()
+    assert [b.bound_id for b in builtin_catalog()] == EXPECTED_IDS
+    assert list(catalog_by_id()) == EXPECTED_IDS
 
 
 def test_every_entry_has_nonempty_anchor():

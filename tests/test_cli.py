@@ -68,6 +68,14 @@ def test_compute_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("family", ["nonsense", "cycle:2", "double_star:3", "star:x"])
+def test_compute_bad_family_is_usage_error(capsys, family):
+    code, out, err = run(capsys, "compute", "--family", family)
+    assert code == EXIT_USAGE, err
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_compute_malformed_graph6_is_io_error(capsys):
     code, _, err = run(capsys, "compute", "--g6", "B")
     assert code == EXIT_IO
@@ -287,6 +295,28 @@ def test_population_file_without_graphs_is_io_error(capsys, tmp_path, command, t
     assert code == EXIT_IO
     assert out == ""
     assert err == f"error: {pop}: no graphs found\n"
+
+
+@pytest.mark.parametrize("command", ["compute", "audit", "verify"])
+def test_population_file_not_utf8_is_io_error(capsys, tmp_path, command):
+    pop = tmp_path / "pop.g6"
+    pop.write_bytes(b"\xff\xfe")
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({"verdicts": {}}))
+    expected = ["--expected", str(exp)] if command == "verify" else []
+    code, out, err = run(capsys, command, "--file", str(pop), *expected)
+    assert code == EXIT_IO, err
+    assert out == ""
+    assert err.startswith(f"error: cannot read {pop}: 'utf-8' codec can't decode")
+
+
+def test_expectation_file_not_utf8_is_io_error(capsys, tmp_path):
+    exp = tmp_path / "exp.json"
+    exp.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "verify", "--enumerate", "3", "--expected", str(exp))
+    assert code == EXIT_IO, err
+    assert out == ""
+    assert err.startswith(f"error: cannot read {exp}: ")
 
 
 def test_population_filtered_to_nothing_is_vacuous(capsys, tmp_path):

@@ -209,6 +209,54 @@ def test_chromatic_bipartite_and_odd_cycles():
         assert chromatic_number(cycle_graph(n)) == 2
 
 
+def _cover_chromatic(g: Graph) -> int:
+    """Fewest independent sets covering V, by dynamic programming over vertex
+    subsets: the set holding the lowest vertex of ``mask`` is chosen first."""
+    full = 1 << g.n
+    independent = [True] * full
+    for mask in range(1, full):
+        low = mask & -mask
+        rest = mask ^ low
+        independent[mask] = independent[rest] and not g.adj[low.bit_length() - 1] & rest
+    cover = [0] * full
+    for mask in range(1, full):
+        low = mask & -mask
+        rest = mask ^ low
+        best = g.n
+        sub = rest
+        while True:
+            if independent[sub | low]:
+                best = min(best, cover[rest ^ sub] + 1)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        cover[mask] = best
+    return cover[full - 1]
+
+
+def test_chromatic_matches_cover_oracle(populations):
+    for graphs in populations.values():
+        for g in graphs:
+            assert chromatic_number(g) == _cover_chromatic(g), to_graph6(g)
+    rng = random.Random(47)
+    disconnected = 0
+    for _ in range(90):
+        g = random_graph(rng, rng.randrange(8, 11), rng.uniform(0.05, 0.9))
+        disconnected += not is_connected(g)
+        assert chromatic_number(g) == _cover_chromatic(g), to_graph6(g)
+    assert disconnected >= 10
+
+
+def test_chromatic_groetzsch_graph():
+    # Mycielski's construction on C5: triangle-free with chromatic number 4
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, (i + s) % 5) for i in range(5) for s in (1, 4)]
+    edges += [(5 + i, 10) for i in range(5)]
+    g = Graph(11, edges)
+    assert all(not g.adj[u] & g.adj[v] for u, v in g.edges)  # clique number 2
+    assert chromatic_number(g) == _cover_chromatic(g) == 4
+
+
 def test_chromatic_size_cap():
     big = path_graph(CHROMATIC_CAP + 1)
     with pytest.raises(SizeLimitError):
