@@ -2,9 +2,12 @@
 
 Generation grows each order from the one below: every connected graph on
 n - 1 vertices gains a new vertex joined to each nonempty subset of the old
-ones.  The results are deduplicated by canonical form (the lexicographically
-smallest graph6 encoding over all relabelings), so the output is one
-representative per isomorphism class in a deterministic order.
+ones.  The results are deduplicated by a refined certificate (a canonical
+labeling restricted to the cells of an equitable colouring), and the
+canonical form (the lexicographically smallest graph6 encoding over all
+relabelings) runs once per class, so the output is one representative per
+isomorphism class in a deterministic order.  Orders 2..7 take about a
+second on a 2-vCPU host; order 8 takes 14-18 s.
 """
 
 from degbound import (

@@ -23,6 +23,7 @@ from .enumeration import (
     EnumerationSpec,
     MAX_ORDER,
     enumerate_connected,
+    parse_population,
     read_population,
 )
 from .formulas import FAMILY_FORMULAS
@@ -127,7 +128,7 @@ def _sniff_file_graphs(path: Path) -> list[Graph]:
     body = [ln for ln in body if ln]
     if body and body[0].isdigit() and (len(body) == 1 or " " in body[1] or "\t" in body[1]):
         return [parse_edge_list(text)]
-    return read_population(path)
+    return parse_population(text, path)
 
 
 def _compute_rows(graphs):
@@ -169,7 +170,11 @@ def cmd_compute(args) -> int:
     else:
         tag, _, param = args.family.partition(":")
         try:
-            graphs = [make_family(tag, int(param) if param else None)]
+            size = int(param) if param else None
+        except ValueError:
+            raise UsageError(f"--family parameter must be an integer, got {args.family!r}") from None
+        try:
+            graphs = [make_family(tag, size)]
         except GraphError as exc:  # an unknown family or a bad parameter
             raise UsageError(str(exc)) from None
     _render_rows(_compute_rows(graphs), COMPUTE_COLUMNS, fmt, sys.stdout)
@@ -453,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--molecular", action="store_true",
                        help="restrict to maximum degree <= 4")
         p.add_argument("--allow-n8", action="store_true",
-                       help="permit the order-8 enumeration (tens of seconds)")
+                       help="permit the order-8 enumeration (15 seconds or more)")
         p.add_argument("--bounds", metavar="LIST|all", default="all")
         p.add_argument("--tol", type=float)
         p.add_argument("--format", choices=FORMATS)

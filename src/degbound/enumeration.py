@@ -8,11 +8,18 @@ non-cut vertex has a smaller degree than the new one.  Every connected graph
 has a non-cut vertex of minimum degree among its non-cut vertices, and
 deleting it leaves a connected parent, so no class is lost; extensions of a
 connected graph are connected, so no candidate needs a connectivity test.
-The survivors are deduplicated by an exact canonical form (the
+The survivors are deduplicated by a refined certificate, and the exact
+canonical form runs once per class.  The certificate refines the degrees to
+an equitable colouring whose colours are named in an isomorphism-invariant
+order, then takes the minimal column sequence over only the orderings that
+list the colour cells in that order (the cell ordering of McKay & Piperno,
+"Practical graph isomorphism II", J. Symb. Comput. 2014).  Equal column
+sequences mean isomorphic graphs, so it is a complete invariant.  Each
+class representative then gets the lex-min canonical form (the
 lexicographically minimal graph6 encoding over all vertex relabelings).
 
-Orders up to 7 run in about a second.  Order 8 takes tens of seconds and is
-gated behind an explicit opt-in.
+On a 2-vCPU host, orders 2..7 together take 0.7-1.1 s.  Order 8 takes
+14-18 s and is gated behind an explicit opt-in.
 """
 
 from __future__ import annotations
@@ -40,14 +47,19 @@ MAX_ORDER = 8
 CANONICAL_CAP = 10
 
 
-def _canonical_columns(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Minimal upper-triangle column sequence over all vertex orderings.
+def _canonical_columns(adj: tuple[int, ...], n: int,
+                       cells: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """Minimal upper-triangle column sequence over all vertex orderings, or,
+    given ``cells``, over the orderings that place a vertex of the mask
+    ``cells[k]`` at each position k.
 
     Branch and bound on the ordering prefix: a partial column sequence that
     already exceeds the incumbent's prefix cannot lead to the minimum.
     Vertices with identical adjacency rows are interchangeable, so only one
     of each is branched on.
     """
+    if cells is None:
+        cells = ((1 << n) - 1,) * n
     best: list[int] | None = None
 
     def search(order: list[int], cols: list[int], placed: int) -> None:
@@ -62,8 +74,9 @@ def _canonical_columns(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
                 best = list(cols)
             return
         by_col: dict[int, list[int]] = {}
+        skip = placed | ~cells[k]
         for v in range(n):
-            if placed >> v & 1:
+            if skip >> v & 1:
                 continue
             col = 0
             av = adj[v]
@@ -88,6 +101,27 @@ def _canonical_columns(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
     search([], [], 0)
     assert best is not None
     return tuple(best)
+
+
+def _refined_cells(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Per-position vertex masks of the equitable colouring refined from the
+    degrees, with the cells listed in an isomorphism-invariant order.
+
+    Each round names a vertex's colour by the rank of its signature (own
+    colour, sorted neighbour colours) among the sorted distinct signatures,
+    until the number of colours stops growing.
+    """
+    nbrs = [[u for u in range(n) if a >> u & 1] for a in adj]
+    colour = [len(ns) for ns in nbrs]
+    count = len(set(colour))
+    while True:
+        sigs = [(colour[v], *sorted([colour[u] for u in ns])) for v, ns in enumerate(nbrs)]
+        ranks = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colour = [ranks[sig] for sig in sigs]
+        if len(ranks) == count:
+            break
+        count = len(ranks)
+    return tuple(sum(1 << v for v in range(n) if colour[v] == c) for c in sorted(colour))
 
 
 def _columns_to_graph(cols: tuple[int, ...], n: int) -> Graph:
@@ -176,17 +210,19 @@ def enumerate_connected(spec: EnumerationSpec, allow_big: bool = False) -> list[
     if spec.n > DEFAULT_ORDER_CAP and not allow_big:
         raise SizeLimitError(
             f"order {spec.n} is above the default cap {DEFAULT_ORDER_CAP} and "
-            "takes tens of seconds; pass allow_big=True to run it"
+            "takes 15 seconds or more; pass allow_big=True to run it"
         )
     if spec in _cache:
         return list(_cache[spec])
 
     n = spec.n
     parents = enumerate_connected(EnumerationSpec(n - 1)) if n > 2 else [Graph(1)]
-    canon = dict.fromkeys(_canonical_columns(adj, n) for adj in _extensions(parents, n))
+    classes = {}
+    for adj in _extensions(parents, n):
+        classes.setdefault(_canonical_columns(adj, n, _refined_cells(adj, n)), adj)
     graphs = []
-    for cols in canon:
-        g = _columns_to_graph(cols, n)
+    for adj in classes.values():
+        g = _columns_to_graph(_canonical_columns(adj, n), n)
         if spec.admits(g):
             graphs.append(g)
     graphs.sort(key=to_graph6)
@@ -203,11 +239,16 @@ def connected_graphs(n: int, delta_min: int | None = None, molecular: bool = Fal
 
 
 def read_population(path: str | Path) -> list[Graph]:
-    """Read a population file: one graph6 string per line, blank lines and
-    ``#`` comments (whole-line or trailing) ignored.  graph6 never contains
-    ``#``.  A file with no graph line is an error."""
+    """Read a population file; see :func:`parse_population`."""
+    return parse_population(Path(path).read_text(), path)
+
+
+def parse_population(text: str, path: str | Path) -> list[Graph]:
+    """Parse the text of population file ``path``: one graph6 string per
+    line, blank lines and ``#`` comments (whole-line or trailing) ignored.
+    graph6 never contains ``#``.  A file with no graph line is an error, and
+    every error names ``path``."""
     graphs = []
-    text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -68,12 +68,20 @@ def test_compute_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("family", ["nonsense", "cycle:2", "double_star:3", "star:x"])
+BAD_FAMILIES = {
+    "nonsense": "unknown family 'nonsense'",
+    "cycle:2": "cycle needs n >= 3, got 2",
+    "double_star:3": "family 'double_star' takes no parameter",
+    "star:x": "--family parameter must be an integer, got 'star:x'",
+}
+
+
+@pytest.mark.parametrize("family", list(BAD_FAMILIES))
 def test_compute_bad_family_is_usage_error(capsys, family):
     code, out, err = run(capsys, "compute", "--family", family)
     assert code == EXIT_USAGE, err
     assert out == ""
-    assert err.startswith("error: ")
+    assert err == f"error: {BAD_FAMILIES[family]}\n"
 
 
 def test_compute_malformed_graph6_is_io_error(capsys):
@@ -87,7 +95,24 @@ def test_compute_file_error_names_the_line(capsys, tmp_path):
     path.write_text("Bw\nBAD~LINE\n")
     code, out, err = run(capsys, "compute", "--file", str(path))
     assert code == EXIT_IO, out
-    assert "line 2" in err
+    assert f"{path}, line 2" in err
+
+
+def test_compute_file_is_read_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "k3.g6"
+    path.write_text("Bw\n")
+    reads = []
+    read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    code, out, _ = run(capsys, "compute", "--file", str(path), "--format", "json")
+    assert code == EXIT_OK
+    assert len(json.loads(out)["rows"]) == 1
+    assert reads == [path]
 
 
 # ---------------------------------------------------------------------------

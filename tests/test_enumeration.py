@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 from math import factorial
@@ -7,6 +8,8 @@ import pytest
 
 from degbound.enumeration import (
     EnumerationSpec,
+    _canonical_columns,
+    _refined_cells,
     canonical_form,
     canonical_graph,
     connected_graphs,
@@ -17,7 +20,9 @@ from degbound.graphs import (
     Graph,
     GraphError,
     SizeLimitError,
+    complete_bipartite,
     complete_graph,
+    cycle_graph,
     is_connected,
     is_molecular,
     is_regular,
@@ -31,6 +36,17 @@ from conftest import random_connected_graph, random_graph
 
 # Connected graphs up to isomorphism, orders 2..7.
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+# sha256 of the newline-joined graph6 representatives, in emitted order,
+# pinned from the enumeration that ran the lex-min form on every candidate.
+REPRESENTATIVE_DIGESTS = {
+    7: "b8b85762ca13a0273d6c1392cc500221f97df2c933be4f76664547c41f0d3f6e",
+    8: "28b9222da489bdd97eff49da6a8d2aed76ac19453b4b69ece911cb3dd855c398",
+}
+
+
+def _digest(graphs):
+    return hashlib.sha256("\n".join(to_graph6(g) for g in graphs).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +175,15 @@ def test_matches_networkx_graph_atlas():
         assert {to_graph6(g) for g in connected_graphs(n)} == forms
 
 
+def test_order_7_representatives_match_pinned_digest():
+    assert _digest(connected_graphs(7)) == REPRESENTATIVE_DIGESTS[7]
+
+
 def test_order_8_count_matches_oeis():
     # OEIS A001349: connected graphs on 8 unlabeled vertices.
-    assert len(connected_graphs(8, allow_big=True)) == 11117
+    graphs = connected_graphs(8, allow_big=True)
+    assert len(graphs) == 11117
+    assert _digest(graphs) == REPRESENTATIVE_DIGESTS[8]
 
 
 def test_filtered_count_matches_bruteforce():
@@ -254,6 +276,47 @@ def test_canonical_graph_round_trip():
         cg = canonical_graph(g)
         assert to_graph6(cg) == canonical_form(g)
         assert canonical_form(cg) == canonical_form(g)
+
+
+def _assert_certificate_complete(graphs):
+    """Refined certificates are equal iff canonical forms are equal."""
+    pairs = {(_canonical_columns(g.adj, g.n, _refined_cells(g.adj, g.n)), canonical_form(g))
+             for g in graphs}
+    assert len({cert for cert, _ in pairs}) == len(pairs)
+    assert len({form for _, form in pairs}) == len(pairs)
+
+
+def _with_relabelings(graphs, rng, copies):
+    out = list(graphs)
+    for g in graphs:
+        for _ in range(copies):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            out.append(g.relabeled(perm))
+    return out
+
+
+def test_certificate_is_complete_invariant_on_all_small_graphs(populations):
+    rng = random.Random(21)
+    for graphs in populations.values():
+        _assert_certificate_complete(_with_relabelings(graphs, rng, 2))
+
+
+def test_certificate_separates_refinement_hard_pairs():
+    # Each pair is regular with equal degree, so colour refinement leaves one
+    # cell and only the cell-restricted search can tell the two apart.
+    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                      (0, 3), (1, 4), (2, 5)])
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    spokes = [(i, i + 5) for i in range(5)]
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    petersen = Graph(10, outer + spokes + [(i + 5, (i + 2) % 5 + 5) for i in range(5)])
+    pentagonal_prism = Graph(10, outer + spokes + [(i + 5, (i + 1) % 5 + 5) for i in range(5)])
+    pairs = [(complete_bipartite(3, 3), prism), (cycle_graph(6), two_triangles),
+             (petersen, pentagonal_prism)]
+    rng = random.Random(34)
+    for pair in pairs:
+        _assert_certificate_complete(_with_relabelings(pair, rng, 3))
 
 
 def test_canonical_cap():
