@@ -266,7 +266,7 @@ def _select_bounds(spec: str | None):
     def norm(s):
         return s.replace("(", "").replace(")", "").upper()
     lookup = {norm(b.bound_id): b for b in catalog}
-    chosen = []
+    chosen = {}  # bound id -> bound, so a repeated id keeps its first place
     for token in spec.split(","):
         token = token.strip()
         if not token:
@@ -274,10 +274,10 @@ def _select_bounds(spec: str | None):
         b = lookup.get(norm(token))
         if b is None:
             raise UsageError(f"unknown bound id {token!r}")
-        chosen.append(b)
+        chosen.setdefault(b.bound_id, b)
     if not chosen:
         raise UsageError("--bounds selected nothing")
-    return chosen
+    return list(chosen.values())
 
 
 def _population(args):
@@ -396,7 +396,10 @@ def _expected_verdicts(args) -> dict[str, str]:
             raise IOError(f"cannot read {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise IOError(f"bad expectation file {path}: {exc}") from None
-        return dict(doc["verdicts"])
+        verdicts = doc.get("verdicts") if isinstance(doc, dict) else None
+        if not isinstance(verdicts, dict):
+            raise IOError(f'bad expectation file {path}: no "verdicts" object')
+        return verdicts
     if args.enumerate is None or args.min_degree is not None or args.molecular:
         raise UsageError(
             "verify needs --expected PATH for file or filtered populations"

@@ -25,6 +25,7 @@ On a 2-vCPU host, orders 2..7 together take 0.7-1.1 s.  Order 8 takes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 # Unused; kept because perfbench/child.py records numpy.__version__ on every run.
@@ -196,7 +197,16 @@ def _extensions(parents, n: int):
                 yield adj
 
 
-_cache: dict[EnumerationSpec, tuple[Graph, ...]] = {}
+@cache
+def _classes(n: int) -> tuple[Graph, ...]:
+    """Every class of connected graphs of order n, sorted by canonical graph6
+    string; each order is built once and filtered per spec."""
+    parents = _classes(n - 1) if n > 2 else (Graph(1),)
+    reps = {}
+    for adj in _extensions(parents, n):
+        reps.setdefault(_canonical_columns(adj, n, _refined_cells(adj, n)), adj)
+    graphs = [_columns_to_graph(_canonical_columns(adj, n), n) for adj in reps.values()]
+    return tuple(sorted(graphs, key=to_graph6))
 
 
 def enumerate_connected(spec: EnumerationSpec, allow_big: bool = False) -> list[Graph]:
@@ -212,22 +222,7 @@ def enumerate_connected(spec: EnumerationSpec, allow_big: bool = False) -> list[
             f"order {spec.n} is above the default cap {DEFAULT_ORDER_CAP} and "
             "takes 15 seconds or more; pass allow_big=True to run it"
         )
-    if spec in _cache:
-        return list(_cache[spec])
-
-    n = spec.n
-    parents = enumerate_connected(EnumerationSpec(n - 1)) if n > 2 else [Graph(1)]
-    classes = {}
-    for adj in _extensions(parents, n):
-        classes.setdefault(_canonical_columns(adj, n, _refined_cells(adj, n)), adj)
-    graphs = []
-    for adj in classes.values():
-        g = _columns_to_graph(_canonical_columns(adj, n), n)
-        if spec.admits(g):
-            graphs.append(g)
-    graphs.sort(key=to_graph6)
-    _cache[spec] = tuple(graphs)
-    return graphs
+    return [g for g in _classes(spec.n) if spec.admits(g)]
 
 
 def connected_graphs(n: int, delta_min: int | None = None, molecular: bool = False,

@@ -207,105 +207,89 @@ def concordance_report(n: int, delta: int = 2, tol: float = 1e-9):
 def proofs_report(n: int) -> list[dict]:
     """Audit the specific grid claims the bound proofs rest on.
 
-    Each record carries a claim label, what the scan observed, and a verdict:
-    "confirmed", "discrepant", or "out_of_range" when the grid at this n
-    cannot reach the claimed extremum.
+    Every n lists the same claims in the same order.  Each record carries a
+    claim label, what the scan observed, and a verdict: "confirmed" or
+    "discrepant" for what the proofs assert; "discrepant" for the two
+    (AZI/M2*)^2 claims that document a wrong catalog coefficient, or
+    "unexpected" if the scan does not show that; "reported" for a sampled
+    observation; and "out_of_range" when the claim needs a degree above n-1,
+    the largest on the grid of order n.
     """
     if not 3 <= n <= GRID_CAP:
         raise ValueError(f"proof audit needs 3 <= n <= {GRID_CAP}, got {n}")
+    top = n - 1
     reports: list[dict] = []
 
-    def record(claim, observed, verdict, **extra):
-        entry = {"claim": claim, "observed": observed, "verdict": verdict}
-        entry.update(extra)
-        reports.append(entry)
+    def record(claim, degree, observed, verdict, **extra):
+        """Record a claim whose check needs degree pairs up to ``degree``."""
+        if degree > top:
+            observed, verdict = f"grid only reaches degree {top}; {observed}", "out_of_range"
+        reports.append({"claim": claim, "observed": observed, "verdict": verdict, **extra})
+
+    def line(claim, r, fixed, value, lo, hi, want, what="direction"):
+        """Direction along the grid part of a line; the claim needs two points
+        and the line's far end."""
+        end = min(hi, top)
+        direction = (monotonicity_audit(r, fixed, value, lo, end).direction
+                     if lo <= end else "no grid points")
+        record(claim, max(lo + 1, hi), f"{what}: {direction}",
+               "confirmed" if direction == want else "discrepant")
+
+    def extremum(claim, r, kind, pair, expected, verdicts=("confirmed", "discrepant"),
+                 delta_min=1, exclude_one_one=False, **extra):
+        """Is the grid extremum at ``pair`` with value ``expected``?  The
+        largest relative rounding error over n = 3..62 is 6.5e-16."""
+        ext = grid_extremum(r, n, kind, delta_min, exclude_one_one)
+        ok = ext.location == pair and abs(ext.value - expected) <= 1e-13 * expected
+        record(claim, max(pair), f"{kind} {ext.value:.12g} at {ext.location}",
+               verdicts[not ok], **extra)
 
     # (GA/X)^2 = 4ab/(a+b): increasing in both, extrema at the grid corners.
-    line = monotonicity_audit(F_T1, "b", n - 1, 1, n - 1)
-    record("(GA/X)^2 strictly increasing in each coordinate",
-           f"direction along b={n - 1}: {line.direction}",
-           "confirmed" if line.direction == "increasing" else "discrepant")
-    lo = grid_extremum(F_T1, n, "min")
-    record("(GA/X)^2 minimum 2 at (1,1)",
-           f"min {lo.value:.12g} at {lo.location}",
-           "confirmed" if lo.location == (1, 1) and abs(lo.value - 2) < 1e-12
-           else "discrepant")
-    hi = grid_extremum(F_T1, n, "max")
-    record(f"(GA/X)^2 maximum 2(n-1) = {2 * (n - 1)} at (n-1,n-1)",
-           f"max {hi.value:.12g} at {hi.location}",
-           "confirmed" if hi.location == (n - 1, n - 1)
-           and abs(hi.value - 2 * (n - 1)) < 1e-9 else "discrepant")
+    line("(GA/X)^2 strictly increasing in each coordinate", F_T1, "b", top, 1, top,
+         "increasing", what=f"direction along b={top}")
+    extremum("(GA/X)^2 minimum 2 at (1,1)", F_T1, "min", (1, 1), 2)
+    extremum(f"(GA/X)^2 maximum 2(n-1) = {2 * top} at (n-1,n-1)",
+             F_T1, "max", (top, top), 2 * top)
 
     # GA/R = 2ab/(a+b): same shape, maximum n-1.
-    hi = grid_extremum(F_T2, n, "max")
-    record(f"GA/R maximum n-1 = {n - 1} at (n-1,n-1)",
-           f"max {hi.value:.12g} at {hi.location}",
-           "confirmed" if hi.location == (n - 1, n - 1)
-           and abs(hi.value - (n - 1)) < 1e-9 else "discrepant")
+    extremum(f"GA/R maximum n-1 = {top} at (n-1,n-1)", F_T2, "max", (top, top), top)
 
     # (ABC/GA)^2 on the delta >= 2 grid: decreasing in the smaller coordinate,
     # maximum at (2, n-1), minimum at (n-1, n-1).
-    line = monotonicity_audit(F_T4, "b", n - 1, 2, n - 1)
-    record("(ABC/GA)^2 decreasing in the smaller coordinate (line b=n-1)",
-           f"direction: {line.direction}",
-           "confirmed" if line.direction == "decreasing" else "discrepant")
-    hi = grid_extremum(F_T4, n, "max", delta_min=2)
-    expected = (n + 1) ** 2 / (16 * (n - 1))
-    record(f"(ABC/GA)^2 maximum (n+1)^2/(16(n-1)) = {expected:.12g} at (2,n-1)",
-           f"max {hi.value:.12g} at {hi.location}",
-           "confirmed" if hi.location == (2, n - 1)
-           and abs(hi.value - expected) < 1e-9 * expected else "discrepant")
-    lo = grid_extremum(F_T4, n, "min", delta_min=2)
-    expected = 2 * (n - 2) / (n - 1) ** 2
-    record(f"(ABC/GA)^2 minimum 2(n-2)/(n-1)^2 = {expected:.12g} at (n-1,n-1)",
-           f"min {lo.value:.12g} at {lo.location}",
-           "confirmed" if lo.location == (n - 1, n - 1)
-           and abs(lo.value - expected) < 1e-9 * expected else "discrepant")
+    line("(ABC/GA)^2 decreasing in the smaller coordinate (line b=n-1)",
+         F_T4, "b", top, 2, top, "decreasing")
+    expected = (n + 1) ** 2 / (16 * top)
+    extremum(f"(ABC/GA)^2 maximum (n+1)^2/(16(n-1)) = {expected:.12g} at (2,n-1)",
+             F_T4, "max", (2, top), expected, delta_min=2)
+    expected = 2 * (n - 2) / top ** 2
+    extremum(f"(ABC/GA)^2 minimum 2(n-2)/(n-1)^2 = {expected:.12g} at (n-1,n-1)",
+             F_T4, "min", (top, top), expected, delta_min=2)
 
     # (AZI/X)^2 along a=1: falls until y=7, rises from y=8; global grid
     # minimum min{F(1,7), F(1,8)} = 9*(8/7)^6 at (1,8).
-    if n >= 9:
-        down = monotonicity_audit(F_T6, "a", 1, 2, 7)
-        record("(AZI/X)^2 decreasing along a=1 for b in [2,7]",
-               f"direction: {down.direction}",
-               "confirmed" if down.direction == "decreasing" else "discrepant")
-        up = monotonicity_audit(F_T6, "a", 1, 8, n - 1)
-        record(f"(AZI/X)^2 increasing along a=1 for b in [8,{n - 1}]",
-               f"direction: {up.direction}",
-               "confirmed" if up.direction == "increasing" else "discrepant")
-        lo = grid_extremum(F_T6, n, "min")
-        expected = 9 * (8 / 7) ** 6
-        record("(AZI/X)^2 minimum 9*(8/7)^6 at (1,8)",
-               f"min {lo.value:.12g} at {lo.location}",
-               "confirmed" if lo.location == (1, 8)
-               and abs(lo.value - expected) < 1e-9 * expected else "discrepant")
-        samples = line_samples(F_T6, "a", 1.0, 7.0, 8.0, step=1 / 64)
-        t_min = min(samples, key=lambda s: s[1])[0]
-        root = (7 + 73 ** 0.5) / 2
-        record("continuous (AZI/X)^2 along a=1 dips between b=7 and b=8 "
-               f"(stationary point near {root:.4f}; sampled, not asserted)",
-               f"sampled minimum at b = {t_min:.6f}", "reported")
-    else:
-        lo = grid_extremum(F_T6, n, "min")
-        record("(AZI/X)^2 minimum 9*(8/7)^6 at (1,8)",
-               f"grid only reaches degree {n - 1}; min {lo.value:.12g} at {lo.location}",
-               "out_of_range")
+    line("(AZI/X)^2 decreasing along a=1 for b in [2,7]", F_T6, "a", 1, 2, 7, "decreasing")
+    line(f"(AZI/X)^2 increasing along a=1 for b in [8,{top}]",
+         F_T6, "a", 1, 8, top, "increasing")
+    extremum("(AZI/X)^2 minimum 9*(8/7)^6 at (1,8)", F_T6, "min", (1, 8), 9 * (8 / 7) ** 6)
+    samples = line_samples(F_T6, "a", 1.0, 7.0, 8.0, step=1 / 64)
+    t_min = min(samples, key=lambda s: s[1])[0]
+    root = (7 + 73 ** 0.5) / 2
+    record("continuous (AZI/X)^2 along a=1 dips between b=7 and b=8 "
+           f"(stationary point near {root:.4f}; sampled, not asserted)",
+           8, f"sampled minimum at b = {t_min:.6f}", "reported")
 
     # (AZI/M2*)^2: grid minimum sits at (1,4), far above the claimed
     # lower coefficient 4; grid maximum exceeds the claimed upper coefficient.
-    lo = grid_extremum(F_T21, n, "min", exclude_one_one=True)
-    expected = float(Fraction(256, 27) ** 2)
-    ok = lo.location == (1, 4) and abs(lo.value - expected) < 1e-9 * expected
-    record("(AZI/M2*)^2 minimum (256/27)^2 at (1,4), versus claimed "
-           "lower coefficient 4 (squared: 16)",
-           f"min {lo.value:.12g} at {lo.location}",
-           "discrepant" if ok else "unexpected",
-           detail="sharp lower coefficient would be 256/27, not 4")
+    extremum("(AZI/M2*)^2 minimum (256/27)^2 at (1,4), versus claimed "
+             "lower coefficient 4 (squared: 16)",
+             F_T21, "min", (1, 4), float(Fraction(256, 27) ** 2),
+             ("discrepant", "unexpected"), exclude_one_one=True,
+             detail="sharp lower coefficient would be 256/27, not 4")
     hi = grid_extremum(F_T21, n, "max", exclude_one_one=True)
-    claimed = ((n - 1) ** 4 / (2 * (n - 2))) ** 2
+    claimed = (top ** 4 / (2 * (n - 2))) ** 2
     record("(AZI/M2*)^2 maximum versus claimed upper coefficient "
            f"(n-1)^4/(2(n-2)) (squared: {claimed:.12g})",
-           f"max {hi.value:.12g} at {hi.location}",
+           top, f"max {hi.value:.12g} at {hi.location}",
            "discrepant" if hi.value > claimed * (1 + 1e-9) else "unexpected",
            detail="grid maximum (n-1)^8/(8(n-2)^3) exceeds the claimed coefficient")
 

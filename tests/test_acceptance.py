@@ -92,7 +92,7 @@ def criterion(num, label, detail=""):
 def test_criterion_1_exhaustive_verification_n7():
     with criterion(1, "exhaustive n<=7: class counts, zero violations except "
                       "T7-(21)U, under 60 s single-threaded"):
-        enumeration._cache.clear()
+        enumeration._classes.cache_clear()
         start = time.perf_counter()
         populations = {n: enumerate_connected(EnumerationSpec(n))
                        for n in range(2, 8)}
@@ -371,9 +371,9 @@ def test_criterion_9_enumeration_determinism_1000():
                 molecular=rng.random() < 0.3,
                 regular_only=rng.random() < 0.2,
             )
-            enumeration._cache.pop(spec, None)
+            enumeration._classes.cache_clear()
             first = enumerate_connected(spec)
-            enumeration._cache.pop(spec, None)
+            enumeration._classes.cache_clear()
             second = enumerate_connected(spec)
             assert first == second
             assert all(spec.admits(g) for g in first)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -174,6 +175,17 @@ def test_proofs_t4_and_t21_values(capsys):
     assert t21 and all(c["verdict"] == "discrepant" for c in t21)
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["--n", "62", "--format", "json"],
+     "b64990081fb3e59cf7c8593398c065329921996f2bbdc54753789738fd03756d"),
+    (["--n", "20"], "ae57c4fd3bffc89f571ec7ecec773eee8dd15a464cb6f76b05b7c5cf0b0a00a7"),
+])
+def test_proofs_output_matches_pinned_digest(capsys, argv, digest):
+    code, out, err = run(capsys, "proofs", *argv)
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # audit / verify
 
@@ -246,6 +258,31 @@ def test_verify_missing_expectation_entry(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--enumerate", "4", "--bounds", "T1L",
                        "--expected", str(path))
     assert code == EXIT_MISMATCH
+
+
+@pytest.mark.parametrize("doc", [
+    {"schema_version": 1},
+    [{"verdicts": {"T1L": "holds"}}],
+    {"verdicts": [["T1L", "holds"]]},
+])
+def test_verify_expectation_without_verdicts_object_is_io_error(capsys, tmp_path, doc):
+    path = tmp_path / "expected.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--enumerate", "4", "--bounds", "T1L",
+                         "--expected", str(path))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err == f'error: bad expectation file {path}: no "verdicts" object\n'
+
+
+def test_repeated_bound_ids_are_kept_once(capsys):
+    code, out, _ = run(capsys, "audit", "--enumerate", "4", "--bounds", "T1L,t1l,T1U,T1L",
+                       "--format", "json")
+    assert code == EXIT_OK
+    assert [r["bound_id"] for r in json.loads(out)["reports"]] == ["T1L", "T1U"]
+    code, _, err = run(capsys, "verify", "--enumerate", "4", "--bounds", "T1L,T1L")
+    assert code == EXIT_OK
+    assert err.startswith("verify: 1 bounds match")
 
 
 def test_verify_usage_and_io_errors(capsys, tmp_path):

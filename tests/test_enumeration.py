@@ -6,6 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from degbound import enumeration
 from degbound.enumeration import (
     EnumerationSpec,
     _canonical_columns,
@@ -193,6 +194,21 @@ def test_filtered_count_matches_bruteforce():
     got = connected_graphs(5, delta_min=2)
     assert len(got) == _oracle_class_count(5, keep)
     assert all(min_degree(g) >= 2 for g in got)
+
+
+def test_filtered_specs_reuse_the_order(monkeypatch):
+    unfiltered = enumerate_connected(EnumerationSpec(6))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _canonical_columns(*args)
+
+    monkeypatch.setattr(enumeration, "_canonical_columns", counted)
+    for spec in (EnumerationSpec(6, delta_min=2), EnumerationSpec(6, molecular=True),
+                 EnumerationSpec(6, regular_only=True)):
+        assert enumerate_connected(spec) == [g for g in unfiltered if spec.admits(g)]
+    assert calls == []
 
 
 def test_filters_respected():

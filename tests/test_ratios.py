@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from degbound.ratios import (
     F_T4,
     F_T6,
     F_T21,
+    GRID_CAP,
     RatioFn,
     concordance,
     concordance_report,
@@ -175,3 +177,33 @@ def test_proofs_report_small_n_flags_out_of_range():
     assert len(t6) == 1 and t6[0]["verdict"] == "out_of_range"
     with pytest.raises(ValueError):
         proofs_report(2)
+
+
+def _needed_degree(n):
+    """The largest degree each proofs_report claim needs, in report order."""
+    top = n - 1
+    return [top, 1, top, top, 3, top, top, 7, 9, 8, 8, 4, top]
+
+
+def test_proofs_report_lists_the_same_claims_for_every_n():
+    reference = proofs_report(GRID_CAP)
+    for n in range(3, GRID_CAP + 1):
+        claims = proofs_report(n)
+        assert len(claims) == len(reference) == 13
+        for got, want in zip(claims, reference):
+            # labels differ only in the numbers that depend on n
+            assert re.sub(r"[\d.]+", "#", got["claim"]) == re.sub(r"[\d.]+", "#", want["claim"])
+            assert got.keys() == want.keys()
+        verdicts = [c["verdict"] for c in claims]
+        assert "unexpected" not in verdicts
+        discrepant = {i for i, v in enumerate(verdicts) if v == "discrepant"}
+        assert discrepant <= {11, 12}, (n, discrepant)
+
+
+def test_proofs_report_out_of_range_exactly_where_the_grid_is_too_small():
+    for n in range(3, GRID_CAP + 1):
+        claims = proofs_report(n)
+        for claim, degree in zip(claims, _needed_degree(n)):
+            assert (claim["verdict"] == "out_of_range") == (degree > n - 1), (n, claim)
+            if degree > n - 1:
+                assert claim["observed"].startswith(f"grid only reaches degree {n - 1}; ")
