@@ -15,7 +15,6 @@ where they are attained, and where they fail; it never repairs a coefficient.
 
 from __future__ import annotations
 
-import copy
 import functools
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
@@ -171,13 +170,29 @@ class BoundCheck:
     verdict: str
 
 
+def _chi(g: Graph, connected: bool) -> int | None:
+    """The chromatic number where a bound can read it: None for a
+    disconnected graph, which no bound evaluates, and above CHROMATIC_CAP."""
+    if not connected:
+        return None
+    try:
+        return chromatic_number(g)
+    except SizeLimitError:
+        return None
+
+
+_UNSET = object()
+
+
 class GraphContext:
-    """Per-graph quantities shared across bound evaluations."""
+    """Quantities shared by every bound evaluation on the graphs of one audit
+    key.  ``chi`` is a plain field, computed unless passed in; where it is
+    None the chi side is domain-skipped."""
 
     __slots__ = ("graph", "graph6", "n", "delta", "Delta", "indices",
-                 "connected", "_chi")
+                 "connected", "chi")
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, chi=_UNSET):
         self.graph = g
         self.graph6 = to_graph6(g)
         self.n = g.n
@@ -185,20 +200,11 @@ class GraphContext:
         self.Delta = max_degree(g)
         self.indices = all_indices(g)
         self.connected = is_connected(g)
-        self._chi = None
-
-    @property
-    def chi(self) -> int:
-        if self._chi is None:
-            self._chi = chromatic_number(self.graph)
-        return self._chi
+        self.chi = _chi(g, self.connected) if chi is _UNSET else chi
 
     def side_value(self, side) -> float | None:
         if side == CHI:
-            try:
-                return float(self.chi)
-            except SizeLimitError:
-                return None
+            return None if self.chi is None else float(self.chi)
         return self.indices[side]
 
 
@@ -288,46 +294,26 @@ class SharpnessReport:
         return {"schema_version": 1, **asdict(self)}
 
 
-def _reads_chi(b: BoundSpec) -> bool:
-    """True when the bound, or a link of its chain, reads the chromatic number."""
-    links = (_catalog_index()[cid] for cid in b.chain)
-    return CHI in (b.lhs, b.rhs) or any(_reads_chi(link) for link in links)
+def _key_groups(graphs) -> list[tuple[GraphContext, list[str]]]:
+    """The population grouped by (n, connectivity, edge-degree partition, chi).
 
-
-def _key_groups(graphs) -> list[list[GraphContext]]:
-    """The population grouped by (n, connectivity, edge-degree partition).
-
-    That key fixes all a bound reads but chi: the indices, delta, Delta and
-    the family and exclusion predicates.  Each group holds one context built
-    on its first graph, then copies of it for the other graphs that differ
-    only in the graph, its graph6 and chi (K_{3,3} and the prism share a key).
+    That key fixes all a bound reads: the indices, delta, Delta, chi and the
+    family and exclusion predicates.  Each group holds one context, built on
+    its first graph, and the graph6 strings of all its members (K_{3,3} and
+    the prism share a partition but not chi).
     """
-    groups: dict[tuple, list[GraphContext]] = {}
+    groups: dict[tuple, tuple[GraphContext, list[str]]] = {}
     for g in graphs:
-        key = (g.n, is_connected(g), frozenset(edge_degree_partition(g).items()))
-        members = groups.get(key)
-        if members is None:
-            groups[key] = [GraphContext(g)]
+        connected = is_connected(g)
+        chi = _chi(g, connected)
+        key = (g.n, connected, frozenset(edge_degree_partition(g).items()), chi)
+        group = groups.get(key)
+        if group is None:
+            ctx = GraphContext(g, chi)
+            groups[key] = (ctx, [ctx.graph6])
         else:
-            ctx = copy.copy(members[0])
-            ctx.graph, ctx.graph6, ctx._chi = g, to_graph6(g), None
-            members.append(ctx)
+            group[1].append(to_graph6(g))
     return list(groups.values())
-
-
-def _outcomes(b: BoundSpec, groups, tol: float):
-    """(check, in_family, graph6 strings) outcomes of one bound: once per key
-    on the key's first graph, or once per graph when the bound reads chi."""
-    if _reads_chi(b):
-        for members in groups:
-            for ctx in members:
-                yield (evaluate_bound(b, ctx.graph, tol, ctx),
-                       check_equality_family(b, ctx.graph), [ctx.graph6])
-        return
-    for members in groups:
-        ctx = members[0]
-        yield (evaluate_bound(b, ctx.graph, tol, ctx),
-               check_equality_family(b, ctx.graph), [m.graph6 for m in members])
 
 
 def _aggregate(b: BoundSpec, outcomes, tol: float, population: str) -> SharpnessReport:
@@ -409,10 +395,12 @@ def audit_all(bounds, graphs, tol: float = DEFAULT_TOL,
     on the population order (for equal populations as sets).
     """
     groups = _key_groups(graphs)
-    return {
-        b.bound_id: _aggregate(b, _outcomes(b, groups, tol), tol, population)
-        for b in bounds
-    }
+    reports = {}
+    for b in bounds:
+        outcomes = ((evaluate_bound(b, ctx.graph, tol, ctx),
+                     check_equality_family(b, ctx.graph), g6s) for ctx, g6s in groups)
+        reports[b.bound_id] = _aggregate(b, outcomes, tol, population)
+    return reports
 
 
 def audit(b: BoundSpec, graphs, tol: float = DEFAULT_TOL,

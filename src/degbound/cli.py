@@ -51,6 +51,9 @@ EXIT_IO = 3
 EXIT_PIPE = 141
 
 ENV_PREFIX = "DEGBOUND_"
+# Largest --family parameter and --max-n: graph construction is quadratic in
+# the order, so K_200 is already the largest graph either command builds.
+FAMILY_MAX = 200
 FORMATS = ("table", "json", "csv")
 
 
@@ -173,6 +176,9 @@ def cmd_compute(args) -> int:
             size = int(param) if param else None
         except ValueError:
             raise UsageError(f"--family parameter must be an integer, got {args.family!r}") from None
+        if size is not None and size > FAMILY_MAX:
+            raise UsageError(f"--family parameter must be at most {FAMILY_MAX}, "
+                             f"got {args.family!r}")
         try:
             graphs = [make_family(tag, size)]
         except GraphError as exc:  # an unknown family or a bad parameter
@@ -188,8 +194,8 @@ def cmd_compute(args) -> int:
 def families_rows(max_n: int) -> list[dict]:
     """Closed-form index values for paths, cycles, complete graphs and stars,
     cross-checked against graph evaluation (max relative deviation 1e-12)."""
-    if not 2 <= max_n <= 200:
-        raise UsageError(f"--max-n must be in 2..200, got {max_n}")
+    if not 2 <= max_n <= FAMILY_MAX:
+        raise UsageError(f"--max-n must be in 2..{FAMILY_MAX}, got {max_n}")
     from .graphs import complete_graph, cycle_graph, path_graph, star_graph
 
     plans = [
@@ -448,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="index table for one or more graphs")
     p.add_argument("--g6", help="a single graph6 string")
     p.add_argument("--file", help="graph6 lines, or an edge-list file (n, then 'u v' lines)")
-    p.add_argument("--family", help="named family, e.g. cycle:7, star:8, double_star")
+    p.add_argument("--family", help="named family, e.g. cycle:7, star:8, double_star "
+                                    f"(parameter at most {FAMILY_MAX})")
     p.add_argument("--format", choices=FORMATS)
     p.set_defaults(func=cmd_compute)
 

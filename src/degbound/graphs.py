@@ -55,9 +55,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def relabeled(self, perm) -> "Graph":
         """Return the graph with vertex ``v`` renamed to ``perm[v]``."""
         return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges])

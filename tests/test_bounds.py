@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from degbound import bounds as bounds_module
 from degbound.bounds import (
     CHI,
     CONFIRMED_SHARP,
@@ -446,8 +447,9 @@ def _reference_report(b, graphs, tol, population):
 
 def test_audit_matches_per_graph_reference():
     """Graphs sharing (n, edge-degree partition) but not connectivity (C6 and
-    2*C3) or chi (K_{3,3} and the prism), relabeled copies, K1 and bounds
-    outside the catalog all fold exactly as a graph-by-graph audit does."""
+    2*C3) or chi (K_{3,3} and the prism), relabeled copies, K1, graphs above
+    the chi cap and bounds outside the catalog all fold exactly as a
+    graph-by-graph audit does."""
     rng = random.Random(20140517)
     graphs = []
     for _ in range(25):
@@ -463,6 +465,9 @@ def test_audit_matches_per_graph_reference():
     graphs += [cycle_graph(6), two_triangles, prism, k33,
                prism.relabeled([5, 3, 1, 0, 2, 4]), Graph(1), complete_graph(4),
                star_graph(5), double_star(), path_graph(2), path_graph(3)]
+    # above CHROMATIC_CAP: the key reads no chi and the chi side is domain-skipped
+    c13 = cycle_graph(13)
+    graphs += [c13, c13.relabeled([(5 * v) % 13 for v in range(13)]), complete_graph(13)]
     rng.shuffle(graphs)
     by_id = catalog_by_id()
     custom = [
@@ -481,3 +486,33 @@ def test_audit_matches_per_graph_reference():
         for b in bounds:
             want = _reference_report(b, population, 1e-9, "mixed")
             assert reports[b.bound_id].to_dict() == want, b.bound_id
+
+
+def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
+    """Ten relabelings of the prism share one key, chi included, so each of
+    the 55 catalog bounds, EXT-4 and C6 too, is evaluated exactly once."""
+    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                      (0, 3), (1, 4), (2, 5)])
+    rng = random.Random(10)
+    graphs = []
+    for _ in range(10):
+        perm = list(range(6))
+        rng.shuffle(perm)
+        graphs.append(prism.relabeled(perm))
+    calls = []
+    depth = [0]
+    evaluate = bounds_module.evaluate_bound
+
+    def counted(b, *args, **kwargs):
+        if not depth[0]:  # a chain's links are nested calls
+            calls.append(b.bound_id)
+        depth[0] += 1
+        try:
+            return evaluate(b, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(bounds_module, "evaluate_bound", counted)
+    reports = audit_all(builtin_catalog(), graphs)
+    assert sorted(calls) == sorted(EXPECTED_IDS)
+    assert reports["EXT-4"].counts["checked"] == reports["C6"].counts["checked"] == 10

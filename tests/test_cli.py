@@ -10,7 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from degbound.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
+from degbound import cli
+from degbound.cli import (
+    EXIT_IO,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    EXIT_PIPE,
+    EXIT_USAGE,
+    FAMILY_MAX,
+    main,
+)
 from degbound.graphs import double_star, to_graph6
 
 
@@ -83,6 +92,28 @@ def test_compute_bad_family_is_usage_error(capsys, family):
     assert code == EXIT_USAGE, err
     assert out == ""
     assert err == f"error: {BAD_FAMILIES[family]}\n"
+
+
+def test_compute_family_parameter_is_capped(capsys, monkeypatch):
+    """Building a family member is quadratic in its order, so a parameter
+    above the --max-n cap is refused before any graph is built."""
+    def build(tag, param):
+        raise AssertionError(f"built {tag}:{param}")
+
+    monkeypatch.setattr(cli, "make_family", build)
+    for family in ("complete:201", "star:100000", "path:10000000000"):
+        code, out, err = run(capsys, "compute", "--family", family)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: --family parameter must be at most 200, got {family!r}\n"
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "compute", "--family", f"complete:{FAMILY_MAX}",
+                       "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["rows"][0]["n"] == FAMILY_MAX == 200
+    code, _, err = run(capsys, "families", "--max-n", str(FAMILY_MAX + 1))
+    assert code == EXIT_USAGE
+    assert err == "error: --max-n must be in 2..200, got 201\n"
 
 
 def test_compute_malformed_graph6_is_io_error(capsys):

@@ -5,9 +5,11 @@ Run from anywhere:
 
     python3 tools/tier1.py
 
-It runs ``python -m pytest -q --continue-on-collection-errors -rfE`` at the
-root of the checkout with ``src`` prepended to PYTHONPATH (the tier-1 command
-of ROADMAP.md, plus ``-rfE`` so every failure and error is listed by id).
+It runs ``python -m pytest -q --continue-on-collection-errors -rfE
+--durations=5`` at the root of the checkout with ``src`` prepended to
+PYTHONPATH: the tier-1 command of ROADMAP.md, plus ``-rfE`` so every failure
+and error is listed by id, and ``--durations=5`` so every run prints its five
+slowest tests.
 Five acceptance cases pin published equality claims that are wrong, so they
 must fail: criterion 2 for C3, C7-(12), T7-(19)L, T7-(19)U and C9-(24).  The
 exit code is 0 when the failing set is exactly those five, and 1 otherwise,
@@ -39,7 +41,7 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-           "-rfE"]
+           "-rfE", "--durations=5"]
     proc = subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True)
     failing = set()
     for line in proc.stdout:
