@@ -6,8 +6,8 @@ ones.  The results are deduplicated by a refined certificate (a canonical
 labeling restricted to the cells of an equitable colouring), and the
 canonical form (the lexicographically smallest graph6 encoding over all
 relabelings) runs once per class, so the output is one representative per
-isomorphism class in a deterministic order.  Orders 2..7 take about a
-second on a 2-vCPU host; order 8 takes 14-18 s.
+isomorphism class in a deterministic order.  Orders 2..7 take about half
+a second on a 2-vCPU host; order 8 takes 9-11 s.
 """
 
 from degbound import (

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .graphs import (
     Graph,
@@ -69,13 +70,21 @@ class Coeff:
     Catalog formulas write square roots and half-integer powers as float
     ``** 0.5`` and ``** p`` (not ``math.sqrt``), so their values equal, bit
     for bit, the values the packaged verdict fixtures were computed from.
+    ``ev`` computes ``float(fn(x))`` once per argument and keeps it in the
+    coefficient's own memo.
     """
 
     var: str
     fn: Callable[[int], float]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ev(self, n: int, delta: int) -> float:
-        return float(self.fn(delta if self.var == "delta" else n))
+        x = delta if self.var == "delta" else n
+        try:
+            return self._memo[x]
+        except KeyError:
+            value = self._memo[x] = float(self.fn(x))
+            return value
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +152,11 @@ class BoundSpec:
     def is_chain(self) -> bool:
         return bool(self.chain)
 
+    @functools.cached_property
+    def sides(self) -> tuple[int, int]:
+        """Positions of ``lhs`` and ``rhs`` in ``GraphContext.values``."""
+        return _SIDES.index(self.lhs), _SIDES.index(self.rhs)
+
     def preconditions_met(self, ctx: "GraphContext") -> bool:
         if not ctx.connected:
             return False
@@ -155,12 +169,12 @@ class BoundSpec:
         if self.spread_cap is not None:
             if ctx.Delta - ctx.delta > self.spread_cap.ev(ctx.n, ctx.delta):
                 return False
-        return not any(f.contains(ctx.graph) for f in self.exclusions)
+        return not self.exclusions or not any(ctx.member(f) for f in self.exclusions)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """Outcome of one bound on one graph."""
+class BoundCheck(NamedTuple):
+    """Outcome of one bound on one graph.  A named tuple: immutable, cheap
+    to build, and equal to any tuple of the same six values."""
 
     bound_id: str
     graph6: str
@@ -184,32 +198,41 @@ def _chi(g: Graph, connected: bool) -> int | None:
 _UNSET = object()
 
 
+# The sides a bound can read, in the order of GraphContext.values.
+_SIDES = (*ALL_INDICES, CHI)
+
+
 class GraphContext:
-    """Quantities shared by every bound evaluation on the graphs of one audit
-    key.  ``chi`` is a plain field, computed unless passed in; where it is
-    None the chi side is domain-skipped."""
+    """Everything a bound reads on the graphs of one audit key, computed once
+    per key.  ``values`` holds the seven indices in ALL_INDICES order, then
+    chi as a float, so a bound reads each side by position; a side that is
+    None is domain-skipped.  ``member`` decides each family and exclusion
+    once per key.  ``connected`` and ``chi`` are computed unless passed in.
+    """
 
-    __slots__ = ("graph", "graph6", "n", "delta", "Delta", "indices",
-                 "connected", "chi")
+    __slots__ = ("graph", "graph6", "n", "delta", "Delta", "connected", "chi",
+                 "values", "_members")
 
-    def __init__(self, g: Graph, chi=_UNSET):
+    def __init__(self, g: Graph, chi=_UNSET, connected: bool | None = None):
         self.graph = g
         self.graph6 = to_graph6(g)
         self.n = g.n
         self.delta = min_degree(g)
         self.Delta = max_degree(g)
-        self.indices = all_indices(g)
-        self.connected = is_connected(g)
+        self.connected = is_connected(g) if connected is None else connected
         self.chi = _chi(g, self.connected) if chi is _UNSET else chi
+        self.values = (*all_indices(g).values(),
+                       None if self.chi is None else float(self.chi))
+        self._members: dict[Callable[[Graph], bool], bool] = {}
 
-    def side_value(self, side) -> float | None:
-        if side == CHI:
-            return None if self.chi is None else float(self.chi)
-        return self.indices[side]
-
-
-def _skip_check(b: BoundSpec, ctx: GraphContext, verdict: str) -> BoundCheck:
-    return BoundCheck(b.bound_id, ctx.graph6, None, None, None, verdict)
+    def member(self, family: EqualityFamily) -> bool:
+        """Whether the graph is in ``family``, memoized by its membership test."""
+        contains = family.contains
+        try:
+            return self._members[contains]
+        except KeyError:
+            found = self._members[contains] = contains(self.graph)
+            return found
 
 
 def combine_chain_verdicts(verdicts) -> str:
@@ -229,6 +252,9 @@ def evaluate_bound(b: BoundSpec, g: Graph, tol: float = DEFAULT_TOL,
                    ctx: GraphContext | None = None) -> BoundCheck:
     """Check one bound on one graph; every outcome is a verdict, not an error.
 
+    ``ctx`` is the graph's audit-key context, built here when not given; the
+    bound reads both sides from it by position, its coefficient from the
+    coefficient's memo, and its exclusions from the context's membership memo.
     Equality is |margin| <= tol * max(1, |lhs|).  A strict bound reaching
     equality within tolerance is still reported as "equality"; the audit
     surfaces the strictness conflict.
@@ -236,8 +262,8 @@ def evaluate_bound(b: BoundSpec, g: Graph, tol: float = DEFAULT_TOL,
     if ctx is None:
         ctx = GraphContext(g)
     if not b.preconditions_met(ctx):
-        return _skip_check(b, ctx, PRECONDITION_SKIPPED)
-    if b.is_chain:
+        return BoundCheck(b.bound_id, ctx.graph6, None, None, None, PRECONDITION_SKIPPED)
+    if b.chain:
         parts = [evaluate_bound(_catalog_index()[cid], g, tol, ctx) for cid in b.chain]
         verdict = combine_chain_verdicts(p.verdict for p in parts)
         # slack of the tightest link that is not itself attained
@@ -245,10 +271,12 @@ def evaluate_bound(b: BoundSpec, g: Graph, tol: float = DEFAULT_TOL,
         margin = min(margins) if margins else None
         return BoundCheck(b.bound_id, ctx.graph6, None, None, margin, verdict)
 
-    lhs_value = ctx.side_value(b.lhs)
-    rhs_value = ctx.side_value(b.rhs)
+    lhs_at, rhs_at = b.sides
+    values = ctx.values
+    lhs_value = values[lhs_at]
+    rhs_value = values[rhs_at]
     if lhs_value is None or rhs_value is None:
-        return _skip_check(b, ctx, DOMAIN_SKIPPED)
+        return BoundCheck(b.bound_id, ctx.graph6, None, None, None, DOMAIN_SKIPPED)
     rhs_side = b.coeff.ev(ctx.n, ctx.delta) * rhs_value
     if b.direction == "upper":
         margin = rhs_side - lhs_value
@@ -299,8 +327,8 @@ def _key_groups(graphs) -> list[tuple[GraphContext, list[str]]]:
 
     That key fixes all a bound reads: the indices, delta, Delta, chi and the
     family and exclusion predicates.  Each group holds one context, built on
-    its first graph, and the graph6 strings of all its members (K_{3,3} and
-    the prism share a partition but not chi).
+    its first graph, and the sorted graph6 strings of all its members
+    (K_{3,3} and the prism share a partition but not chi).
     """
     groups: dict[tuple, tuple[GraphContext, list[str]]] = {}
     for g in graphs:
@@ -309,30 +337,36 @@ def _key_groups(graphs) -> list[tuple[GraphContext, list[str]]]:
         key = (g.n, connected, frozenset(edge_degree_partition(g).items()), chi)
         group = groups.get(key)
         if group is None:
-            ctx = GraphContext(g, chi)
+            ctx = GraphContext(g, chi, connected)
             groups[key] = (ctx, [ctx.graph6])
         else:
             group[1].append(to_graph6(g))
+    for _, g6s in groups.values():
+        g6s.sort()
     return list(groups.values())
 
 
-def _aggregate(b: BoundSpec, outcomes, tol: float, population: str) -> SharpnessReport:
-    """Fold one bound's outcomes into a report; each outcome counts once for
-    every graph6 string it lists.  Witness lists are sorted, and the
-    minimum-margin witness is the smallest graph6 at the smallest margin, so
-    the report does not depend on the population order."""
+def _aggregate(b: BoundSpec, groups, tol: float, population: str) -> SharpnessReport:
+    """Evaluate one bound once per key group and fold the outcomes into a
+    report; each outcome counts once for every graph6 string of its group.
+    Witness lists are sorted, and the minimum-margin witness is the smallest
+    graph6 at the smallest margin, so the report does not depend on the
+    population order."""
     checked = holds = equal = violated = skipped = 0
     equality_w: list[str] = []
     violation_w: list[str] = []
     eq_not_family: list[str] = []
     family_not_eq: list[str] = []
     min_margin: tuple[float, str] | None = None
-    for chk, in_family, g6s in outcomes:
+    family = b.claimed_equality
+    for ctx, g6s in groups:
+        chk = evaluate_bound(b, ctx.graph, tol, ctx)
         weight = len(g6s)
         if chk.verdict in (PRECONDITION_SKIPPED, DOMAIN_SKIPPED):
             skipped += weight
             continue
         checked += weight
+        in_family = family is not None and ctx.member(family)
         if chk.verdict == EQUALITY:
             equal += weight
             equality_w += g6s
@@ -347,7 +381,7 @@ def _aggregate(b: BoundSpec, outcomes, tol: float, population: str) -> Sharpness
             else:
                 holds += weight
                 if chk.margin is not None:
-                    key = (chk.margin, min(g6s))
+                    key = (chk.margin, g6s[0])
                     if min_margin is None or key < min_margin:
                         min_margin = key
     if violated:
@@ -395,12 +429,7 @@ def audit_all(bounds, graphs, tol: float = DEFAULT_TOL,
     on the population order (for equal populations as sets).
     """
     groups = _key_groups(graphs)
-    reports = {}
-    for b in bounds:
-        outcomes = ((evaluate_bound(b, ctx.graph, tol, ctx),
-                     check_equality_family(b, ctx.graph), g6s) for ctx, g6s in groups)
-        reports[b.bound_id] = _aggregate(b, outcomes, tol, population)
-    return reports
+    return {b.bound_id: _aggregate(b, groups, tol, population) for b in bounds}
 
 
 def audit(b: BoundSpec, graphs, tol: float = DEFAULT_TOL,

@@ -18,8 +18,8 @@ sequences mean isomorphic graphs, so it is a complete invariant.  Each
 class representative then gets the lex-min canonical form (the
 lexicographically minimal graph6 encoding over all vertex relabelings).
 
-On a 2-vCPU host, orders 2..7 together take 0.7-1.1 s.  Order 8 takes
-14-18 s and is gated behind an explicit opt-in.
+On a 2-vCPU host, orders 2..7 together take 0.4-0.6 s.  Order 8 takes
+9-11 s and is gated behind an explicit opt-in.
 """
 
 from __future__ import annotations
@@ -56,8 +56,10 @@ def _canonical_columns(adj: tuple[int, ...], n: int,
 
     Branch and bound on the ordering prefix: a partial column sequence that
     already exceeds the incumbent's prefix cannot lead to the minimum.
-    Vertices with identical adjacency rows are interchangeable, so only one
-    of each is branched on.
+    Open twins (equal adjacency rows) and closed twins (equal rows once each
+    vertex is added to its own) are interchangeable: swapping two unplaced
+    twins is an automorphism that fixes the placed prefix and every refined
+    cell.  So only one vertex of each twin class is branched on.
     """
     if cells is None:
         cells = ((1 << n) - 1,) * n
@@ -88,11 +90,15 @@ def _canonical_columns(adj: tuple[int, ...], n: int,
         for col in sorted(by_col):
             if best is not None and cols == best[:k] and col > best[k]:
                 break
+            # One vertex's open row never equals another's closed row (it
+            # would hold its own vertex), so one set holds both kinds.
             seen_rows = set()
             for v in by_col[col]:
-                if adj[v] in seen_rows:
+                closed = adj[v] | 1 << v
+                if adj[v] in seen_rows or closed in seen_rows:
                     continue
                 seen_rows.add(adj[v])
+                seen_rows.add(closed)
                 order.append(v)
                 cols.append(col)
                 search(order, cols, placed | 1 << v)

@@ -7,6 +7,7 @@ degrees, so everything here evaluates through the edge-degree partition.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 from .graphs import Graph, edge_degree_partition
@@ -86,17 +87,30 @@ def index_value(idx: IndexId, g: Graph) -> float:
     return total
 
 
-def all_indices(g: Graph) -> dict[IndexId, float | None]:
-    """All seven index values in one pass over the partition.
+@functools.cache
+def _pair_terms(pair: tuple[int, int]) -> tuple[float, ...]:
+    """The seven per-edge terms at one sorted degree pair, in ALL_INDICES
+    order.  AZI reads 0.0 at (1,1), where ``all_indices`` reports it None."""
+    return tuple(0.0 if idx is IndexId.AZI and pair == (1, 1) else edge_term(idx, pair)
+                 for idx in ALL_INDICES)
 
-    AZI maps to ``None`` when its domain restriction fails instead of raising.
+
+def all_indices(g: Graph) -> dict[IndexId, float | None]:
+    """All seven index values from the edge-degree partition.
+
+    Each degree pair's seven terms are computed once per process, and every
+    index accumulates ``count * term`` left to right in sorted-pair order, as
+    ``index_value`` does, so the two agree bit for bit.  AZI maps to ``None``
+    when its domain restriction fails instead of raising.
     """
     part = edge_degree_partition(g)
-    pairs = sorted(part)
+    rows = [(part[pair], _pair_terms(pair)) for pair in sorted(part)]
     out: dict[IndexId, float | None] = {}
-    for idx in ALL_INDICES:
-        if idx is IndexId.AZI and (1, 1) in part:
-            out[idx] = None
-            continue
-        out[idx] = sum(part[p] * edge_term(idx, p) for p in pairs)
+    for i, idx in enumerate(ALL_INDICES):
+        total = 0  # an int start, as sum() had: an edgeless graph reads 0
+        for count, terms in rows:
+            total += count * terms[i]
+        out[idx] = total
+    if (1, 1) in part:
+        out[IndexId.AZI] = None
     return out

@@ -391,12 +391,15 @@ def test_report_json_schema(full_reports):
 
 def _reference_report(b, graphs, tol, population):
     """The report ``audit_all`` must produce, folded graph by graph from
-    ``evaluate_bound`` on a fresh context and ``check_equality_family``."""
+    ``evaluate_bound`` on a fresh context.  Family and exclusion membership
+    come from the predicates themselves, not from a context's memo."""
     counts = dict.fromkeys(("checked", "skipped", "holds", "equality", "violated"), 0)
     equality, violation, eq_not_family, family_not_eq, margins = [], [], [], [], []
     for g in graphs:
         chk = evaluate_bound(b, g, tol)
         in_family = check_equality_family(b, g)
+        if any(f.contains(g) for f in b.exclusions):
+            assert chk.verdict == PRECONDITION_SKIPPED, (b.bound_id, chk.graph6)
         if chk.verdict in (PRECONDITION_SKIPPED, DOMAIN_SKIPPED):
             counts["skipped"] += 1
             continue
@@ -447,9 +450,9 @@ def _reference_report(b, graphs, tol, population):
 
 def test_audit_matches_per_graph_reference():
     """Graphs sharing (n, edge-degree partition) but not connectivity (C6 and
-    2*C3) or chi (K_{3,3} and the prism), relabeled copies, K1, graphs above
-    the chi cap and bounds outside the catalog all fold exactly as a
-    graph-by-graph audit does."""
+    2*C3) or chi (K_{3,3} and the prism), relabeled copies, K1, a member of
+    every family and exclusion, graphs above the chi cap and bounds outside
+    the catalog all fold exactly as a graph-by-graph audit does."""
     rng = random.Random(20140517)
     graphs = []
     for _ in range(25):
@@ -465,6 +468,12 @@ def test_audit_matches_per_graph_reference():
     graphs += [cycle_graph(6), two_triangles, prism, k33,
                prism.relabeled([5, 3, 1, 0, 2, 4]), Graph(1), complete_graph(4),
                star_graph(5), double_star(), path_graph(2), path_graph(3)]
+    # one member of every catalog family and exclusion, so a membership memo
+    # shared across keys, or keyed by bound instead of by family, shows:
+    # P2, P3, C3, C_n, K_n, S_{1,4} = K_{1,4}, S_{1,5}, S_{1,7}, S_{1,8},
+    # a delta-regular non-cycle (the prism) and T* (double_star)
+    graphs += [cycle_graph(3), cycle_graph(7), complete_graph(6), star_graph(4),
+               star_graph(7), star_graph(8), path_graph(2), path_graph(3), double_star()]
     # above CHROMATIC_CAP: the key reads no chi and the chi side is domain-skipped
     c13 = cycle_graph(13)
     graphs += [c13, c13.relabeled([(5 * v) % 13 for v in range(13)]), complete_graph(13)]

@@ -266,6 +266,62 @@ def test_canonical_form_examples():
     assert canonical_form(star_graph(2)) == canonical_form(path_graph(3))
 
 
+def _bruteforce_forms(graphs, n):
+    """Minimal graph6 over all n! relabelings of each graph of order n.
+
+    For a fixed n, graph6 strings order as their upper-triangle bits in
+    column order read as one integer, so numpy minimises that integer for
+    every graph at once, one permutation at a time."""
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    index = {p: i for i, p in enumerate(pairs)}
+    bits = np.zeros((len(graphs), len(pairs)), dtype=np.int64)
+    for row, g in enumerate(graphs):
+        for e in g.edges:
+            bits[row, index[e]] = 1
+    weights = 1 << np.arange(len(pairs) - 1, -1, -1, dtype=np.int64)
+    best = None
+    for perm in permutations(range(n)):
+        inv = [0] * n
+        for v, image in enumerate(perm):
+            inv[image] = v
+        # new pair (u, v) is the old pair (inv[u], inv[v])
+        source = [index[tuple(sorted((inv[u], inv[v])))] for u, v in pairs]
+        vals = bits[:, source] @ weights
+        best = vals if best is None else np.minimum(best, vals)
+    return [to_graph6(Graph(n, [p for i, p in enumerate(pairs) if int(v) >> (len(pairs) - 1 - i) & 1]))
+            for v in best]
+
+
+def _complement(g):
+    edges = set(g.edges)
+    return Graph(g.n, [(u, v) for v in range(1, g.n) for u in range(v) if (u, v) not in edges])
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+def _twin_rich(n):
+    """K_n, K_n - e, every complete multipartite graph, every threshold graph
+    (each vertex added isolated or dominating), and the complements of all
+    of them: graphs whose vertices fall into few open or closed twin classes."""
+    graphs = [complete_graph(n), Graph(n, [e for e in complete_graph(n).edges if e != (0, 1)])]
+    for parts in _partitions(n):
+        part_of = [i for i, size in enumerate(parts) for _ in range(size)]
+        graphs.append(Graph(n, [(u, v) for v in range(1, n) for u in range(v)
+                                if part_of[u] != part_of[v]]))
+    for steps in range(1 << (n - 1)):
+        graphs.append(Graph(n, [(u, v) for v in range(1, n) if steps >> (v - 1) & 1
+                                for u in range(v)]))
+    graphs += [_complement(g) for g in graphs]
+    return list({g.edges: g for g in graphs}.values())
+
+
 def test_canonical_form_matches_bruteforce():
     rng = random.Random(3)
     cases = [random_graph(rng, rng.randrange(2, 7)) for _ in range(150)]
@@ -274,6 +330,17 @@ def test_canonical_form_matches_bruteforce():
         brute = min(to_graph6(g.relabeled(list(p)))
                     for p in permutations(range(g.n)))
         assert canonical_form(g) == brute
+    # twin-rich graphs, each as built and under two seeded relabelings
+    rng = random.Random(7)
+    for n in range(2, 8):
+        graphs = _twin_rich(n)
+        for g, brute in zip(graphs, _bruteforce_forms(graphs, n)):
+            copies = [g]
+            for _ in range(2):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                copies.append(g.relabeled(perm))
+            assert [canonical_form(h) for h in copies] == [brute] * 3, g.edges
 
 
 def test_canonical_form_is_isomorphism_invariant():

@@ -12,11 +12,13 @@ from degbound.formulas import (
     regular_index_value,
     star_index_value,
 )
+from degbound.enumeration import connected_graphs
 from degbound.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
     double_star,
+    edge_degree_partition,
     path_graph,
     star_graph,
 )
@@ -111,6 +113,29 @@ def test_linearity_against_direct_edge_sum():
                 continue
             direct = sum(edge_term(idx, (degs[u], degs[v])) for u, v in g.edges)
             assert index_value(idx, g) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+def test_cached_terms_sum_in_sorted_pair_order():
+    """all_indices reads each degree pair's terms from a cache; every value
+    must equal, exactly, index_value and a left-to-right sum of
+    count * edge_term in sorted-pair order."""
+    rng = random.Random(11)
+    graphs = [g for n in range(2, 8) for g in connected_graphs(n)]
+    assert len(graphs) == 995
+    graphs += [random_graph(rng, rng.randrange(1, 13)) for _ in range(200)]
+    for g in graphs:
+        part = edge_degree_partition(g)
+        vals = all_indices(g)
+        for idx in ALL_INDICES:
+            if idx is AZI and (1, 1) in part:
+                assert vals[idx] is None
+                with pytest.raises(UndefinedIndexError):
+                    index_value(idx, g)
+                continue
+            total = 0.0
+            for pair in sorted(part):
+                total += part[pair] * edge_term(idx, pair)
+            assert vals[idx] == index_value(idx, g) == total, (idx, part)
 
 
 def test_isomorphism_invariance_bit_identical():

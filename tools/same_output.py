@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Check that this checkout's CLI output is byte-identical to another's.
+
+    python3 tools/same_output.py PARENT_DIR
+
+PARENT_DIR is the root of another checkout (say, a ``git archive`` of the
+parent commit).  Each command below runs twice, at the same time, as
+``python -m degbound.cli`` in a fresh subprocess: once with
+``PYTHONPATH=PARENT_DIR/src`` and once with this checkout's ``src``.  The two
+runs must agree byte for byte on exit code, stdout, stderr and every file
+written under ``--out``.  The file populations are the seed-0
+``audit-distinct`` and ``audit-repeats`` benchmark populations, written once
+to a temporary directory by ``perfbench/population.py`` and shared by both
+sides.  Every ``DEGBOUND_*`` variable is removed from the environment.
+
+Exits 0 when every command agrees, 1 after naming the first command and
+output that differ, and 2 when PARENT_DIR holds no degbound package.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+OUT = "{out}"  # replaced by a fresh directory per side and command
+TIMEOUT_S = 900
+
+
+def commands(populations: Path) -> list[list[str]]:
+    """The byte-identity list; writes the two file populations first."""
+    sys.dont_write_bytecode = True  # import the generator, leave perfbench/ as it is
+    sys.path.insert(0, str(PERFBENCH))
+    from population import write_population
+
+    cmds = [["verify", "--enumerate", "7", "--out", OUT]]
+    cmds += [["audit", "--enumerate", str(n), "--format", "json"] for n in range(2, 8)]
+    for kind in ("distinct", "repeats"):
+        path = populations / f"audit-{kind}.g6"
+        write_population(path, kind, 0)
+        expected = PERFBENCH / "expected" / f"audit-{kind}.json"
+        cmds += [["verify", "--file", str(path), "--expected", str(expected)],
+                 ["audit", "--file", str(path), "--format", "json", "--out", OUT]]
+    cmds += [["families", "--max-n", "200", "--format", "csv"],
+             ["proofs", "--n", "62", "--format", "json"]]
+    return cmds
+
+
+def outputs(proc: subprocess.Popen, out: Path) -> list[tuple[str, bytes]]:
+    """(name, bytes) of everything one run produced, in a fixed order."""
+    stdout, stderr = proc.communicate(timeout=TIMEOUT_S)
+    found = [("exit code", str(proc.returncode).encode()),
+             ("stdout", stdout), ("stderr", stderr)]
+    files = sorted(p for p in out.rglob("*") if p.is_file()) if out.is_dir() else []
+    found.append(("--out file list", "\n".join(str(p.relative_to(out)) for p in files).encode()))
+    found += [(f"--out file {p.relative_to(out)}", p.read_bytes()) for p in files]
+    return found
+
+
+def first_difference(a: bytes, b: bytes) -> str:
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(lines_a, lines_b), start=1):
+        if x != y:
+            return f"line {i}: {x[:160]!r} != {y[:160]!r}"
+    return f"{len(lines_a)} lines != {len(lines_b)} lines"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent_src = Path(argv[0]).resolve() / "src"
+    if not (parent_src / "degbound" / "cli.py").is_file():
+        print(f"error: no degbound package under {parent_src}", file=sys.stderr)
+        return 2
+    env = {k: v for k, v in os.environ.items() if not k.startswith("DEGBOUND_")}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    sides = (("parent", parent_src), ("change", ROOT / "src"))
+    with tempfile.TemporaryDirectory(prefix="same-output-") as tmp:
+        tmp = Path(tmp)
+        cmds = commands(tmp)
+        for i, cmd in enumerate(cmds):
+            runs = []
+            for side, src in sides:
+                out = tmp / f"{side}-{i}"
+                argv_side = [str(out) if a == OUT else a for a in cmd]
+                proc = subprocess.Popen(
+                    [sys.executable, "-m", "degbound.cli", *argv_side], cwd=tmp,
+                    env={**env, "PYTHONPATH": str(src)},
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                runs.append((proc, out))
+            try:
+                parent, change = [outputs(proc, out) for proc, out in runs]
+            finally:
+                for proc, _ in runs:
+                    if proc.poll() is None:
+                        proc.kill()
+                        proc.wait()
+            shown = " ".join("DIR" if a == OUT else a.replace(str(tmp), "TMP") for a in cmd)
+            # The file lists are compared before the files, so zip sees equal lengths.
+            for (name, want), (_, got) in zip(parent, change):
+                if want != got:
+                    print(f"DIFFERENT `{shown}`: {name}: {first_difference(want, got)}")
+                    return 1
+            print(f"same `{shown}`")
+    print(f"same output on all {len(cmds)} commands")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
