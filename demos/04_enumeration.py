@@ -7,7 +7,7 @@ labeling restricted to the cells of an equitable colouring), and the
 canonical form (the lexicographically smallest graph6 encoding over all
 relabelings) runs once per class, so the output is one representative per
 isomorphism class in a deterministic order.  Orders 2..7 take about half
-a second on a 2-vCPU host; order 8 takes 9-11 s.
+a second on a 2-vCPU host; order 8 takes 9-15 s.
 """
 
 from degbound import (

@@ -468,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--molecular", action="store_true",
                        help="restrict to maximum degree <= 4")
         p.add_argument("--allow-n8", action="store_true",
-                       help="permit the order-8 enumeration (15 seconds or more)")
+                       help="permit the order-8 enumeration (9-15 seconds)")
         p.add_argument("--bounds", metavar="LIST|all", default="all")
         p.add_argument("--tol", type=float)
         p.add_argument("--format", choices=FORMATS)

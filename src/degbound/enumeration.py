@@ -19,7 +19,7 @@ class representative then gets the lex-min canonical form (the
 lexicographically minimal graph6 encoding over all vertex relabelings).
 
 On a 2-vCPU host, orders 2..7 together take 0.4-0.6 s.  Order 8 takes
-9-11 s and is gated behind an explicit opt-in.
+9-15 s and is gated behind an explicit opt-in.
 """
 
 from __future__ import annotations
@@ -132,13 +132,14 @@ def _refined_cells(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 def _columns_to_graph(cols: tuple[int, ...], n: int) -> Graph:
-    edges = []
+    adj = [0] * n
     for v in range(1, n):
         col = cols[v]
         for u in range(v):
             if col >> (v - 1 - u) & 1:
-                edges.append((u, v))
-    return Graph(n, edges)
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph._from_adj(n, adj)
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -226,7 +227,7 @@ def enumerate_connected(spec: EnumerationSpec, allow_big: bool = False) -> list[
     if spec.n > DEFAULT_ORDER_CAP and not allow_big:
         raise SizeLimitError(
             f"order {spec.n} is above the default cap {DEFAULT_ORDER_CAP} and "
-            "takes 15 seconds or more; pass allow_big=True to run it"
+            "takes 9-15 seconds; pass allow_big=True to run it"
         )
     return [g for g in _classes(spec.n) if spec.admits(g)]
 

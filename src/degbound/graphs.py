@@ -1,15 +1,17 @@
 """Simple undirected graphs with bitset adjacency, plus the structural
 predicates and named families needed by the bound auditor.
 
-Vertices are the integers ``0..n-1``.  Adjacency is kept as one Python int
-bitmask per vertex, which is all the machinery required at the graph orders
-this package works with (graph6 short form, n <= 62, except that family
-constructors may build larger graphs for closed-form cross-checks).
+Vertices are the integers ``0..n-1``.  A graph stores only its adjacency,
+one Python int bitmask per vertex, and its degrees; the sorted edge tuple is
+derived on demand.  The named families and the graph6 decoder build the
+bitmasks directly, and the edge-degree partition is counted per pair of
+degree classes with popcounts, never by walking the edges.  That is all the
+machinery required at the graph orders this package works with (graph6
+short form, n <= 62, except that family constructors may build larger
+graphs, up to K_200, for closed-form cross-checks).
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 
 class GraphError(ValueError):
@@ -21,15 +23,18 @@ class SizeLimitError(GraphError):
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices ``0..n-1``."""
+    """Immutable simple undirected graph on vertices ``0..n-1``.
 
-    __slots__ = ("n", "edges", "adj", "degrees", "_partition", "_hash")
+    The adjacency bitmasks are the stored form; ``edges`` is derived from
+    them on first use.
+    """
+
+    __slots__ = ("n", "adj", "degrees", "_edges", "_partition", "_hash")
 
     def __init__(self, n: int, edges=()):
         if n < 1:
             raise GraphError(f"vertex count must be >= 1, got {n}")
         adj = [0] * n
-        norm = []
         for e in edges:
             u, v = e
             if u == v:
@@ -42,31 +47,52 @@ class Graph:
                 raise GraphError(f"duplicate edge {{{u},{v}}}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-            norm.append((u, v))
-        norm.sort()
+        self._set_adj(n, adj)
+
+    @classmethod
+    def _from_adj(cls, n: int, adj) -> "Graph":
+        """Wrap adjacency masks that are symmetric, loop-free and within
+        ``0..n-1`` by construction; nothing is checked."""
+        g = cls.__new__(cls)
+        g._set_adj(n, adj)
+        return g
+
+    def _set_adj(self, n: int, adj) -> None:
         self.n = n
-        self.edges = tuple(norm)
         self.adj = tuple(adj)
-        self.degrees = tuple(a.bit_count() for a in adj)
+        self.degrees = tuple(a.bit_count() for a in self.adj)
+        self._edges = None
         self._partition = None
         self._hash = None
 
     @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as ``(u, v)`` pairs with ``u < v``, in sorted order."""
+        if self._edges is None:
+            edges = []
+            for u, a in enumerate(self.adj):
+                higher = a >> u + 1 << u + 1
+                while higher:
+                    low = higher & -higher
+                    edges.append((u, low.bit_length() - 1))
+                    higher ^= low
+            self._edges = tuple(edges)
+        return self._edges
+
+    @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(self.degrees) // 2
 
     def relabeled(self, perm) -> "Graph":
         """Return the graph with vertex ``v`` renamed to ``perm[v]``."""
         return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.n, self.edges))
+            self._hash = hash((self.n, self.adj))
         return self._hash
 
     def __repr__(self):
@@ -83,20 +109,32 @@ def degree_sequence(g: Graph) -> list[int]:
 
 
 def edge_degree_partition(g: Graph) -> dict[tuple[int, int], int]:
-    """Multiset of unordered endpoint-degree pairs over all edges.
+    """Multiset of unordered endpoint-degree pairs over all edges, keyed in
+    sorted pair order.
 
     Every index this package computes is a sum over edges of a symmetric
     function of the endpoint degrees, so this multiset is a sufficient
-    statistic for all of them.
+    statistic for all of them.  It is counted per pair of degree classes,
+    one ``(adj[v] & class_mask).bit_count()`` per vertex and class, so the
+    cost grows with n times the number of distinct degrees, not with m.
     """
     if g._partition is None:
+        rows: dict[int, list[int]] = {}  # degree -> adjacency rows of that class
+        masks: dict[int, int] = {}  # degree -> vertex mask of that class
+        for v, d in enumerate(g.degrees):
+            if d:
+                rows.setdefault(d, []).append(g.adj[v])
+                masks[d] = masks.get(d, 0) | 1 << v
+        degrees = sorted(rows)
         part: dict[tuple[int, int], int] = {}
-        deg = g.degrees
-        for u, v in g.edges:
-            a, b = deg[u], deg[v]
-            if a > b:
-                a, b = b, a
-            part[(a, b)] = part.get((a, b), 0) + 1
+        for i, a in enumerate(degrees):
+            for b in degrees[i:]:
+                mask = masks[b]
+                count = 0
+                for row in rows[a]:
+                    count += (row & mask).bit_count()
+                if count:
+                    part[(a, b)] = count // 2 if a == b else count
         g._partition = part
     return dict(g._partition)
 
@@ -189,40 +227,41 @@ def is_double_star_t(g: Graph) -> bool:
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise GraphError(f"path needs n >= 1, got {n}")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    full = (1 << n) - 1  # clips the neighbour v + 1 of the last vertex
+    return Graph._from_adj(n, [(1 << v >> 1 | 1 << v + 1) & full for v in range(n)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"cycle needs n >= 3, got {n}")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph._from_adj(n, [1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise GraphError(f"complete graph needs n >= 1, got {n}")
-    return Graph(n, combinations(range(n), 2))
+    full = (1 << n) - 1
+    return Graph._from_adj(n, [full ^ 1 << v for v in range(n)])
 
 
 def star_graph(k: int) -> Graph:
     """Star with one center and ``k`` pendant vertices (k + 1 vertices)."""
     if k < 1:
         raise GraphError(f"star needs k >= 1 leaves, got {k}")
-    return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
+    return Graph._from_adj(k + 1, [(1 << k + 1) - 2] + [1] * k)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise GraphError("complete bipartite parts must be >= 1")
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    left, right = (1 << a) - 1, ((1 << b) - 1) << a
+    return Graph._from_adj(a + b, [right] * a + [left] * b)
 
 
 def double_star() -> Graph:
-    """Two adjacent centers, three pendant vertices on each (8 vertices)."""
-    edges = [(0, 1)]
-    edges += [(0, v) for v in (2, 3, 4)]
-    edges += [(1, v) for v in (5, 6, 7)]
-    return Graph(8, edges)
+    """Two adjacent centers, three pendant vertices on each (8 vertices):
+    center 0 holds leaves 2, 3, 4 and center 1 holds leaves 5, 6, 7."""
+    return Graph._from_adj(8, [0b00011110, 0b11100001] + [0b01] * 3 + [0b10] * 3)
 
 
 def regular_witness(d: int) -> Graph:
@@ -306,6 +345,7 @@ def chromatic_number(g: Graph, cap: int = CHROMATIC_CAP) -> int:
 # graph6 codec (short form, n <= 62) and edge-list text format
 
 _G6_MAX = 62
+_G6_CHUNKS = [format(chunk, "06b") for chunk in range(64)]
 
 
 def to_graph6(g: Graph) -> str:
@@ -349,21 +389,22 @@ def parse_graph6(s: str) -> Graph:
         raise GraphError(
             f"graph6: expected {expected} characters for n={n}, got {len(s)}"
         )
-    bits = []
-    for ch in s[1:]:
-        chunk = ord(ch) - 63
-        for shift in range(5, -1, -1):
-            bits.append(chunk >> shift & 1)
-    if any(bits[nbits:]):
+    body = "".join(_G6_CHUNKS[ord(ch) - 63] for ch in s[1:])
+    if "1" in body[nbits:]:
         raise GraphError("graph6: nonzero padding bits")
-    edges = []
-    i = 0
+    # Reversed, bit i of the body (pair u < v at i = v(v-1)/2 + u) is bit i
+    # of ``lower``, so each column v is a v-bit mask of its neighbours u < v.
+    lower = int(body[nbits - 1::-1], 2) if nbits else 0
+    adj = [0] * n
     for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
-    return Graph(n, edges)
+        col = lower & (1 << v) - 1
+        lower >>= v
+        adj[v] = col
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= 1 << v
+            col ^= low
+    return Graph._from_adj(n, adj)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -107,7 +107,7 @@ def all_indices(g: Graph) -> dict[IndexId, float | None]:
     rows = [(part[pair], _pair_terms(pair)) for pair in sorted(part)]
     out: dict[IndexId, float | None] = {}
     for i, idx in enumerate(ALL_INDICES):
-        total = 0  # an int start, as sum() had: an edgeless graph reads 0
+        total = 0.0
         for count, terms in rows:
             total += count * terms[i]
         out[idx] = total

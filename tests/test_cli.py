@@ -71,6 +71,16 @@ def test_compute_family_flag(capsys):
     assert row["AZI"] == pytest.approx(4096 / 343, rel=1e-12)
 
 
+@pytest.mark.parametrize("g6", ["@", "B?"])
+def test_compute_edgeless_graph_prints_float_zeros(capsys, g6):
+    code, out, _ = run(capsys, "compute", "--g6", g6, "--format", "json")
+    assert code == EXIT_OK
+    row = json.loads(out)["rows"][0]
+    for key in ("R", "H", "ABC", "X", "GA", "AZI", "M2*"):
+        assert type(row[key]) is float and row[key] == 0.0, key
+        assert f'"{key}": 0.0' in out
+
+
 def test_compute_usage_errors(capsys):
     code, _, err = run(capsys, "compute")
     assert code == EXIT_USAGE

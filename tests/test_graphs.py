@@ -40,17 +40,33 @@ from conftest import random_graph
 # construction
 
 
+# (n, edges, the message Graph(n, edges) raises)
+INVALID_GRAPHS = [
+    (0, [], "vertex count must be >= 1, got 0"),
+    (3, [(0, 0)], "self-loop at vertex 0"),
+    (3, [(0, 1), (2, 2)], "self-loop at vertex 2"),
+    (3, [(0, 3)], "edge {0,3} has an endpoint outside 0..2"),
+    (3, [(-1, 2)], "edge {-1,2} has an endpoint outside 0..2"),
+    (3, [(0, 1), (0, 1)], "duplicate edge {0,1}"),
+    (3, [(0, 1), (1, 0)], "duplicate edge {0,1}"),
+    (4, [(3, 2), (1, 2), (2, 3)], "duplicate edge {2,3}"),
+]
+
+
 def test_graph_validation():
-    with pytest.raises(GraphError):
-        Graph(0)
-    with pytest.raises(GraphError):
-        Graph(3, [(0, 0)])
-    with pytest.raises(GraphError):
-        Graph(3, [(0, 3)])
-    with pytest.raises(GraphError):
-        Graph(3, [(0, 1), (1, 0)])
+    for n, edges, message in INVALID_GRAPHS:
+        with pytest.raises(GraphError) as exc:
+            Graph(n, edges)
+        assert str(exc.value) == message
+
+
+def test_edges_are_derived_sorted():
     g = Graph(3, [(2, 0)])
     assert g.edges == ((0, 2),)
+    g = Graph(5, [(4, 1), (3, 0), (1, 0), (2, 1), (4, 3)])
+    assert g.edges == ((0, 1), (0, 3), (1, 2), (1, 4), (3, 4))
+    assert g.m == 5
+    assert Graph(4).edges == () and Graph(4).m == 0
 
 
 def test_degree_sequence_examples():
@@ -353,3 +369,92 @@ def test_complete_graph_edge_count():
     for n in range(1, 10):
         assert complete_graph(n).m == n * (n - 1) // 2
         assert complete_graph(n).m == len(list(combinations(range(n), 2)))
+
+
+# ---------------------------------------------------------------------------
+# adjacency-built graphs against the validating edge-list constructor
+
+
+def _same_graph(g: Graph, n: int, edges):
+    """``g`` equals ``Graph(n, edges)`` field by field; ``edges`` lists
+    each pair as u < v, so the derived edges are ``edges`` sorted."""
+    ref = Graph(n, edges)
+    assert (g.n, g.adj, g.degrees) == (ref.n, ref.adj, ref.degrees)
+    assert g.edges == tuple(sorted(edges))
+    assert g.m == len(edges)
+    assert g == ref and hash(g) == hash(ref)
+
+
+def test_family_builders_match_edge_lists():
+    from degbound.cli import FAMILY_MAX
+
+    for n in range(1, FAMILY_MAX + 1):
+        _same_graph(path_graph(n), n, [(i, i + 1) for i in range(n - 1)])
+        _same_graph(complete_graph(n), n, list(combinations(range(n), 2)))
+        _same_graph(star_graph(n), n + 1, [(0, i) for i in range(1, n + 1)])
+        _same_graph(make_family("delta_regular_witness", n), 2 * n,
+                    [(i, n + j) for i in range(n) for j in range(n)])
+        if n >= 3:
+            _same_graph(cycle_graph(n), n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    for a in range(1, 13):
+        for b in range(1, 13):
+            _same_graph(complete_bipartite(a, b), a + b,
+                        [(i, a + j) for i in range(a) for j in range(b)])
+    _same_graph(double_star(), 8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)])
+
+
+def _reference_graph6_edges(s: str) -> tuple[int, list[tuple[int, int]]]:
+    """Decode graph6 bit by bit: 6-bit chunks, MSB first, pairs u < v in
+    column order."""
+    n = ord(s[0]) - 63
+    bits = [(ord(ch) - 63) >> shift & 1 for ch in s[1:] for shift in range(5, -1, -1)]
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    return n, [pair for pair, bit in zip(pairs, bits) if bit]
+
+
+def _graph6_samples(populations):
+    """Every connected class of order 2..7, then seeded random graphs of
+    order 1..20 with densities from 0 (edgeless) to 1 (complete)."""
+    samples = [to_graph6(g) for graphs in populations.values() for g in graphs]
+    rng = random.Random(29)
+    for _ in range(300):
+        samples.append(to_graph6(random_graph(rng, rng.randrange(1, 21),
+                                              rng.choice([0.0, 0.1, 0.5, 0.9, 1.0]))))
+    return samples
+
+
+def test_parse_graph6_matches_edge_list_constructor(populations):
+    samples = _graph6_samples(populations)
+    graphs = [parse_graph6(s) for s in samples]
+    assert sum(not is_connected(g) for g in graphs) >= 50
+    assert sum(g.m == 0 for g in graphs) >= 20
+    for s, g in zip(samples, graphs):
+        _same_graph(g, *_reference_graph6_edges(s))
+
+
+def _reference_partition(n: int, edges) -> dict[tuple[int, int], int]:
+    """Per-edge count of sorted endpoint-degree pairs."""
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    part: dict[tuple[int, int], int] = {}
+    for u, v in edges:
+        pair = tuple(sorted((deg[u], deg[v])))
+        part[pair] = part.get(pair, 0) + 1
+    return part
+
+
+def test_edge_degree_partition_matches_per_edge_count(populations):
+    cases = [(parse_graph6(s), _reference_graph6_edges(s)) for s in _graph6_samples(populations)]
+    n = 200
+    cases += [
+        (complete_graph(n), (n, list(combinations(range(n), 2)))),
+        (path_graph(n), (n, [(i, i + 1) for i in range(n - 1)])),
+        (cycle_graph(n), (n, [(i, (i + 1) % n) for i in range(n)])),
+        (star_graph(n - 1), (n, [(0, i) for i in range(1, n)])),
+    ]
+    for g, (order, edges) in cases:
+        part = edge_degree_partition(g)
+        assert part == _reference_partition(order, edges), (order, len(edges))
+        assert list(part) == sorted(part)

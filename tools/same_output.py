@@ -11,7 +11,9 @@ runs must agree byte for byte on exit code, stdout, stderr and every file
 written under ``--out``.  The file populations are the seed-0
 ``audit-distinct`` and ``audit-repeats`` benchmark populations, written once
 to a temporary directory by ``perfbench/population.py`` and shared by both
-sides.  Every ``DEGBOUND_*`` variable is removed from the environment.
+sides, plus two fixed ``compute --file`` inputs written there too: a graph6
+file of mixed graphs (see ``MIXED``) and the Petersen graph as an edge list.
+Every ``DEGBOUND_*`` variable is removed from the environment.
 
 Exits 0 when every command agrees, 1 after naming the first command and
 output that differ, and 2 when PARENT_DIR holds no degbound package.
@@ -30,12 +32,28 @@ PERFBENCH = ROOT / "perfbench"
 OUT = "{out}"  # replaced by a fresh directory per side and command
 TIMEOUT_S = 900
 
+# (order, edges as u < v) of the compute --file graph6 input: disconnected graphs
+# (two triangles, K_2 + K_1, P_3 + K_2), the order-13 wheel (above the
+# chromatic cap), K_{3,3}, K_{1,4}, T* and S_{1,8}.  No edgeless graph.
+MIXED = [
+    (6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+    (3, [(0, 1)]),
+    (5, [(0, 1), (1, 2), (3, 4)]),
+    (13, [(0, v) for v in range(1, 13)] + [(v, v + 1) for v in range(1, 12)] + [(1, 12)]),
+    (6, [(u, v) for u in range(3) for v in range(3, 6)]),
+    (5, [(0, v) for v in range(1, 5)]),
+    (8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]),
+    (9, [(0, v) for v in range(1, 9)]),
+]
+PETERSEN = [(v, (v + 1) % 5) for v in range(5)] + [(v, v + 5) for v in range(5)] \
+    + [(5 + v, 5 + (v + 2) % 5) for v in range(5)]
+
 
 def commands(populations: Path) -> list[list[str]]:
     """The byte-identity list; writes the two file populations first."""
     sys.dont_write_bytecode = True  # import the generator, leave perfbench/ as it is
     sys.path.insert(0, str(PERFBENCH))
-    from population import write_population
+    from population import graph6, write_population
 
     cmds = [["verify", "--enumerate", "7", "--out", OUT]]
     cmds += [["audit", "--enumerate", str(n), "--format", "json"] for n in range(2, 8)]
@@ -47,6 +65,13 @@ def commands(populations: Path) -> list[list[str]]:
                  ["audit", "--file", str(path), "--format", "json", "--out", OUT]]
     cmds += [["families", "--max-n", "200", "--format", "csv"],
              ["proofs", "--n", "62", "--format", "json"]]
+    mixed, petersen = populations / "mixed.g6", populations / "petersen.edges"
+    mixed.write_text("".join(graph6(n, edges) + "\n" for n, edges in MIXED))
+    petersen.write_text("10\n" + "".join(f"{u} {v}\n" for u, v in PETERSEN))
+    cmds += [["compute", "--family", "complete:200", "--format", "json"],
+             ["compute", "--file", str(mixed), "--format", "json"],
+             ["compute", "--file", str(mixed), "--format", "csv"],
+             ["compute", "--file", str(petersen), "--format", "json"]]
     return cmds
 
 
