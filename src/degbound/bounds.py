@@ -207,13 +207,15 @@ class GraphContext:
     per key.  ``values`` holds the seven indices in ALL_INDICES order, then
     chi as a float, so a bound reads each side by position; a side that is
     None is domain-skipped.  ``member`` decides each family and exclusion
-    once per key.  ``connected`` and ``chi`` are computed unless passed in.
+    once per key.  ``connected``, ``chi`` and the edge-degree partition
+    ``part`` are computed unless passed in.
     """
 
     __slots__ = ("graph", "graph6", "n", "delta", "Delta", "connected", "chi",
                  "values", "_members")
 
-    def __init__(self, g: Graph, chi=_UNSET, connected: bool | None = None):
+    def __init__(self, g: Graph, chi=_UNSET, connected: bool | None = None,
+                 part: dict[tuple[int, int], int] | None = None):
         self.graph = g
         self.graph6 = to_graph6(g)
         self.n = g.n
@@ -221,7 +223,7 @@ class GraphContext:
         self.Delta = max_degree(g)
         self.connected = is_connected(g) if connected is None else connected
         self.chi = _chi(g, self.connected) if chi is _UNSET else chi
-        self.values = (*all_indices(g).values(),
+        self.values = (*all_indices(g, part).values(),
                        None if self.chi is None else float(self.chi))
         self._members: dict[Callable[[Graph], bool], bool] = {}
 
@@ -327,17 +329,19 @@ def _key_groups(graphs) -> list[tuple[GraphContext, list[str]]]:
 
     That key fixes all a bound reads: the indices, delta, Delta, chi and the
     family and exclusion predicates.  Each group holds one context, built on
-    its first graph, and the sorted graph6 strings of all its members
-    (K_{3,3} and the prism share a partition but not chi).
+    its first graph from the partition keyed on here, and the sorted graph6
+    strings of all its members (K_{3,3} and the prism share a partition but
+    not chi).
     """
     groups: dict[tuple, tuple[GraphContext, list[str]]] = {}
     for g in graphs:
         connected = is_connected(g)
         chi = _chi(g, connected)
-        key = (g.n, connected, frozenset(edge_degree_partition(g).items()), chi)
+        part = edge_degree_partition(g)
+        key = (g.n, connected, frozenset(part.items()), chi)
         group = groups.get(key)
         if group is None:
-            ctx = GraphContext(g, chi, connected)
+            ctx = GraphContext(g, chi, connected, part)
             groups[key] = (ctx, [ctx.graph6])
         else:
             group[1].append(to_graph6(g))

@@ -290,6 +290,10 @@ def _population(args):
     if (args.enumerate is None) == (args.file is None):
         raise UsageError("need exactly one of --enumerate N or --file PATH")
     if args.enumerate is not None:
+        if DEFAULT_ORDER_CAP < args.enumerate <= MAX_ORDER and not args.allow_n8:
+            raise UsageError(f"order {args.enumerate} is above the default cap "
+                             f"{DEFAULT_ORDER_CAP} and takes 9-15 seconds; "
+                             "pass --allow-n8 to run it")
         spec = EnumerationSpec(
             n=args.enumerate,
             delta_min=args.min_degree,
@@ -370,12 +374,6 @@ def _run_audit(args):
     tol = _resolve(args.tol, "TOL", DEFAULT_TOL, float)
     if not 0 < tol < 1:  # also false for nan
         raise UsageError(f"tolerance must be finite with 0 < tol < 1, got {tol!r}")
-    jobs = _resolve(args.jobs, "JOBS", None, int)
-    if jobs is not None:
-        if jobs < 1:
-            raise UsageError(f"jobs must be >= 1, got {jobs}")
-        print("warning: --jobs is deprecated and ignored; the audit runs in one process",
-              file=sys.stderr)
     if args.min_degree is not None and args.min_degree < 0:
         raise UsageError(f"--min-degree must be >= 0, got {args.min_degree}")
     graphs, population = _population(args)
@@ -473,9 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float)
         p.add_argument("--format", choices=FORMATS)
         p.add_argument("--out", metavar="DIR", help="write one report JSON per bound")
-        p.add_argument("--jobs", type=int, metavar="N",
-                       help="deprecated and ignored (must be >= 1); "
-                            "the audit runs in one process")
 
     p = sub.add_parser("audit", help="sharpness reports over a population")
     population_flags(p)

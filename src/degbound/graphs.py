@@ -1,14 +1,14 @@
 """Simple undirected graphs with bitset adjacency, plus the structural
 predicates and named families needed by the bound auditor.
 
-Vertices are the integers ``0..n-1``.  A graph stores only its adjacency,
-one Python int bitmask per vertex, and its degrees; the sorted edge tuple is
-derived on demand.  The named families and the graph6 decoder build the
-bitmasks directly, and the edge-degree partition is counted per pair of
-degree classes with popcounts, never by walking the edges.  That is all the
-machinery required at the graph orders this package works with (graph6
-short form, n <= 62, except that family constructors may build larger
-graphs, up to K_200, for closed-form cross-checks).
+Vertices are the integers ``0..n-1``.  A graph is a plain value: its order,
+one Python int adjacency bitmask per vertex and its degrees, with nothing
+derived cached on it.  The named families and the graph6 decoder build the
+bitmasks directly, and the edge-degree partition is counted afresh per call,
+per pair of degree classes with popcounts, never by walking the edges.  That
+is all the machinery required at the graph orders this package works with
+(graph6 short form, n <= 62, except that family constructors may build
+larger graphs, up to K_200, for closed-form cross-checks).
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ class SizeLimitError(GraphError):
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``.
 
-    The adjacency bitmasks are the stored form; ``edges`` is derived from
-    them on first use.
+    The order, the adjacency bitmasks and the degrees are all it stores;
+    ``edges`` and ``m`` are derived from them on every access.
     """
 
-    __slots__ = ("n", "adj", "degrees", "_edges", "_partition", "_hash")
+    __slots__ = ("n", "adj", "degrees")
 
     def __init__(self, n: int, edges=()):
         if n < 1:
@@ -61,23 +61,18 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self.degrees = tuple(a.bit_count() for a in self.adj)
-        self._edges = None
-        self._partition = None
-        self._hash = None
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The edges as ``(u, v)`` pairs with ``u < v``, in sorted order."""
-        if self._edges is None:
-            edges = []
-            for u, a in enumerate(self.adj):
-                higher = a >> u + 1 << u + 1
-                while higher:
-                    low = higher & -higher
-                    edges.append((u, low.bit_length() - 1))
-                    higher ^= low
-            self._edges = tuple(edges)
-        return self._edges
+        edges = []
+        for u, a in enumerate(self.adj):
+            higher = a >> u + 1 << u + 1
+            while higher:
+                low = higher & -higher
+                edges.append((u, low.bit_length() - 1))
+                higher ^= low
+        return tuple(edges)
 
     @property
     def m(self) -> int:
@@ -91,9 +86,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, self.adj))
-        return self._hash
+        return hash((self.n, self.adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -117,26 +110,25 @@ def edge_degree_partition(g: Graph) -> dict[tuple[int, int], int]:
     statistic for all of them.  It is counted per pair of degree classes,
     one ``(adj[v] & class_mask).bit_count()`` per vertex and class, so the
     cost grows with n times the number of distinct degrees, not with m.
+    Nothing is cached: each call counts afresh and returns a new dict.
     """
-    if g._partition is None:
-        rows: dict[int, list[int]] = {}  # degree -> adjacency rows of that class
-        masks: dict[int, int] = {}  # degree -> vertex mask of that class
-        for v, d in enumerate(g.degrees):
-            if d:
-                rows.setdefault(d, []).append(g.adj[v])
-                masks[d] = masks.get(d, 0) | 1 << v
-        degrees = sorted(rows)
-        part: dict[tuple[int, int], int] = {}
-        for i, a in enumerate(degrees):
-            for b in degrees[i:]:
-                mask = masks[b]
-                count = 0
-                for row in rows[a]:
-                    count += (row & mask).bit_count()
-                if count:
-                    part[(a, b)] = count // 2 if a == b else count
-        g._partition = part
-    return dict(g._partition)
+    rows: dict[int, list[int]] = {}  # degree -> adjacency rows of that class
+    masks: dict[int, int] = {}  # degree -> vertex mask of that class
+    for v, d in enumerate(g.degrees):
+        if d:
+            rows.setdefault(d, []).append(g.adj[v])
+            masks[d] = masks.get(d, 0) | 1 << v
+    degrees = sorted(rows)
+    part: dict[tuple[int, int], int] = {}
+    for i, a in enumerate(degrees):
+        for b in degrees[i:]:
+            mask = masks[b]
+            count = 0
+            for row in rows[a]:
+                count += (row & mask).bit_count()
+            if count:
+                part[(a, b)] = count // 2 if a == b else count
+    return part
 
 
 def min_degree(g: Graph) -> int:

@@ -41,6 +41,9 @@ class UndefinedIndexError(ValueError):
     """Raised when an index is evaluated outside its domain."""
 
 
+_AZI_UNDEFINED = "AZI undefined on an isolated-edge component (degree pair (1,1))"
+
+
 def edge_term(idx: IndexId, pair: tuple[int, int]) -> float:
     """Per-edge contribution of index ``idx`` at endpoint degrees ``pair``."""
     a, b = pair
@@ -60,9 +63,7 @@ def edge_term(idx: IndexId, pair: tuple[int, int]) -> float:
         return math.sqrt(a * b) / (0.5 * (a + b))
     if idx is IndexId.AZI:
         if a == 1 and b == 1:
-            raise UndefinedIndexError(
-                "AZI undefined on an isolated-edge component (degree pair (1,1))"
-            )
+            raise UndefinedIndexError(_AZI_UNDEFINED)
         return ((a * b) / (a + b - 2)) ** 3
     if idx is IndexId.M2STAR:
         return 1.0 / (a * b)
@@ -75,16 +76,12 @@ def azi_defined(g: Graph) -> bool:
 
 
 def index_value(idx: IndexId, g: Graph) -> float:
-    """Evaluate index ``idx`` on ``g``.
-
-    Accumulates per partition entry in sorted degree-pair order, so the result
-    is bit-identical for isomorphic graphs.
-    """
-    part = edge_degree_partition(g)
-    total = 0.0
-    for pair in sorted(part):
-        total += part[pair] * edge_term(idx, pair)
-    return total
+    """Evaluate index ``idx`` on ``g``; AZI raises ``UndefinedIndexError``
+    where ``all_indices`` reports it None."""
+    value = all_indices(g)[idx]
+    if value is None:
+        raise UndefinedIndexError(_AZI_UNDEFINED)
+    return value
 
 
 @functools.cache
@@ -95,15 +92,19 @@ def _pair_terms(pair: tuple[int, int]) -> tuple[float, ...]:
                  for idx in ALL_INDICES)
 
 
-def all_indices(g: Graph) -> dict[IndexId, float | None]:
+def all_indices(g: Graph, part: dict[tuple[int, int], int] | None = None
+                ) -> dict[IndexId, float | None]:
     """All seven index values from the edge-degree partition.
 
-    Each degree pair's seven terms are computed once per process, and every
-    index accumulates ``count * term`` left to right in sorted-pair order, as
-    ``index_value`` does, so the two agree bit for bit.  AZI maps to ``None``
-    when its domain restriction fails instead of raising.
+    ``part`` is ``g``'s edge-degree partition when the caller already holds
+    it; otherwise it is counted here.  Each degree pair's seven terms are
+    computed once per process, and every index accumulates ``count * term``
+    left to right in sorted-pair order, so the result is bit-identical for
+    isomorphic graphs.  AZI maps to ``None`` when its domain restriction
+    fails instead of raising.
     """
-    part = edge_degree_partition(g)
+    if part is None:
+        part = edge_degree_partition(g)
     rows = [(part[pair], _pair_terms(pair)) for pair in sorted(part)]
     out: dict[IndexId, float | None] = {}
     for i, idx in enumerate(ALL_INDICES):

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from degbound import bounds as bounds_module
+from degbound import graphs as graphs_module
+from degbound import indices as indices_module
 from degbound.bounds import (
     CHI,
     CONFIRMED_SHARP,
@@ -525,3 +527,27 @@ def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
     reports = audit_all(builtin_catalog(), graphs)
     assert sorted(calls) == sorted(EXPECTED_IDS)
     assert reports["EXT-4"].counts["checked"] == reports["C6"].counts["checked"] == 10
+
+
+def test_audit_counts_each_partition_once(monkeypatch, populations):
+    """The audit counts each graph's edge-degree partition once: the key
+    groups hand it to the key's context instead of counting it again.  A
+    graph caches no partition, so a caller may mutate the one it gets."""
+    counted_graphs = []
+    count_partition = graphs_module.edge_degree_partition
+
+    def counted(g):
+        counted_graphs.append(g)
+        return count_partition(g)
+
+    for module in (graphs_module, indices_module, bounds_module):
+        monkeypatch.setattr(module, "edge_degree_partition", counted)
+    order_7 = populations[7]
+    audit_all(builtin_catalog(), order_7)
+    assert len(counted_graphs) == len(order_7) == 853
+    assert set(counted_graphs) == set(order_7)
+
+    t = double_star()
+    part = count_partition(t)
+    part[(1, 4)] = 0
+    assert count_partition(t) == {(1, 4): 6, (4, 4): 1}

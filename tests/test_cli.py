@@ -355,8 +355,6 @@ def test_verify_usage_and_io_errors(capsys, tmp_path):
     (["--tol", "1"], {}, "tolerance"),
     ([], {"DEGBOUND_TOL": "inf"}, "tolerance"),
     ([], {"DEGBOUND_TOL": "nan"}, "tolerance"),
-    (["--jobs", "0"], {}, "jobs"),
-    ([], {"DEGBOUND_JOBS": "-2"}, "jobs"),
     (["--min-degree", "-1"], {}, "--min-degree"),
 ])
 def test_bad_numeric_input_is_usage_error(capsys, monkeypatch, argv, env, rule):
@@ -372,6 +370,13 @@ def test_enumeration_order_out_of_range_is_usage_error(capsys, order):
     code, out, err = run(capsys, "audit", "--enumerate", order)
     assert code == EXIT_USAGE, out
     assert err.startswith("error: enumeration") or err.startswith("error: order")
+
+
+def test_order_8_without_opt_in_names_the_flag(capsys):
+    code, out, err = run(capsys, "audit", "--enumerate", "8")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("error: order 8 is above the default cap 7 and takes 9-15 seconds; "
+                   "pass --allow-n8 to run it\n")
 
 
 def test_population_file_trailing_comment(capsys, tmp_path):
@@ -431,14 +436,10 @@ def test_population_filtered_to_nothing_is_vacuous(capsys, tmp_path):
     assert json.loads(out)["reports"][0]["verdict"] == "vacuous"
 
 
-def test_jobs_is_deprecated_and_ignored(capsys, monkeypatch):
-    args = ("audit", "--enumerate", "4", "--bounds", "T1L")
-    code, plain, err = run(capsys, *args)
-    assert (code, err) == (EXIT_OK, "")
-    warning = "warning: --jobs is deprecated and ignored; the audit runs in one process\n"
-    assert run(capsys, *args, "--jobs", "2") == (EXIT_OK, plain, warning)
-    monkeypatch.setenv("DEGBOUND_JOBS", "2")
-    assert run(capsys, *args) == (EXIT_OK, plain, warning)
+def test_jobs_is_an_unrecognized_argument(capsys):
+    code, out, err = run(capsys, "audit", "--enumerate", "5", "--jobs", "2")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments: --jobs 2" in err
 
 
 def test_closed_stdout_exits_quietly():
@@ -476,14 +477,6 @@ def test_reports_byte_identical_across_runs(capsys):
     args = ("audit", "--enumerate", "5", "--format", "json")
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
-    assert out1 == out2
-
-
-def test_reports_identical_across_job_counts(capsys):
-    _, out1, _ = run(capsys, "audit", "--enumerate", "5", "--format", "json",
-                     "--jobs", "1")
-    _, out2, _ = run(capsys, "audit", "--enumerate", "5", "--format", "json",
-                     "--jobs", "3")
     assert out1 == out2
 
 

@@ -1,5 +1,7 @@
-"""tools/same_output.py: byte-identity of CLI output between two checkouts."""
+"""tools/same_output.py: byte-identity of CLI output between two checkouts;
+and the package names the traced benchmark wraps."""
 
+import importlib
 import shutil
 import subprocess
 import sys
@@ -35,3 +37,14 @@ def test_same_output_needs_a_package(tmp_path):
     proc = same_output(tmp_path)
     assert proc.returncode == 2
     assert "no degbound package" in proc.stderr
+
+
+def test_tracing_patches_resolve(monkeypatch):
+    """Every (module, attribute) that perfbench/tracing.py wraps exists, so
+    renaming a layer entry point cannot silently break a traced benchmark run."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    assert tracing.PATCHES
+    for module, attr, _ in tracing.PATCHES:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
