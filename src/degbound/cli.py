@@ -32,7 +32,6 @@ from .graphs import (
     GraphError,
     SizeLimitError,
     chromatic_number,
-    is_molecular,
     is_regular,
     make_family,
     max_degree,
@@ -51,8 +50,8 @@ EXIT_IO = 3
 EXIT_PIPE = 141
 
 ENV_PREFIX = "DEGBOUND_"
-# Largest --family parameter and --max-n: graph construction is quadratic in
-# the order, so K_200 is already the largest graph either command builds.
+# Largest --family parameter, --max-n and edge-list order: construction is
+# quadratic in the order, so K_200 is the largest graph any command builds.
 FAMILY_MAX = 200
 FORMATS = ("table", "json", "csv")
 
@@ -118,18 +117,29 @@ def _render_rows(rows, columns, fmt, stream):
             stream.write("  ".join(cells).rstrip() + "\n")
 
 
+def _read(read, path: Path):
+    """``read(path)``; a file that cannot be opened or decoded is an I/O error."""
+    try:
+        return read(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IOError(f"cannot read {path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # compute
 
 
 def _sniff_file_graphs(path: Path) -> list[Graph]:
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IOError(f"cannot read {path}: {exc}") from None
+    text = _read(Path.read_text, path)
     body = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     body = [ln for ln in body if ln]
     if body and body[0].isdigit() and (len(body) == 1 or " " in body[1] or "\t" in body[1]):
+        try:
+            n = int(body[0])
+        except ValueError:  # digits int() refuses, such as '²'; parse_edge_list names them
+            n = 0
+        if n > FAMILY_MAX:  # Graph(n, edges) allocates n slots before it reads an edge
+            raise GraphError(f"edge list: vertex count must be at most {FAMILY_MAX}, got {n}")
         return [parse_edge_list(text)]
     return parse_population(text, path)
 
@@ -287,33 +297,24 @@ def _select_bounds(spec: str | None):
 
 
 def _population(args):
+    """The graphs to audit and their label.  Both sources pass through the
+    same ``--min-degree`` / ``--molecular`` filter, ``EnumerationSpec.admits``."""
     if (args.enumerate is None) == (args.file is None):
         raise UsageError("need exactly one of --enumerate N or --file PATH")
-    if args.enumerate is not None:
-        if DEFAULT_ORDER_CAP < args.enumerate <= MAX_ORDER and not args.allow_n8:
-            raise UsageError(f"order {args.enumerate} is above the default cap "
-                             f"{DEFAULT_ORDER_CAP} and takes 9-15 seconds; "
-                             "pass --allow-n8 to run it")
-        spec = EnumerationSpec(
-            n=args.enumerate,
-            delta_min=args.min_degree,
-            molecular=args.molecular,
-        )
-        try:
-            graphs = enumerate_connected(spec, allow_big=args.allow_n8)
-        except GraphError as exc:  # the order is below 2 or above the cap
-            raise UsageError(str(exc)) from None
-        return graphs, spec.describe()
-    path = Path(args.file)
+    spec = EnumerationSpec(args.enumerate, delta_min=args.min_degree,
+                           molecular=args.molecular)
+    if args.file is not None:
+        path = Path(args.file)
+        return list(filter(spec.admits, _read(read_population, path))), f"file({path.name})"
+    if DEFAULT_ORDER_CAP < args.enumerate <= MAX_ORDER and not args.allow_n8:
+        raise UsageError(f"order {args.enumerate} is above the default cap "
+                         f"{DEFAULT_ORDER_CAP} and takes 9-15 seconds; "
+                         "pass --allow-n8 to run it")
     try:
-        graphs = read_population(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IOError(f"cannot read {path}: {exc}") from None
-    if args.min_degree is not None:
-        graphs = [g for g in graphs if min_degree(g) >= args.min_degree]
-    if args.molecular:
-        graphs = [g for g in graphs if is_molecular(g)]
-    return graphs, f"file({path.name})"
+        graphs = enumerate_connected(spec, allow_big=args.allow_n8)
+    except GraphError as exc:  # the order is below 2 or above the cap
+        raise UsageError(str(exc)) from None
+    return graphs, spec.describe()
 
 
 REPORT_COLUMNS = ["bound_id", "verdict", "checked", "skipped", "holds",
@@ -328,11 +329,7 @@ def _report_rows(reports, order):
         rows.append({
             "bound_id": bid,
             "verdict": r.verdict,
-            "checked": r.counts["checked"],
-            "skipped": r.counts["skipped"],
-            "holds": r.counts["holds"],
-            "equality": r.counts["equality"],
-            "violated": r.counts["violated"],
+            **r.counts,
             "min_margin": r.min_margin["value"] if r.min_margin else None,
             "equality_witnesses": ";".join(r.equality_witnesses),
             "violation_witnesses": ";".join(r.violation_witnesses),
@@ -370,34 +367,11 @@ def _emit_reports(reports, order, population, tol, fmt, out_dir):
             raise IOError(f"cannot write reports to {out}: {exc}") from None
 
 
-def _run_audit(args):
-    tol = _resolve(args.tol, "TOL", DEFAULT_TOL, float)
-    if not 0 < tol < 1:  # also false for nan
-        raise UsageError(f"tolerance must be finite with 0 < tol < 1, got {tol!r}")
-    if args.min_degree is not None and args.min_degree < 0:
-        raise UsageError(f"--min-degree must be >= 0, got {args.min_degree}")
-    graphs, population = _population(args)
-    bounds = _select_bounds(args.bounds)
-    reports = audit_all(bounds, graphs, tol=tol, population=population)
-    order = [b.bound_id for b in bounds]
-    return reports, order, population, tol
-
-
-def cmd_audit(args) -> int:
-    fmt = _format(args)
-    reports, order, population, tol = _run_audit(args)
-    out_dir = _resolve(args.out, "OUT", None)
-    _emit_reports(reports, order, population, tol, fmt, out_dir)
-    return EXIT_OK
-
-
 def _expected_verdicts(args) -> dict[str, str]:
     if args.expected is not None:
         path = Path(args.expected)
         try:
-            doc = json.loads(path.read_text())
-        except (OSError, UnicodeDecodeError) as exc:
-            raise IOError(f"cannot read {path}: {exc}") from None
+            doc = json.loads(_read(Path.read_text, path))
         except json.JSONDecodeError as exc:
             raise IOError(f"bad expectation file {path}: {exc}") from None
         verdicts = doc.get("verdicts") if isinstance(doc, dict) else None
@@ -416,12 +390,26 @@ def _expected_verdicts(args) -> dict[str, str]:
     return dict(json.loads(ref.read_text())["verdicts"])
 
 
-def cmd_verify(args) -> int:
+def cmd_audit(args) -> int:
+    """Run ``audit``, or ``verify``, which also compares the verdicts with
+    its expectations (read before the audit, so a bad file fails fast)."""
     fmt = _format(args)
-    expected = _expected_verdicts(args)
-    reports, order, population, tol = _run_audit(args)
+    expected = _expected_verdicts(args) if args.command == "verify" else None
+    tol = _resolve(args.tol, "TOL", DEFAULT_TOL, float)
+    if not 0 < tol < 1:  # also false for nan
+        raise UsageError(f"tolerance must be finite with 0 < tol < 1, got {tol!r}")
+    if args.min_degree is not None and args.min_degree < 0:
+        raise UsageError(f"--min-degree must be >= 0, got {args.min_degree}")
     out_dir = _resolve(args.out, "OUT", None)
+    if out_dir == "":  # Path("") is the current directory
+        raise UsageError(f"--out and {ENV_PREFIX}OUT must name a directory, got ''")
+    graphs, population = _population(args)
+    bounds = _select_bounds(args.bounds)
+    reports = audit_all(bounds, graphs, tol=tol, population=population)
+    order = [b.bound_id for b in bounds]
     _emit_reports(reports, order, population, tol, fmt, out_dir)
+    if expected is None:
+        return EXIT_OK
     mismatches = []
     for bid in order:
         want = expected.get(bid)
@@ -481,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expected", metavar="PATH",
                    help="expectation file (defaults to the packaged verdicts "
                         "for plain --enumerate populations)")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("families", help="closed-form index table for named families")
     p.add_argument("--max-n", type=int, default=20, metavar="N")

@@ -157,6 +157,26 @@ def test_compute_file_is_read_once(capsys, tmp_path, monkeypatch):
     assert reads == [path]
 
 
+# No header here lies between 10**7 and 10**11: without the cap, Graph(n, edges)
+# would allocate gigabytes for it before reading an edge.
+@pytest.mark.parametrize("header, code, err", [
+    ("201", EXIT_IO, "error: edge list: vertex count must be at most 200, got 201\n"),
+    (str(10**12), EXIT_IO,
+     "error: edge list: vertex count must be at most 200, got 1000000000000\n"),
+    ("1" * 5000, EXIT_IO, "error: edge list, line 1: expected vertex count, got '1111"),
+    ("200", EXIT_OK, ""),
+], ids=["201", "10**12", "5000-digits", "200"])
+def test_compute_edge_list_vertex_count_is_capped(capsys, tmp_path, header, code, err):
+    path = tmp_path / "big.edges"
+    path.write_text(f"{header}\n0 1\n")
+    got_code, out, got_err = run(capsys, "compute", "--file", str(path), "--format", "json")
+    assert (got_code, got_err[:len(err)]) == (code, err)
+    if code == EXIT_OK:
+        assert json.loads(out)["rows"][0]["n"] == FAMILY_MAX == 200
+    else:
+        assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # families
 
@@ -242,6 +262,54 @@ def test_audit_reports_files(capsys, tmp_path):
     assert (out_dir / "T6L.json").is_file()
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["verdicts"]["T7-(21)U"] == "violated"
+
+
+def test_audit_and_verify_give_identical_reports(capsys, tmp_path):
+    runs = {}
+    for command in ("audit", "verify"):
+        out_dir = tmp_path / command
+        code, out, err = run(capsys, command, "--enumerate", "6", "--out", str(out_dir))
+        assert code == EXIT_OK, err
+        runs[command] = out, {p.name: p.read_bytes() for p in out_dir.iterdir()}, err
+    assert runs["audit"][:2] == runs["verify"][:2]
+    assert len(runs["audit"][1]) == 56  # 55 reports and summary.json
+    assert runs["audit"][2] == ""
+    assert runs["verify"][2] == "verify: 55 bounds match pinned verdicts on enumerate(n=6)\n"
+
+
+@pytest.mark.parametrize("argv, env", [(["--out", ""], {}), ([], {"DEGBOUND_OUT": ""})],
+                         ids=["flag", "variable"])
+def test_empty_out_is_usage_error(capsys, monkeypatch, tmp_path, argv, env):
+    """An empty directory name would mean the current directory."""
+    monkeypatch.chdir(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, "audit", "--enumerate", "4", "--bounds", "T1L", *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: --out and DEGBOUND_OUT must name a directory, got ''\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_file_and_enumerated_populations_share_one_filter(capsys, tmp_path):
+    from degbound.enumeration import connected_graphs
+
+    graphs = connected_graphs(6)
+    assert len(graphs) == 112
+    pop = tmp_path / "n6.g6"
+    pop.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+    docs = []
+    for source in (["--file", str(pop)], ["--enumerate", "6"]):
+        code, out, err = run(capsys, "audit", *source, "--min-degree", "2", "--molecular",
+                             "--format", "json")
+        assert code == EXIT_OK, err
+        docs.append(json.loads(out))
+    assert [d.pop("population") for d in docs] == [
+        "file(n6.g6)", "enumerate(n=6, delta_min=2, molecular)"]
+    for doc in docs:
+        for report in doc["reports"]:
+            report.pop("population")
+    assert docs[0] == docs[1]
+    assert docs[0]["reports"][0]["counts"]["checked"] > 0
 
 
 def test_verify_matches_pinned_expectations(capsys):

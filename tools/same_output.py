@@ -13,6 +13,8 @@ written under ``--out``.  The file populations are the seed-0
 to a temporary directory by ``perfbench/population.py`` and shared by both
 sides, plus two fixed ``compute --file`` inputs written there too: a graph6
 file of mixed graphs (see ``MIXED``) and the Petersen graph as an edge list.
+Two audits filtered by ``--min-degree 2 --molecular``, one enumerated and one
+over ``audit-distinct``, guard the population filter both sources share.
 Every ``DEGBOUND_*`` variable is removed from the environment.
 
 Exits 0 when every command agrees, 1 after naming the first command and
@@ -63,6 +65,9 @@ def commands(populations: Path) -> list[list[str]]:
         expected = PERFBENCH / "expected" / f"audit-{kind}.json"
         cmds += [["verify", "--file", str(path), "--expected", str(expected)],
                  ["audit", "--file", str(path), "--format", "json", "--out", OUT]]
+    cmds += [["audit", "--enumerate", "6", "--min-degree", "2", "--molecular", "--format", "json"],
+             ["audit", "--file", str(populations / "audit-distinct.g6"), "--min-degree", "2",
+              "--molecular", "--format", "csv"]]
     cmds += [["families", "--max-n", "200", "--format", "csv"],
              ["proofs", "--n", "62", "--format", "json"]]
     mixed, petersen = populations / "mixed.g6", populations / "petersen.edges"
