@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from .graphs import (
+    G6_MAX,
     Graph,
     SizeLimitError,
     chromatic_number,
@@ -177,18 +178,15 @@ class BoundCheck(NamedTuple):
     to build, and equal to any tuple of the same six values."""
 
     bound_id: str
-    graph6: str
+    graph6: str | None
     lhs_value: float | None
     rhs_side_value: float | None
     margin: float | None
     verdict: str
 
 
-def _chi(g: Graph, connected: bool) -> int | None:
-    """The chromatic number where a bound can read it: None for a
-    disconnected graph, which no bound evaluates, and above CHROMATIC_CAP."""
-    if not connected:
-        return None
+def _chi(g: Graph) -> int | None:
+    """The chromatic number, or None above CHROMATIC_CAP."""
     try:
         return chromatic_number(g)
     except SizeLimitError:
@@ -204,11 +202,12 @@ _SIDES = (*ALL_INDICES, CHI)
 
 class GraphContext:
     """Everything a bound reads on the graphs of one audit key, computed once
-    per key.  ``values`` holds the seven indices in ALL_INDICES order, then
-    chi as a float, so a bound reads each side by position; a side that is
-    None is domain-skipped.  ``member`` decides each family and exclusion
-    once per key.  ``connected``, ``chi`` and the edge-degree partition
-    ``part`` are computed unless passed in.
+    per key, and the per-graph record ``compute`` prints.  ``values`` holds
+    the seven indices in ALL_INDICES order, then chi as a float, so a bound
+    reads each side by position; a side that is None is domain-skipped.
+    ``graph6`` is None above the short form's G6_MAX.  ``member`` decides
+    each family and exclusion once per key.  ``connected``, ``chi`` and the
+    edge-degree partition ``part`` are computed unless passed in.
     """
 
     __slots__ = ("graph", "graph6", "n", "delta", "Delta", "connected", "chi",
@@ -217,12 +216,12 @@ class GraphContext:
     def __init__(self, g: Graph, chi=_UNSET, connected: bool | None = None,
                  part: dict[tuple[int, int], int] | None = None):
         self.graph = g
-        self.graph6 = to_graph6(g)
+        self.graph6 = to_graph6(g) if g.n <= G6_MAX else None
         self.n = g.n
         self.delta = min_degree(g)
         self.Delta = max_degree(g)
         self.connected = is_connected(g) if connected is None else connected
-        self.chi = _chi(g, self.connected) if chi is _UNSET else chi
+        self.chi = _chi(g) if chi is _UNSET else chi
         self.values = (*all_indices(g, part).values(),
                        None if self.chi is None else float(self.chi))
         self._members: dict[Callable[[Graph], bool], bool] = {}
@@ -336,13 +335,13 @@ def _key_groups(graphs) -> list[tuple[GraphContext, list[str]]]:
     groups: dict[tuple, tuple[GraphContext, list[str]]] = {}
     for g in graphs:
         connected = is_connected(g)
-        chi = _chi(g, connected)
+        chi = _chi(g)
         part = edge_degree_partition(g)
         key = (g.n, connected, frozenset(part.items()), chi)
         group = groups.get(key)
         if group is None:
             ctx = GraphContext(g, chi, connected, part)
-            groups[key] = (ctx, [ctx.graph6])
+            groups[key] = (ctx, [ctx.graph6 or to_graph6(g)])  # raises above G6_MAX
         else:
             group[1].append(to_graph6(g))
     for _, g6s in groups.values():

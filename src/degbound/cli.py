@@ -17,9 +17,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .bounds import DEFAULT_TOL, audit_all, builtin_catalog
+from .bounds import DEFAULT_TOL, GraphContext, audit_all, builtin_catalog
 from .enumeration import (
-    DEFAULT_ORDER_CAP,
     EnumerationSpec,
     MAX_ORDER,
     enumerate_connected,
@@ -30,15 +29,10 @@ from .formulas import FAMILY_FORMULAS
 from .graphs import (
     Graph,
     GraphError,
-    SizeLimitError,
-    chromatic_number,
     is_regular,
     make_family,
-    max_degree,
-    min_degree,
     parse_edge_list,
     parse_graph6,
-    to_graph6,
 )
 from .indices import ALL_INDICES, all_indices
 from .ratios import proofs_report
@@ -53,6 +47,8 @@ ENV_PREFIX = "DEGBOUND_"
 # Largest --family parameter, --max-n and edge-list order: construction is
 # quadratic in the order, so K_200 is the largest graph any command builds.
 FAMILY_MAX = 200
+# Largest --enumerate order that runs without --allow-n8 (order 8 takes 9-15 s).
+DEFAULT_ORDER_CAP = 7
 FORMATS = ("table", "json", "csv")
 
 
@@ -147,23 +143,10 @@ def _sniff_file_graphs(path: Path) -> list[Graph]:
 def _compute_rows(graphs):
     rows = []
     for g in graphs:
-        vals = all_indices(g)
-        try:
-            chi = chromatic_number(g)
-        except SizeLimitError:
-            chi = None
-        row = {
-            "graph6": to_graph6(g) if g.n <= 62 else None,
-            "n": g.n,
-            "m": g.m,
-            "delta": min_degree(g),
-            "Delta": max_degree(g),
-            "regular": is_regular(g),
-            "chi": chi,
-        }
-        for idx in ALL_INDICES:
-            row[str(idx)] = vals[idx]
-        rows.append(row)
+        ctx = GraphContext(g)
+        rows.append({"graph6": ctx.graph6, "n": g.n, "m": g.m, "delta": ctx.delta,
+                     "Delta": ctx.Delta, "regular": is_regular(g), "chi": ctx.chi,
+                     **dict(zip(map(str, ALL_INDICES), ctx.values))})
     return rows
 
 
@@ -311,7 +294,7 @@ def _population(args):
                          f"{DEFAULT_ORDER_CAP} and takes 9-15 seconds; "
                          "pass --allow-n8 to run it")
     try:
-        graphs = enumerate_connected(spec, allow_big=args.allow_n8)
+        graphs = enumerate_connected(spec)
     except GraphError as exc:  # the order is below 2 or above the cap
         raise UsageError(str(exc)) from None
     return graphs, spec.describe()

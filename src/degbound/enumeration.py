@@ -19,7 +19,8 @@ class representative then gets the lex-min canonical form (the
 lexicographically minimal graph6 encoding over all vertex relabelings).
 
 On a 2-vCPU host, orders 2..7 together take 0.4-0.6 s.  Order 8 takes
-9-15 s and is gated behind an explicit opt-in.
+9-15 s; the library runs any order up to MAX_ORDER, and the CLI's
+``--allow-n8`` is the one opt-in for order 8.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .graphs import (
     to_graph6,
 )
 
-DEFAULT_ORDER_CAP = 7
 MAX_ORDER = 8
 CANONICAL_CAP = 10
 
@@ -216,7 +216,7 @@ def _classes(n: int) -> tuple[Graph, ...]:
     return tuple(sorted(graphs, key=to_graph6))
 
 
-def enumerate_connected(spec: EnumerationSpec, allow_big: bool = False) -> list[Graph]:
+def enumerate_connected(spec: EnumerationSpec) -> list[Graph]:
     """One canonically labeled representative per isomorphism class of
     connected graphs of order ``spec.n`` passing the filters, sorted by
     canonical graph6 string."""
@@ -224,20 +224,15 @@ def enumerate_connected(spec: EnumerationSpec, allow_big: bool = False) -> list[
         raise GraphError(f"enumeration needs n >= 2, got {spec.n}")
     if spec.n > MAX_ORDER:
         raise SizeLimitError(f"enumeration capped at n <= {MAX_ORDER}, got {spec.n}")
-    if spec.n > DEFAULT_ORDER_CAP and not allow_big:
-        raise SizeLimitError(
-            f"order {spec.n} is above the default cap {DEFAULT_ORDER_CAP} and "
-            "takes 9-15 seconds; pass allow_big=True to run it"
-        )
     return [g for g in _classes(spec.n) if spec.admits(g)]
 
 
 def connected_graphs(n: int, delta_min: int | None = None, molecular: bool = False,
-                     regular_only: bool = False, allow_big: bool = False) -> list[Graph]:
+                     regular_only: bool = False) -> list[Graph]:
     """Convenience wrapper over :func:`enumerate_connected`."""
     spec = EnumerationSpec(n, delta_min=delta_min, molecular=molecular,
                            regular_only=regular_only)
-    return enumerate_connected(spec, allow_big=allow_big)
+    return enumerate_connected(spec)
 
 
 def read_population(path: str | Path) -> list[Graph]:

@@ -336,7 +336,7 @@ def chromatic_number(g: Graph, cap: int = CHROMATIC_CAP) -> int:
 # ---------------------------------------------------------------------------
 # graph6 codec (short form, n <= 62) and edge-list text format
 
-_G6_MAX = 62
+G6_MAX = 62  # largest order the short form encodes
 _G6_CHUNKS = [format(chunk, "06b") for chunk in range(64)]
 
 
@@ -344,8 +344,8 @@ def to_graph6(g: Graph) -> str:
     """Encode as a graph6 string: 6-bit chunks of the upper-triangle
     adjacency bits in column order, each chunk offset by 63."""
     n = g.n
-    if n > _G6_MAX:
-        raise GraphError(f"graph6 short form encodes n <= {_G6_MAX}, got {n}")
+    if n > G6_MAX:
+        raise GraphError(f"graph6 short form encodes n <= {G6_MAX}, got {n}")
     bits = []
     for v in range(1, n):
         col = g.adj[v]

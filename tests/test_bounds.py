@@ -37,6 +37,7 @@ from degbound.bounds import (
 )
 from degbound.graphs import (
     Graph,
+    GraphError,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -325,6 +326,19 @@ def test_audit_c9_26_not_sharp_with_cycle_margin(population_2_7):
         chk = evaluate_bound(catalog_by_id()["C9-(26)"], g)
         assert chk.lhs_value == pytest.approx(8 * n, rel=1e-12)
         assert chk.rhs_side_value == pytest.approx(2 * n, rel=1e-12)
+
+
+def test_evaluate_bound_above_graph6_order_is_a_verdict():
+    """A graph too large for graph6 is still evaluated; its label is None."""
+    chk = evaluate_bound(catalog_by_id()["T1U"], complete_graph(100))
+    assert chk.verdict == EQUALITY
+    assert chk.graph6 is None
+
+
+def test_audit_above_graph6_order_is_an_error():
+    """The audit lists witnesses by graph6 string, so it cannot label such a graph."""
+    with pytest.raises(GraphError, match="graph6 short form encodes n <= 62"):
+        audit(catalog_by_id()["T1U"], [cycle_graph(70)])
 
 
 def test_audit_vacuous_when_no_graph_qualifies():

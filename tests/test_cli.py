@@ -20,7 +20,7 @@ from degbound.cli import (
     FAMILY_MAX,
     main,
 )
-from degbound.graphs import double_star, to_graph6
+from degbound.graphs import Graph, double_star, to_graph6
 
 
 def run(capsys, *argv):
@@ -155,6 +155,25 @@ def test_compute_file_is_read_once(capsys, tmp_path, monkeypatch):
     assert code == EXIT_OK
     assert len(json.loads(out)["rows"]) == 1
     assert reads == [path]
+
+
+WHEEL_13 = Graph(13, [(0, v) for v in range(1, 13)] + [(v, v % 12 + 1) for v in range(1, 13)])
+
+
+@pytest.mark.parametrize("source, want", [
+    (["--g6", to_graph6(Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]))],
+     {"n": 6, "m": 6, "chi": 3, "delta": 2, "Delta": 2}),
+    (["--g6", to_graph6(Graph(3, [(0, 1)]))], {"n": 3, "m": 1, "chi": 2, "delta": 0}),
+    (["--g6", to_graph6(WHEEL_13)], {"n": 13, "chi": None, "delta": 3, "Delta": 12}),
+    (["--family", "cycle:100"], {"graph6": None, "n": 100, "chi": None, "GA": 100.0}),
+], ids=["two-triangles", "K2+K1", "wheel-13", "cycle-100"])
+def test_compute_record(capsys, source, want):
+    """chi is computed for every graph up to the chromatic cap, connected or
+    not, and graph6 is null above order 62."""
+    code, out, _ = run(capsys, "compute", *source, "--format", "json")
+    assert code == EXIT_OK
+    row = json.loads(out)["rows"][0]
+    assert {key: row[key] for key in want} == want
 
 
 # No header here lies between 10**7 and 10**11: without the cap, Graph(n, edges)
@@ -445,6 +464,17 @@ def test_order_8_without_opt_in_names_the_flag(capsys):
     assert (code, out) == (EXIT_USAGE, "")
     assert err == ("error: order 8 is above the default cap 7 and takes 9-15 seconds; "
                    "pass --allow-n8 to run it\n")
+
+
+def test_order_8_with_opt_in_runs(capsys):
+    code, out, err = run(capsys, "audit", "--enumerate", "8", "--allow-n8",
+                         "--bounds", "T6L", "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert doc["population"] == "enumerate(n=8)"
+    (report,) = doc["reports"]
+    assert report["counts"]["checked"] == 11117
+    assert report["verdict"] == "holds_not_sharp_in_population"
 
 
 def test_population_file_trailing_comment(capsys, tmp_path):

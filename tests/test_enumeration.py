@@ -182,7 +182,7 @@ def test_order_7_representatives_match_pinned_digest():
 
 def test_order_8_count_matches_oeis():
     # OEIS A001349: connected graphs on 8 unlabeled vertices.
-    graphs = connected_graphs(8, allow_big=True)
+    graphs = connected_graphs(8)
     assert len(graphs) == 11117
     assert _digest(graphs) == REPRESENTATIVE_DIGESTS[8]
 
@@ -249,9 +249,7 @@ def test_order_caps():
     with pytest.raises(GraphError):
         enumerate_connected(EnumerationSpec(1))
     with pytest.raises(SizeLimitError):
-        enumerate_connected(EnumerationSpec(8))  # needs allow_big
-    with pytest.raises(SizeLimitError):
-        enumerate_connected(EnumerationSpec(9), allow_big=True)
+        enumerate_connected(EnumerationSpec(9))
 
 
 # ---------------------------------------------------------------------------

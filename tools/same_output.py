@@ -15,6 +15,9 @@ sides, plus two fixed ``compute --file`` inputs written there too: a graph6
 file of mixed graphs (see ``MIXED``) and the Petersen graph as an edge list.
 Two audits filtered by ``--min-degree 2 --molecular``, one enumerated and one
 over ``audit-distinct``, guard the population filter both sources share.
+``audit --enumerate 8`` without ``--allow-n8`` and ``--enumerate 9`` with it
+guard the order gate's two usage errors, and an audit of the mixed file
+guards chi on disconnected graphs.
 Every ``DEGBOUND_*`` variable is removed from the environment.
 
 Exits 0 when every command agrees, 1 after naming the first command and
@@ -76,7 +79,10 @@ def commands(populations: Path) -> list[list[str]]:
     cmds += [["compute", "--family", "complete:200", "--format", "json"],
              ["compute", "--file", str(mixed), "--format", "json"],
              ["compute", "--file", str(mixed), "--format", "csv"],
-             ["compute", "--file", str(petersen), "--format", "json"]]
+             ["compute", "--file", str(petersen), "--format", "json"],
+             ["audit", "--enumerate", "8"],
+             ["audit", "--enumerate", "9", "--allow-n8"],
+             ["audit", "--file", str(mixed), "--format", "json"]]
     return cmds
 
 
