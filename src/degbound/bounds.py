@@ -71,21 +71,13 @@ class Coeff:
     Catalog formulas write square roots and half-integer powers as float
     ``** 0.5`` and ``** p`` (not ``math.sqrt``), so their values equal, bit
     for bit, the values the packaged verdict fixtures were computed from.
-    ``ev`` computes ``float(fn(x))`` once per argument and keeps it in the
-    coefficient's own memo.
     """
 
     var: str
     fn: Callable[[int], float]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ev(self, n: int, delta: int) -> float:
-        x = delta if self.var == "delta" else n
-        try:
-            return self._memo[x]
-        except KeyError:
-            value = self._memo[x] = float(self.fn(x))
-            return value
+        return float(self.fn(delta if self.var == "delta" else n))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +347,7 @@ def _aggregate(b: BoundSpec, groups, tol: float, population: str) -> SharpnessRe
     Witness lists are sorted, and the minimum-margin witness is the smallest
     graph6 at the smallest margin, so the report does not depend on the
     population order."""
-    checked = holds = equal = violated = skipped = 0
+    holds = equal = violated = skipped = 0
     equality_w: list[str] = []
     violation_w: list[str] = []
     eq_not_family: list[str] = []
@@ -368,7 +360,6 @@ def _aggregate(b: BoundSpec, groups, tol: float, population: str) -> SharpnessRe
         if chk.verdict in (PRECONDITION_SKIPPED, DOMAIN_SKIPPED):
             skipped += weight
             continue
-        checked += weight
         in_family = family is not None and ctx.member(family)
         if chk.verdict == EQUALITY:
             equal += weight
@@ -387,6 +378,7 @@ def _aggregate(b: BoundSpec, groups, tol: float, population: str) -> SharpnessRe
                     key = (chk.margin, g6s[0])
                     if min_margin is None or key < min_margin:
                         min_margin = key
+    checked = holds + equal + violated
     if violated:
         verdict = VIOLATED
     elif checked == 0:

@@ -21,6 +21,7 @@ from .bounds import DEFAULT_TOL, GraphContext, audit_all, builtin_catalog
 from .enumeration import (
     EnumerationSpec,
     MAX_ORDER,
+    check_order,
     enumerate_connected,
     parse_population,
     read_population,
@@ -29,6 +30,7 @@ from .formulas import FAMILY_FORMULAS
 from .graphs import (
     Graph,
     GraphError,
+    content_lines,
     is_regular,
     make_family,
     parse_edge_list,
@@ -91,25 +93,31 @@ def _fmt_cell(value):
     return str(value)
 
 
-def _render_rows(rows, columns, fmt, stream):
+def _json(doc, stream, sort_keys=False) -> None:
+    """Stream ``doc`` to ``stream`` as indented json and a newline."""
+    json.dump(doc, stream, indent=2, sort_keys=sort_keys)
+    stream.write("\n")
+
+
+def _render_rows(rows, fmt, stream):
+    """Write ``rows`` (at least one) as json, csv or a table; the first
+    row's keys, in order, are the columns."""
     if fmt == "json":
-        json.dump({"rows": rows}, stream, indent=2)
-        stream.write("\n")
-    elif fmt == "csv":
+        _json({"rows": rows}, stream)
+        return
+    columns = list(rows[0])
+    if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow(["" if row.get(c) is None else row.get(c) for c in columns])
+            writer.writerow(["" if row[c] is None else row[c] for c in columns])
     else:
-        widths = [
-            max(len(c), max((len(_fmt_cell(r.get(c))) for r in rows), default=0))
-            for c in columns
-        ]
+        widths = [max(len(c), *(len(_fmt_cell(r[c])) for r in rows)) for c in columns]
         header = "  ".join(c.ljust(w) for c, w in zip(columns, widths))
         stream.write(header.rstrip() + "\n")
         stream.write("  ".join("-" * w for w in widths).rstrip() + "\n")
         for row in rows:
-            cells = [_fmt_cell(row.get(c)).ljust(w) for c, w in zip(columns, widths)]
+            cells = [_fmt_cell(row[c]).ljust(w) for c, w in zip(columns, widths)]
             stream.write("  ".join(cells).rstrip() + "\n")
 
 
@@ -127,8 +135,7 @@ def _read(read, path: Path):
 
 def _sniff_file_graphs(path: Path) -> list[Graph]:
     text = _read(Path.read_text, path)
-    body = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    body = [ln for ln in body if ln]
+    body = [line for _, line in content_lines(text)]
     if body and body[0].isdigit() and (len(body) == 1 or " " in body[1] or "\t" in body[1]):
         try:
             n = int(body[0])
@@ -148,10 +155,6 @@ def _compute_rows(graphs):
                      "Delta": ctx.Delta, "regular": is_regular(g), "chi": ctx.chi,
                      **dict(zip(map(str, ALL_INDICES), ctx.values))})
     return rows
-
-
-COMPUTE_COLUMNS = ["graph6", "n", "m", "delta", "Delta", "regular", "chi",
-                   "R", "H", "ABC", "X", "GA", "AZI", "M2*"]
 
 
 def cmd_compute(args) -> int:
@@ -176,7 +179,7 @@ def cmd_compute(args) -> int:
             graphs = [make_family(tag, size)]
         except GraphError as exc:  # an unknown family or a bad parameter
             raise UsageError(str(exc)) from None
-    _render_rows(_compute_rows(graphs), COMPUTE_COLUMNS, fmt, sys.stdout)
+    _render_rows(_compute_rows(graphs), fmt, sys.stdout)
     return EXIT_OK
 
 
@@ -221,14 +224,10 @@ def families_rows(max_n: int) -> list[dict]:
     return rows
 
 
-FAMILY_COLUMNS = ["family", "param", "n", "m", "R", "H", "ABC", "X", "GA",
-                  "AZI", "M2*", "max_rel_dev", "agrees"]
-
-
 def cmd_families(args) -> int:
     fmt = _format(args)
     rows = families_rows(args.max_n)
-    _render_rows(rows, FAMILY_COLUMNS, fmt, sys.stdout)
+    _render_rows(rows, fmt, sys.stdout)
     if not all(r["agrees"] for r in rows):
         print("closed forms disagree with graph evaluation", file=sys.stderr)
         return EXIT_MISMATCH
@@ -243,14 +242,13 @@ def cmd_proofs(args) -> int:
     fmt = _format(args)
     claims = proofs_report(args.n)
     if fmt == "json":
-        json.dump({"n": args.n, "claims": claims}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _json({"n": args.n, "claims": claims}, sys.stdout)
     else:
         rows = [
             {"verdict": c["verdict"], "claim": c["claim"], "observed": c["observed"]}
             for c in claims
         ]
-        _render_rows(rows, ["verdict", "claim", "observed"], fmt, sys.stdout)
+        _render_rows(rows, fmt, sys.stdout)
     return EXIT_OK
 
 
@@ -289,20 +287,20 @@ def _population(args):
     if args.file is not None:
         path = Path(args.file)
         return list(filter(spec.admits, _read(read_population, path))), f"file({path.name})"
-    if DEFAULT_ORDER_CAP < args.enumerate <= MAX_ORDER and not args.allow_n8:
+    _check_order(args.enumerate)
+    if args.enumerate > DEFAULT_ORDER_CAP and not args.allow_n8:
         raise UsageError(f"order {args.enumerate} is above the default cap "
                          f"{DEFAULT_ORDER_CAP} and takes 9-15 seconds; "
                          "pass --allow-n8 to run it")
+    return enumerate_connected(spec), spec.describe()
+
+
+def _check_order(n: int) -> None:
+    """Refuse an order the enumeration never runs: below 2 or above MAX_ORDER."""
     try:
-        graphs = enumerate_connected(spec)
-    except GraphError as exc:  # the order is below 2 or above the cap
+        check_order(n)
+    except GraphError as exc:
         raise UsageError(str(exc)) from None
-    return graphs, spec.describe()
-
-
-REPORT_COLUMNS = ["bound_id", "verdict", "checked", "skipped", "holds",
-                  "equality", "violated", "min_margin", "equality_witnesses",
-                  "violation_witnesses"]
 
 
 def _report_rows(reports, order):
@@ -327,25 +325,22 @@ def _emit_reports(reports, order, population, tol, fmt, out_dir):
             "tolerance": tol,
             "reports": [reports[bid].to_dict() for bid in order],
         }
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _json(doc, sys.stdout)
     else:
-        _render_rows(_report_rows(reports, order), REPORT_COLUMNS, fmt, sys.stdout)
+        _render_rows(_report_rows(reports, order), fmt, sys.stdout)
     if out_dir is not None:
         out = Path(out_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)
             for bid in order:
-                path = out / f"{bid}.json"
-                path.write_text(json.dumps(reports[bid].to_dict(), indent=2) + "\n")
-            summary = out / "summary.json"
-            summary.write_text(json.dumps(
-                {
+                with (out / f"{bid}.json").open("w") as f:
+                    _json(reports[bid].to_dict(), f)
+            with (out / "summary.json").open("w") as f:
+                _json({
                     "population": population,
                     "tolerance": tol,
                     "verdicts": {bid: reports[bid].verdict for bid in order},
-                },
-                indent=2, sort_keys=True) + "\n")
+                }, f, sort_keys=True)
         except OSError as exc:
             raise IOError(f"cannot write reports to {out}: {exc}") from None
 
@@ -368,6 +363,7 @@ def _expected_verdicts(args) -> dict[str, str]:
     name = f"expected_enumerate_n{args.enumerate}.json"
     ref = resources.files("degbound").joinpath("data", name)
     if not ref.is_file():
+        _check_order(args.enumerate)  # no expectation file helps such an order
         raise UsageError(f"no pinned expectations for --enumerate {args.enumerate}; "
                          "pass --expected PATH")
     return dict(json.loads(ref.read_text())["verdicts"])

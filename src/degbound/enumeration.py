@@ -37,6 +37,7 @@ from .graphs import (
     GraphError,
     SizeLimitError,
     connected_within,
+    content_lines,
     is_molecular,
     is_regular,
     min_degree,
@@ -216,14 +217,19 @@ def _classes(n: int) -> tuple[Graph, ...]:
     return tuple(sorted(graphs, key=to_graph6))
 
 
+def check_order(n: int) -> None:
+    """Raise ``GraphError`` unless 2 <= n <= MAX_ORDER."""
+    if n < 2:
+        raise GraphError(f"enumeration needs n >= 2, got {n}")
+    if n > MAX_ORDER:
+        raise SizeLimitError(f"enumeration capped at n <= {MAX_ORDER}, got {n}")
+
+
 def enumerate_connected(spec: EnumerationSpec) -> list[Graph]:
     """One canonically labeled representative per isomorphism class of
     connected graphs of order ``spec.n`` passing the filters, sorted by
     canonical graph6 string."""
-    if spec.n < 2:
-        raise GraphError(f"enumeration needs n >= 2, got {spec.n}")
-    if spec.n > MAX_ORDER:
-        raise SizeLimitError(f"enumeration capped at n <= {MAX_ORDER}, got {spec.n}")
+    check_order(spec.n)
     return [g for g in _classes(spec.n) if spec.admits(g)]
 
 
@@ -246,10 +252,7 @@ def parse_population(text: str, path: str | Path) -> list[Graph]:
     graph6 never contains ``#``.  A file with no graph line is an error, and
     every error names ``path``."""
     graphs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         try:
             graphs.append(parse_graph6(line))
         except GraphError as exc:

@@ -399,14 +399,21 @@ def parse_graph6(s: str) -> Graph:
     return Graph._from_adj(n, adj)
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format: first line ``n``, then one
-    whitespace-separated 0-based ``u v`` pair per line."""
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """``(line number from 1, text)`` of each line of ``text`` left nonempty
+    once its ``#`` comment and surrounding blanks are stripped."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             lines.append((lineno, stripped))
+    return lines
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse the plain edge-list format: first line ``n``, then one
+    whitespace-separated 0-based ``u v`` pair per line."""
+    lines = content_lines(text)
     if not lines:
         raise GraphError("edge list: no content")
     lineno, head = lines[0]

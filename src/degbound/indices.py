@@ -26,15 +26,7 @@ class IndexId(enum.Enum):
         return self.value
 
 
-ALL_INDICES = (
-    IndexId.R,
-    IndexId.H,
-    IndexId.ABC,
-    IndexId.X,
-    IndexId.GA,
-    IndexId.AZI,
-    IndexId.M2STAR,
-)
+ALL_INDICES = tuple(IndexId)
 
 
 class UndefinedIndexError(ValueError):

@@ -140,6 +140,19 @@ def test_compute_file_error_names_the_line(capsys, tmp_path):
     assert f"{path}, line 2" in err
 
 
+@pytest.mark.parametrize("name, text, err", [
+    ("path.edges", "# a path\n\n3  # order\n0 1\n0 1 2  # one too many\n",
+     "error: edge list, line 5: expected 'u v', got '0 1 2'\n"),
+    ("pop.g6", "# a population\n\nBw  # K_3\nBAD~LINE  # bad\n",
+     "error: {path}, line 4: graph6: expected 2 characters for n=3, got 8\n"),
+], ids=["edge-list", "graph6"])
+def test_compute_file_error_names_the_true_line(capsys, tmp_path, name, text, err):
+    """Comment and blank lines count toward the reported line number."""
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(capsys, "compute", "--file", str(path)) == (EXIT_IO, "", err.format(path=path))
+
+
 def test_compute_file_is_read_once(capsys, tmp_path, monkeypatch):
     path = tmp_path / "k3.g6"
     path.write_text("Bw\n")
@@ -459,6 +472,19 @@ def test_enumeration_order_out_of_range_is_usage_error(capsys, order):
     assert err.startswith("error: enumeration") or err.startswith("error: order")
 
 
+@pytest.mark.parametrize("order", ["1", "9"])
+def test_verify_reports_the_audit_order_error(capsys, order):
+    """No expectation file can help an order the enumeration refuses."""
+    audit = run(capsys, "audit", "--enumerate", order)
+    assert audit[0] == EXIT_USAGE and audit[2].startswith("error: enumeration")
+    assert run(capsys, "verify", "--enumerate", order) == audit
+
+
+def test_verify_order_8_without_pins_asks_for_expectations(capsys):
+    assert run(capsys, "verify", "--enumerate", "8") == (
+        EXIT_USAGE, "", "error: no pinned expectations for --enumerate 8; pass --expected PATH\n")
+
+
 def test_order_8_without_opt_in_names_the_flag(capsys):
     code, out, err = run(capsys, "audit", "--enumerate", "8")
     assert (code, out) == (EXIT_USAGE, "")
@@ -612,6 +638,22 @@ def test_csv_json_payload_parity(capsys):
     _, out_json, _ = run(capsys, "audit", "--enumerate", "5", "--format", "json")
     _, out_csv, _ = run(capsys, "audit", "--enumerate", "5", "--format", "csv")
     assert _summary_payload_from_json(out_json) == _summary_payload_from_csv(out_csv)
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["compute", "--g6", "Bw"], "graph6,n,m,delta,Delta,regular,chi,R,H,ABC,X,GA,AZI,M2*"),
+    (["families", "--max-n", "3"],
+     "family,param,n,m,R,H,ABC,X,GA,AZI,M2*,max_rel_dev,agrees"),
+    (["proofs", "--n", "4"], "verdict,claim,observed"),
+    (["audit", "--enumerate", "3", "--bounds", "T1L"],
+     "bound_id,verdict,checked,skipped,holds,equality,violated,min_margin,"
+     "equality_witnesses,violation_witnesses"),
+], ids=["compute", "families", "proofs", "audit"])
+def test_csv_header_order(capsys, argv, header):
+    """Each row builder fixes its command's column order."""
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == header
 
 
 def test_compute_csv_json_parity(capsys):

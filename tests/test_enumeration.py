@@ -15,6 +15,7 @@ from degbound.enumeration import (
     canonical_graph,
     connected_graphs,
     enumerate_connected,
+    parse_population,
     read_population,
 )
 from degbound.graphs import (
@@ -422,3 +423,10 @@ def test_read_population_bad_line(tmp_path):
     with pytest.raises(GraphError) as err:
         read_population(path)
     assert "line 2" in str(err.value)
+
+
+def test_parse_population_error_names_the_true_line():
+    text = "# a population\n\nBw  # K_3\nBAD~LINE  # bad\n"
+    with pytest.raises(GraphError) as err:
+        parse_population(text, "pop.g6")
+    assert str(err.value) == "pop.g6, line 4: graph6: expected 2 characters for n=3, got 8"

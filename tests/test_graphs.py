@@ -12,6 +12,7 @@ from degbound.graphs import (
     complete_bipartite,
     complete_graph,
     connected_within,
+    content_lines,
     cycle_graph,
     degree_sequence,
     double_star,
@@ -352,17 +353,28 @@ def test_parse_edge_list():
     assert g == complete_graph(3)
 
 
+# A bad fifth line after a whole-line comment, a blank line and a trailing comment.
+COMMENTED_EDGE_LIST = "# a path\n\n3  # order\n0 1\n0 1 2  # one too many\n"
+
+
 def test_parse_edge_list_errors():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^edge list: no content$"):
         parse_edge_list("")
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^edge list, line 1: expected vertex count, got 'x'$"):
         parse_edge_list("x\n0 1\n")
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^edge list, line 2: expected 'u v', got '0 1 2'$"):
         parse_edge_list("3\n0 1 2\n")
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^edge list, line 2: non-integer endpoint in '0 zero'$"):
         parse_edge_list("3\n0 zero\n")
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^edge list: edge \{0,5\} has an endpoint outside 0..1$"):
         parse_edge_list("2\n0 5\n")
+    with pytest.raises(GraphError, match="^edge list, line 5: expected 'u v', got '0 1 2'$"):
+        parse_edge_list(COMMENTED_EDGE_LIST)
+
+
+def test_content_lines_keep_true_line_numbers():
+    assert content_lines(COMMENTED_EDGE_LIST) == [(3, "3"), (4, "0 1"), (5, "0 1 2")]
+    assert content_lines("# only a comment\n\n   \n") == []
 
 
 def test_complete_graph_edge_count():

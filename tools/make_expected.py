@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the packaged pinned-verdict fixtures.
 
-Runs the full catalog audit over each plain enumerated population and freezes
-the resulting verdict per bound.  The fixtures record what the audit
-discovers, which for a handful of entries differs from the published
-equality claims; `degbound verify` compares future runs against these.
+Runs the full catalog audit over each plain enumerated population, of orders
+2 up to the CLI's default order cap, and freezes the resulting verdict per
+bound.  The fixtures record what the audit discovers, which for a handful of
+entries differs from the published equality claims; `degbound verify`
+compares future runs against these.
 """
 
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from degbound.bounds import DEFAULT_TOL, audit_all, builtin_catalog
+from degbound.cli import DEFAULT_ORDER_CAP
 from degbound.enumeration import EnumerationSpec, enumerate_connected
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "degbound" / "data"
@@ -21,7 +23,7 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "degbound" / "data"
 
 def main():
     DATA.mkdir(parents=True, exist_ok=True)
-    for n in range(2, 8):
+    for n in range(2, DEFAULT_ORDER_CAP + 1):
         spec = EnumerationSpec(n)
         graphs = enumerate_connected(spec)
         reports = audit_all(builtin_catalog(), graphs, tol=DEFAULT_TOL,

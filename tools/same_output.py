@@ -17,7 +17,9 @@ Two audits filtered by ``--min-degree 2 --molecular``, one enumerated and one
 over ``audit-distinct``, guard the population filter both sources share.
 ``audit --enumerate 8`` without ``--allow-n8`` and ``--enumerate 9`` with it
 guard the order gate's two usage errors, and an audit of the mixed file
-guards chi on disconnected graphs.
+guards chi on disconnected graphs.  ``families``, ``proofs`` and ``compute``
+each render in two formats or more, so each of the table, csv and json
+renderers sees the rows of several commands.
 Every ``DEGBOUND_*`` variable is removed from the environment.
 
 Exits 0 when every command agrees, 1 after naming the first command and
@@ -72,7 +74,9 @@ def commands(populations: Path) -> list[list[str]]:
              ["audit", "--file", str(populations / "audit-distinct.g6"), "--min-degree", "2",
               "--molecular", "--format", "csv"]]
     cmds += [["families", "--max-n", "200", "--format", "csv"],
-             ["proofs", "--n", "62", "--format", "json"]]
+             ["families", "--max-n", "20"],
+             ["proofs", "--n", "62", "--format", "json"],
+             ["proofs", "--n", "10", "--format", "csv"]]
     mixed, petersen = populations / "mixed.g6", populations / "petersen.edges"
     mixed.write_text("".join(graph6(n, edges) + "\n" for n, edges in MIXED))
     petersen.write_text("10\n" + "".join(f"{u} {v}\n" for u, v in PETERSEN))
@@ -80,6 +84,7 @@ def commands(populations: Path) -> list[list[str]]:
              ["compute", "--file", str(mixed), "--format", "json"],
              ["compute", "--file", str(mixed), "--format", "csv"],
              ["compute", "--file", str(petersen), "--format", "json"],
+             ["compute", "--file", str(petersen)],
              ["audit", "--enumerate", "8"],
              ["audit", "--enumerate", "9", "--allow-n8"],
              ["audit", "--file", str(mixed), "--format", "json"]]
