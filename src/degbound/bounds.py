@@ -246,8 +246,9 @@ def evaluate_bound(b: BoundSpec, g: Graph, tol: float = DEFAULT_TOL,
     """Check one bound on one graph; every outcome is a verdict, not an error.
 
     ``ctx`` is the graph's audit-key context, built here when not given; the
-    bound reads both sides from it by position, its coefficient from the
-    coefficient's memo, and its exclusions from the context's membership memo.
+    bound reads both sides from it by position, evaluates its coefficient at
+    the graph's n or delta, and reads its exclusions from the context's
+    membership memo.
     Equality is |margin| <= tol * max(1, |lhs|).  A strict bound reaching
     equality within tolerance is still reported as "equality"; the audit
     surfaces the strictness conflict.

@@ -18,7 +18,7 @@ sequences mean isomorphic graphs, so it is a complete invariant.  Each
 class representative then gets the lex-min canonical form (the
 lexicographically minimal graph6 encoding over all vertex relabelings).
 
-On a 2-vCPU host, orders 2..7 together take 0.4-0.6 s.  Order 8 takes
+On a 2-vCPU host, orders 2..7 together take 0.6-0.9 s.  Order 8 takes
 9-15 s; the library runs any order up to MAX_ORDER, and the CLI's
 ``--allow-n8`` is the one opt-in for order 8.
 """

@@ -10,9 +10,8 @@ per-edge terms as the index engine, so the two kinds of audit cannot diverge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .bounds import CHI, BoundSpec, builtin_catalog
+from .bounds import CHI, DEFAULT_TOL, BoundSpec, builtin_catalog, catalog_by_id
 from .indices import IndexId, UndefinedIndexError, edge_term
 
 GRID_CAP = 62
@@ -112,8 +111,8 @@ def monotonicity_audit(r: RatioFn, fixed: str, fixed_value: int,
     """
     if fixed not in ("a", "b"):
         raise ValueError(f"fixed coordinate must be 'a' or 'b', got {fixed!r}")
-    if not 1 <= lo <= hi <= 61:
-        raise ValueError(f"line range must satisfy 1 <= lo <= hi <= 61: {(lo, hi)}")
+    if not 1 <= lo <= hi <= GRID_CAP - 1:
+        raise ValueError(f"line range must satisfy 1 <= lo <= hi <= {GRID_CAP - 1}: {(lo, hi)}")
     points = []
     for t in range(lo, hi + 1):
         pair = (fixed_value, t) if fixed == "a" else (t, fixed_value)
@@ -139,6 +138,8 @@ def line_samples(r: RatioFn, fixed: str, fixed_value: float,
                  lo: float, hi: float, step: float = 1 / 64):
     """Dense samples of the ratio along a line; a smoke check of the proofs'
     continuous calculus, reported but never asserted."""
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
     out = []
     t = lo
     while t <= hi + 1e-12:
@@ -170,11 +171,14 @@ class ConcordanceRecord:
 
 
 def concordance(b: BoundSpec, n: int, delta: int = 1,
-                tol: float = 1e-9) -> ConcordanceRecord:
+                tol: float = DEFAULT_TOL) -> ConcordanceRecord:
     """Compare a bound's coefficient with the extremum of its squared per-edge
-    ratio over the degree grid its hypotheses imply."""
+    ratio over the degree grid its hypotheses imply.  A coefficient of delta
+    is defined only from the bound's own delta floor up."""
     if not is_concordance_candidate(b):
         raise ValueError(f"bound {b.bound_id} has no ratio-grid counterpart")
+    if b.coeff.var == "delta" and delta < b.delta_min:
+        raise ValueError(f"bound {b.bound_id} needs delta >= {b.delta_min}, got {delta}")
     ratio = RatioFn(b.lhs, b.rhs, squared=True)
     kind = "min" if b.direction == "lower" else "max"
     grid_floor = delta if b.coeff.var == "delta" else b.delta_min
@@ -187,7 +191,7 @@ def concordance(b: BoundSpec, n: int, delta: int = 1,
                              ext.location, matches)
 
 
-def concordance_report(n: int, delta: int = 2, tol: float = 1e-9):
+def concordance_report(n: int, delta: int = 2, tol: float = DEFAULT_TOL):
     """Concordance records for every candidate bound, plus the ids whose
     claimed coefficient does not equal its grid extremum."""
     records = []
@@ -207,17 +211,19 @@ def concordance_report(n: int, delta: int = 2, tol: float = 1e-9):
 def proofs_report(n: int) -> list[dict]:
     """Audit the specific grid claims the bound proofs rest on.
 
-    Every n lists the same claims in the same order.  Each record carries a
-    claim label, what the scan observed, and a verdict: "confirmed" or
-    "discrepant" for what the proofs assert; "discrepant" for the two
-    (AZI/M2*)^2 claims that document a wrong catalog coefficient, or
-    "unexpected" if the scan does not show that; "reported" for a sampled
-    observation; and "out_of_range" when the claim needs a degree above n-1,
-    the largest on the grid of order n.
+    Every n lists the same 13 claims in the same order: five monotonicity
+    lines, a sampled observation, and the grid extrema behind the catalog
+    coefficients of T1L, T1U, T2U, T4U, T4L, T6L, T7-(21)L and T7-(21)U,
+    each checked by ``concordance``.  Each record carries a claim label,
+    what the scan observed, and a verdict: "confirmed" or "discrepant" (the
+    two (AZI/M2*)^2 claims document a wrong catalog coefficient);
+    "reported" for the sampled observation; and "out_of_range" when the
+    claim needs a degree above n-1, the largest on the grid of order n.
     """
     if not 3 <= n <= GRID_CAP:
         raise ValueError(f"proof audit needs 3 <= n <= {GRID_CAP}, got {n}")
     top = n - 1
+    by_id = catalog_by_id()
     reports: list[dict] = []
 
     def record(claim, degree, observed, verdict, **extra):
@@ -235,42 +241,41 @@ def proofs_report(n: int) -> list[dict]:
         record(claim, max(lo + 1, hi), f"{what}: {direction}",
                "confirmed" if direction == want else "discrepant")
 
-    def extremum(claim, r, kind, pair, expected, verdicts=("confirmed", "discrepant"),
-                 delta_min=1, exclude_one_one=False, **extra):
-        """Is the grid extremum at ``pair`` with value ``expected``?  The
-        largest relative rounding error over n = 3..62 is 6.5e-16."""
-        ext = grid_extremum(r, n, kind, delta_min, exclude_one_one)
-        ok = ext.location == pair and abs(ext.value - expected) <= 1e-13 * expected
-        record(claim, max(pair), f"{kind} {ext.value:.12g} at {ext.location}",
-               verdicts[not ok], **extra)
+    def extremum(bound_id, claim, pair, squared=True, **extra):
+        """Is the catalog coefficient the grid extremum, at ``pair``?  Numbers
+        print squared unless the proof uses the plain ratio.  The largest
+        relative gap of a sharp entry over n = 3..62 is 3.7e-16."""
+        b = by_id[bound_id]
+        rec = concordance(b, n, b.delta_min, tol=1e-13)
+        power = 2 if squared else 1
+        kind = "min" if b.direction == "lower" else "max"
+        record(claim.format(rec.coefficient ** power), max(pair),
+               f"{kind} {rec.grid_value ** power:.12g} at {rec.location}",
+               "confirmed" if rec.matches and rec.location == pair else "discrepant",
+               **extra)
 
     # (GA/X)^2 = 4ab/(a+b): increasing in both, extrema at the grid corners.
     line("(GA/X)^2 strictly increasing in each coordinate", F_T1, "b", top, 1, top,
          "increasing", what=f"direction along b={top}")
-    extremum("(GA/X)^2 minimum 2 at (1,1)", F_T1, "min", (1, 1), 2)
-    extremum(f"(GA/X)^2 maximum 2(n-1) = {2 * top} at (n-1,n-1)",
-             F_T1, "max", (top, top), 2 * top)
+    extremum("T1L", "(GA/X)^2 minimum {:.12g} at (1,1)", (1, 1))
+    extremum("T1U", "(GA/X)^2 maximum 2(n-1) = {:.12g} at (n-1,n-1)", (top, top))
 
     # GA/R = 2ab/(a+b): same shape, maximum n-1.
-    extremum(f"GA/R maximum n-1 = {top} at (n-1,n-1)", F_T2, "max", (top, top), top)
+    extremum("T2U", "GA/R maximum n-1 = {:.12g} at (n-1,n-1)", (top, top), squared=False)
 
     # (ABC/GA)^2 on the delta >= 2 grid: decreasing in the smaller coordinate,
     # maximum at (2, n-1), minimum at (n-1, n-1).
     line("(ABC/GA)^2 decreasing in the smaller coordinate (line b=n-1)",
          F_T4, "b", top, 2, top, "decreasing")
-    expected = (n + 1) ** 2 / (16 * top)
-    extremum(f"(ABC/GA)^2 maximum (n+1)^2/(16(n-1)) = {expected:.12g} at (2,n-1)",
-             F_T4, "max", (2, top), expected, delta_min=2)
-    expected = 2 * (n - 2) / top ** 2
-    extremum(f"(ABC/GA)^2 minimum 2(n-2)/(n-1)^2 = {expected:.12g} at (n-1,n-1)",
-             F_T4, "min", (top, top), expected, delta_min=2)
+    extremum("T4U", "(ABC/GA)^2 maximum (n+1)^2/(16(n-1)) = {:.12g} at (2,n-1)", (2, top))
+    extremum("T4L", "(ABC/GA)^2 minimum 2(n-2)/(n-1)^2 = {:.12g} at (n-1,n-1)", (top, top))
 
     # (AZI/X)^2 along a=1: falls until y=7, rises from y=8; global grid
     # minimum min{F(1,7), F(1,8)} = 9*(8/7)^6 at (1,8).
     line("(AZI/X)^2 decreasing along a=1 for b in [2,7]", F_T6, "a", 1, 2, 7, "decreasing")
     line(f"(AZI/X)^2 increasing along a=1 for b in [8,{top}]",
          F_T6, "a", 1, 8, top, "increasing")
-    extremum("(AZI/X)^2 minimum 9*(8/7)^6 at (1,8)", F_T6, "min", (1, 8), 9 * (8 / 7) ** 6)
+    extremum("T6L", "(AZI/X)^2 minimum 9*(8/7)^6 at (1,8)", (1, 8))
     samples = line_samples(F_T6, "a", 1.0, 7.0, 8.0, step=1 / 64)
     t_min = min(samples, key=lambda s: s[1])[0]
     root = (7 + 73 ** 0.5) / 2
@@ -278,19 +283,13 @@ def proofs_report(n: int) -> list[dict]:
            f"(stationary point near {root:.4f}; sampled, not asserted)",
            8, f"sampled minimum at b = {t_min:.6f}", "reported")
 
-    # (AZI/M2*)^2: grid minimum sits at (1,4), far above the claimed
-    # lower coefficient 4; grid maximum exceeds the claimed upper coefficient.
-    extremum("(AZI/M2*)^2 minimum (256/27)^2 at (1,4), versus claimed "
-             "lower coefficient 4 (squared: 16)",
-             F_T21, "min", (1, 4), float(Fraction(256, 27) ** 2),
-             ("discrepant", "unexpected"), exclude_one_one=True,
+    # (AZI/M2*)^2: grid minimum (256/27)^2 at (1,4), far above the claimed
+    # lower coefficient 4; grid maximum at (n-1,n-1) above the claimed upper one.
+    extremum("T7-(21)L", "(AZI/M2*)^2 minimum (256/27)^2 at (1,4), versus claimed "
+             "lower coefficient 4 (squared: {:.12g})", (1, 4),
              detail="sharp lower coefficient would be 256/27, not 4")
-    hi = grid_extremum(F_T21, n, "max", exclude_one_one=True)
-    claimed = (top ** 4 / (2 * (n - 2))) ** 2
-    record("(AZI/M2*)^2 maximum versus claimed upper coefficient "
-           f"(n-1)^4/(2(n-2)) (squared: {claimed:.12g})",
-           top, f"max {hi.value:.12g} at {hi.location}",
-           "discrepant" if hi.value > claimed * (1 + 1e-9) else "unexpected",
-           detail="grid maximum (n-1)^8/(8(n-2)^3) exceeds the claimed coefficient")
+    extremum("T7-(21)U", "(AZI/M2*)^2 maximum versus claimed upper coefficient "
+             "(n-1)^4/(2(n-2)) (squared: {:.12g})", (top, top),
+             detail="grid maximum (n-1)^8/(8(n-2)^3) exceeds the claimed coefficient")
 
     return reports

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
 
 import pytest
 
-from degbound.bounds import builtin_catalog, catalog_by_id
+from degbound import ratios
+from degbound.bounds import Coeff, builtin_catalog, catalog_by_id
 from degbound.indices import IndexId, UndefinedIndexError
 from degbound.ratios import (
     F_T1,
@@ -114,6 +116,12 @@ def test_continuous_dip_location_between_7_and_8():
     assert abs(t_min - root) <= 1 / 64
 
 
+def test_line_samples_rejects_a_step_that_does_not_advance():
+    for step in (0, -1 / 64, float("nan")):
+        with pytest.raises(ValueError, match="step must be positive"):
+            line_samples(F_T6, "a", 1.0, 7.0, 8.0, step=step)
+
+
 def test_concordance_matches_for_sharp_entries():
     by_id = catalog_by_id()
     rec = concordance(by_id["T1L"], n=9, delta=1)
@@ -129,6 +137,18 @@ def test_concordance_matches_for_sharp_entries():
     assert rec.matches and rec.location == (2, 8)
     rec = concordance(by_id["EXT-2a"], n=9, delta=3)
     assert rec.matches and rec.location == (2, 2)
+
+
+def test_concordance_rejects_a_delta_below_the_coefficients_floor():
+    by_id = catalog_by_id()
+    ids = ["C1", "C2", "C3b", "C8"] + [f"C7-({k})" for k in range(10, 15)] \
+        + [f"C9-({k})" for k in range(22, 27)]
+    for bid in ids:
+        b = by_id[bid]
+        assert b.coeff.var == "delta" and b.delta_min == 2
+        with pytest.raises(ValueError, match=r"needs delta >= 2, got 1"):
+            concordance(b, 9, delta=1)
+        assert concordance(b, 9, delta=2).location[0] >= 2
 
 
 def test_concordance_rejects_non_candidates():
@@ -151,14 +171,39 @@ def test_concordance_report_names_exactly_the_known_discrepancies():
 def test_concordance_discrepancy_directions():
     by_id = catalog_by_id()
     # claimed lower coefficients smaller than the true grid minimum
-    for bid in ("C3", "C7-(12)", "T7-(21)L", "C9-(26)"):
+    for bid in ("C3", "C7-(12)", "C9-(26)"):
         rec = concordance(by_id[bid], n=12, delta=2)
         assert not rec.matches
         assert rec.coefficient < rec.grid_value
-    # claimed upper coefficient smaller than the true grid maximum: violations
-    rec = concordance(by_id["T7-(21)U"], n=12, delta=2)
-    assert not rec.matches
-    assert rec.coefficient < rec.grid_value
+    # both (21) coefficients sit below their grid values at every order: the
+    # lower one is not sharp, the upper one is violated at (n-1, n-1)
+    for n in range(3, GRID_CAP + 1):
+        low = concordance(by_id["T7-(21)L"], n)
+        high = concordance(by_id["T7-(21)U"], n)
+        assert not low.matches and low.coefficient < low.grid_value
+        assert not high.matches and high.coefficient < high.grid_value
+        assert high.location == (n - 1, n - 1)
+        if n >= 5:
+            assert low.location == (1, 4)
+            assert low.grid_value ** 2 == pytest.approx(float(Fraction(256, 27) ** 2),
+                                                        rel=1e-13)
+
+
+def test_proofs_report_reads_the_catalog(monkeypatch):
+    def label(claims):
+        [claim] = [c for c in claims if c["claim"].startswith("(ABC/GA)^2 maximum")]
+        return claim
+
+    before = label(proofs_report(9))
+    assert before["verdict"] == "confirmed"
+    by_id = catalog_by_id()
+    by_id["T4U"] = dataclasses.replace(by_id["T4U"], coeff=Coeff("n", lambda n: 1.0))
+    monkeypatch.setattr(ratios, "catalog_by_id", lambda: by_id)
+    after = label(proofs_report(9))
+    assert after["verdict"] == "discrepant"
+    assert after["observed"] == before["observed"]
+    assert before["claim"].endswith("= 0.78125 at (2,n-1)")
+    assert after["claim"].endswith("= 1 at (2,n-1)")
 
 
 def test_proofs_report_n20():
@@ -195,7 +240,7 @@ def test_proofs_report_lists_the_same_claims_for_every_n():
             assert re.sub(r"[\d.]+", "#", got["claim"]) == re.sub(r"[\d.]+", "#", want["claim"])
             assert got.keys() == want.keys()
         verdicts = [c["verdict"] for c in claims]
-        assert "unexpected" not in verdicts
+        assert set(verdicts) <= {"confirmed", "discrepant", "reported", "out_of_range"}
         discrepant = {i for i, v in enumerate(verdicts) if v == "discrepant"}
         assert discrepant <= {11, 12}, (n, discrepant)
 

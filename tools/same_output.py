@@ -19,7 +19,8 @@ over ``audit-distinct``, guard the population filter both sources share.
 guard the order gate's two usage errors, and an audit of the mixed file
 guards chi on disconnected graphs.  ``families``, ``proofs`` and ``compute``
 each render in two formats or more, so each of the table, csv and json
-renderers sees the rows of several commands.
+renderers sees the rows of several commands; ``proofs --n 7`` also reaches
+the ``out_of_range`` verdict.
 Every ``DEGBOUND_*`` variable is removed from the environment.
 
 Exits 0 when every command agrees, 1 after naming the first command and
@@ -76,7 +77,8 @@ def commands(populations: Path) -> list[list[str]]:
     cmds += [["families", "--max-n", "200", "--format", "csv"],
              ["families", "--max-n", "20"],
              ["proofs", "--n", "62", "--format", "json"],
-             ["proofs", "--n", "10", "--format", "csv"]]
+             ["proofs", "--n", "10", "--format", "csv"],
+             ["proofs", "--n", "7"]]
     mixed, petersen = populations / "mixed.g6", populations / "petersen.edges"
     mixed.write_text("".join(graph6(n, edges) + "\n" for n, edges in MIXED))
     petersen.write_text("10\n" + "".join(f"{u} {v}\n" for u, v in PETERSEN))
