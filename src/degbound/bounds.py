@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 from .graphs import (
@@ -150,6 +151,14 @@ class BoundSpec:
         """Positions of ``lhs`` and ``rhs`` in ``GraphContext.values``."""
         return _SIDES.index(self.lhs), _SIDES.index(self.rhs)
 
+    @functools.cached_property
+    def hypotheses(self) -> tuple:
+        """All ``preconditions_met`` reads of the bound: bounds with equal
+        tuples decide alike on every graph.  Exclusions enter by membership
+        test, since families compare by label only."""
+        return (self.n_min, self.delta_min, self.molecular_only, self.spread_cap,
+                tuple(f.contains for f in self.exclusions))
+
     def preconditions_met(self, ctx: "GraphContext") -> bool:
         if not ctx.connected:
             return False
@@ -162,7 +171,7 @@ class BoundSpec:
         if self.spread_cap is not None:
             if ctx.Delta - ctx.delta > self.spread_cap.ev(ctx.n, ctx.delta):
                 return False
-        return not self.exclusions or not any(ctx.member(f) for f in self.exclusions)
+        return not any(f.contains(ctx.graph) for f in self.exclusions)
 
 
 class BoundCheck(NamedTuple):
@@ -197,13 +206,12 @@ class GraphContext:
     per key, and the per-graph record ``compute`` prints.  ``values`` holds
     the seven indices in ALL_INDICES order, then chi as a float, so a bound
     reads each side by position; a side that is None is domain-skipped.
-    ``graph6`` is None above the short form's G6_MAX.  ``member`` decides
-    each family and exclusion once per key.  ``connected``, ``chi`` and the
-    edge-degree partition ``part`` are computed unless passed in.
+    ``graph6`` is None above the short form's G6_MAX.  ``connected``, ``chi``
+    and the edge-degree partition ``part`` are computed unless passed in.
     """
 
     __slots__ = ("graph", "graph6", "n", "delta", "Delta", "connected", "chi",
-                 "values", "_members")
+                 "values")
 
     def __init__(self, g: Graph, chi=_UNSET, connected: bool | None = None,
                  part: dict[tuple[int, int], int] | None = None):
@@ -216,16 +224,6 @@ class GraphContext:
         self.chi = _chi(g) if chi is _UNSET else chi
         self.values = (*all_indices(g, part).values(),
                        None if self.chi is None else float(self.chi))
-        self._members: dict[Callable[[Graph], bool], bool] = {}
-
-    def member(self, family: EqualityFamily) -> bool:
-        """Whether the graph is in ``family``, memoized by its membership test."""
-        contains = family.contains
-        try:
-            return self._members[contains]
-        except KeyError:
-            found = self._members[contains] = contains(self.graph)
-            return found
 
 
 def combine_chain_verdicts(verdicts) -> str:
@@ -241,49 +239,87 @@ def combine_chain_verdicts(verdicts) -> str:
     return HOLDS
 
 
+_NOT_MET = (None, None, None, PRECONDITION_SKIPPED)
+_NO_SIDE = (None, None, None, DOMAIN_SKIPPED)
+
+
+def _shared_column(shared: dict, key, test, ctxs) -> list:
+    """``test`` on every context, computed once per ``key`` of ``shared``."""
+    column = shared.get(key)
+    if column is None:
+        column = shared[key] = [test(ctx) for ctx in ctxs]
+    return column
+
+
+def _pass(b: BoundSpec, ctxs, tol: float, shared: dict) -> list[tuple]:
+    """One bound on every context: a (lhs, rhs_side, margin, verdict) tuple
+    per context, the margin rule of every check.
+
+    The hypotheses are read from ``shared``, one column per hypothesis set;
+    the coefficient is evaluated once per distinct n or delta.  Equality is
+    |margin| <= tol * max(1, |lhs|); a strict bound reaching it is still
+    "equality", and the audit surfaces the strictness conflict.  A chain
+    recomputes its links' passes and folds them with
+    ``combine_chain_verdicts``; its margin is the slack of the tightest link
+    that is not itself attained.
+    """
+    met = _shared_column(shared, b.hypotheses, b.preconditions_met, ctxs)
+    if b.chain:
+        links = [_pass(_catalog_index()[cid], ctxs, tol, shared) for cid in b.chain]
+        out = []
+        for ok, parts in zip(met, zip(*links)):
+            if not ok:
+                out.append(_NOT_MET)
+                continue
+            margins = [p[2] for p in parts if p[3] == HOLDS]
+            out.append((None, None, min(margins) if margins else None,
+                        combine_chain_verdicts(p[3] for p in parts)))
+        return out
+
+    lhs_at, rhs_at = b.sides
+    upper = b.direction == "upper"
+    by_delta = b.coeff.var == "delta"
+    fn = b.coeff.fn
+    coeffs: dict[int, float] = {}
+    out = []
+    for ok, ctx in zip(met, ctxs):
+        if not ok:
+            out.append(_NOT_MET)
+            continue
+        values = ctx.values
+        lhs = values[lhs_at]
+        rhs = values[rhs_at]
+        if lhs is None or rhs is None:
+            out.append(_NO_SIDE)
+            continue
+        x = ctx.delta if by_delta else ctx.n
+        c = coeffs.get(x)
+        if c is None:
+            c = coeffs[x] = float(fn(x))  # bit for bit Coeff.ev
+        rhs_side = c * rhs
+        margin = rhs_side - lhs if upper else lhs - rhs_side
+        scale = tol * max(1.0, abs(lhs))
+        if abs(margin) <= scale:
+            verdict = EQUALITY
+        elif margin < -scale:
+            verdict = VIOLATED
+        else:
+            verdict = HOLDS
+        out.append((lhs, rhs_side, margin, verdict))
+    return out
+
+
 def evaluate_bound(b: BoundSpec, g: Graph, tol: float = DEFAULT_TOL,
                    ctx: GraphContext | None = None) -> BoundCheck:
     """Check one bound on one graph; every outcome is a verdict, not an error.
 
-    ``ctx`` is the graph's audit-key context, built here when not given; the
-    bound reads both sides from it by position, evaluates its coefficient at
-    the graph's n or delta, and reads its exclusions from the context's
-    membership memo.
-    Equality is |margin| <= tol * max(1, |lhs|).  A strict bound reaching
-    equality within tolerance is still reported as "equality"; the audit
-    surfaces the strictness conflict.
+    ``ctx`` is the graph's audit-key context, built here when not given.
+    The check is the audit's pass over that one context, so a single graph
+    and a population follow one margin rule.
     """
     if ctx is None:
         ctx = GraphContext(g)
-    if not b.preconditions_met(ctx):
-        return BoundCheck(b.bound_id, ctx.graph6, None, None, None, PRECONDITION_SKIPPED)
-    if b.chain:
-        parts = [evaluate_bound(_catalog_index()[cid], g, tol, ctx) for cid in b.chain]
-        verdict = combine_chain_verdicts(p.verdict for p in parts)
-        # slack of the tightest link that is not itself attained
-        margins = [p.margin for p in parts if p.verdict == HOLDS]
-        margin = min(margins) if margins else None
-        return BoundCheck(b.bound_id, ctx.graph6, None, None, margin, verdict)
-
-    lhs_at, rhs_at = b.sides
-    values = ctx.values
-    lhs_value = values[lhs_at]
-    rhs_value = values[rhs_at]
-    if lhs_value is None or rhs_value is None:
-        return BoundCheck(b.bound_id, ctx.graph6, None, None, None, DOMAIN_SKIPPED)
-    rhs_side = b.coeff.ev(ctx.n, ctx.delta) * rhs_value
-    if b.direction == "upper":
-        margin = rhs_side - lhs_value
-    else:
-        margin = lhs_value - rhs_side
-    scale = tol * max(1.0, abs(lhs_value))
-    if abs(margin) <= scale:
-        verdict = EQUALITY
-    elif margin < -scale:
-        verdict = VIOLATED
-    else:
-        verdict = HOLDS
-    return BoundCheck(b.bound_id, ctx.graph6, lhs_value, rhs_side, margin, verdict)
+    return BoundCheck(b.bound_id, ctx.graph6, *_pass(b, [ctx], tol, {})[0])
 
 
 def check_equality_family(b: BoundSpec, g: Graph) -> bool:
@@ -342,9 +378,11 @@ def _key_groups(graphs) -> list[tuple[GraphContext, list[str]]]:
     return list(groups.values())
 
 
-def _aggregate(b: BoundSpec, groups, tol: float, population: str) -> SharpnessReport:
-    """Evaluate one bound once per key group and fold the outcomes into a
-    report; each outcome counts once for every graph6 string of its group.
+def _aggregate(b: BoundSpec, groups, ctxs, tol: float, population: str,
+               shared: dict) -> SharpnessReport:
+    """Fold one bound's pass over the key groups into a report; each outcome
+    counts once for every graph6 string of its group.  ``shared`` holds the
+    hypothesis and family columns the audit's bounds share.
     Witness lists are sorted, and the minimum-margin witness is the smallest
     graph6 at the smallest margin, so the report does not depend on the
     population order."""
@@ -355,28 +393,29 @@ def _aggregate(b: BoundSpec, groups, tol: float, population: str) -> SharpnessRe
     family_not_eq: list[str] = []
     min_margin: tuple[float, str] | None = None
     family = b.claimed_equality
-    for ctx, g6s in groups:
-        chk = evaluate_bound(b, ctx.graph, tol, ctx)
+    in_family = (repeat(False) if family is None else _shared_column(
+        shared, family.contains, lambda ctx: family.contains(ctx.graph), ctxs))
+    for (_, _, margin, verdict), member, (_, g6s) in zip(
+            _pass(b, ctxs, tol, shared), in_family, groups):
         weight = len(g6s)
-        if chk.verdict in (PRECONDITION_SKIPPED, DOMAIN_SKIPPED):
+        if verdict in (PRECONDITION_SKIPPED, DOMAIN_SKIPPED):
             skipped += weight
             continue
-        in_family = family is not None and ctx.member(family)
-        if chk.verdict == EQUALITY:
+        if verdict == EQUALITY:
             equal += weight
             equality_w += g6s
-            if not in_family:
+            if not member:
                 eq_not_family += g6s
         else:
-            if in_family:
+            if member:
                 family_not_eq += g6s
-            if chk.verdict == VIOLATED:
+            if verdict == VIOLATED:
                 violated += weight
                 violation_w += g6s
             else:
                 holds += weight
-                if chk.margin is not None:
-                    key = (chk.margin, g6s[0])
+                if margin is not None:
+                    key = (margin, g6s[0])
                     if min_margin is None or key < min_margin:
                         min_margin = key
     checked = holds + equal + violated
@@ -419,13 +458,20 @@ def _aggregate(b: BoundSpec, groups, tol: float, population: str) -> SharpnessRe
 
 def audit_all(bounds, graphs, tol: float = DEFAULT_TOL,
               population: str = "population") -> dict[str, SharpnessReport]:
-    """Audit several bounds over one population, sharing per-key work.
+    """Audit several bounds over one population in one pass per bound over
+    the key groups.
 
-    Witness lists are sorted by graph6 string, so the result does not depend
-    on the population order (for equal populations as sets).
+    Each hypothesis set and each claimed family is tested once per key and
+    shared by the bounds that state it; each bound evaluates its coefficient
+    once per distinct n or delta.  Witness lists are sorted by graph6
+    string, so the result does not depend on the population order (for
+    equal populations as sets).
     """
     groups = _key_groups(graphs)
-    return {b.bound_id: _aggregate(b, groups, tol, population) for b in bounds}
+    ctxs = [ctx for ctx, _ in groups]
+    shared: dict = {}
+    return {b.bound_id: _aggregate(b, groups, ctxs, tol, population, shared)
+            for b in bounds}
 
 
 def audit(b: BoundSpec, graphs, tol: float = DEFAULT_TOL,

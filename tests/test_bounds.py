@@ -26,6 +26,7 @@ from degbound.bounds import (
     SPANNING_STAR_FAMILY,
     T_STAR,
     BoundSpec,
+    EqualityFamily,
     audit,
     audit_all,
     builtin_catalog,
@@ -42,6 +43,8 @@ from degbound.graphs import (
     complete_graph,
     cycle_graph,
     double_star,
+    is_complete,
+    is_cycle,
     path_graph,
     star_graph,
 )
@@ -365,7 +368,7 @@ def test_chain_verdict_matches_conjunction(populations):
 
 def test_ext2_chain_structure(populations):
     """H = R exactly on regular graphs, R = X exactly on cycles, X < ABC."""
-    from degbound.graphs import is_cycle, is_regular, min_degree
+    from degbound.graphs import is_regular, min_degree
 
     by_id = catalog_by_id()
     for n in range(3, 8):
@@ -502,6 +505,16 @@ def test_audit_matches_per_graph_reference():
                   claimed_equality=REGULAR_FAMILY),
         BoundSpec("test-chain", "test", "a chain with a link on chi",
                   chain=("EXT-2a", "EXT-4")),
+        # equal hypotheses but for an exclusion labelled alike, so sharing
+        # hypotheses or families by label instead of by test shows
+        BoundSpec("test-not-cycle", "test", "H <= R off cycles",
+                  lhs=IndexId.H, rhs=IndexId.R, coeff=by_id["EXT-2a"].coeff,
+                  direction="upper", exclusions=(EqualityFamily("X", is_cycle),),
+                  claimed_equality=EqualityFamily("X", is_complete)),
+        BoundSpec("test-not-complete", "test", "H <= R off complete graphs",
+                  lhs=IndexId.H, rhs=IndexId.R, coeff=by_id["EXT-2a"].coeff,
+                  direction="upper", exclusions=(EqualityFamily("X", is_complete),),
+                  claimed_equality=EqualityFamily("X", is_cycle)),
     ]
     bounds = builtin_catalog() + custom
     # alone, K_{3,3} (chi 2) and the prism (chi 3) decide the chi bounds' margins
@@ -515,7 +528,9 @@ def test_audit_matches_per_graph_reference():
 
 def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
     """Ten relabelings of the prism share one key, chi included, so each of
-    the 55 catalog bounds, EXT-4 and C6 too, is evaluated exactly once."""
+    the 55 catalog bounds, EXT-4 and C6 too, gets exactly one pass over that
+    key (a chain's links are nested passes), and each distinct hypothesis
+    set is tested exactly once on it."""
     prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                       (0, 3), (1, 4), (2, 5)])
     rng = random.Random(10)
@@ -524,22 +539,38 @@ def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
         perm = list(range(6))
         rng.shuffle(perm)
         graphs.append(prism.relabeled(perm))
-    calls = []
+    passes = []
     depth = [0]
-    evaluate = bounds_module.evaluate_bound
+    run_pass = bounds_module._pass
 
-    def counted(b, *args, **kwargs):
-        if not depth[0]:  # a chain's links are nested calls
-            calls.append(b.bound_id)
+    def counted(b, ctxs, *args, **kwargs):
+        assert len(ctxs) == 1
+        if not depth[0]:  # a chain's links are nested passes
+            passes.append(b.bound_id)
         depth[0] += 1
         try:
-            return evaluate(b, *args, **kwargs)
+            return run_pass(b, ctxs, *args, **kwargs)
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(bounds_module, "evaluate_bound", counted)
+    def hypothesis_set(b):
+        return (b.n_min, b.delta_min, b.molecular_only, b.spread_cap,
+                tuple(f.contains for f in b.exclusions))
+
+    tested = []
+    preconditions_met = BoundSpec.preconditions_met
+
+    def counted_hypotheses(b, ctx):
+        tested.append(hypothesis_set(b))
+        return preconditions_met(b, ctx)
+
+    monkeypatch.setattr(bounds_module, "_pass", counted)
+    monkeypatch.setattr(BoundSpec, "preconditions_met", counted_hypotheses)
     reports = audit_all(builtin_catalog(), graphs)
-    assert sorted(calls) == sorted(EXPECTED_IDS)
+    assert sorted(passes) == sorted(EXPECTED_IDS)
+    hypothesis_sets = {hypothesis_set(b) for b in builtin_catalog()}
+    assert len(hypothesis_sets) == 7
+    assert len(tested) == len(set(tested)) and set(tested) == hypothesis_sets
     assert reports["EXT-4"].counts["checked"] == reports["C6"].counts["checked"] == 10
 
 

@@ -19,7 +19,7 @@ def same_output(parent):
 def test_same_output_against_itself():
     proc = same_output(ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "same output on all 26 commands"
+    assert proc.stdout.splitlines()[-1] == "same output on all 27 commands"
 
 
 def test_same_output_names_the_first_difference(tmp_path):
