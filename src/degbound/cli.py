@@ -49,7 +49,7 @@ ENV_PREFIX = "DEGBOUND_"
 # Largest --family parameter, --max-n and edge-list order: construction is
 # quadratic in the order, so K_200 is the largest graph any command builds.
 FAMILY_MAX = 200
-# Largest --enumerate order that runs without --allow-n8 (order 8 takes 9-15 s).
+# Largest --enumerate order that runs without --allow-n8 (an order-8 audit takes 5-6 s).
 DEFAULT_ORDER_CAP = 7
 FORMATS = ("table", "json", "csv")
 
@@ -290,7 +290,7 @@ def _population(args):
     _check_order(args.enumerate)
     if args.enumerate > DEFAULT_ORDER_CAP and not args.allow_n8:
         raise UsageError(f"order {args.enumerate} is above the default cap "
-                         f"{DEFAULT_ORDER_CAP} and takes 9-15 seconds; "
+                         f"{DEFAULT_ORDER_CAP} and takes 5-6 seconds; "
                          "pass --allow-n8 to run it")
     return enumerate_connected(spec), spec.describe()
 
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--molecular", action="store_true",
                        help="restrict to maximum degree <= 4")
         p.add_argument("--allow-n8", action="store_true",
-                       help="permit the order-8 enumeration (9-15 seconds)")
+                       help="permit the order-8 enumeration (5-6 seconds)")
         p.add_argument("--bounds", metavar="LIST|all", default="all")
         p.add_argument("--tol", type=float)
         p.add_argument("--format", choices=FORMATS)

@@ -8,18 +8,19 @@ non-cut vertex has a smaller degree than the new one.  Every connected graph
 has a non-cut vertex of minimum degree among its non-cut vertices, and
 deleting it leaves a connected parent, so no class is lost; extensions of a
 connected graph are connected, so no candidate needs a connectivity test.
-The survivors are deduplicated by a refined certificate, and the exact
-canonical form runs once per class.  The certificate refines the degrees to
-an equitable colouring whose colours are named in an isomorphism-invariant
-order, then takes the minimal column sequence over only the orderings that
-list the colour cells in that order (the cell ordering of McKay & Piperno,
-"Practical graph isomorphism II", J. Symb. Comput. 2014).  Equal column
-sequences mean isomorphic graphs, so it is a complete invariant.  Each
+The survivors are deduplicated by a certificate, and the exact canonical
+form runs once per class.  The certificate is the minimal column sequence
+over only the orderings that list the vertices in ascending degree order.
+The degree cells are an isomorphism-invariant ordered partition, so equal
+column sequences mean isomorphic graphs: it is a complete invariant.  Each
 class representative then gets the lex-min canonical form (the
 lexicographically minimal graph6 encoding over all vertex relabelings).
+Both are one search, which keeps the unplaced vertices in cells split by
+their placed neighbours (the cell splitting of McKay & Piperno, "Practical
+graph isomorphism II", J. Symb. Comput. 2014).
 
-On a 2-vCPU host, orders 2..7 together take 0.6-0.9 s.  Order 8 takes
-9-15 s; the library runs any order up to MAX_ORDER, and the CLI's
+On a 2-vCPU host, orders 2..7 together take 0.2-0.3 s.  Order 8 takes
+3.4-4.7 s; the library runs any order up to MAX_ORDER, and the CLI's
 ``--allow-n8`` is the one opt-in for order 8.
 """
 
@@ -55,81 +56,75 @@ def _canonical_columns(adj: tuple[int, ...], n: int,
     given ``cells``, over the orderings that place a vertex of the mask
     ``cells[k]`` at each position k.
 
-    Branch and bound on the ordering prefix: a partial column sequence that
-    already exceeds the incumbent's prefix cannot lead to the minimum.
+    Branch and bound on the ordering prefix.  The unplaced vertices sit in
+    cells ``(pattern, mask)`` in ascending pattern order, where bit n-1-i of
+    ``pattern`` marks a neighbour at position i.  A vertex's column at
+    position k is its pattern >> (n-k), so the candidates are the first cell
+    that meets ``cells[k]``.  Placing a vertex splits each cell into its
+    non-neighbours, then its neighbours, which keeps that order.  While the
+    prefix equals the incumbent's (``tight``), a larger column is cut off.
     Open twins (equal adjacency rows) and closed twins (equal rows once each
     vertex is added to its own) are interchangeable: swapping two unplaced
-    twins is an automorphism that fixes the placed prefix and every refined
-    cell.  So only one vertex of each twin class is branched on.
+    twins is an automorphism that fixes the placed prefix and every cell.
+    So only one vertex of each twin class is branched on.
     """
     if cells is None:
         cells = ((1 << n) - 1,) * n
-    best: list[int] | None = None
+    best: list[int] = []
+    cols = [0] * n
 
-    def search(order: list[int], cols: list[int], placed: int) -> None:
+    def search(k: int, parts: list[tuple[int, int]], tight: bool) -> None:
         nonlocal best
-        k = len(order)
-        if best is not None:
-            prefix = best[:k]
-            if cols > prefix:
-                return
         if k == n:
-            if best is None or cols < best:
-                best = list(cols)
+            if not tight:
+                best = cols[:]
             return
-        by_col: dict[int, list[int]] = {}
-        skip = placed | ~cells[k]
-        for v in range(n):
-            if skip >> v & 1:
-                continue
-            col = 0
-            av = adj[v]
-            for i, u in enumerate(order):
-                if av >> u & 1:
-                    col |= 1 << (k - 1 - i)
-            by_col.setdefault(col, []).append(v)
-        for col in sorted(by_col):
-            if best is not None and cols == best[:k] and col > best[k]:
+        allowed = cells[k]
+        for pattern, mask in parts:
+            if mask & allowed:
                 break
-            # One vertex's open row never equals another's closed row (it
-            # would hold its own vertex), so one set holds both kinds.
-            seen_rows = set()
-            for v in by_col[col]:
-                closed = adj[v] | 1 << v
-                if adj[v] in seen_rows or closed in seen_rows:
-                    continue
-                seen_rows.add(adj[v])
-                seen_rows.add(closed)
-                order.append(v)
-                cols.append(col)
-                search(order, cols, placed | 1 << v)
-                order.pop()
-                cols.pop()
+        col = pattern >> (n - k)
+        if tight:
+            if col > best[k]:
+                return
+            tight = col == best[k]
+        cols[k] = col
+        bit = 1 << (n - 1 - k)
+        # One vertex's open row never equals another's closed row (it would
+        # hold its own vertex), so one set holds both kinds.
+        seen_rows = set()
+        todo = mask & allowed
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            row = adj[low.bit_length() - 1]
+            if row in seen_rows or row | low in seen_rows:
+                continue
+            seen_rows.add(row)
+            seen_rows.add(row | low)
+            off = ~(row | low)
+            split = []
+            for p, m in parts:
+                if lo := m & off:
+                    split.append((p, lo))
+                if hi := m & row:
+                    split.append((p | bit, hi))
+            search(k + 1, split, tight)
+            # The subtree ended on the incumbent's prefix or replaced it.
+            tight = True
 
-    search([], [], 0)
-    assert best is not None
+    search(0, [(0, (1 << n) - 1)], False)
     return tuple(best)
 
 
-def _refined_cells(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Per-position vertex masks of the equitable colouring refined from the
-    degrees, with the cells listed in an isomorphism-invariant order.
-
-    Each round names a vertex's colour by the rank of its signature (own
-    colour, sorted neighbour colours) among the sorted distinct signatures,
-    until the number of colours stops growing.
-    """
-    nbrs = [[u for u in range(n) if a >> u & 1] for a in adj]
-    colour = [len(ns) for ns in nbrs]
-    count = len(set(colour))
-    while True:
-        sigs = [(colour[v], *sorted([colour[u] for u in ns])) for v, ns in enumerate(nbrs)]
-        ranks = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        colour = [ranks[sig] for sig in sigs]
-        if len(ranks) == count:
-            break
-        count = len(ranks)
-    return tuple(sum(1 << v for v in range(n) if colour[v] == c) for c in sorted(colour))
+def _degree_cells(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Per-position vertex masks that list the vertices in ascending degree
+    order, an isomorphism-invariant ordered partition."""
+    degrees = [a.bit_count() for a in adj]
+    masks: dict[int, int] = {}
+    for v, d in enumerate(degrees):
+        masks[d] = masks.get(d, 0) | 1 << v
+    return tuple(masks[d] for d in sorted(degrees))
 
 
 def _columns_to_graph(cols: tuple[int, ...], n: int) -> Graph:
@@ -212,7 +207,7 @@ def _classes(n: int) -> tuple[Graph, ...]:
     parents = _classes(n - 1) if n > 2 else (Graph(1),)
     reps = {}
     for adj in _extensions(parents, n):
-        reps.setdefault(_canonical_columns(adj, n, _refined_cells(adj, n)), adj)
+        reps.setdefault(_canonical_columns(adj, n, _degree_cells(adj)), adj)
     graphs = [_columns_to_graph(_canonical_columns(adj, n), n) for adj in reps.values()]
     return tuple(sorted(graphs, key=to_graph6))
 
