@@ -46,8 +46,8 @@ EXIT_IO = 3
 EXIT_PIPE = 141
 
 ENV_PREFIX = "DEGBOUND_"
-# Largest --family parameter, --max-n and edge-list order: construction is
-# quadratic in the order, so K_200 is the largest graph any command builds.
+# Largest --family parameter, --max-n and edge-list order: construction is quadratic in
+# the order. The largest graph built is K_{200,200} (delta_regular_witness:200, 400 vertices).
 FAMILY_MAX = 200
 # Largest --enumerate order that runs without --allow-n8 (an order-8 audit takes 5-6 s).
 DEFAULT_ORDER_CAP = 7
@@ -360,12 +360,9 @@ def _expected_verdicts(args) -> dict[str, str]:
         raise UsageError(
             "verify needs --expected PATH for file or filtered populations"
         )
+    _check_order(args.enumerate)  # the package pins every order the enumeration runs
     name = f"expected_enumerate_n{args.enumerate}.json"
     ref = resources.files("degbound").joinpath("data", name)
-    if not ref.is_file():
-        _check_order(args.enumerate)  # no expectation file helps such an order
-        raise UsageError(f"no pinned expectations for --enumerate {args.enumerate}; "
-                         "pass --expected PATH")
     return dict(json.loads(ref.read_text())["verdicts"])
 
 

@@ -208,8 +208,9 @@ def _classes(n: int) -> tuple[Graph, ...]:
     reps = {}
     for adj in _extensions(parents, n):
         reps.setdefault(_canonical_columns(adj, n, _degree_cells(adj)), adj)
-    graphs = [_columns_to_graph(_canonical_columns(adj, n), n) for adj in reps.values()]
-    return tuple(sorted(graphs, key=to_graph6))
+    # Same-order column tuples sort as their graph6 strings, which list the same bits in order.
+    cols = sorted(_canonical_columns(adj, n) for adj in reps.values())
+    return tuple(_columns_to_graph(c, n) for c in cols)
 
 
 def check_order(n: int) -> None:

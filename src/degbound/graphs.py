@@ -8,7 +8,7 @@ bitmasks directly, and the edge-degree partition is counted afresh per call,
 per pair of degree classes with popcounts, never by walking the edges.  That
 is all the machinery required at the graph orders this package works with
 (graph6 short form, n <= 62, except that family constructors may build
-larger graphs, up to K_200, for closed-form cross-checks).
+larger graphs, up to K_{200,200} on 400 vertices, for closed-form cross-checks).
 """
 
 from __future__ import annotations

@@ -351,8 +351,8 @@ def test_verify_matches_pinned_expectations(capsys):
 
 
 def test_verify_full_enumerations_match_pins(capsys):
-    for n in (6, 7):
-        code, out, err = run(capsys, "verify", "--enumerate", str(n),
+    for n, opt_in in ((6, []), (7, []), (8, ["--allow-n8"])):
+        code, out, err = run(capsys, "verify", "--enumerate", str(n), *opt_in,
                              "--format", "json")
         assert code == EXIT_OK, err
         doc = json.loads(out)
@@ -472,17 +472,29 @@ def test_enumeration_order_out_of_range_is_usage_error(capsys, order):
     assert err.startswith("error: enumeration") or err.startswith("error: order")
 
 
-@pytest.mark.parametrize("order", ["1", "9"])
+@pytest.mark.parametrize("order", ["1", "8", "9"])
 def test_verify_reports_the_audit_order_error(capsys, order):
-    """No expectation file can help an order the enumeration refuses."""
+    """``verify`` refuses an order exactly as ``audit`` does: outside the
+    enumeration's range, or order 8 without ``--allow-n8``."""
     audit = run(capsys, "audit", "--enumerate", order)
-    assert audit[0] == EXIT_USAGE and audit[2].startswith("error: enumeration")
+    assert audit[0] == EXIT_USAGE
+    if order != "8":
+        assert audit[2].startswith("error: enumeration")
     assert run(capsys, "verify", "--enumerate", order) == audit
 
 
-def test_verify_order_8_without_pins_asks_for_expectations(capsys):
-    assert run(capsys, "verify", "--enumerate", "8") == (
-        EXIT_USAGE, "", "error: no pinned expectations for --enumerate 8; pass --expected PATH\n")
+def test_packaged_pins_cover_every_enumerated_order():
+    """One pin file per order the enumeration runs, each listing the catalog
+    ids in catalog order, so ``verify --enumerate N`` has pins for every N."""
+    from degbound.bounds import builtin_catalog
+    from degbound.enumeration import MAX_ORDER
+
+    data = Path(cli.__file__).parent / "data"
+    names = sorted(p.name for p in data.glob("*.json"))
+    assert names == sorted(f"expected_enumerate_n{n}.json" for n in range(2, MAX_ORDER + 1))
+    ids = [b.bound_id for b in builtin_catalog()]
+    for name in names:
+        assert list(json.loads((data / name).read_text())["verdicts"]) == ids, name
 
 
 def test_order_8_without_opt_in_names_the_flag(capsys):

@@ -1,7 +1,10 @@
 """tools/same_output.py: byte-identity of CLI output between two checkouts;
+tools/make_expected.py: the packaged pins and the verdicts it names as changed;
 and the package names the traced benchmark wraps."""
 
 import importlib
+import importlib.util
+import json
 import shutil
 import subprocess
 import sys
@@ -9,6 +12,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SAME_OUTPUT = ROOT / "tools" / "same_output.py"
+MAKE_EXPECTED = ROOT / "tools" / "make_expected.py"
+DATA = ROOT / "src" / "degbound" / "data"
 
 
 def same_output(parent):
@@ -22,21 +27,58 @@ def test_same_output_against_itself():
     assert proc.stdout.splitlines()[-1] == "same output on all 27 commands"
 
 
-def test_same_output_names_the_first_difference(tmp_path):
-    shutil.copytree(ROOT / "src" / "degbound", tmp_path / "src" / "degbound",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    cli = tmp_path / "src" / "degbound" / "cli.py"
-    cli.write_text(cli.read_text().replace('f"verify: {len(order)}', 'f"verify! {len(order)}'))
-    proc = same_output(tmp_path)
-    assert proc.returncode == 1
-    assert proc.stdout.splitlines()[-1].startswith(
-        "DIFFERENT `verify --enumerate 7 --out DIR`: stderr: line 1: b'verify! ")
+def test_same_output_reports_every_command(tmp_path):
+    """Two stub checkouts whose CLIs print their subcommand, the parent's
+    differently for ``verify``: every command is still run and named."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root, suffix in ((parent, ' + "!" * (sys.argv[1] == "verify")'), (change, "")):
+        (root / "src" / "degbound").mkdir(parents=True)
+        (root / "src" / "degbound" / "cli.py").write_text(
+            f"import sys\nprint(sys.argv[1]{suffix})\n")
+    for name in ("tools/same_output.py", "perfbench/population.py"):
+        (change / name).parent.mkdir(exist_ok=True)
+        shutil.copy(ROOT / name, change / name)
+    proc = subprocess.run([sys.executable, str(change / "tools" / "same_output.py"),
+                           str(parent)], capture_output=True, text=True, timeout=900)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert lines[-1] == "different output on 3 of 27 commands"
+    named = [line for line in lines[:-1] if line.startswith(("same `", "DIFFERENT `"))]
+    assert len(named) == len(lines) - 1 == 27
+    different = [line for line in named if line.startswith("DIFFERENT")]
+    assert [line.split("`")[1].split()[0] for line in different] == ["verify"] * 3
+    assert all(line.endswith(": stdout: line 1: b'verify!' != b'verify'")
+               for line in different)
 
 
 def test_same_output_needs_a_package(tmp_path):
     proc = same_output(tmp_path)
     assert proc.returncode == 2
     assert "no degbound package" in proc.stderr
+
+
+def test_make_expected_names_each_changed_verdict(tmp_path, monkeypatch, capsys):
+    """Regenerating the pins over a copy with one altered verdict names that
+    verdict alone and rewrites every file as packaged."""
+    spec = importlib.util.spec_from_file_location("make_expected", MAKE_EXPECTED)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for path in DATA.glob("expected_enumerate_n*.json"):
+        shutil.copy(path, tmp_path / path.name)
+    altered = tmp_path / "expected_enumerate_n6.json"
+    doc = json.loads(altered.read_text())
+    doc["verdicts"]["T6L"] = "violated"
+    altered.write_text(json.dumps(doc, indent=2) + "\n")
+    monkeypatch.setattr(tool, "DATA", tmp_path)
+    tool.main()
+    changed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("CHANGED")]
+    assert changed == ["CHANGED expected_enumerate_n6.json T6L: "
+                       "violated -> holds_not_sharp_in_population"]
+    rewritten = sorted(p.name for p in tmp_path.iterdir())
+    assert rewritten == sorted(p.name for p in DATA.glob("expected_enumerate_n*.json"))
+    for name in rewritten:
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 
 def test_tracing_patches_resolve(monkeypatch):

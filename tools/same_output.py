@@ -25,8 +25,11 @@ renderers sees the rows of several commands; ``proofs --n 7`` also reaches
 the ``out_of_range`` verdict.
 Every ``DEGBOUND_*`` variable is removed from the environment.
 
-Exits 0 when every command agrees, 1 after naming the first command and
-output that differ, and 2 when PARENT_DIR holds no degbound package.
+Every command runs, whatever came before it: each prints one ``same`` line,
+or one ``DIFFERENT`` line per output that differs, so an intended change in
+one command hides no other.  The last line is ``same output on all N
+commands`` (exit 0) or ``different output on K of N commands`` (exit 1).
+Exits 2 when PARENT_DIR holds no degbound package.
 """
 
 from __future__ import annotations
@@ -127,6 +130,7 @@ def main(argv: list[str]) -> int:
     env = {k: v for k, v in os.environ.items() if not k.startswith("DEGBOUND_")}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     sides = (("parent", parent_src), ("change", ROOT / "src"))
+    differing = 0
     with tempfile.TemporaryDirectory(prefix="same-output-") as tmp:
         tmp = Path(tmp)
         cmds = commands(tmp)
@@ -148,12 +152,18 @@ def main(argv: list[str]) -> int:
                         proc.kill()
                         proc.wait()
             shown = " ".join("DIR" if a == OUT else a.replace(str(tmp), "TMP") for a in cmd)
-            # The file lists are compared before the files, so zip sees equal lengths.
-            for (name, want), (_, got) in zip(parent, change):
-                if want != got:
-                    print(f"DIFFERENT `{shown}`: {name}: {first_difference(want, got)}")
-                    return 1
-            print(f"same `{shown}`")
+            # A file written by one side only shows up in the --out file list.
+            changed = dict(change)
+            diffs = [(name, want, changed[name]) for name, want in parent
+                     if name in changed and want != changed[name]]
+            for name, want, got in diffs:
+                print(f"DIFFERENT `{shown}`: {name}: {first_difference(want, got)}")
+            if not diffs:
+                print(f"same `{shown}`")
+            differing += bool(diffs)
+    if differing:
+        print(f"different output on {differing} of {len(cmds)} commands")
+        return 1
     print(f"same output on all {len(cmds)} commands")
     return 0
 

@@ -9,7 +9,9 @@ It runs ``python -m pytest -q --continue-on-collection-errors -rfE
 --durations=5`` at the root of the checkout with ``src`` prepended to
 PYTHONPATH: the tier-1 command of ROADMAP.md, plus ``-rfE`` so every failure
 and error is listed by id, and ``--durations=5`` so every run prints its five
-slowest tests.
+slowest tests.  pyproject.toml's ``testpaths`` collects ``tests/`` and
+``perfbench/``, so the benchmark's smoke test (``perfbench/test_smoke.py``,
+every workload once at a tiny size) runs too.
 Five acceptance cases pin published equality claims that are wrong, so they
 must fail: criterion 2 for C3, C7-(12), T7-(19)L, T7-(19)U and C9-(24).  The
 exit code is 0 when the failing set is exactly those five, and 1 otherwise,
