@@ -251,21 +251,24 @@ def _shared_column(shared: dict, key, test, ctxs) -> list:
     return column
 
 
-def _pass(b: BoundSpec, ctxs, tol: float, shared: dict) -> list[tuple]:
+def _pass(b: BoundSpec, ctxs, shared: dict) -> list[tuple]:
     """One bound on every context: a (lhs, rhs_side, margin, verdict) tuple
     per context, the margin rule of every check.
 
     The hypotheses are read from ``shared``, one column per hypothesis set;
     the coefficient is evaluated once per distinct n or delta.  Equality is
-    |margin| <= tol * max(1, |lhs|); a strict bound reaching it is still
-    "equality", and the audit surfaces the strictness conflict.  A chain
+    |margin| <= DEFAULT_TOL * max(1, |lhs|); a strict bound reaching it is
+    still "equality", and the audit surfaces the strictness conflict.  The
+    tolerance is one constant, not a setting: it only absorbs float
+    rounding.  Over the keys of orders 2..7, every equality has a relative
+    margin of at most 3e-16 and every other verdict at least 1e-3.  A chain
     recomputes its links' passes and folds them with
     ``combine_chain_verdicts``; its margin is the slack of the tightest link
     that is not itself attained.
     """
     met = _shared_column(shared, b.hypotheses, b.preconditions_met, ctxs)
     if b.chain:
-        links = [_pass(_catalog_index()[cid], ctxs, tol, shared) for cid in b.chain]
+        links = [_pass(_catalog_index()[cid], ctxs, shared) for cid in b.chain]
         out = []
         for ok, parts in zip(met, zip(*links)):
             if not ok:
@@ -280,6 +283,7 @@ def _pass(b: BoundSpec, ctxs, tol: float, shared: dict) -> list[tuple]:
     upper = b.direction == "upper"
     by_delta = b.coeff.var == "delta"
     fn = b.coeff.fn
+    eps = DEFAULT_TOL
     coeffs: dict[int, float] = {}
     out = []
     for ok, ctx in zip(met, ctxs):
@@ -298,7 +302,7 @@ def _pass(b: BoundSpec, ctxs, tol: float, shared: dict) -> list[tuple]:
             c = coeffs[x] = float(fn(x))  # bit for bit Coeff.ev
         rhs_side = c * rhs
         margin = rhs_side - lhs if upper else lhs - rhs_side
-        scale = tol * max(1.0, abs(lhs))
+        scale = eps * max(1.0, abs(lhs))
         if abs(margin) <= scale:
             verdict = EQUALITY
         elif margin < -scale:
@@ -309,17 +313,14 @@ def _pass(b: BoundSpec, ctxs, tol: float, shared: dict) -> list[tuple]:
     return out
 
 
-def evaluate_bound(b: BoundSpec, g: Graph, tol: float = DEFAULT_TOL,
-                   ctx: GraphContext | None = None) -> BoundCheck:
+def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
     """Check one bound on one graph; every outcome is a verdict, not an error.
 
-    ``ctx`` is the graph's audit-key context, built here when not given.
-    The check is the audit's pass over that one context, so a single graph
-    and a population follow one margin rule.
+    The check is the audit's pass over the graph's one context, so a single
+    graph and a population follow one margin rule.
     """
-    if ctx is None:
-        ctx = GraphContext(g)
-    return BoundCheck(b.bound_id, ctx.graph6, *_pass(b, [ctx], tol, {})[0])
+    ctx = GraphContext(g)
+    return BoundCheck(b.bound_id, ctx.graph6, *_pass(b, [ctx], {})[0])
 
 
 def check_equality_family(b: BoundSpec, g: Graph) -> bool:
@@ -378,7 +379,7 @@ def _key_groups(graphs) -> list[tuple[GraphContext, list[str]]]:
     return list(groups.values())
 
 
-def _aggregate(b: BoundSpec, groups, ctxs, tol: float, population: str,
+def _aggregate(b: BoundSpec, groups, ctxs, population: str,
                shared: dict) -> SharpnessReport:
     """Fold one bound's pass over the key groups into a report; each outcome
     counts once for every graph6 string of its group.  ``shared`` holds the
@@ -396,7 +397,7 @@ def _aggregate(b: BoundSpec, groups, ctxs, tol: float, population: str,
     in_family = (repeat(False) if family is None else _shared_column(
         shared, family.contains, lambda ctx: family.contains(ctx.graph), ctxs))
     for (_, _, margin, verdict), member, (_, g6s) in zip(
-            _pass(b, ctxs, tol, shared), in_family, groups):
+            _pass(b, ctxs, shared), in_family, groups):
         weight = len(g6s)
         if verdict in (PRECONDITION_SKIPPED, DOMAIN_SKIPPED):
             skipped += weight
@@ -431,7 +432,7 @@ def _aggregate(b: BoundSpec, groups, ctxs, tol: float, population: str,
         bound_id=b.bound_id,
         citation=b.citation,
         population=population,
-        tolerance=tol,
+        tolerance=DEFAULT_TOL,
         counts={
             "checked": checked,
             "skipped": skipped,
@@ -456,8 +457,7 @@ def _aggregate(b: BoundSpec, groups, ctxs, tol: float, population: str,
     )
 
 
-def audit_all(bounds, graphs, tol: float = DEFAULT_TOL,
-              population: str = "population") -> dict[str, SharpnessReport]:
+def audit_all(bounds, graphs, population: str = "population") -> dict[str, SharpnessReport]:
     """Audit several bounds over one population in one pass per bound over
     the key groups.
 
@@ -470,14 +470,13 @@ def audit_all(bounds, graphs, tol: float = DEFAULT_TOL,
     groups = _key_groups(graphs)
     ctxs = [ctx for ctx, _ in groups]
     shared: dict = {}
-    return {b.bound_id: _aggregate(b, groups, ctxs, tol, population, shared)
+    return {b.bound_id: _aggregate(b, groups, ctxs, population, shared)
             for b in bounds}
 
 
-def audit(b: BoundSpec, graphs, tol: float = DEFAULT_TOL,
-          population: str = "population") -> SharpnessReport:
+def audit(b: BoundSpec, graphs, population: str = "population") -> SharpnessReport:
     """Audit a single bound over a population of connected graphs."""
-    return audit_all([b], graphs, tol, population)[b.bound_id]
+    return audit_all([b], graphs, population)[b.bound_id]
 
 
 # ---------------------------------------------------------------------------

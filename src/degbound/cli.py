@@ -58,20 +58,10 @@ class UsageError(Exception):
     pass
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def _resolve(flag_value, env_name, default, convert=str):
+def _resolve(flag_value, env_name, default):
     if flag_value is not None:
         return flag_value
-    raw = _env(env_name)
-    if raw is not None:
-        try:
-            return convert(raw)
-        except ValueError:
-            raise UsageError(f"bad {ENV_PREFIX}{env_name} value: {raw!r}") from None
-    return default
+    return os.environ.get(ENV_PREFIX + env_name, default)
 
 
 def _format(args) -> str:
@@ -318,31 +308,29 @@ def _report_rows(reports, order):
     return rows
 
 
-def _emit_reports(reports, order, population, tol, fmt, out_dir):
+def _emit_reports(reports, order, population, fmt, out_dir):
     if fmt == "json":
         doc = {
             "population": population,
-            "tolerance": tol,
+            "tolerance": DEFAULT_TOL,
             "reports": [reports[bid].to_dict() for bid in order],
         }
         _json(doc, sys.stdout)
     else:
         _render_rows(_report_rows(reports, order), fmt, sys.stdout)
     if out_dir is not None:
-        out = Path(out_dir)
         try:
-            out.mkdir(parents=True, exist_ok=True)
             for bid in order:
-                with (out / f"{bid}.json").open("w") as f:
+                with (out_dir / f"{bid}.json").open("w") as f:
                     _json(reports[bid].to_dict(), f)
-            with (out / "summary.json").open("w") as f:
+            with (out_dir / "summary.json").open("w") as f:
                 _json({
                     "population": population,
-                    "tolerance": tol,
+                    "tolerance": DEFAULT_TOL,
                     "verdicts": {bid: reports[bid].verdict for bid in order},
                 }, f, sort_keys=True)
         except OSError as exc:
-            raise IOError(f"cannot write reports to {out}: {exc}") from None
+            raise IOError(f"cannot write reports to {out_dir}: {exc}") from None
 
 
 def _expected_verdicts(args) -> dict[str, str]:
@@ -371,9 +359,6 @@ def cmd_audit(args) -> int:
     its expectations (read before the audit, so a bad file fails fast)."""
     fmt = _format(args)
     expected = _expected_verdicts(args) if args.command == "verify" else None
-    tol = _resolve(args.tol, "TOL", DEFAULT_TOL, float)
-    if not 0 < tol < 1:  # also false for nan
-        raise UsageError(f"tolerance must be finite with 0 < tol < 1, got {tol!r}")
     if args.min_degree is not None and args.min_degree < 0:
         raise UsageError(f"--min-degree must be >= 0, got {args.min_degree}")
     out_dir = _resolve(args.out, "OUT", None)
@@ -381,9 +366,15 @@ def cmd_audit(args) -> int:
         raise UsageError(f"--out and {ENV_PREFIX}OUT must name a directory, got ''")
     graphs, population = _population(args)
     bounds = _select_bounds(args.bounds)
-    reports = audit_all(bounds, graphs, tol=tol, population=population)
+    if out_dir is not None:  # an unwritable directory fails before the audit
+        out_dir = Path(out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IOError(f"cannot write reports to {out_dir}: {exc}") from None
+    reports = audit_all(bounds, graphs, population=population)
     order = [b.bound_id for b in bounds]
-    _emit_reports(reports, order, population, tol, fmt, out_dir)
+    _emit_reports(reports, order, population, fmt, out_dir)
     if expected is None:
         return EXIT_OK
     mismatches = []
@@ -432,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--allow-n8", action="store_true",
                        help="permit the order-8 enumeration (5-6 seconds)")
         p.add_argument("--bounds", metavar="LIST|all", default="all")
-        p.add_argument("--tol", type=float)
         p.add_argument("--format", choices=FORMATS)
         p.add_argument("--out", metavar="DIR", help="write one report JSON per bound")
 

@@ -170,11 +170,12 @@ class ConcordanceRecord:
     matches: bool
 
 
-def concordance(b: BoundSpec, n: int, delta: int = 1,
-                tol: float = DEFAULT_TOL) -> ConcordanceRecord:
+def concordance(b: BoundSpec, n: int, delta: int = 1) -> ConcordanceRecord:
     """Compare a bound's coefficient with the extremum of its squared per-edge
     ratio over the degree grid its hypotheses imply.  A coefficient of delta
-    is defined only from the bound's own delta floor up."""
+    is defined only from the bound's own delta floor up.  The two match within
+    the audit's relative DEFAULT_TOL: over n = 3..62, matches differ by at most
+    5e-16 and mismatches by at least 3e-3, so the rule only absorbs rounding."""
     if not is_concordance_candidate(b):
         raise ValueError(f"bound {b.bound_id} has no ratio-grid counterpart")
     if b.coeff.var == "delta" and delta < b.delta_min:
@@ -186,12 +187,12 @@ def concordance(b: BoundSpec, n: int, delta: int = 1,
                         exclude_one_one=b.n_min >= 3)
     coefficient = b.coeff.ev(n, delta)
     grid_value = ext.value ** 0.5
-    matches = abs(coefficient - grid_value) <= tol * max(1.0, abs(coefficient))
+    matches = abs(coefficient - grid_value) <= DEFAULT_TOL * max(1.0, abs(coefficient))
     return ConcordanceRecord(b.bound_id, n, delta, coefficient, grid_value,
                              ext.location, matches)
 
 
-def concordance_report(n: int, delta: int = 2, tol: float = DEFAULT_TOL):
+def concordance_report(n: int, delta: int = 2):
     """Concordance records for every candidate bound, plus the ids whose
     claimed coefficient does not equal its grid extremum."""
     records = []
@@ -199,7 +200,7 @@ def concordance_report(n: int, delta: int = 2, tol: float = DEFAULT_TOL):
         if not is_concordance_candidate(b):
             continue
         d = max(delta, b.delta_min)
-        records.append(concordance(b, n, d, tol))
+        records.append(concordance(b, n, d))
     discrepant = [rec.bound_id for rec in records if not rec.matches]
     return records, discrepant
 
@@ -214,11 +215,12 @@ def proofs_report(n: int) -> list[dict]:
     Every n lists the same 13 claims in the same order: five monotonicity
     lines, a sampled observation, and the grid extrema behind the catalog
     coefficients of T1L, T1U, T2U, T4U, T4L, T6L, T7-(21)L and T7-(21)U,
-    each checked by ``concordance``.  Each record carries a claim label,
-    what the scan observed, and a verdict: "confirmed" or "discrepant" (the
-    two (AZI/M2*)^2 claims document a wrong catalog coefficient);
-    "reported" for the sampled observation; and "out_of_range" when the
-    claim needs a degree above n-1, the largest on the grid of order n.
+    each checked by ``concordance`` at the audit's one tolerance.  Each
+    record carries a claim label, what the scan observed, and a verdict:
+    "confirmed" or "discrepant" (the two (AZI/M2*)^2 claims document a wrong
+    catalog coefficient); "reported" for the sampled observation; and
+    "out_of_range" when the claim needs a degree above n-1, the largest on
+    the grid of order n.
     """
     if not 3 <= n <= GRID_CAP:
         raise ValueError(f"proof audit needs 3 <= n <= {GRID_CAP}, got {n}")
@@ -243,10 +245,9 @@ def proofs_report(n: int) -> list[dict]:
 
     def extremum(bound_id, claim, pair, squared=True, **extra):
         """Is the catalog coefficient the grid extremum, at ``pair``?  Numbers
-        print squared unless the proof uses the plain ratio.  The largest
-        relative gap of a sharp entry over n = 3..62 is 3.7e-16."""
+        print squared unless the proof uses the plain ratio."""
         b = by_id[bound_id]
-        rec = concordance(b, n, b.delta_min, tol=1e-13)
+        rec = concordance(b, n, b.delta_min)
         power = 2 if squared else 1
         kind = "min" if b.direction == "lower" else "max"
         record(claim.format(rec.coefficient ** power), max(pair),

@@ -97,8 +97,7 @@ def test_criterion_1_exhaustive_verification_n7():
         populations = {n: enumerate_connected(EnumerationSpec(n))
                        for n in range(2, 8)}
         union = [g for n in range(2, 8) for g in populations[n]]
-        reports = audit_all(builtin_catalog(), union, tol=1e-9,
-                            population="enumerate(n=2..7)")
+        reports = audit_all(builtin_catalog(), union, population="enumerate(n=2..7)")
         elapsed = time.perf_counter() - start
 
         for n, want in EXPECTED_CLASS_COUNTS.items():
@@ -281,7 +280,7 @@ def test_criterion_8_proof_kernel_concordance(full_reports):
             if not is_concordance_candidate(b):
                 continue
             for delta in (2, 3):
-                rec = concordance(b, n=7, delta=delta, tol=1e-9)
+                rec = concordance(b, n=7, delta=delta)
                 assert rec.matches, (b.bound_id, delta, rec)
             checked += 1
         assert checked >= 25

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -26,6 +27,7 @@ from degbound.bounds import (
     SPANNING_STAR_FAMILY,
     T_STAR,
     BoundSpec,
+    Coeff,
     EqualityFamily,
     audit,
     audit_all,
@@ -357,6 +359,46 @@ def test_audit_counts_are_consistent(full_reports):
         assert (report.verdict == VIOLATED) == bool(report.violation_witnesses)
 
 
+@pytest.fixture(scope="module")
+def keys_2_7(population_2_7):
+    """One context per audit key of the graphs of order 2..7."""
+    return [ctx for ctx, _ in bounds_module._key_groups(population_2_7)]
+
+
+def _margin_gap(bounds, ctxs):
+    """The largest relative margin |margin| / max(1, |lhs|) of an equality and
+    the smallest of any other checked verdict, over ``bounds`` on ``ctxs``.
+    Chains are left out: they fold their links' verdicts."""
+    equality, other = [0.0], [math.inf]
+    shared: dict = {}
+    for b in bounds:
+        if b.chain:
+            continue
+        for lhs, _, margin, verdict in bounds_module._pass(b, ctxs, shared):
+            if verdict in (EQUALITY, HOLDS, VIOLATED):
+                rel = abs(margin) / max(1.0, abs(lhs))
+                (equality if verdict == EQUALITY else other).append(rel)
+    return max(equality), min(other)
+
+
+def test_verdicts_clear_the_fixed_tolerance(keys_2_7):
+    """Every verdict is decided by float rounding or by a wide margin, never
+    by DEFAULT_TOL itself: the gap spans orders of magnitude on both sides."""
+    assert len(keys_2_7) == 806
+    equality, other = _margin_gap(builtin_catalog(), keys_2_7)
+    assert equality <= 1e-14 < bounds_module.DEFAULT_TOL < 1e-6 <= other, (equality, other)
+
+
+@pytest.mark.parametrize("shift", [5e-10, 2e-9])
+def test_a_margin_near_the_tolerance_breaks_the_gap(keys_2_7, shift):
+    """A catalog entry whose margins land near the tolerance, on either side,
+    fails the gap check above instead of passing with a guessed verdict."""
+    b = catalog_by_id()["T1L"]
+    near = dataclasses.replace(b, coeff=Coeff("n", lambda n: b.coeff.fn(n) * (1 - shift)))
+    equality, other = _margin_gap([near], keys_2_7)
+    assert not (equality <= 1e-14 and other >= 1e-6), (equality, other)
+
+
 def test_chain_verdict_matches_conjunction(populations):
     by_id = catalog_by_id()
     chain = by_id["C4"]
@@ -408,14 +450,14 @@ def test_report_json_schema(full_reports):
     json.dumps(doc)  # serializable
 
 
-def _reference_report(b, graphs, tol, population):
+def _reference_report(b, graphs, population):
     """The report ``audit_all`` must produce, folded graph by graph from
     ``evaluate_bound`` on a fresh context.  Family and exclusion membership
     come from the predicates themselves, not from a context's memo."""
     counts = dict.fromkeys(("checked", "skipped", "holds", "equality", "violated"), 0)
     equality, violation, eq_not_family, family_not_eq, margins = [], [], [], [], []
     for g in graphs:
-        chk = evaluate_bound(b, g, tol)
+        chk = evaluate_bound(b, g)
         in_family = check_equality_family(b, g)
         if any(f.contains(g) for f in b.exclusions):
             assert chk.verdict == PRECONDITION_SKIPPED, (b.bound_id, chk.graph6)
@@ -452,7 +494,7 @@ def _reference_report(b, graphs, tol, population):
         "bound_id": b.bound_id,
         "citation": b.citation,
         "population": population,
-        "tolerance": tol,
+        "tolerance": bounds_module.DEFAULT_TOL,
         "counts": counts,
         "min_margin": {"value": low[0], "witness_graph6": low[1]} if low else None,
         "equality_witnesses": sorted(equality),
@@ -519,10 +561,10 @@ def test_audit_matches_per_graph_reference():
     bounds = builtin_catalog() + custom
     # alone, K_{3,3} (chi 2) and the prism (chi 3) decide the chi bounds' margins
     for population in (graphs, [k33, prism], [prism, k33]):
-        reports = audit_all(bounds, population, tol=1e-9, population="mixed")
+        reports = audit_all(bounds, population, population="mixed")
         assert list(reports) == [b.bound_id for b in bounds]
         for b in bounds:
-            want = _reference_report(b, population, 1e-9, "mixed")
+            want = _reference_report(b, population, "mixed")
             assert reports[b.bound_id].to_dict() == want, b.bound_id
 
 

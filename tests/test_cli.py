@@ -322,6 +322,14 @@ def test_empty_out_is_usage_error(capsys, monkeypatch, tmp_path, argv, env):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unwritable_out_fails_before_the_audit(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run(capsys, "audit", "--enumerate", "4", "--out", str(taken))
+    assert (code, out) == (EXIT_IO, "")
+    assert err.startswith(f"error: cannot write reports to {taken}: ")
+
+
 def test_file_and_enumerated_populations_share_one_filter(capsys, tmp_path):
     from degbound.enumeration import connected_graphs
 
@@ -448,21 +456,25 @@ def test_verify_usage_and_io_errors(capsys, tmp_path):
     assert code == EXIT_IO
 
 
-@pytest.mark.parametrize("argv, env, rule", [
-    (["--tol", "nan"], {}, "tolerance"),
-    (["--tol", "-1"], {}, "tolerance"),
-    (["--tol", "0"], {}, "tolerance"),
-    (["--tol", "1"], {}, "tolerance"),
-    ([], {"DEGBOUND_TOL": "inf"}, "tolerance"),
-    ([], {"DEGBOUND_TOL": "nan"}, "tolerance"),
-    (["--min-degree", "-1"], {}, "--min-degree"),
-])
-def test_bad_numeric_input_is_usage_error(capsys, monkeypatch, argv, env, rule):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    code, out, err = run(capsys, "audit", "--enumerate", "3", *argv)
+def test_bad_numeric_input_is_usage_error(capsys):
+    code, out, err = run(capsys, "audit", "--enumerate", "3", "--min-degree", "-1")
     assert code == EXIT_USAGE, out
-    assert err.startswith(f"error: {rule} must be")
+    assert err.startswith("error: --min-degree must be")
+
+
+def test_tol_is_an_unrecognized_argument(capsys):
+    """The verdict tolerance is a constant, not a setting."""
+    code, out, err = run(capsys, "audit", "--enumerate", "3", "--tol", "1e-6")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments: --tol 1e-6" in err
+
+
+def test_tol_variable_changes_nothing(capsys, monkeypatch):
+    argv = ("audit", "--enumerate", "5", "--format", "json")
+    unset = run(capsys, *argv)
+    assert unset[0] == EXIT_OK
+    monkeypatch.setenv("DEGBOUND_TOL", "nan")
+    assert run(capsys, *argv) == unset
 
 
 @pytest.mark.parametrize("order", ["-1", "0", "1", "8", "12"])

@@ -168,6 +168,23 @@ def test_concordance_report_names_exactly_the_known_discrepancies():
     assert len(records) == len(candidates)
 
 
+def test_concordance_clears_the_fixed_tolerance():
+    """Matches differ from the grid extremum by float rounding only, and
+    mismatches by far more, so DEFAULT_TOL decides no record.  The orders
+    include the three mismatches nearest a match over n = 3..62: T7-(18)L at
+    n = 5, T7-(17)L at 7 and T6L at 8."""
+    match, mismatch = [0.0], [math.inf]
+    for b in builtin_catalog():
+        if not is_concordance_candidate(b):
+            continue
+        for n in (3, 5, 7, 8, 20, 62):
+            for delta in (range(b.delta_min, n) if b.coeff.var == "delta" else [b.delta_min]):
+                rec = concordance(b, n, delta)
+                rel = abs(rec.coefficient - rec.grid_value) / max(1.0, abs(rec.coefficient))
+                (match if rec.matches else mismatch).append(rel)
+    assert max(match) <= 1e-15 and min(mismatch) >= 1e-3, (max(match), min(mismatch))
+
+
 def test_concordance_discrepancy_directions():
     by_id = catalog_by_id()
     # claimed lower coefficients smaller than the true grid minimum

@@ -42,8 +42,7 @@ def main():
     for n in range(2, MAX_ORDER + 1):
         spec = EnumerationSpec(n)
         graphs = enumerate_connected(spec)
-        reports = audit_all(builtin_catalog(), graphs, tol=DEFAULT_TOL,
-                            population=spec.describe())
+        reports = audit_all(builtin_catalog(), graphs, population=spec.describe())
         path = DATA / f"expected_enumerate_n{n}.json"
         write(path, {
             "schema_version": 1,

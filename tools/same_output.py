@@ -17,9 +17,9 @@ Two audits filtered by ``--min-degree 2 --molecular``, one enumerated and one
 over ``audit-distinct``, guard the population filter both sources share.
 ``audit --enumerate 8`` without ``--allow-n8`` and ``--enumerate 9`` with it
 guard the order gate's two usage errors, and an audit of the mixed file
-guards chi on disconnected graphs.  An audit with ``--bounds C4,C6,T7-(21)U
---tol 1e-6`` covers a chain without its links, a chi bound, a violated bound
-and a tolerance other than the default.  ``families``, ``proofs`` and ``compute``
+guards chi on disconnected graphs.  An audit with ``--bounds C4,C6,T7-(21)U``
+covers a chain without its links, a chi bound and a violated bound.
+``families``, ``proofs`` and ``compute``
 each render in two formats or more, so each of the table, csv and json
 renderers sees the rows of several commands; ``proofs --n 7`` also reaches
 the ``out_of_range`` verdict.
@@ -77,8 +77,7 @@ def commands(populations: Path) -> list[list[str]]:
         cmds += [["verify", "--file", str(path), "--expected", str(expected)],
                  ["audit", "--file", str(path), "--format", "json", "--out", OUT]]
     cmds += [["audit", "--enumerate", "6", "--min-degree", "2", "--molecular", "--format", "json"],
-             ["audit", "--enumerate", "6", "--bounds", "C4,C6,T7-(21)U", "--tol", "1e-6",
-              "--format", "json"],
+             ["audit", "--enumerate", "6", "--bounds", "C4,C6,T7-(21)U", "--format", "json"],
              ["audit", "--file", str(populations / "audit-distinct.g6"), "--min-degree", "2",
               "--molecular", "--format", "csv"]]
     cmds += [["families", "--max-n", "200", "--format", "csv"],
