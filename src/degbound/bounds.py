@@ -16,9 +16,11 @@ where they are attained, and where they fail; it never repairs a coefficient.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
+import math
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
+from operator import mul, sub
 from typing import NamedTuple
 
 from .graphs import (
@@ -171,7 +173,10 @@ class BoundSpec:
         if self.spread_cap is not None:
             if ctx.Delta - ctx.delta > self.spread_cap.ev(ctx.n, ctx.delta):
                 return False
-        return not any(f.contains(ctx.graph) for f in self.exclusions)
+        for f in self.exclusions:
+            if f.contains(ctx.graph):
+                return False
+        return True
 
 
 class BoundCheck(NamedTuple):
@@ -239,88 +244,179 @@ def combine_chain_verdicts(verdicts) -> str:
     return HOLDS
 
 
-_NOT_MET = (None, None, None, PRECONDITION_SKIPPED)
-_NO_SIDE = (None, None, None, DOMAIN_SKIPPED)
-
-
-def _shared_column(shared: dict, key, test, ctxs) -> list:
-    """``test`` on every context, computed once per ``key`` of ``shared``."""
-    column = shared.get(key)
-    if column is None:
-        column = shared[key] = [test(ctx) for ctx in ctxs]
-    return column
-
-
-def _pass(b: BoundSpec, ctxs, shared: dict) -> list[tuple]:
-    """One bound on every context: a (lhs, rhs_side, margin, verdict) tuple
-    per context, the margin rule of every check.
-
-    The hypotheses are read from ``shared``, one column per hypothesis set;
-    the coefficient is evaluated once per distinct n or delta.  Equality is
-    |margin| <= DEFAULT_TOL * max(1, |lhs|); a strict bound reaching it is
-    still "equality", and the audit surfaces the strictness conflict.  The
-    tolerance is one constant, not a setting: it only absorbs float
-    rounding.  Over the keys of orders 2..7, every equality has a relative
-    margin of at most 3e-16 and every other verdict at least 1e-3.  A chain
-    recomputes its links' passes and folds them with
-    ``combine_chain_verdicts``; its margin is the slack of the tightest link
-    that is not itself attained.
+class _Columns:
+    """The keys of one audit as columns, built once from its key groups: each
+    key's sorted graph6 strings, their number (the key's weight) and the
+    first, the eight side values in ``GraphContext.values`` order (with the
+    keys where each is None, and its screen), n and delta.  It also holds
+    what the bounds of the audit share: one hypothesis column per hypothesis
+    set, the live keys per hypothesis set and partial sides, the member keys
+    per family test, and the passes of the chains' links.
     """
-    met = _shared_column(shared, b.hypotheses, b.preconditions_met, ctxs)
-    if b.chain:
-        links = [_pass(_catalog_index()[cid], ctxs, shared) for cid in b.chain]
-        out = []
-        for ok, parts in zip(met, zip(*links)):
-            if not ok:
-                out.append(_NOT_MET)
-                continue
-            margins = [p[2] for p in parts if p[3] == HOLDS]
-            out.append((None, None, min(margins) if margins else None,
-                        combine_chain_verdicts(p[3] for p in parts)))
-        return out
 
+    def __init__(self, groups):
+        self.ctxs = [ctx for ctx, _ in groups]
+        self.index = list(range(len(self.ctxs)))
+        self.g6s = [g6s for _, g6s in groups]
+        self.weights = [len(g6s) for g6s in self.g6s]
+        self.first = [g6s[0] for g6s in self.g6s]
+        self.sides = list(zip(*(ctx.values for ctx in self.ctxs))) or [()] * len(_SIDES)
+        self.undefined = [{i for i, v in enumerate(col) if v is None} for col in self.sides]
+        # A margin above its lhs column's screen, DEFAULT_TOL * max(1, max |lhs|),
+        # holds: it exceeds DEFAULT_TOL * max(1, |lhs|) at every key.
+        self.screens = [DEFAULT_TOL * max(1.0, max((abs(v) for v in col if v is not None),
+                                                   default=0.0))
+                        for col in self.sides]
+        self.n = [ctx.n for ctx in self.ctxs]
+        self.delta = [ctx.delta for ctx in self.ctxs]
+        self.met: dict = {}
+        self.live: dict = {}
+        self.members: dict = {}
+        self.links: set[int] = set()  # ids of the link specs whose passes are kept
+        self.passes: dict[int, _Checked] = {}
+
+
+class _Checked(NamedTuple):
+    """One bound's pass: at each live key its lhs, coefficient times rhs and
+    margin (a chain has no sides, and its margin may be None), the number of
+    graphs at live keys, and the positions in ``keys`` of the equality and
+    the violated keys; every other live key holds."""
+
+    met: list[bool]
+    keys: Sequence[int]
+    weight: int
+    lhs: Sequence[float] | None
+    products: list[float] | None
+    margins: list
+    equal: list[int]
+    violated: list[int]
+
+    def columns(self) -> tuple[list[str], list]:
+        """The verdict and the margin of every key of the audit."""
+        verdicts = [DOMAIN_SKIPPED if ok else PRECONDITION_SKIPPED for ok in self.met]
+        margins = [None] * len(self.met)
+        for i, margin in zip(self.keys, self.margins):
+            verdicts[i] = HOLDS
+            margins[i] = margin
+        for k in self.equal:
+            verdicts[self.keys[k]] = EQUALITY
+        for k in self.violated:
+            verdicts[self.keys[k]] = VIOLATED
+        return verdicts, margins
+
+
+def _met(b: BoundSpec, cols: _Columns) -> list[bool]:
+    """``b.preconditions_met`` on every key, tested once per hypothesis set."""
+    met = cols.met.get(b.hypotheses)
+    if met is None:
+        met = cols.met[b.hypotheses] = [b.preconditions_met(ctx) for ctx in cols.ctxs]
+    return met
+
+
+def _live(b: BoundSpec, cols: _Columns) -> tuple[list[int], int]:
+    """The keys ``b`` checks, those that meet its hypotheses and define both
+    its sides, and their number of graphs; shared by every bound with its
+    hypotheses and the same partial sides (those None at some key)."""
+    partial = tuple(at for at in b.sides if cols.undefined[at])
+    live = cols.live.get((b.hypotheses, partial))
+    if live is None:
+        keys = list(compress(cols.index, _met(b, cols)))
+        if partial:
+            undefined = set().union(*(cols.undefined[at] for at in partial))
+            keys = [i for i in keys if i not in undefined]
+        if len(keys) == len(cols.index):
+            keys = cols.index
+        live = cols.live[(b.hypotheses, partial)] = (
+            keys, sum(map(cols.weights.__getitem__, keys)))
+    return live
+
+
+def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
+    """One bound on every key of ``cols``: the margin rule of every check.
+
+    Over the live keys, the coefficient is ``float(fn(x))`` at each distinct
+    n or delta, the products are ``c * rhs`` and each margin is one
+    subtraction, all mapped over the shared columns.  A margin above the
+    screen of the lhs column, DEFAULT_TOL * max(1, max |lhs|), holds; only
+    the others go through the per-key rule: equality when |margin| <=
+    DEFAULT_TOL * max(1, |lhs|), violated below minus that.  A strict bound
+    reaching equality is still "equality", and the audit surfaces the
+    strictness conflict.  The tolerance is one constant, not a setting: it
+    only absorbs float rounding.  Over the keys of orders 2..7, every
+    equality has a relative margin of at most 3e-16 and every other verdict
+    at least 1e-3.
+
+    A chain folds its links' verdict and margin columns, which the audit
+    computes once, with ``combine_chain_verdicts``; its margin is the slack
+    of the tightest link that is not itself attained.
+    """
+    if b.chain:
+        links = [_checked(_catalog_index()[cid], cols).columns() for cid in b.chain]
+        met, keys, margins, violated = [], [], [], []
+        for i, ok in enumerate(_met(b, cols)):
+            verdict = (combine_chain_verdicts(verdicts[i] for verdicts, _ in links)
+                       if ok else PRECONDITION_SKIPPED)
+            met.append(verdict != PRECONDITION_SKIPPED)
+            if verdict == DOMAIN_SKIPPED or verdict == PRECONDITION_SKIPPED:
+                continue
+            if verdict == VIOLATED:
+                violated.append(len(keys))
+            keys.append(i)
+            held = [m[i] for verdicts, m in links if verdicts[i] == HOLDS]
+            margins.append(min(held) if held else None)
+        weight = sum(map(cols.weights.__getitem__, keys))
+        return _Checked(met, keys, weight, None, None, margins, [], violated)
+
+    keys, weight = _live(b, cols)
     lhs_at, rhs_at = b.sides
-    upper = b.direction == "upper"
-    by_delta = b.coeff.var == "delta"
+    lhs, rhs = cols.sides[lhs_at], cols.sides[rhs_at]
+    xs = cols.delta if b.coeff.var == "delta" else cols.n
+    if keys is not cols.index:
+        lhs, rhs, xs = (list(map(col.__getitem__, keys)) for col in (lhs, rhs, xs))
+    screen = cols.screens[lhs_at]
     fn = b.coeff.fn
-    eps = DEFAULT_TOL
-    coeffs: dict[int, float] = {}
-    out = []
-    for ok, ctx in zip(met, ctxs):
-        if not ok:
-            out.append(_NOT_MET)
-            continue
-        values = ctx.values
-        lhs = values[lhs_at]
-        rhs = values[rhs_at]
-        if lhs is None or rhs is None:
-            out.append(_NO_SIDE)
-            continue
-        x = ctx.delta if by_delta else ctx.n
-        c = coeffs.get(x)
-        if c is None:
-            c = coeffs[x] = float(fn(x))  # bit for bit Coeff.ev
-        rhs_side = c * rhs
-        margin = rhs_side - lhs if upper else lhs - rhs_side
-        scale = eps * max(1.0, abs(lhs))
-        if abs(margin) <= scale:
-            verdict = EQUALITY
-        elif margin < -scale:
-            verdict = VIOLATED
-        else:
-            verdict = HOLDS
-        out.append((lhs, rhs_side, margin, verdict))
-    return out
+    coeffs = {x: float(fn(x)) for x in set(xs)}  # bit for bit Coeff.ev
+    cs = (repeat(*coeffs.values()) if len(coeffs) == 1
+          else map(coeffs.__getitem__, xs))
+    products = list(map(mul, cs, rhs))
+    margins = list(map(sub, products, lhs) if b.direction == "upper"
+                   else map(sub, lhs, products))
+    equal, violated = [], []
+    if margins and min(margins) <= screen:
+        eps = DEFAULT_TOL
+        for k, margin in enumerate(margins):
+            if margin <= screen:
+                scale = eps * max(1.0, abs(lhs[k]))
+                if abs(margin) <= scale:
+                    equal.append(k)
+                elif margin < -scale:
+                    violated.append(k)
+    return _Checked(_met(b, cols), keys, weight, lhs, products, margins, equal, violated)
+
+
+def _checked(b: BoundSpec, cols: _Columns) -> _Checked:
+    """``b``'s pass, computed once per audit for a chain's link."""
+    checked = cols.passes.get(id(b))
+    if checked is None:
+        checked = _evaluate(b, cols)
+        if id(b) in cols.links:
+            cols.passes[id(b)] = checked
+    return checked
 
 
 def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
     """Check one bound on one graph; every outcome is a verdict, not an error.
 
-    The check is the audit's pass over the graph's one context, so a single
+    The check is the audit's pass over the graph's one key, so a single
     graph and a population follow one margin rule.
     """
     ctx = GraphContext(g)
-    return BoundCheck(b.bound_id, ctx.graph6, *_pass(b, [ctx], {})[0])
+    checked = _evaluate(b, _Columns([(ctx, [ctx.graph6])]))
+    verdicts, margins = checked.columns()
+    if checked.keys and checked.lhs is not None:
+        return BoundCheck(b.bound_id, ctx.graph6, checked.lhs[0], checked.products[0],
+                          margins[0], verdicts[0])
+    return BoundCheck(b.bound_id, ctx.graph6, None, None, margins[0], verdicts[0])
 
 
 def check_equality_family(b: BoundSpec, g: Graph) -> bool:
@@ -379,50 +475,62 @@ def _key_groups(graphs) -> list[tuple[GraphContext, list[str]]]:
     return list(groups.values())
 
 
-def _aggregate(b: BoundSpec, groups, ctxs, population: str,
-               shared: dict) -> SharpnessReport:
-    """Fold one bound's pass over the key groups into a report; each outcome
-    counts once for every graph6 string of its group.  ``shared`` holds the
-    hypothesis and family columns the audit's bounds share.
-    Witness lists are sorted, and the minimum-margin witness is the smallest
-    graph6 at the smallest margin, so the report does not depend on the
-    population order."""
-    holds = equal = violated = skipped = 0
-    equality_w: list[str] = []
-    violation_w: list[str] = []
-    eq_not_family: list[str] = []
-    family_not_eq: list[str] = []
-    min_margin: tuple[float, str] | None = None
+def _min_margin(checked: _Checked, first: list[str]) -> dict | None:
+    """The smallest margin of a key that holds, and the smallest graph6 of
+    the keys at that margin."""
+    keys, margins = checked.keys, checked.margins
+    unheld = {*checked.equal, *checked.violated}
+    if checked.lhs is None:  # a chain has no margin where every link is attained
+        unheld.update(k for k, m in enumerate(margins) if m is None)
+    if len(unheld) == len(margins):
+        return None
+    if unheld:
+        margins = margins.copy()
+        for k in unheld:
+            margins[k] = math.inf
+    low = min(margins)
+    if margins.count(low) == 1:
+        witness = first[keys[margins.index(low)]]
+    else:
+        witness = min(first[keys[k]] for k, m in enumerate(margins)
+                      if m == low and k not in unheld)
+    return {"value": low, "witness_graph6": witness}
+
+
+def _fold(b: BoundSpec, cols: _Columns, population: str) -> SharpnessReport:
+    """Fold one bound's pass over the keys into a report; each key counts
+    once for every graph6 string of its group.  Counts are sums of key
+    weights, and the witness and family-mismatch lists come from the sparse
+    equality, violation and family-member keys.  Witness lists are sorted,
+    and the minimum-margin witness is the smallest graph6 at the smallest
+    margin, so the report does not depend on the population order."""
+    checked = _checked(b, cols)
+    weights, g6s = cols.weights, cols.g6s
+    keys = checked.keys
+    equal_keys = [keys[k] for k in checked.equal]
+    violated_keys = [keys[k] for k in checked.violated]
+    checked_n = checked.weight
+    equal = sum(map(weights.__getitem__, equal_keys))
+    violated = sum(map(weights.__getitem__, violated_keys))
+    eq_not_family: list[int] = []
+    family_not_eq: list[int] = []
     family = b.claimed_equality
-    in_family = (repeat(False) if family is None else _shared_column(
-        shared, family.contains, lambda ctx: family.contains(ctx.graph), ctxs))
-    for (_, _, margin, verdict), member, (_, g6s) in zip(
-            _pass(b, ctxs, shared), in_family, groups):
-        weight = len(g6s)
-        if verdict in (PRECONDITION_SKIPPED, DOMAIN_SKIPPED):
-            skipped += weight
-            continue
-        if verdict == EQUALITY:
-            equal += weight
-            equality_w += g6s
-            if not member:
-                eq_not_family += g6s
-        else:
-            if member:
-                family_not_eq += g6s
-            if verdict == VIOLATED:
-                violated += weight
-                violation_w += g6s
-            else:
-                holds += weight
-                if margin is not None:
-                    key = (margin, g6s[0])
-                    if min_margin is None or key < min_margin:
-                        min_margin = key
-    checked = holds + equal + violated
+    if family is not None:
+        members = cols.members.get(family.contains)
+        if members is None:
+            members = cols.members[family.contains] = {
+                i for i, ctx in enumerate(cols.ctxs) if family.contains(ctx.graph)}
+        eq_not_family = [i for i in equal_keys if i not in members]
+        if members:
+            family_not_eq = list(members.intersection(keys).difference(equal_keys))
+
+    def witnesses(at):
+        return sorted([g6 for i in at for g6 in g6s[i]])
+
+    equality_w = witnesses(equal_keys)
     if violated:
         verdict = VIOLATED
-    elif checked == 0:
+    elif checked_n == 0:
         verdict = VACUOUS
     elif equal:
         verdict = CONFIRMED_SHARP
@@ -434,44 +542,43 @@ def _aggregate(b: BoundSpec, groups, ctxs, population: str,
         population=population,
         tolerance=DEFAULT_TOL,
         counts={
-            "checked": checked,
-            "skipped": skipped,
-            "holds": holds,
+            "checked": checked_n,
+            "skipped": sum(weights) - checked_n,
+            "holds": checked_n - equal - violated,
             "equality": equal,
             "violated": violated,
         },
-        min_margin=(
-            {"value": min_margin[0], "witness_graph6": min_margin[1]}
-            if min_margin is not None
-            else None
-        ),
-        equality_witnesses=sorted(equality_w),
-        violation_witnesses=sorted(violation_w),
+        min_margin=_min_margin(checked, cols.first),
+        equality_witnesses=equality_w,
+        violation_witnesses=witnesses(violated_keys),
         verdict=verdict,
-        equality_family=b.claimed_equality.label if b.claimed_equality else None,
+        equality_family=family.label if family else None,
         family_mismatches={
-            "equality_not_in_family": sorted(eq_not_family),
-            "family_without_equality": sorted(family_not_eq),
+            "equality_not_in_family": witnesses(eq_not_family),
+            "family_without_equality": witnesses(family_not_eq),
         },
-        strict_conflicts=sorted(equality_w) if b.strict and equality_w else [],
+        strict_conflicts=list(equality_w) if b.strict else [],
     )
 
 
 def audit_all(bounds, graphs, population: str = "population") -> dict[str, SharpnessReport]:
-    """Audit several bounds over one population in one pass per bound over
-    the key groups.
+    """Audit several bounds over one population, one columnar pass per bound.
 
-    Each hypothesis set and each claimed family is tested once per key and
-    shared by the bounds that state it; each bound evaluates its coefficient
-    once per distinct n or delta.  Witness lists are sorted by graph6
+    The key groups become columns once per audit (weights, first graph6,
+    the eight side values, n and delta).  Each hypothesis set and each
+    claimed family is tested once per key and shared by the bounds that
+    state it, and so are the live keys of each (hypotheses, sides).  Each
+    bound evaluates its coefficient once per distinct n or delta of its live
+    keys, maps its margins over the shared columns, and applies the per-key
+    rule only to the margins at or below one screen; a chain folds its
+    links' passes, computed once.  Witness lists are sorted by graph6
     string, so the result does not depend on the population order (for
     equal populations as sets).
     """
-    groups = _key_groups(graphs)
-    ctxs = [ctx for ctx, _ in groups]
-    shared: dict = {}
-    return {b.bound_id: _aggregate(b, groups, ctxs, population, shared)
-            for b in bounds}
+    cols = _Columns(_key_groups(graphs))
+    index = _catalog_index()
+    cols.links = {id(index[cid]) for b in bounds for cid in b.chain}
+    return {b.bound_id: _fold(b, cols, population) for b in bounds}
 
 
 def audit(b: BoundSpec, graphs, population: str = "population") -> SharpnessReport:

@@ -267,21 +267,28 @@ def _select_bounds(spec: str | None):
     return list(chosen.values())
 
 
-def _population(args):
-    """The graphs to audit and their label.  Both sources pass through the
-    same ``--min-degree`` / ``--molecular`` filter, ``EnumerationSpec.admits``."""
+def _check_population_flags(args) -> None:
+    """Refuse a population request before any graph is built or read:
+    exactly one source, an order the enumeration runs, and the order cap."""
     if (args.enumerate is None) == (args.file is None):
         raise UsageError("need exactly one of --enumerate N or --file PATH")
+    if args.enumerate is not None:
+        _check_order(args.enumerate)
+        if args.enumerate > DEFAULT_ORDER_CAP and not args.allow_n8:
+            raise UsageError(f"order {args.enumerate} is above the default cap "
+                             f"{DEFAULT_ORDER_CAP} and takes 5-6 seconds; "
+                             "pass --allow-n8 to run it")
+
+
+def _population(args):
+    """The graphs to audit and their label, once ``_check_population_flags``
+    has passed.  Both sources pass through the same ``--min-degree`` /
+    ``--molecular`` filter, ``EnumerationSpec.admits``."""
     spec = EnumerationSpec(args.enumerate, delta_min=args.min_degree,
                            molecular=args.molecular)
     if args.file is not None:
         path = Path(args.file)
         return list(filter(spec.admits, _read(read_population, path))), f"file({path.name})"
-    _check_order(args.enumerate)
-    if args.enumerate > DEFAULT_ORDER_CAP and not args.allow_n8:
-        raise UsageError(f"order {args.enumerate} is above the default cap "
-                         f"{DEFAULT_ORDER_CAP} and takes 5-6 seconds; "
-                         "pass --allow-n8 to run it")
     return enumerate_connected(spec), spec.describe()
 
 
@@ -364,14 +371,15 @@ def cmd_audit(args) -> int:
     out_dir = _resolve(args.out, "OUT", None)
     if out_dir == "":  # Path("") is the current directory
         raise UsageError(f"--out and {ENV_PREFIX}OUT must name a directory, got ''")
-    graphs, population = _population(args)
+    _check_population_flags(args)
     bounds = _select_bounds(args.bounds)
-    if out_dir is not None:  # an unwritable directory fails before the audit
+    if out_dir is not None:  # after every usage check, before any graph is built
         out_dir = Path(out_dir)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise IOError(f"cannot write reports to {out_dir}: {exc}") from None
+    graphs, population = _population(args)
     reports = audit_all(bounds, graphs, population=population)
     order = [b.bound_id for b in bounds]
     _emit_reports(reports, order, population, fmt, out_dir)

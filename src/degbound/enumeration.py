@@ -20,7 +20,7 @@ their placed neighbours (the cell splitting of McKay & Piperno, "Practical
 graph isomorphism II", J. Symb. Comput. 2014).
 
 On a 2-vCPU host, orders 2..7 together take 0.2-0.3 s.  Order 8 takes
-3.4-4.7 s; the library runs any order up to MAX_ORDER, and the CLI's
+3.0-3.9 s; the library runs any order up to MAX_ORDER, and the CLI's
 ``--allow-n8`` is the one opt-in for order 8.
 """
 

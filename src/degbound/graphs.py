@@ -187,22 +187,16 @@ def is_cycle(g: Graph) -> bool:
 
 
 def is_path(g: Graph) -> bool:
-    if not is_connected(g):
-        return False
     if g.n == 1:
         return True
     degs = sorted(g.degrees)
-    return degs.count(1) == 2 and all(d == 2 for d in degs[2:])
+    return degs.count(1) == 2 and all(d == 2 for d in degs[2:]) and is_connected(g)
 
 
 def is_star(g: Graph) -> bool:
-    """True for the star with n-1 leaves (includes K1 and K2)."""
-    if not is_connected(g):
-        return False
-    if g.n <= 2:
-        return g.m == g.n - 1
-    degs = sorted(g.degrees)
-    return degs[-1] == g.n - 1 and all(d == 1 for d in degs[:-1])
+    """True for the star with n-1 leaves (includes K1 and K2).  Its n-1
+    edges all meet at a vertex of degree n-1, which makes it connected."""
+    return g.m == g.n - 1 and max(g.degrees) == g.n - 1
 
 
 def is_double_star_t(g: Graph) -> bool:
@@ -337,7 +331,9 @@ def chromatic_number(g: Graph, cap: int = CHROMATIC_CAP) -> int:
 # graph6 codec (short form, n <= 62) and edge-list text format
 
 G6_MAX = 62  # largest order the short form encodes
-_G6_CHUNKS = [format(chunk, "06b") for chunk in range(64)]
+_G6_BITS = {63 + chunk: format(chunk, "06b") for chunk in range(64)}  # for str.translate
+# A chunk read least significant bit first, as it sits in ``lower`` below.
+_G6_CHARS = [chr(63 + int(format(chunk, "06b")[::-1], 2)) for chunk in range(64)]
 
 
 def to_graph6(g: Graph) -> str:
@@ -346,20 +342,12 @@ def to_graph6(g: Graph) -> str:
     n = g.n
     if n > G6_MAX:
         raise GraphError(f"graph6 short form encodes n <= {G6_MAX}, got {n}")
-    bits = []
+    # Bit v(v-1)/2 + u of ``lower`` is the pair u < v, as in parse_graph6.
+    lower = shift = 0
     for v in range(1, n):
-        col = g.adj[v]
-        for u in range(v):
-            bits.append(col >> u & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(n + 63)]
-    for i in range(0, len(bits), 6):
-        chunk = 0
-        for b in bits[i : i + 6]:
-            chunk = chunk << 1 | b
-        chars.append(chr(chunk + 63))
-    return "".join(chars)
+        lower |= (g.adj[v] & (1 << v) - 1) << shift
+        shift += v
+    return chr(n + 63) + "".join([_G6_CHARS[lower >> i & 63] for i in range(0, shift, 6)])
 
 
 def parse_graph6(s: str) -> Graph:
@@ -367,9 +355,10 @@ def parse_graph6(s: str) -> Graph:
     s = s.strip()
     if not s:
         raise GraphError("empty graph6 string")
-    for i, ch in enumerate(s):
-        if not 63 <= ord(ch) <= 126:
-            raise GraphError(f"graph6: invalid character {ch!r} at position {i}")
+    if not (s.isascii() and "?" <= min(s) and max(s) <= "~"):
+        for i, ch in enumerate(s):
+            if not 63 <= ord(ch) <= 126:
+                raise GraphError(f"graph6: invalid character {ch!r} at position {i}")
     if s[0] == "~":
         raise GraphError("graph6 long form (n > 62) is not supported")
     n = ord(s[0]) - 63
@@ -381,7 +370,7 @@ def parse_graph6(s: str) -> Graph:
         raise GraphError(
             f"graph6: expected {expected} characters for n={n}, got {len(s)}"
         )
-    body = "".join(_G6_CHUNKS[ord(ch) - 63] for ch in s[1:])
+    body = s[1:].translate(_G6_BITS)
     if "1" in body[nbits:]:
         raise GraphError("graph6: nonzero padding bits")
     # Reversed, bit i of the body (pair u < v at i = v(v-1)/2 + u) is bit i

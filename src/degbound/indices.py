@@ -22,6 +22,10 @@ class IndexId(enum.Enum):
     AZI = "AZI"
     M2STAR = "M2*"
 
+    # Members are singletons, so identity is their equality; hashing by it
+    # runs in C, where Enum's own __hash__ is a Python call per dict key.
+    __hash__ = object.__hash__
+
     def __str__(self):
         return self.value
 
@@ -97,13 +101,15 @@ def all_indices(g: Graph, part: dict[tuple[int, int], int] | None = None
     """
     if part is None:
         part = edge_degree_partition(g)
-    rows = [(part[pair], _pair_terms(pair)) for pair in sorted(part)]
-    out: dict[IndexId, float | None] = {}
-    for i, idx in enumerate(ALL_INDICES):
-        total = 0.0
-        for count, terms in rows:
-            total += count * terms[i]
-        out[idx] = total
-    if (1, 1) in part:
-        out[IndexId.AZI] = None
-    return out
+    r = h = abc = x = ga = azi = m2 = 0.0
+    for pair in sorted(part):
+        count = part[pair]
+        t_r, t_h, t_abc, t_x, t_ga, t_azi, t_m2 = _pair_terms(pair)
+        r += count * t_r
+        h += count * t_h
+        abc += count * t_abc
+        x += count * t_x
+        ga += count * t_ga
+        azi += count * t_azi
+        m2 += count * t_m2
+    return dict(zip(ALL_INDICES, (r, h, abc, x, ga, None if (1, 1) in part else azi, m2)))

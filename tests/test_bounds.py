@@ -361,23 +361,24 @@ def test_audit_counts_are_consistent(full_reports):
 
 @pytest.fixture(scope="module")
 def keys_2_7(population_2_7):
-    """One context per audit key of the graphs of order 2..7."""
-    return [ctx for ctx, _ in bounds_module._key_groups(population_2_7)]
+    """The audit key groups of the graphs of order 2..7."""
+    return bounds_module._key_groups(population_2_7)
 
 
-def _margin_gap(bounds, ctxs):
+def _margin_gap(bounds, groups):
     """The largest relative margin |margin| / max(1, |lhs|) of an equality and
-    the smallest of any other checked verdict, over ``bounds`` on ``ctxs``.
-    Chains are left out: they fold their links' verdicts."""
+    the smallest of any other checked verdict, over ``bounds`` on the keys of
+    ``groups``.  Chains are left out: they fold their links' verdicts."""
     equality, other = [0.0], [math.inf]
-    shared: dict = {}
+    cols = bounds_module._Columns(groups)
     for b in bounds:
         if b.chain:
             continue
-        for lhs, _, margin, verdict in bounds_module._pass(b, ctxs, shared):
-            if verdict in (EQUALITY, HOLDS, VIOLATED):
-                rel = abs(margin) / max(1.0, abs(lhs))
-                (equality if verdict == EQUALITY else other).append(rel)
+        checked = bounds_module._evaluate(b, cols)
+        equal = set(checked.equal)
+        for k, (lhs, margin) in enumerate(zip(checked.lhs, checked.margins)):
+            rel = abs(margin) / max(1.0, abs(lhs))
+            (equality if k in equal else other).append(rel)
     return max(equality), min(other)
 
 
@@ -406,6 +407,9 @@ def test_chain_verdict_matches_conjunction(populations):
         whole = evaluate_bound(chain, g)
         parts = [evaluate_bound(by_id[cid], g) for cid in chain.chain]
         assert whole.verdict == combine_chain_verdicts(p.verdict for p in parts)
+        # the margin is the slack of the tightest link that holds
+        held = [p.margin for p in parts if p.verdict == HOLDS]
+        assert whole.margin == (min(held) if held else None)
 
 
 def test_ext2_chain_structure(populations):
@@ -539,8 +543,20 @@ def test_audit_matches_per_graph_reference():
     c13 = cycle_graph(13)
     graphs += [c13, c13.relabeled([(5 * v) % 13 for v in range(13)]), complete_graph(13)]
     rng.shuffle(graphs)
+    bounds = builtin_catalog() + _custom_bounds()
+    # alone, K_{3,3} (chi 2) and the prism (chi 3) decide the chi bounds' margins
+    for population in (graphs, [k33, prism], [prism, k33]):
+        reports = audit_all(bounds, population, population="mixed")
+        assert list(reports) == [b.bound_id for b in bounds]
+        for b in bounds:
+            want = _reference_report(b, population, "mixed")
+            assert reports[b.bound_id].to_dict() == want, b.bound_id
+
+
+def _custom_bounds():
+    """Bounds outside the catalog that reach the fold's other paths."""
     by_id = catalog_by_id()
-    custom = [
+    return [
         BoundSpec("test-upper", "test", "R <= (n-1)*H, not in the catalog",
                   lhs=IndexId.R, rhs=IndexId.H, coeff=by_id["T2U"].coeff,
                   direction="upper", strict=True,
@@ -557,43 +573,98 @@ def test_audit_matches_per_graph_reference():
                   lhs=IndexId.H, rhs=IndexId.R, coeff=by_id["EXT-2a"].coeff,
                   direction="upper", exclusions=(EqualityFamily("X", is_complete),),
                   claimed_equality=EqualityFamily("X", is_cycle)),
+        # every catalog AZI bound needs n >= 3; this one reads AZI on P2
+        BoundSpec("test-azi", "test", "4*M2* <= AZI from n = 2",
+                  lhs=IndexId.AZI, rhs=IndexId.M2STAR, coeff=by_id["T7-(21)L"].coeff,
+                  claimed_equality=P3_FAMILY),
     ]
-    bounds = builtin_catalog() + custom
-    # alone, K_{3,3} (chi 2) and the prism (chi 3) decide the chi bounds' margins
-    for population in (graphs, [k33, prism], [prism, k33]):
-        reports = audit_all(bounds, population, population="mixed")
-        assert list(reports) == [b.bound_id for b in bounds]
-        for b in bounds:
-            want = _reference_report(b, population, "mixed")
-            assert reports[b.bound_id].to_dict() == want, b.bound_id
+
+
+def _disjoint_union(g, h):
+    return Graph(g.n + h.n, list(g.edges) + [(u + g.n, v + g.n) for u, v in h.edges])
+
+
+def _seeded_population(seed):
+    """Random connected graphs, each present one to three times under random
+    relabelings, and disconnected graphs, together with P2 (AZI undefined),
+    two relabelings of an order-13 cycle (chi undefined), a violation of
+    T7-(21)U (K_n), equality cases (K_n, C_n, a star) and K_{3,3} with the
+    prism (one partition, two keys), in a shuffled order."""
+    rng = random.Random(seed)
+
+    def relabeled(g):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return g.relabeled(perm)
+
+    graphs = []
+    for _ in range(30):
+        g = random_connected_graph(rng, rng.randint(3, 9))
+        graphs += [relabeled(g) for _ in range(rng.randint(1, 3))]
+    for _ in range(6):
+        graphs.append(_disjoint_union(random_connected_graph(rng, rng.randint(1, 5)),
+                                      random_connected_graph(rng, rng.randint(1, 5))))
+    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                      (0, 3), (1, 4), (2, 5)])
+    graphs += [path_graph(2), relabeled(cycle_graph(13)), relabeled(cycle_graph(13)),
+               complete_graph(rng.randint(3, 7)), relabeled(cycle_graph(rng.randint(3, 8))),
+               star_graph(rng.randint(2, 8)), relabeled(prism), complete_bipartite(3, 3)]
+    rng.shuffle(graphs)
+    return graphs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_audit_matches_reference_fold_on_seeded_populations(seed):
+    """``audit_all`` gives, bit for bit, the reports that a fold of
+    per-graph ``evaluate_bound`` calls gives, on seeded populations with
+    repeated keys, equality and violation keys, undefined AZI and chi,
+    disconnected graphs and ties at the minimum margin, and on an empty
+    population, where every bound is vacuous."""
+    bounds = builtin_catalog() + _custom_bounds()
+    graphs = _seeded_population(seed)
+    reports = audit_all(bounds, graphs, population="seeded")
+    verdicts, tied = {}, []
+    for b in bounds:
+        want = _reference_report(b, graphs, "seeded")
+        assert reports[b.bound_id].to_dict() == want, b.bound_id
+        checks = [evaluate_bound(b, g) for g in graphs]
+        verdicts[b.bound_id] = {chk.verdict for chk in checks}
+        held = sorted({(chk.margin, chk.graph6) for chk in checks
+                       if chk.verdict == HOLDS and chk.margin is not None})
+        if len(held) > 1 and held[0][0] == held[1][0]:
+            tied.append(b.bound_id)
+    assert VIOLATED in verdicts["T7-(21)U"] and EQUALITY in verdicts["T2U"]
+    assert DOMAIN_SKIPPED in verdicts["test-azi"] and DOMAIN_SKIPPED in verdicts["EXT-4"]
+    assert PRECONDITION_SKIPPED in verdicts["T1L"]  # the disconnected graphs
+    assert tied  # two graph6 strings at some bound's minimum margin
+
+    empty = audit_all(bounds, [], population="empty")
+    for b in bounds:
+        assert empty[b.bound_id].to_dict() == _reference_report(b, [], "empty")
+        assert empty[b.bound_id].verdict == VACUOUS
 
 
 def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
-    """Ten relabelings of the prism share one key, chi included, so each of
-    the 55 catalog bounds, EXT-4 and C6 too, gets exactly one pass over that
-    key (a chain's links are nested passes), and each distinct hypothesis
-    set is tested exactly once on it."""
+    """Ten relabelings each of the prism and of K_{3,3} make two keys (they
+    share a partition but not chi), so each of the 55 catalog bounds, EXT-4
+    and C6 too, is evaluated exactly once over those two keys (C4 folds its
+    links' passes instead of evaluating them again), and each distinct
+    hypothesis set is tested exactly once on each key."""
     prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                       (0, 3), (1, 4), (2, 5)])
     rng = random.Random(10)
     graphs = []
-    for _ in range(10):
-        perm = list(range(6))
-        rng.shuffle(perm)
-        graphs.append(prism.relabeled(perm))
-    passes = []
-    depth = [0]
-    run_pass = bounds_module._pass
+    for g in (prism, complete_bipartite(3, 3)):
+        for _ in range(10):
+            perm = list(range(6))
+            rng.shuffle(perm)
+            graphs.append(g.relabeled(perm))
+    evaluated = []
+    evaluate = bounds_module._evaluate
 
-    def counted(b, ctxs, *args, **kwargs):
-        assert len(ctxs) == 1
-        if not depth[0]:  # a chain's links are nested passes
-            passes.append(b.bound_id)
-        depth[0] += 1
-        try:
-            return run_pass(b, ctxs, *args, **kwargs)
-        finally:
-            depth[0] -= 1
+    def counted(b, cols):
+        evaluated.append((b.bound_id, len(cols.weights)))
+        return evaluate(b, cols)
 
     def hypothesis_set(b):
         return (b.n_min, b.delta_min, b.molecular_only, b.spread_cap,
@@ -603,17 +674,19 @@ def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
     preconditions_met = BoundSpec.preconditions_met
 
     def counted_hypotheses(b, ctx):
-        tested.append(hypothesis_set(b))
+        tested.append((hypothesis_set(b), ctx.chi))
         return preconditions_met(b, ctx)
 
-    monkeypatch.setattr(bounds_module, "_pass", counted)
+    monkeypatch.setattr(bounds_module, "_evaluate", counted)
     monkeypatch.setattr(BoundSpec, "preconditions_met", counted_hypotheses)
     reports = audit_all(builtin_catalog(), graphs)
-    assert sorted(passes) == sorted(EXPECTED_IDS)
+    assert sorted(evaluated) == sorted((bid, 2) for bid in EXPECTED_IDS)
     hypothesis_sets = {hypothesis_set(b) for b in builtin_catalog()}
     assert len(hypothesis_sets) == 7
-    assert len(tested) == len(set(tested)) and set(tested) == hypothesis_sets
-    assert reports["EXT-4"].counts["checked"] == reports["C6"].counts["checked"] == 10
+    assert len(tested) == len(set(tested))
+    assert set(tested) == {(h, chi) for h in hypothesis_sets for chi in (2, 3)}
+    assert reports["EXT-4"].counts["checked"] == reports["C6"].counts["checked"] == 20
+    assert reports["C4"].counts["checked"] == 20
 
 
 def test_audit_counts_each_partition_once(monkeypatch, populations):

@@ -330,6 +330,40 @@ def test_unwritable_out_fails_before_the_audit(capsys, tmp_path):
     assert err.startswith(f"error: cannot write reports to {taken}: ")
 
 
+@pytest.mark.parametrize("source", [["--enumerate", "8", "--allow-n8"], ["--file", "pop.g6"]],
+                         ids=["enumerate", "file"])
+def test_unwritable_out_fails_before_any_graph_is_built(capsys, monkeypatch, tmp_path,
+                                                        source):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the population was built before --out was checked")
+
+    monkeypatch.setattr(cli, "enumerate_connected", refuse)
+    monkeypatch.setattr(cli, "read_population", refuse)
+    monkeypatch.chdir(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run(capsys, "audit", *source, "--out", str(taken))
+    assert (code, out) == (EXIT_IO, "")
+    assert err.startswith(f"error: cannot write reports to {taken}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--enumerate", "4", "--bounds", "nonsense"],
+    ["--enumerate", "8"],
+    ["--enumerate", "1"],
+    ["--enumerate", "4", "--file", "pop.g6"],
+    ["--file", "missing.g6", "--bounds", "nonsense"],
+], ids=["bounds", "cap", "order", "two-sources", "bounds-before-file"])
+def test_usage_errors_leave_no_out_directory(capsys, tmp_path, argv):
+    """Every usage check runs before ``--out`` is created and before any
+    graph is built or read, so an unreadable file with a bad ``--bounds``
+    is a usage error too."""
+    out_dir = tmp_path / "reports"
+    code, out, _ = run(capsys, "audit", *argv, "--out", str(out_dir))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert not out_dir.exists()
+
+
 def test_file_and_enumerated_populations_share_one_filter(capsys, tmp_path):
     from degbound.enumeration import connected_graphs
 

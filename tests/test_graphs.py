@@ -142,6 +142,39 @@ def test_recognizers():
     assert not is_double_star_t(star_graph(7))
 
 
+def test_star_and_path_match_connectivity_first_definitions():
+    """is_star needs no connectivity test and is_path makes it last; both
+    agree with the definitions that test connectivity first on every
+    labelled graph with at most 6 vertices, disconnected ones included."""
+    def star_by_bfs(g):
+        if not is_connected(g):
+            return False
+        if g.n <= 2:
+            return g.m == g.n - 1
+        degs = sorted(g.degrees)
+        return degs[-1] == g.n - 1 and all(d == 1 for d in degs[:-1])
+
+    def path_by_bfs(g):
+        if not is_connected(g):
+            return False
+        if g.n == 1:
+            return True
+        degs = sorted(g.degrees)
+        return degs.count(1) == 2 and all(d == 2 for d in degs[2:])
+
+    stars = paths = 0
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            assert is_star(g) == star_by_bfs(g), (n, g.edges)
+            assert is_path(g) == path_by_bfs(g), (n, g.edges)
+            stars += is_star(g)
+            paths += is_path(g)
+    # labelled stars: 1, 1, 3, 4, 5, 6; labelled paths: 1, 1, 3, 12, 60, 360
+    assert (stars, paths) == (20, 437)
+
+
 # ---------------------------------------------------------------------------
 # families
 
@@ -334,8 +367,12 @@ def test_graph6_malformed():
         parse_graph6("B")  # truncated body
     with pytest.raises(GraphError):
         parse_graph6("Bww")  # overlong body
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"invalid character '\\x14' at position 1"):
         parse_graph6("B" + chr(20))  # character below 63
+    with pytest.raises(GraphError, match=r"invalid character '\\x7f' at position 2"):
+        parse_graph6("Bw\x7f")  # character above 126
+    with pytest.raises(GraphError, match="invalid character 'é' at position 1"):
+        parse_graph6("Bé")  # not ASCII
     with pytest.raises(GraphError):
         parse_graph6("~~~")  # long form unsupported
     with pytest.raises(GraphError):

@@ -24,7 +24,7 @@ def same_output(parent):
 def test_same_output_against_itself():
     proc = same_output(ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "same output on all 27 commands"
+    assert proc.stdout.splitlines()[-1] == "same output on all 28 commands"
 
 
 def test_same_output_reports_every_command(tmp_path):
@@ -42,9 +42,9 @@ def test_same_output_reports_every_command(tmp_path):
                            str(parent)], capture_output=True, text=True, timeout=900)
     lines = proc.stdout.splitlines()
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert lines[-1] == "different output on 3 of 27 commands"
+    assert lines[-1] == "different output on 3 of 28 commands"
     named = [line for line in lines[:-1] if line.startswith(("same `", "DIFFERENT `"))]
-    assert len(named) == len(lines) - 1 == 27
+    assert len(named) == len(lines) - 1 == 28
     different = [line for line in named if line.startswith("DIFFERENT")]
     assert [line.split("`")[1].split()[0] for line in different] == ["verify"] * 3
     assert all(line.endswith(": stdout: line 1: b'verify!' != b'verify'")

@@ -16,8 +16,9 @@ file of mixed graphs (see ``MIXED``) and the Petersen graph as an edge list.
 Two audits filtered by ``--min-degree 2 --molecular``, one enumerated and one
 over ``audit-distinct``, guard the population filter both sources share.
 ``audit --enumerate 8`` without ``--allow-n8`` and ``--enumerate 9`` with it
-guard the order gate's two usage errors, and an audit of the mixed file
-guards chi on disconnected graphs.  An audit with ``--bounds C4,C6,T7-(21)U``
+guard the order gate's two usage errors, an audit of the mixed file
+guards chi on disconnected graphs, and the same audit with ``--min-degree 5``
+admits none of its graphs, so every bound reports over no keys at all.  An audit with ``--bounds C4,C6,T7-(21)U``
 covers a chain without its links, a chi bound and a violated bound.
 ``families``, ``proofs`` and ``compute``
 each render in two formats or more, so each of the table, csv and json
@@ -95,7 +96,8 @@ def commands(populations: Path) -> list[list[str]]:
              ["compute", "--file", str(petersen)],
              ["audit", "--enumerate", "8"],
              ["audit", "--enumerate", "9", "--allow-n8"],
-             ["audit", "--file", str(mixed), "--format", "json"]]
+             ["audit", "--file", str(mixed), "--format", "json"],
+             ["audit", "--file", str(mixed), "--min-degree", "5", "--format", "json"]]
     return cmds
 
 
