@@ -231,19 +231,6 @@ class GraphContext:
                        None if self.chi is None else float(self.chi))
 
 
-def combine_chain_verdicts(verdicts) -> str:
-    """Fold constituent verdicts into a chain verdict: any skip makes the
-    chain unassessable, otherwise any violation breaks the chain."""
-    verdicts = list(verdicts)
-    if PRECONDITION_SKIPPED in verdicts:
-        return PRECONDITION_SKIPPED
-    if DOMAIN_SKIPPED in verdicts:
-        return DOMAIN_SKIPPED
-    if VIOLATED in verdicts:
-        return VIOLATED
-    return HOLDS
-
-
 class _Columns:
     """The keys of one audit as columns, built once from its key groups: each
     key's sorted graph6 strings, their number (the key's weight) and the
@@ -251,7 +238,8 @@ class _Columns:
     keys where each is None, and its screen), n and delta.  It also holds
     what the bounds of the audit share: one hypothesis column per hypothesis
     set, the live keys per hypothesis set and partial sides, the member keys
-    per family test, and the passes of the chains' links.
+    per family test, and the passes of the chains' links, which each chain
+    conjoins as key sets.
     """
 
     def __init__(self, groups):
@@ -277,10 +265,12 @@ class _Columns:
 
 
 class _Checked(NamedTuple):
-    """One bound's pass: at each live key its lhs, coefficient times rhs and
-    margin (a chain has no sides, and its margin may be None), the number of
-    graphs at live keys, and the positions in ``keys`` of the equality and
-    the violated keys; every other live key holds."""
+    """One bound's pass: whether each key meets its hypotheses (for a chain,
+    also its links'), the live keys, and at each its lhs, coefficient times
+    rhs and margin (a chain has no sides, and its margin may be None), the
+    number of graphs at live keys, and the positions in ``keys`` of the
+    equality and the violated keys; every other live key holds.  A met key
+    that is not live is domain-skipped, any other a precondition skip."""
 
     met: list[bool]
     keys: Sequence[int]
@@ -290,19 +280,6 @@ class _Checked(NamedTuple):
     margins: list
     equal: list[int]
     violated: list[int]
-
-    def columns(self) -> tuple[list[str], list]:
-        """The verdict and the margin of every key of the audit."""
-        verdicts = [DOMAIN_SKIPPED if ok else PRECONDITION_SKIPPED for ok in self.met]
-        margins = [None] * len(self.met)
-        for i, margin in zip(self.keys, self.margins):
-            verdicts[i] = HOLDS
-            margins[i] = margin
-        for k in self.equal:
-            verdicts[self.keys[k]] = EQUALITY
-        for k in self.violated:
-            verdicts[self.keys[k]] = VIOLATED
-        return verdicts, margins
 
 
 def _met(b: BoundSpec, cols: _Columns) -> list[bool]:
@@ -346,24 +323,25 @@ def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
     equality has a relative margin of at most 3e-16 and every other verdict
     at least 1e-3.
 
-    A chain folds its links' verdict and margin columns, which the audit
-    computes once, with ``combine_chain_verdicts``; its margin is the slack
-    of the tightest link that is not itself attained.
+    A chain is the conjunction of its links' passes, which the audit computes
+    once, taken as key sets: it meets its hypotheses where it and every link
+    do, it checks the met keys live in every link, and it is violated where
+    any link is.  Its margin is the slack of the tightest link that holds
+    there, neither attained nor violated, and None where none does.
     """
     if b.chain:
-        links = [_checked(_catalog_index()[cid], cols).columns() for cid in b.chain]
-        met, keys, margins, violated = [], [], [], []
-        for i, ok in enumerate(_met(b, cols)):
-            verdict = (combine_chain_verdicts(verdicts[i] for verdicts, _ in links)
-                       if ok else PRECONDITION_SKIPPED)
-            met.append(verdict != PRECONDITION_SKIPPED)
-            if verdict == DOMAIN_SKIPPED or verdict == PRECONDITION_SKIPPED:
-                continue
-            if verdict == VIOLATED:
-                violated.append(len(keys))
-            keys.append(i)
-            held = [m[i] for verdicts, m in links if verdicts[i] == HOLDS]
-            margins.append(min(held) if held else None)
+        links = [_checked(_catalog_index()[cid], cols) for cid in b.chain]
+        met = list(map(all, zip(_met(b, cols), *(link.met for link in links))))
+        keys = sorted(set(compress(cols.index, met)).intersection(*(link.keys for link in links)))
+        broken, slacks = set(), []
+        for link in links:
+            slack = dict(zip(link.keys, link.margins))
+            for k in (*link.equal, *link.violated):
+                slack[link.keys[k]] = math.inf
+            broken.update(link.keys[k] for k in link.violated)
+            slacks.append(map(slack.__getitem__, keys))
+        margins = [m if m < math.inf else None for m in map(min, zip(*slacks))]
+        violated = [k for k, i in enumerate(keys) if i in broken]
         weight = sum(map(cols.weights.__getitem__, keys))
         return _Checked(met, keys, weight, None, None, margins, [], violated)
 
@@ -412,11 +390,12 @@ def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
     """
     ctx = GraphContext(g)
     checked = _evaluate(b, _Columns([(ctx, [ctx.graph6])]))
-    verdicts, margins = checked.columns()
-    if checked.keys and checked.lhs is not None:
-        return BoundCheck(b.bound_id, ctx.graph6, checked.lhs[0], checked.products[0],
-                          margins[0], verdicts[0])
-    return BoundCheck(b.bound_id, ctx.graph6, None, None, margins[0], verdicts[0])
+    if not checked.keys:
+        verdict = DOMAIN_SKIPPED if checked.met[0] else PRECONDITION_SKIPPED
+        return BoundCheck(b.bound_id, ctx.graph6, None, None, None, verdict)
+    verdict = EQUALITY if checked.equal else VIOLATED if checked.violated else HOLDS
+    sides = (None, None) if checked.lhs is None else (checked.lhs[0], checked.products[0])
+    return BoundCheck(b.bound_id, ctx.graph6, *sides, checked.margins[0], verdict)
 
 
 def check_equality_family(b: BoundSpec, g: Graph) -> bool:

@@ -111,8 +111,9 @@ def _render_rows(rows, fmt, stream):
             stream.write("  ".join(cells).rstrip() + "\n")
 
 
-def _read(read, path: Path):
-    """``read(path)``; a file that cannot be opened or decoded is an I/O error."""
+def _read(path: Path, read=lambda p: p.read_text(encoding="utf-8")):
+    """``read(path)``, by default the file's text as UTF-8 whatever the locale;
+    a file that cannot be opened or decoded is an I/O error."""
     try:
         return read(path)
     except (OSError, UnicodeDecodeError) as exc:
@@ -124,7 +125,7 @@ def _read(read, path: Path):
 
 
 def _sniff_file_graphs(path: Path) -> list[Graph]:
-    text = _read(Path.read_text, path)
+    text = _read(path)
     body = [line for _, line in content_lines(text)]
     if body and body[0].isdigit() and (len(body) == 1 or " " in body[1] or "\t" in body[1]):
         try:
@@ -288,7 +289,7 @@ def _population(args):
                            molecular=args.molecular)
     if args.file is not None:
         path = Path(args.file)
-        return list(filter(spec.admits, _read(read_population, path))), f"file({path.name})"
+        return list(filter(spec.admits, _read(path, read_population))), f"file({path.name})"
     return enumerate_connected(spec), spec.describe()
 
 
@@ -328,9 +329,9 @@ def _emit_reports(reports, order, population, fmt, out_dir):
     if out_dir is not None:
         try:
             for bid in order:
-                with (out_dir / f"{bid}.json").open("w") as f:
+                with (out_dir / f"{bid}.json").open("w", encoding="utf-8") as f:
                     _json(reports[bid].to_dict(), f)
-            with (out_dir / "summary.json").open("w") as f:
+            with (out_dir / "summary.json").open("w", encoding="utf-8") as f:
                 _json({
                     "population": population,
                     "tolerance": DEFAULT_TOL,
@@ -344,7 +345,7 @@ def _expected_verdicts(args) -> dict[str, str]:
     if args.expected is not None:
         path = Path(args.expected)
         try:
-            doc = json.loads(_read(Path.read_text, path))
+            doc = json.loads(_read(path))
         except json.JSONDecodeError as exc:
             raise IOError(f"bad expectation file {path}: {exc}") from None
         verdicts = doc.get("verdicts") if isinstance(doc, dict) else None
@@ -358,7 +359,7 @@ def _expected_verdicts(args) -> dict[str, str]:
     _check_order(args.enumerate)  # the package pins every order the enumeration runs
     name = f"expected_enumerate_n{args.enumerate}.json"
     ref = resources.files("degbound").joinpath("data", name)
-    return dict(json.loads(ref.read_text())["verdicts"])
+    return dict(json.loads(ref.read_text(encoding="utf-8"))["verdicts"])
 
 
 def cmd_audit(args) -> int:

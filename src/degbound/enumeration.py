@@ -239,7 +239,7 @@ def connected_graphs(n: int, delta_min: int | None = None, molecular: bool = Fal
 
 def read_population(path: str | Path) -> list[Graph]:
     """Read a population file; see :func:`parse_population`."""
-    return parse_population(Path(path).read_text(), path)
+    return parse_population(Path(path).read_text(encoding="utf-8"), path)
 
 
 def parse_population(text: str, path: str | Path) -> list[Graph]:

@@ -34,7 +34,6 @@ from degbound.bounds import (
     builtin_catalog,
     catalog_by_id,
     check_equality_family,
-    combine_chain_verdicts,
     evaluate_bound,
     star_family,
 )
@@ -400,16 +399,47 @@ def test_a_margin_near_the_tolerance_breaks_the_gap(keys_2_7, shift):
     assert not (equality <= 1e-14 and other >= 1e-6), (equality, other)
 
 
+def _conjunction(verdicts):
+    """A chain's verdict from its links' verdicts: any skip makes it
+    unassessable (a precondition skip first), otherwise any violated link
+    breaks it."""
+    for verdict in (PRECONDITION_SKIPPED, DOMAIN_SKIPPED, VIOLATED):
+        if verdict in verdicts:
+            return verdict
+    return HOLDS
+
+
 def test_chain_verdict_matches_conjunction(populations):
     by_id = catalog_by_id()
     chain = by_id["C4"]
     for g in populations[5] + populations[6]:
         whole = evaluate_bound(chain, g)
         parts = [evaluate_bound(by_id[cid], g) for cid in chain.chain]
-        assert whole.verdict == combine_chain_verdicts(p.verdict for p in parts)
+        assert whole.verdict == _conjunction([p.verdict for p in parts])
         # the margin is the slack of the tightest link that holds
         held = [p.margin for p in parts if p.verdict == HOLDS]
         assert whole.margin == (min(held) if held else None)
+
+
+def test_chain_edge_cases():
+    """The custom chain of EXT-2a and EXT-4 states no hypothesis of its own:
+    a link's failed hypothesis skips it on precondition, a link's undefined
+    side on domain, and where both links are attained it holds with no
+    margin."""
+    chain = next(b for b in _custom_bounds() if b.bound_id == "test-chain")
+    p4 = evaluate_bound(chain, path_graph(4))  # EXT-2a needs delta >= 2
+    assert p4.verdict == PRECONDITION_SKIPPED and p4.margin is None
+    c13 = evaluate_bound(chain, cycle_graph(13))  # chi is undefined above 12
+    assert c13.verdict == DOMAIN_SKIPPED and c13.margin is None
+    k5 = evaluate_bound(chain, complete_graph(5))  # H = R and chi = 2H
+    assert (k5.verdict, k5.margin) == (HOLDS, None)
+    c5 = evaluate_bound(chain, cycle_graph(5))  # H = R; 2H - chi = 5 - 3
+    assert (c5.verdict, c5.margin) == (HOLDS, 2.0)
+    for check in (p4, c13, k5, c5):
+        assert (check.lhs_value, check.rhs_side_value) == (None, None)
+    assert audit(chain, [complete_graph(5)]).min_margin is None
+    assert audit(chain, [complete_graph(5), cycle_graph(5)]).min_margin == {
+        "value": 2.0, "witness_graph6": "Dhc"}
 
 
 def test_ext2_chain_structure(populations):

@@ -609,6 +609,65 @@ def test_expectation_file_not_utf8_is_io_error(capsys, tmp_path):
     assert err.startswith(f"error: cannot read {exp}: ")
 
 
+def _cli_env(**extra):
+    """The environment of a ``python -m degbound.cli`` subprocess that
+    imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    env.update(extra)
+    return env
+
+
+def _run_cli(args, env, *python_flags):
+    return subprocess.run([sys.executable, *python_flags, "-m", "degbound.cli", *args],
+                          capture_output=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("text, code", [
+    ("# café population\nBw\n".encode("utf-8"), EXIT_OK),
+    ("# café population\nBw\n".encode("latin-1"), EXIT_IO),
+], ids=["utf-8", "latin-1"])
+def test_population_file_reads_as_utf8_in_every_locale(tmp_path, text, code):
+    """Population files are UTF-8 whatever the locale: a comment outside
+    ASCII reads alike under the C and the C.UTF-8 locale, and a file that is
+    not UTF-8 is an I/O error under both."""
+    pop = tmp_path / "pop.g6"
+    pop.write_bytes(text)
+    runs = [_run_cli(["audit", "--file", str(pop), "--bounds", "T1L"],
+                     _cli_env(LC_ALL=locale, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"))
+            for locale in ("C", "C.UTF-8")]
+    for proc in runs:
+        assert proc.returncode == code, proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert (runs[0].stdout == b"") == (code == EXIT_IO)
+
+
+@pytest.mark.parametrize("command", ["verify-enumerate", "audit-file", "verify-file",
+                                     "compute-edges"])
+def test_no_text_file_is_opened_in_the_locale_encoding(tmp_path, command):
+    """Every file the CLI reads or writes names its encoding, so
+    ``-X warn_default_encoding`` with EncodingWarning as an error passes."""
+    pop = tmp_path / "pop.g6"
+    pop.write_text("Bw\n", encoding="utf-8")
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({"verdicts": {"T1L": "holds_not_sharp_in_population"}}),
+                   encoding="utf-8")
+    edges = tmp_path / "p3.edges"
+    edges.write_text("3\n0 1\n1 2\n", encoding="utf-8")
+    args = {
+        "verify-enumerate": ["verify", "--enumerate", "4", "--out", str(tmp_path / "out")],
+        "audit-file": ["audit", "--file", str(pop)],
+        "verify-file": ["verify", "--file", str(pop), "--bounds", "T1L",
+                        "--expected", str(exp)],
+        "compute-edges": ["compute", "--file", str(edges)],
+    }[command]
+    proc = _run_cli(args, _cli_env(), "-X", "warn_default_encoding",
+                    "-W", "error::EncodingWarning")
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
 def test_population_filtered_to_nothing_is_vacuous(capsys, tmp_path):
     pop = tmp_path / "pop.g6"
     pop.write_text("Bw\n")  # the triangle: delta 2
@@ -625,15 +684,11 @@ def test_jobs_is_an_unrecognized_argument(capsys):
 
 
 def test_closed_stdout_exits_quietly():
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     # about 110 kB of table, more than a pipe holds, so the writer meets the
     # closed pipe
     proc = subprocess.Popen(
         [sys.executable, "-m", "degbound.cli", "families", "--max-n", "200"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
     assert proc.stdout.readline().startswith(b"family")
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)

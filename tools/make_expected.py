@@ -29,12 +29,12 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "degbound" / "data"
 
 def write(path: Path, doc: dict) -> None:
     if path.is_file():
-        old = json.loads(path.read_text())["verdicts"]
+        old = json.loads(path.read_text(encoding="utf-8"))["verdicts"]
         new = doc["verdicts"]
         for bid in sorted(old.keys() | new.keys()):
             if old.get(bid) != new.get(bid):
                 print(f"CHANGED {path.name} {bid}: {old.get(bid)} -> {new.get(bid)}")
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def main():

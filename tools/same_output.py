@@ -11,8 +11,10 @@ runs must agree byte for byte on exit code, stdout, stderr and every file
 written under ``--out``.  The file populations are the seed-0
 ``audit-distinct`` and ``audit-repeats`` benchmark populations, written once
 to a temporary directory by ``perfbench/population.py`` and shared by both
-sides, plus two fixed ``compute --file`` inputs written there too: a graph6
-file of mixed graphs (see ``MIXED``) and the Petersen graph as an edge list.
+sides, plus two fixed ``compute --file`` inputs written there too, as UTF-8:
+a graph6 file of mixed graphs (see ``MIXED``) that opens with a comment line
+outside ASCII (``MIXED_HEADER``), and the Petersen graph as an edge list.
+Both sides run in the caller's locale.
 Two audits filtered by ``--min-degree 2 --molecular``, one enumerated and one
 over ``audit-distinct``, guard the population filter both sources share.
 ``audit --enumerate 8`` without ``--allow-n8`` and ``--enumerate 9`` with it
@@ -46,6 +48,8 @@ PERFBENCH = ROOT / "perfbench"
 OUT = "{out}"  # replaced by a fresh directory per side and command
 TIMEOUT_S = 900
 
+# The first line of the compute --file graph6 input: a comment outside ASCII.
+MIXED_HEADER = "# mixed graphs: disconnected, the wheel of order 13, K₃,₃, K₁,₄, T*, S₁,₈\n"
 # (order, edges as u < v) of the compute --file graph6 input: disconnected graphs
 # (two triangles, K_2 + K_1, P_3 + K_2), the order-13 wheel (above the
 # chromatic cap), K_{3,3}, K_{1,4}, T* and S_{1,8}.  No edgeless graph.
@@ -87,8 +91,10 @@ def commands(populations: Path) -> list[list[str]]:
              ["proofs", "--n", "10", "--format", "csv"],
              ["proofs", "--n", "7"]]
     mixed, petersen = populations / "mixed.g6", populations / "petersen.edges"
-    mixed.write_text("".join(graph6(n, edges) + "\n" for n, edges in MIXED))
-    petersen.write_text("10\n" + "".join(f"{u} {v}\n" for u, v in PETERSEN))
+    mixed.write_text(MIXED_HEADER + "".join(graph6(n, edges) + "\n" for n, edges in MIXED),
+                     encoding="utf-8")
+    petersen.write_text("10\n" + "".join(f"{u} {v}\n" for u, v in PETERSEN),
+                        encoding="utf-8")
     cmds += [["compute", "--family", "complete:200", "--format", "json"],
              ["compute", "--file", str(mixed), "--format", "json"],
              ["compute", "--file", str(mixed), "--format", "csv"],
