@@ -7,7 +7,7 @@ labeling that lists the vertices in ascending degree order), and the
 canonical form (the lexicographically smallest graph6 encoding over all
 relabelings) runs once per class, so the output is one representative per
 isomorphism class in a deterministic order.  Orders 2..7 take 0.2-0.3 s on
-a 2-vCPU host; order 8 takes 3.4-4.7 s.
+a 2-vCPU host; order 8 takes 3.0-3.9 s.
 """
 
 from degbound import (
@@ -25,7 +25,7 @@ for n in range(2, 8):
     print(f"connected graphs on {n} vertices: {len(connected_graphs(n))}")
 print()
 
-# Filters compose: minimum degree, molecular (max degree <= 4), regular.
+# Filters compose: minimum degree and molecular (max degree <= 4).
 spec = EnumerationSpec(6, delta_min=2, molecular=True)
 pop = enumerate_connected(spec)
 print(f"{spec.describe()}: {len(pop)} graphs, first five:",

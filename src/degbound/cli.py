@@ -2,9 +2,8 @@
 catalog over graph populations, tabulate family closed forms, and run the
 proof-grid audits.
 
-Configuration precedence: command-line flags, then DEGBOUND_* environment
-variables, then defaults.  Exit codes: 0 ok, 1 verdict mismatch, 2 usage,
-3 I/O, 141 (128 + SIGPIPE) when the reader closes stdout early.
+Exit codes: 0 ok, 1 verdict mismatch, 2 usage, 3 I/O, 141 (128 + SIGPIPE)
+when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_PIPE = 141
 
-ENV_PREFIX = "DEGBOUND_"
 # Largest --family parameter, --max-n and edge-list order: construction is quadratic in
 # the order. The largest graph built is K_{200,200} (delta_regular_witness:200, 400 vertices).
 FAMILY_MAX = 200
@@ -56,19 +54,6 @@ FORMATS = ("table", "json", "csv")
 
 class UsageError(Exception):
     pass
-
-
-def _resolve(flag_value, env_name, default):
-    if flag_value is not None:
-        return flag_value
-    return os.environ.get(ENV_PREFIX + env_name, default)
-
-
-def _format(args) -> str:
-    fmt = _resolve(args.format, "FORMAT", "table")
-    if fmt not in FORMATS:  # argparse checks the flag; this catches the variable
-        raise UsageError(f"bad {ENV_PREFIX}FORMAT value: {fmt!r}")
-    return fmt
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +96,10 @@ def _render_rows(rows, fmt, stream):
             stream.write("  ".join(cells).rstrip() + "\n")
 
 
-def _read(path: Path, read=lambda p: p.read_text(encoding="utf-8")):
-    """``read(path)``, by default the file's text as UTF-8 whatever the locale;
-    a file that cannot be opened or decoded is an I/O error."""
+def _read(path: Path, read=lambda p: p.read_text(encoding="utf-8-sig")):
+    """``read(path)``, by default the file's text as UTF-8 whatever the locale,
+    less a leading byte-order mark; a file that cannot be opened or decoded is
+    an I/O error."""
     try:
         return read(path)
     except (OSError, UnicodeDecodeError) as exc:
@@ -149,7 +135,6 @@ def _compute_rows(graphs):
 
 
 def cmd_compute(args) -> int:
-    fmt = _format(args)
     sources = [s for s in (args.g6, args.file, args.family) if s is not None]
     if len(sources) != 1:
         raise UsageError("compute needs exactly one of --g6, --file, --family")
@@ -170,7 +155,7 @@ def cmd_compute(args) -> int:
             graphs = [make_family(tag, size)]
         except GraphError as exc:  # an unknown family or a bad parameter
             raise UsageError(str(exc)) from None
-    _render_rows(_compute_rows(graphs), fmt, sys.stdout)
+    _render_rows(_compute_rows(graphs), args.format, sys.stdout)
     return EXIT_OK
 
 
@@ -216,9 +201,8 @@ def families_rows(max_n: int) -> list[dict]:
 
 
 def cmd_families(args) -> int:
-    fmt = _format(args)
     rows = families_rows(args.max_n)
-    _render_rows(rows, fmt, sys.stdout)
+    _render_rows(rows, args.format, sys.stdout)
     if not all(r["agrees"] for r in rows):
         print("closed forms disagree with graph evaluation", file=sys.stderr)
         return EXIT_MISMATCH
@@ -230,16 +214,15 @@ def cmd_families(args) -> int:
 
 
 def cmd_proofs(args) -> int:
-    fmt = _format(args)
     claims = proofs_report(args.n)
-    if fmt == "json":
+    if args.format == "json":
         _json({"n": args.n, "claims": claims}, sys.stdout)
     else:
         rows = [
             {"verdict": c["verdict"], "claim": c["claim"], "observed": c["observed"]}
             for c in claims
         ]
-        _render_rows(rows, fmt, sys.stdout)
+        _render_rows(rows, args.format, sys.stdout)
     return EXIT_OK
 
 
@@ -365,17 +348,15 @@ def _expected_verdicts(args) -> dict[str, str]:
 def cmd_audit(args) -> int:
     """Run ``audit``, or ``verify``, which also compares the verdicts with
     its expectations (read before the audit, so a bad file fails fast)."""
-    fmt = _format(args)
     expected = _expected_verdicts(args) if args.command == "verify" else None
     if args.min_degree is not None and args.min_degree < 0:
         raise UsageError(f"--min-degree must be >= 0, got {args.min_degree}")
-    out_dir = _resolve(args.out, "OUT", None)
-    if out_dir == "":  # Path("") is the current directory
-        raise UsageError(f"--out and {ENV_PREFIX}OUT must name a directory, got ''")
+    if args.out == "":  # Path("") is the current directory
+        raise UsageError("--out must name a directory, got ''")
     _check_population_flags(args)
     bounds = _select_bounds(args.bounds)
+    out_dir = None if args.out is None else Path(args.out)
     if out_dir is not None:  # after every usage check, before any graph is built
-        out_dir = Path(out_dir)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -383,7 +364,7 @@ def cmd_audit(args) -> int:
     graphs, population = _population(args)
     reports = audit_all(bounds, graphs, population=population)
     order = [b.bound_id for b in bounds]
-    _emit_reports(reports, order, population, fmt, out_dir)
+    _emit_reports(reports, order, population, args.format, out_dir)
     if expected is None:
         return EXIT_OK
     mismatches = []
@@ -418,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", help="graph6 lines, or an edge-list file (n, then 'u v' lines)")
     p.add_argument("--family", help="named family, e.g. cycle:7, star:8, double_star "
                                     f"(parameter at most {FAMILY_MAX})")
-    p.add_argument("--format", choices=FORMATS)
+    p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(func=cmd_compute)
 
     def population_flags(p):
@@ -432,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--allow-n8", action="store_true",
                        help="permit the order-8 enumeration (5-6 seconds)")
         p.add_argument("--bounds", metavar="LIST|all", default="all")
-        p.add_argument("--format", choices=FORMATS)
+        p.add_argument("--format", choices=FORMATS, default="table")
         p.add_argument("--out", metavar="DIR", help="write one report JSON per bound")
 
     p = sub.add_parser("audit", help="sharpness reports over a population")
@@ -448,12 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("families", help="closed-form index table for named families")
     p.add_argument("--max-n", type=int, default=20, metavar="N")
-    p.add_argument("--format", choices=FORMATS)
+    p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(func=cmd_families)
 
     p = sub.add_parser("proofs", help="proof-grid ratio audits")
     p.add_argument("--n", type=int, default=20)
-    p.add_argument("--format", choices=FORMATS)
+    p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(func=cmd_proofs)
 
     return parser

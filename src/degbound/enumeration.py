@@ -40,7 +40,6 @@ from .graphs import (
     connected_within,
     content_lines,
     is_molecular,
-    is_regular,
     min_degree,
     parse_graph6,
     to_graph6,
@@ -162,16 +161,11 @@ class EnumerationSpec:
     n: int
     delta_min: int | None = None
     molecular: bool = False
-    regular_only: bool = False
 
     def admits(self, g: Graph) -> bool:
         if self.delta_min is not None and min_degree(g) < self.delta_min:
             return False
-        if self.molecular and not is_molecular(g):
-            return False
-        if self.regular_only and not is_regular(g):
-            return False
-        return True
+        return not self.molecular or is_molecular(g)
 
     def describe(self) -> str:
         parts = [f"n={self.n}"]
@@ -179,8 +173,6 @@ class EnumerationSpec:
             parts.append(f"delta_min={self.delta_min}")
         if self.molecular:
             parts.append("molecular")
-        if self.regular_only:
-            parts.append("regular_only")
         return "enumerate(" + ", ".join(parts) + ")"
 
 
@@ -229,17 +221,16 @@ def enumerate_connected(spec: EnumerationSpec) -> list[Graph]:
     return [g for g in _classes(spec.n) if spec.admits(g)]
 
 
-def connected_graphs(n: int, delta_min: int | None = None, molecular: bool = False,
-                     regular_only: bool = False) -> list[Graph]:
+def connected_graphs(n: int, delta_min: int | None = None,
+                     molecular: bool = False) -> list[Graph]:
     """Convenience wrapper over :func:`enumerate_connected`."""
-    spec = EnumerationSpec(n, delta_min=delta_min, molecular=molecular,
-                           regular_only=regular_only)
-    return enumerate_connected(spec)
+    return enumerate_connected(EnumerationSpec(n, delta_min=delta_min, molecular=molecular))
 
 
 def read_population(path: str | Path) -> list[Graph]:
-    """Read a population file; see :func:`parse_population`."""
-    return parse_population(Path(path).read_text(encoding="utf-8"), path)
+    """Read a population file as UTF-8, less a leading byte-order mark; see
+    :func:`parse_population`."""
+    return parse_population(Path(path).read_text(encoding="utf-8-sig"), path)
 
 
 def parse_population(text: str, path: str | Path) -> list[Graph]:

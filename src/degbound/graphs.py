@@ -289,18 +289,18 @@ def make_family(tag: str, param: int | None = None) -> Graph:
 CHROMATIC_CAP = 12
 
 
-def chromatic_number(g: Graph, cap: int = CHROMATIC_CAP) -> int:
+def chromatic_number(g: Graph) -> int:
     """Exact chromatic number: the smallest k for which a backtracking search
     colours ``g`` with k colours.
 
     Vertices are placed in decreasing-degree order.  Each joins an open colour
     class (a vertex bitmask) that holds none of its neighbours, or opens a new
     class while fewer than k are open.  Exponential in the worst case; refuse
-    instances above ``cap``.
+    instances above ``CHROMATIC_CAP`` vertices.
     """
     n = g.n
-    if n > cap:
-        raise SizeLimitError(f"exact chromatic number capped at n <= {cap}, got {n}")
+    if n > CHROMATIC_CAP:
+        raise SizeLimitError(f"exact chromatic number capped at n <= {CHROMATIC_CAP}, got {n}")
     order = sorted(range(n), key=lambda v: -g.degrees[v])
     adj = g.adj
 

@@ -368,7 +368,6 @@ def test_criterion_9_enumeration_determinism_1000():
                 n,
                 delta_min=rng.choice((None, 1, 2)),
                 molecular=rng.random() < 0.3,
-                regular_only=rng.random() < 0.2,
             )
             enumeration._classes.cache_clear()
             first = enumerate_connected(spec)

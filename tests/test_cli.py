@@ -309,16 +309,13 @@ def test_audit_and_verify_give_identical_reports(capsys, tmp_path):
     assert runs["verify"][2] == "verify: 55 bounds match pinned verdicts on enumerate(n=6)\n"
 
 
-@pytest.mark.parametrize("argv, env", [(["--out", ""], {}), ([], {"DEGBOUND_OUT": ""})],
-                         ids=["flag", "variable"])
-def test_empty_out_is_usage_error(capsys, monkeypatch, tmp_path, argv, env):
+@pytest.mark.parametrize("argv", [["--out", ""]], ids=["flag"])
+def test_empty_out_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     """An empty directory name would mean the current directory."""
     monkeypatch.chdir(tmp_path)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     code, out, err = run(capsys, "audit", "--enumerate", "4", "--bounds", "T1L", *argv)
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == "error: --out and DEGBOUND_OUT must name a directory, got ''\n"
+    assert err == "error: --out must name a directory, got ''\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -503,12 +500,19 @@ def test_tol_is_an_unrecognized_argument(capsys):
     assert "unrecognized arguments: --tol 1e-6" in err
 
 
-def test_tol_variable_changes_nothing(capsys, monkeypatch):
-    argv = ("audit", "--enumerate", "5", "--format", "json")
+@pytest.mark.parametrize("name, value", [("DEGBOUND_TOL", "nan"), ("DEGBOUND_FORMAT", "xml"),
+                                         ("DEGBOUND_OUT", None)],
+                         ids=["DEGBOUND_TOL", "DEGBOUND_FORMAT", "DEGBOUND_OUT"])
+def test_tol_variable_changes_nothing(capsys, monkeypatch, tmp_path, name, value):
+    """Flags and constants are the only settings: the tolerance, format and
+    report directory variables are ignored (``DEGBOUND_OUT`` names an empty
+    directory that stays empty)."""
+    argv = ("audit", "--enumerate", "5")
     unset = run(capsys, *argv)
     assert unset[0] == EXIT_OK
-    monkeypatch.setenv("DEGBOUND_TOL", "nan")
+    monkeypatch.setenv(name, value or str(tmp_path))
     assert run(capsys, *argv) == unset
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("order", ["-1", "0", "1", "8", "12"])
@@ -625,23 +629,39 @@ def _run_cli(args, env, *python_flags):
                           capture_output=True, env=env, timeout=120)
 
 
-@pytest.mark.parametrize("text, code", [
-    ("# café population\nBw\n".encode("utf-8"), EXIT_OK),
-    ("# café population\nBw\n".encode("latin-1"), EXIT_IO),
-], ids=["utf-8", "latin-1"])
-def test_population_file_reads_as_utf8_in_every_locale(tmp_path, text, code):
-    """Population files are UTF-8 whatever the locale: a comment outside
-    ASCII reads alike under the C and the C.UTF-8 locale, and a file that is
-    not UTF-8 is an I/O error under both."""
-    pop = tmp_path / "pop.g6"
-    pop.write_bytes(text)
-    runs = [_run_cli(["audit", "--file", str(pop), "--bounds", "T1L"],
-                     _cli_env(LC_ALL=locale, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"))
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("kind, text, code", [
+    ("population", "# café population\nBw\n".encode("utf-8"), EXIT_OK),
+    ("population", "# café population\nBw\n".encode("latin-1"), EXIT_IO),
+    ("population", BOM + "# café population\nBw\n".encode("utf-8"), EXIT_OK),
+    ("edges", BOM + b"3\n0 1\n1 2\n", EXIT_OK),
+    ("expected", BOM + b'{"verdicts": {"T1L": "holds_not_sharp_in_population"}}\n', EXIT_OK),
+], ids=["utf-8", "latin-1", "bom-population", "bom-edges", "bom-expected"])
+def test_population_file_reads_as_utf8_in_every_locale(tmp_path, kind, text, code):
+    """Input files are UTF-8 whatever the locale: a comment outside ASCII
+    reads alike under the C and the C.UTF-8 locale, and a file that is not
+    UTF-8 is an I/O error under both.  A leading byte-order mark is skipped,
+    so the file reads as it does without one."""
+    path = tmp_path / "input"
+    path.write_bytes(text)
+    argv = {
+        "population": ["audit", "--file", str(path), "--bounds", "T1L"],
+        "edges": ["compute", "--file", str(path)],
+        "expected": ["verify", "--enumerate", "3", "--bounds", "T1L", "--expected", str(path)],
+    }[kind]
+    runs = [_run_cli(argv, _cli_env(LC_ALL=locale, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"))
             for locale in ("C", "C.UTF-8")]
     for proc in runs:
         assert proc.returncode == code, proc.stderr
     assert runs[0].stdout == runs[1].stdout
     assert (runs[0].stdout == b"") == (code == EXIT_IO)
+    if text.startswith(BOM):
+        path.write_bytes(text[len(BOM):])
+        plain = _run_cli(argv, _cli_env())
+        assert (plain.returncode, plain.stdout, plain.stderr) == (
+            runs[1].returncode, runs[1].stdout, runs[1].stderr)
 
 
 @pytest.mark.parametrize("command", ["verify-enumerate", "audit-file", "verify-file",
@@ -778,28 +798,3 @@ def test_compute_csv_json_parity(capsys):
     crow = next(csv.DictReader(io.StringIO(out_csv)))
     for key in ("R", "H", "ABC", "X", "GA", "AZI", "M2*"):
         assert float(crow[key]) == jrow[key]
-
-
-@pytest.mark.parametrize("argv", [
-    ["compute", "--g6", "Bw"],
-    ["families", "--max-n", "3"],
-    ["proofs", "--n", "3"],
-    ["audit", "--enumerate", "3"],
-    ["verify", "--enumerate", "3"],
-])
-def test_bad_format_variable_is_usage_error(capsys, monkeypatch, argv):
-    monkeypatch.setenv("DEGBOUND_FORMAT", "xml")
-    code, out, err = run(capsys, *argv)
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "DEGBOUND_FORMAT" in err
-
-
-def test_env_variable_config(capsys, monkeypatch):
-    monkeypatch.setenv("DEGBOUND_FORMAT", "json")
-    code, out, _ = run(capsys, "compute", "--g6", "Bw")
-    assert code == EXIT_OK
-    assert json.loads(out)["rows"][0]["GA"] == pytest.approx(3.0)
-    # flags beat the environment
-    code, out, _ = run(capsys, "compute", "--g6", "Bw", "--format", "csv")
-    assert out.startswith("graph6,")

@@ -28,7 +28,6 @@ from degbound.graphs import (
     cycle_graph,
     is_connected,
     is_molecular,
-    is_regular,
     min_degree,
     path_graph,
     star_graph,
@@ -194,6 +193,24 @@ def test_order_8_count_matches_oeis():
     assert _digest(graphs) == REPRESENTATIVE_DIGESTS[8]
 
 
+@pytest.mark.filterwarnings("ignore:The hashes produced .* changed:UserWarning")
+def test_order_8_classes_match_networkx():
+    # An oracle that shares no code with the enumerator: networkx checks each
+    # class is connected, and VF2 finds no two classes isomorphic among those
+    # with equal Weisfeiler-Lehman hashes.  With the OEIS count above, the
+    # class set is exact.
+    nx = pytest.importorskip("networkx")
+    buckets = {}
+    for g in connected_graphs(8):
+        h = nx.Graph(g.edges)
+        h.add_nodes_from(range(g.n))
+        assert nx.is_connected(h), to_graph6(g)
+        buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(h)
+    for bucket in buckets.values():
+        for h, k in combinations(bucket, 2):
+            assert not nx.is_isomorphic(h, k)
+
+
 @pytest.mark.skipif(not os.environ.get(ORDER_9_OPT_IN),
                     reason=f"order 9 takes minutes; set {ORDER_9_OPT_IN}=1 to run it")
 def test_order_9_count_and_digest():
@@ -225,8 +242,7 @@ def test_filtered_specs_reuse_the_order(monkeypatch):
         return _canonical_columns(*args)
 
     monkeypatch.setattr(enumeration, "_canonical_columns", counted)
-    for spec in (EnumerationSpec(6, delta_min=2), EnumerationSpec(6, molecular=True),
-                 EnumerationSpec(6, regular_only=True)):
+    for spec in (EnumerationSpec(6, delta_min=2), EnumerationSpec(6, molecular=True)):
         assert enumerate_connected(spec) == [g for g in unfiltered if spec.admits(g)]
     assert calls == []
 
@@ -236,10 +252,6 @@ def test_filters_respected():
         assert min_degree(g) >= 2 and is_connected(g)
     mol = connected_graphs(6, molecular=True)
     assert all(is_molecular(g) for g in mol)
-    reg = connected_graphs(6, regular_only=True)
-    assert all(is_regular(g) for g in reg)
-    # 2-regular, two 3-regular, one 4-regular, K6
-    assert len(reg) == 5
 
 
 def test_emitted_graphs_connected_and_distinct(populations):

@@ -12,8 +12,9 @@ written under ``--out``.  The file populations are the seed-0
 ``audit-distinct`` and ``audit-repeats`` benchmark populations, written once
 to a temporary directory by ``perfbench/population.py`` and shared by both
 sides, plus two fixed ``compute --file`` inputs written there too, as UTF-8:
-a graph6 file of mixed graphs (see ``MIXED``) that opens with a comment line
-outside ASCII (``MIXED_HEADER``), and the Petersen graph as an edge list.
+a graph6 file of mixed graphs (see ``MIXED``) that opens with a UTF-8
+byte-order mark and then a comment line outside ASCII (``MIXED_HEADER``), and
+the Petersen graph as an edge list.
 Both sides run in the caller's locale.
 Two audits filtered by ``--min-degree 2 --molecular``, one enumerated and one
 over ``audit-distinct``, guard the population filter both sources share.
@@ -91,8 +92,9 @@ def commands(populations: Path) -> list[list[str]]:
              ["proofs", "--n", "10", "--format", "csv"],
              ["proofs", "--n", "7"]]
     mixed, petersen = populations / "mixed.g6", populations / "petersen.edges"
+    # utf-8-sig writes the byte-order mark ahead of MIXED_HEADER.
     mixed.write_text(MIXED_HEADER + "".join(graph6(n, edges) + "\n" for n, edges in MIXED),
-                     encoding="utf-8")
+                     encoding="utf-8-sig")
     petersen.write_text("10\n" + "".join(f"{u} {v}\n" for u, v in PETERSEN),
                         encoding="utf-8")
     cmds += [["compute", "--family", "complete:200", "--format", "json"],
