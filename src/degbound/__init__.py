@@ -11,7 +11,6 @@ from .bounds import (
     audit_all,
     builtin_catalog,
     catalog_by_id,
-    check_equality_family,
     evaluate_bound,
 )
 from .enumeration import (
@@ -30,7 +29,6 @@ from .graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    degree_sequence,
     double_star,
     edge_degree_partition,
     is_connected,
@@ -55,7 +53,6 @@ from .indices import (
 )
 from .ratios import (
     F_T1,
-    F_T2,
     F_T4,
     F_T6,
     F_T21,

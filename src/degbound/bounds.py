@@ -124,8 +124,9 @@ class BoundSpec:
     """One inequality: ``lhs <= coeff*rhs`` (direction "upper") or
     ``coeff*rhs <= lhs`` (direction "lower"), under the stated hypotheses.
 
-    ``chain`` entries compose other catalog entries instead of carrying a
-    coefficient of their own.
+    ``degree_cap``, when set, is an integer test on (delta, Delta) that the
+    graph must pass.  ``chain`` entries compose other catalog entries instead
+    of carrying a coefficient of their own.
     """
 
     bound_id: str
@@ -138,15 +139,10 @@ class BoundSpec:
     strict: bool = False
     n_min: int = 2
     delta_min: int = 1
-    molecular_only: bool = False
-    spread_cap: Coeff | None = None
+    degree_cap: Callable[[int, int], bool] | None = None
     exclusions: tuple[EqualityFamily, ...] = ()
     claimed_equality: EqualityFamily | None = None
     chain: tuple[str, ...] = ()
-
-    @property
-    def is_chain(self) -> bool:
-        return bool(self.chain)
 
     @functools.cached_property
     def sides(self) -> tuple[int, int]:
@@ -158,7 +154,7 @@ class BoundSpec:
         """All ``preconditions_met`` reads of the bound: bounds with equal
         tuples decide alike on every graph.  Exclusions enter by membership
         test, since families compare by label only."""
-        return (self.n_min, self.delta_min, self.molecular_only, self.spread_cap,
+        return (self.n_min, self.delta_min, self.degree_cap,
                 tuple(f.contains for f in self.exclusions))
 
     def preconditions_met(self, ctx: "GraphContext") -> bool:
@@ -168,11 +164,8 @@ class BoundSpec:
             return False
         if ctx.delta < self.delta_min:
             return False
-        if self.molecular_only and ctx.Delta > 4:
+        if self.degree_cap is not None and not self.degree_cap(ctx.delta, ctx.Delta):
             return False
-        if self.spread_cap is not None:
-            if ctx.Delta - ctx.delta > self.spread_cap.ev(ctx.n, ctx.delta):
-                return False
         for f in self.exclusions:
             if f.contains(ctx.graph):
                 return False
@@ -396,11 +389,6 @@ def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
     verdict = EQUALITY if checked.equal else VIOLATED if checked.violated else HOLDS
     sides = (None, None) if checked.lhs is None else (checked.lhs[0], checked.products[0])
     return BoundCheck(b.bound_id, ctx.graph6, *sides, checked.margins[0], verdict)
-
-
-def check_equality_family(b: BoundSpec, g: Graph) -> bool:
-    """Structural membership of ``g`` in the bound's claimed extremal family."""
-    return b.claimed_equality is not None and b.claimed_equality.contains(g)
 
 
 # ---------------------------------------------------------------------------
@@ -665,16 +653,16 @@ def _build_catalog() -> list[BoundSpec]:
                   n_min=3, delta_min=2, chain=("EXT-2a", "EXT-2b", "EXT-2c", "T4U")),
         _upper("EXT-3(i)", "Das-Trinajstic strict comparison (molecular)",
                "ABC(G) < GA(G) for molecular G (max degree <= 4) other than K_{1,4} and T*",
-               ABC, GA, one, strict=True, molecular_only=True,
+               ABC, GA, one, strict=True, degree_cap=lambda d, D: D <= 4,
                exclusions=(K14, T_STAR)),
         _upper("EXT-3(ii)", "Das-Trinajstic strict comparison (small degree spread)",
                "ABC(G) < GA(G) when Delta - delta <= 3, G other than K_{1,4} and T*",
-               ABC, GA, one, strict=True, spread_cap=Coeff("n", lambda n: 3),
+               ABC, GA, one, strict=True, degree_cap=lambda d, D: D - d <= 3,
                exclusions=(K14, T_STAR)),
         _upper("EXT-3(iii)", "strict comparison under delta >= 2 and bounded spread",
                "ABC(G) < GA(G) when delta >= 2 and Delta - delta <= (2*delta-1)^2",
                ABC, GA, one, strict=True, delta_min=2,
-               spread_cap=Coeff("delta", lambda d: (2 * d - 1) ** 2)),
+               degree_cap=lambda d, D: D - d <= (2 * d - 1) ** 2),
         _upper("EXT-4", "Deng chromatic bound, inequality (4)",
                "chi(G) <= 2*H(G) for connected G; equality iff G = K_n",
                CHI, H, Coeff("n", lambda n: 2), claimed_equality=COMPLETE_FAMILY),

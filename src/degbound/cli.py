@@ -257,7 +257,10 @@ def _check_population_flags(args) -> None:
     if (args.enumerate is None) == (args.file is None):
         raise UsageError("need exactly one of --enumerate N or --file PATH")
     if args.enumerate is not None:
-        _check_order(args.enumerate)
+        try:
+            check_order(args.enumerate)
+        except GraphError as exc:
+            raise UsageError(str(exc)) from None
         if args.enumerate > DEFAULT_ORDER_CAP and not args.allow_n8:
             raise UsageError(f"order {args.enumerate} is above the default cap "
                              f"{DEFAULT_ORDER_CAP} and takes 5-6 seconds; "
@@ -274,14 +277,6 @@ def _population(args):
         path = Path(args.file)
         return list(filter(spec.admits, _read(path, read_population))), f"file({path.name})"
     return enumerate_connected(spec), spec.describe()
-
-
-def _check_order(n: int) -> None:
-    """Refuse an order the enumeration never runs: below 2 or above MAX_ORDER."""
-    try:
-        check_order(n)
-    except GraphError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _report_rows(reports, order):
@@ -339,7 +334,8 @@ def _expected_verdicts(args) -> dict[str, str]:
         raise UsageError(
             "verify needs --expected PATH for file or filtered populations"
         )
-    _check_order(args.enumerate)  # the package pins every order the enumeration runs
+    # _check_population_flags has passed, and the package pins every order
+    # the enumeration runs
     name = f"expected_enumerate_n{args.enumerate}.json"
     ref = resources.files("degbound").joinpath("data", name)
     return dict(json.loads(ref.read_text(encoding="utf-8"))["verdicts"])
@@ -347,14 +343,15 @@ def _expected_verdicts(args) -> dict[str, str]:
 
 def cmd_audit(args) -> int:
     """Run ``audit``, or ``verify``, which also compares the verdicts with
-    its expectations (read before the audit, so a bad file fails fast)."""
-    expected = _expected_verdicts(args) if args.command == "verify" else None
+    its expectations (read after every usage check and before the audit, so
+    a usage error wins over a bad file and a bad file fails fast)."""
     if args.min_degree is not None and args.min_degree < 0:
         raise UsageError(f"--min-degree must be >= 0, got {args.min_degree}")
     if args.out == "":  # Path("") is the current directory
         raise UsageError("--out must name a directory, got ''")
     _check_population_flags(args)
     bounds = _select_bounds(args.bounds)
+    expected = _expected_verdicts(args) if args.command == "verify" else None
     out_dir = None if args.out is None else Path(args.out)
     if out_dir is not None:  # after every usage check, before any graph is built
         try:

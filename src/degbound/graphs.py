@@ -96,11 +96,6 @@ class Graph:
 # Degree statistics
 
 
-def degree_sequence(g: Graph) -> list[int]:
-    """Return the degree of each vertex, indexed by vertex label."""
-    return list(g.degrees)
-
-
 def edge_degree_partition(g: Graph) -> dict[tuple[int, int], int]:
     """Multiset of unordered endpoint-degree pairs over all edges, keyed in
     sorted pair order.

@@ -66,11 +66,6 @@ def edge_term(idx: IndexId, pair: tuple[int, int]) -> float:
     raise ValueError(f"unknown index {idx!r}")
 
 
-def azi_defined(g: Graph) -> bool:
-    """AZI is defined unless some edge has both endpoints of degree 1."""
-    return (1, 1) not in edge_degree_partition(g)
-
-
 def index_value(idx: IndexId, g: Graph) -> float:
     """Evaluate index ``idx`` on ``g``; AZI raises ``UndefinedIndexError``
     where ``all_indices`` reports it None."""

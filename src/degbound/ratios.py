@@ -19,24 +19,21 @@ GRID_CAP = 62
 
 @dataclass(frozen=True)
 class RatioFn:
-    """Per-edge ratio numerator/denominator, optionally squared (the proofs
-    work with squared ratios wherever square roots would otherwise appear)."""
+    """The squared per-edge ratio numerator/denominator (the proofs work
+    with squared ratios wherever square roots would otherwise appear)."""
 
     numerator: IndexId
     denominator: IndexId
-    squared: bool = True
 
     @property
     def label(self) -> str:
-        body = f"{self.numerator}/{self.denominator}"
-        return f"({body})^2" if self.squared else body
+        return f"({self.numerator}/{self.denominator})^2"
 
 
-F_T1 = RatioFn(IndexId.GA, IndexId.X, squared=True)
-F_T2 = RatioFn(IndexId.GA, IndexId.R, squared=False)
-F_T4 = RatioFn(IndexId.ABC, IndexId.GA, squared=True)
-F_T6 = RatioFn(IndexId.AZI, IndexId.X, squared=True)
-F_T21 = RatioFn(IndexId.AZI, IndexId.M2STAR, squared=True)
+F_T1 = RatioFn(IndexId.GA, IndexId.X)
+F_T4 = RatioFn(IndexId.ABC, IndexId.GA)
+F_T6 = RatioFn(IndexId.AZI, IndexId.X)
+F_T21 = RatioFn(IndexId.AZI, IndexId.M2STAR)
 
 
 def ratio_at(r: RatioFn, pair) -> float:
@@ -49,14 +46,13 @@ def ratio_at(r: RatioFn, pair) -> float:
             f"ratio {r.label} undefined at {pair}: denominator term is zero"
         )
     value = num / den
-    return value * value if r.squared else value
+    return value * value
 
 
 @dataclass(frozen=True)
 class GridExtremum:
     location: tuple[int, int]
     value: float
-    kind: str
 
 
 def grid_extremum(r: RatioFn, n: int, kind: str = "min", delta_min: int = 1,
@@ -86,7 +82,7 @@ def grid_extremum(r: RatioFn, n: int, kind: str = "min", delta_min: int = 1,
                 best_pair = (a, b)
     if best_pair is None:
         raise ValueError(f"empty grid for {r.label} at n={n}")
-    return GridExtremum(best_pair, best_value, kind)
+    return GridExtremum(best_pair, best_value)
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,6 @@ class MonotonicityReport:
 
     direction: str | None
     first_violation: tuple | None
-    values: tuple[float, ...]
 
 
 def monotonicity_audit(r: RatioFn, fixed: str, fixed_value: int,
@@ -120,18 +115,18 @@ def monotonicity_audit(r: RatioFn, fixed: str, fixed_value: int,
     values = tuple(v for _, v in points)
     diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     if not diffs:
-        return MonotonicityReport("constant", None, values)
+        return MonotonicityReport("constant", None)
     if all(d > 0 for d in diffs):
-        return MonotonicityReport("increasing", None, values)
+        return MonotonicityReport("increasing", None)
     if all(d < 0 for d in diffs):
-        return MonotonicityReport("decreasing", None, values)
+        return MonotonicityReport("decreasing", None)
     if all(d == 0 for d in diffs):
-        return MonotonicityReport("constant", None, values)
+        return MonotonicityReport("constant", None)
     ref = next(d for d in diffs if d != 0)
     # some diff is zero or against ref's sign, so the loop always returns
     for i, d in enumerate(diffs):
         if d == 0 or (d > 0) != (ref > 0):
-            return MonotonicityReport(None, (points[i][0], points[i + 1][0]), values)
+            return MonotonicityReport(None, (points[i][0], points[i + 1][0]))
 
 
 LINE_STEP = 1 / 64
@@ -156,7 +151,7 @@ def line_samples(r: RatioFn, fixed: str, fixed_value: float, lo: float, hi: floa
 def is_concordance_candidate(b: BoundSpec) -> bool:
     """Simple non-strict bounds between two indices (strict bounds make no
     sharpness claim, and the chromatic pseudo-index has no per-edge term)."""
-    return not b.is_chain and not b.strict and b.lhs != CHI
+    return not b.chain and not b.strict and b.lhs != CHI
 
 
 @dataclass(frozen=True)
@@ -180,7 +175,7 @@ def concordance(b: BoundSpec, n: int, delta: int = 1) -> ConcordanceRecord:
         raise ValueError(f"bound {b.bound_id} has no ratio-grid counterpart")
     if b.coeff.var == "delta" and delta < b.delta_min:
         raise ValueError(f"bound {b.bound_id} needs delta >= {b.delta_min}, got {delta}")
-    ratio = RatioFn(b.lhs, b.rhs, squared=True)
+    ratio = RatioFn(b.lhs, b.rhs)
     kind = "min" if b.direction == "lower" else "max"
     grid_floor = delta if b.coeff.var == "delta" else b.delta_min
     ext = grid_extremum(ratio, n, kind, delta_min=grid_floor,

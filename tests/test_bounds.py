@@ -33,7 +33,6 @@ from degbound.bounds import (
     audit_all,
     builtin_catalog,
     catalog_by_id,
-    check_equality_family,
     evaluate_bound,
     star_family,
 )
@@ -92,7 +91,7 @@ def test_every_entry_has_nonempty_anchor():
 def test_single_1536_over_343_coefficient():
     hits = []
     for b in builtin_catalog():
-        if b.is_chain or b.lhs == CHI:
+        if b.chain or b.lhs == CHI:
             continue
         value = b.coeff.ev(30, 5)
         if abs(value - 1536 / 343) < 1e-12 and abs(b.coeff.ev(9, 2) - value) < 1e-12:
@@ -110,14 +109,14 @@ def test_entry_t7_20_shape():
 def test_entry_ext3i_shape():
     b = catalog_by_id()["EXT-3(i)"]
     assert b.strict
-    assert b.molecular_only
+    assert b.degree_cap(1, 4) and not b.degree_cap(1, 5)
     assert b.exclusions == (K14, T_STAR)
     assert b.claimed_equality is None
 
 
 def test_coefficient_expressions_evaluate():
     for b in builtin_catalog():
-        if b.is_chain:
+        if b.chain:
             continue
         for n, delta in ((3, 2), (9, 2), (9, 4), (30, 5)):
             value = b.coeff.ev(n, delta)
@@ -127,9 +126,9 @@ def test_coefficient_expressions_evaluate():
 
 def test_chi_only_on_upper_side():
     for b in builtin_catalog():
-        if not b.is_chain and b.lhs == CHI:
+        if not b.chain and b.lhs == CHI:
             assert b.direction == "upper"
-        if not b.is_chain:
+        if not b.chain:
             assert b.rhs != CHI
 
 
@@ -183,12 +182,18 @@ def test_precondition_skips():
     assert evaluate_bound(by_id["EXT-3(ii)"], star_graph(6)).verdict == PRECONDITION_SKIPPED
 
 
-def test_spread_cap_boundaries():
+def test_degree_cap_boundaries():
     by_id = catalog_by_id()
 
     def admitted(bid, g):
         return evaluate_bound(by_id[bid], g).verdict != PRECONDITION_SKIPPED
 
+    # EXT-3(i) admits Delta <= 4: K5 (Delta 4) is checked, the wheel K1 + C5
+    # (Delta 5) is skipped
+    assert admitted("EXT-3(i)", complete_graph(5))
+    wheel = Graph(6, [(0, v) for v in range(1, 6)] + [(v, v % 5 + 1) for v in range(1, 6)])
+    assert max(wheel.degrees) == 5
+    assert not admitted("EXT-3(i)", wheel)
     # EXT-3(ii) admits Delta - delta <= 3: K_{1,4} with one leaf extended
     # (spread 3) is checked, K_{1,5} (spread 4) is skipped
     assert admitted("EXT-3(ii)", Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)]))
@@ -244,12 +249,17 @@ def test_checks_are_isomorphism_invariant():
 
 def test_check_equality_family_examples():
     by_id = catalog_by_id()
-    assert check_equality_family(by_id["C1"], cycle_graph(6))
-    assert check_equality_family(by_id["T1U"], complete_graph(5))
-    assert not check_equality_family(by_id["T6L"], star_graph(7))
-    assert check_equality_family(by_id["T6L"], star_graph(8))
-    assert check_equality_family(by_id["T7-(19)L"], star_graph(5))
-    assert not check_equality_family(by_id["EXT-2c"], cycle_graph(4))
+
+    def in_family(bid, g):
+        b = by_id[bid]
+        return b.claimed_equality is not None and b.claimed_equality.contains(g)
+
+    assert in_family("C1", cycle_graph(6))
+    assert in_family("T1U", complete_graph(5))
+    assert not in_family("T6L", star_graph(7))
+    assert in_family("T6L", star_graph(8))
+    assert in_family("T7-(19)L", star_graph(5))
+    assert not in_family("EXT-2c", cycle_graph(4))
 
 
 def test_family_membership_is_structural():
@@ -492,7 +502,7 @@ def _reference_report(b, graphs, population):
     equality, violation, eq_not_family, family_not_eq, margins = [], [], [], [], []
     for g in graphs:
         chk = evaluate_bound(b, g)
-        in_family = check_equality_family(b, g)
+        in_family = b.claimed_equality is not None and b.claimed_equality.contains(g)
         if any(f.contains(g) for f in b.exclusions):
             assert chk.verdict == PRECONDITION_SKIPPED, (b.bound_id, chk.graph6)
         if chk.verdict in (PRECONDITION_SKIPPED, DOMAIN_SKIPPED):
@@ -697,7 +707,7 @@ def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
         return evaluate(b, cols)
 
     def hypothesis_set(b):
-        return (b.n_min, b.delta_min, b.molecular_only, b.spread_cap,
+        return (b.n_min, b.delta_min, b.degree_cap,
                 tuple(f.contains for f in b.exclusions))
 
     tested = []

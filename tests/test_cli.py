@@ -344,20 +344,29 @@ def test_unwritable_out_fails_before_any_graph_is_built(capsys, monkeypatch, tmp
     assert err.startswith(f"error: cannot write reports to {taken}: ")
 
 
-@pytest.mark.parametrize("argv", [
-    ["--enumerate", "4", "--bounds", "nonsense"],
-    ["--enumerate", "8"],
-    ["--enumerate", "1"],
-    ["--enumerate", "4", "--file", "pop.g6"],
-    ["--file", "missing.g6", "--bounds", "nonsense"],
-], ids=["bounds", "cap", "order", "two-sources", "bounds-before-file"])
-def test_usage_errors_leave_no_out_directory(capsys, tmp_path, argv):
+USAGE_ERRORS = {
+    "bounds": ["--enumerate", "4", "--bounds", "nonsense"],
+    "cap": ["--enumerate", "8"],
+    "order": ["--enumerate", "1"],
+    "two-sources": ["--enumerate", "4", "--file", "pop.g6"],
+    "bounds-before-file": ["--file", "missing.g6", "--bounds", "nonsense"],
+    "min-degree": ["--enumerate", "5", "--min-degree", "-1"],
+}
+
+
+@pytest.mark.parametrize("command, argv", [
+    *(("audit", argv) for argv in USAGE_ERRORS.values()),
+    *(("verify", argv) for argv in USAGE_ERRORS.values()),
+], ids=[*USAGE_ERRORS, *(f"verify-{name}" for name in USAGE_ERRORS)])
+def test_usage_errors_leave_no_out_directory(capsys, tmp_path, command, argv):
     """Every usage check runs before ``--out`` is created and before any
     graph is built or read, so an unreadable file with a bad ``--bounds``
-    is a usage error too."""
+    is a usage error too, and so is an unreadable ``verify --expected``."""
     out_dir = tmp_path / "reports"
-    code, out, _ = run(capsys, "audit", *argv, "--out", str(out_dir))
-    assert (code, out) == (EXIT_USAGE, "")
+    if command == "verify":
+        argv = [*argv, "--expected", str(tmp_path / "missing.json")]
+    code, out, err = run(capsys, command, *argv, "--out", str(out_dir))
+    assert (code, out) == (EXIT_USAGE, ""), err
     assert not out_dir.exists()
 
 

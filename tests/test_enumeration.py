@@ -48,8 +48,10 @@ REPRESENTATIVE_DIGESTS = {
     9: "035e9c603032ba21d4f1ec877e9adb25c7bc097e7182ce3ee39567a96b9a2fad",
 }
 
-# Order 9 takes minutes and about 280 MB, so its oracle runs only on request.
+# Order 9 takes minutes and about 280 MB, so its oracles run only on request.
 ORDER_9_OPT_IN = "DEGBOUND_TEST_ORDER_9"
+ORDER_9_ONLY = pytest.mark.skipif(not os.environ.get(ORDER_9_OPT_IN),
+                                  reason=f"order 9 takes minutes; set {ORDER_9_OPT_IN}=1 to run it")
 
 
 def _digest(graphs):
@@ -194,25 +196,33 @@ def test_order_8_count_matches_oeis():
 
 
 @pytest.mark.filterwarnings("ignore:The hashes produced .* changed:UserWarning")
-def test_order_8_classes_match_networkx():
+@pytest.mark.parametrize("n", [8, pytest.param(9, marks=ORDER_9_ONLY)])
+def test_classes_match_networkx(n):
     # An oracle that shares no code with the enumerator: networkx checks each
     # class is connected, and VF2 finds no two classes isomorphic among those
-    # with equal Weisfeiler-Lehman hashes.  With the OEIS count above, the
-    # class set is exact.
+    # with equal Weisfeiler-Lehman hashes.  With the OEIS counts, the class
+    # set is exact.  Buckets hold class indices, and networkx graphs are
+    # built again only inside buckets of two or more, so the order-9 run
+    # never holds all 261,080 of them at once.
     nx = pytest.importorskip("networkx")
-    buckets = {}
-    for g in connected_graphs(8):
+
+    def nx_graph(g):
         h = nx.Graph(g.edges)
         h.add_nodes_from(range(g.n))
+        return h
+
+    classes = enumeration._classes(n)
+    buckets = {}
+    for i, g in enumerate(classes):
+        h = nx_graph(g)
         assert nx.is_connected(h), to_graph6(g)
-        buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(h)
+        buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(i)
     for bucket in buckets.values():
-        for h, k in combinations(bucket, 2):
+        for h, k in combinations(map(nx_graph, (classes[i] for i in bucket)), 2):
             assert not nx.is_isomorphic(h, k)
 
 
-@pytest.mark.skipif(not os.environ.get(ORDER_9_OPT_IN),
-                    reason=f"order 9 takes minutes; set {ORDER_9_OPT_IN}=1 to run it")
+@ORDER_9_ONLY
 def test_order_9_count_and_digest():
     # Builds the private order-9 stream, above the public MAX_ORDER cap.
     # The count is OEIS A001349 and independent of this code.  The digest

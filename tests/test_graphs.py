@@ -14,7 +14,6 @@ from degbound.graphs import (
     connected_within,
     content_lines,
     cycle_graph,
-    degree_sequence,
     double_star,
     edge_degree_partition,
     is_connected,
@@ -71,16 +70,16 @@ def test_edges_are_derived_sorted():
 
 
 def test_degree_sequence_examples():
-    assert degree_sequence(path_graph(3)) == [1, 2, 1]
-    assert degree_sequence(complete_graph(4)) == [3, 3, 3, 3]
-    assert sorted(degree_sequence(double_star())) == [1] * 6 + [4, 4]
+    assert list(path_graph(3).degrees) == [1, 2, 1]
+    assert list(complete_graph(4).degrees) == [3, 3, 3, 3]
+    assert sorted(double_star().degrees) == [1] * 6 + [4, 4]
 
 
 def test_degree_sum_is_twice_edge_count():
     rng = random.Random(7)
     for _ in range(200):
         g = random_graph(rng, rng.randrange(1, 12))
-        assert sum(degree_sequence(g)) == 2 * g.m
+        assert sum(g.degrees) == 2 * g.m
 
 
 def test_edge_degree_partition_examples():

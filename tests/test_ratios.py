@@ -10,7 +10,6 @@ from degbound.bounds import Coeff, builtin_catalog, catalog_by_id
 from degbound.indices import IndexId, UndefinedIndexError
 from degbound.ratios import (
     F_T1,
-    F_T2,
     F_T4,
     F_T6,
     F_T21,
@@ -37,8 +36,6 @@ def test_ratio_at_values_from_the_proofs():
     assert ratio_at(F_T6, (1, 8)) == pytest.approx(9 * (8 / 7) ** 6, rel=1e-14)
     # (ABC/GA)^2 at (n-1, 2) with n = 9
     assert ratio_at(F_T4, (8, 2)) == pytest.approx(100 / 128, rel=1e-14)
-    assert ratio_at(F_T2, (1, 1)) == pytest.approx(1.0, rel=1e-14)
-    assert ratio_at(F_T2, (9, 9)) == pytest.approx(9.0, rel=1e-14)
 
 
 def test_ratio_domain_errors():
@@ -61,7 +58,7 @@ def test_grid_extremum_examples():
 
 
 def test_grid_extremum_matches_unpruned_scan():
-    for r in (F_T1, F_T2, F_T4, F_T6, F_T21):
+    for r in (F_T1, F_T4, F_T6, F_T21):
         for n in (3, 5, 8, 12):
             for kind in ("min", "max"):
                 values = {}
