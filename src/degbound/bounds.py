@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
-from itertools import compress, repeat
+from itertools import compress
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -226,21 +226,18 @@ class GraphContext:
 
 class _Columns:
     """The keys of one audit as columns, built once from its key groups: each
-    key's sorted graph6 strings, their number (the key's weight) and the
-    first, the eight side values in ``GraphContext.values`` order (with the
-    keys where each is None, and its screen), n and delta.  It also holds
-    what the bounds of the audit share: one hypothesis column per hypothesis
-    set, the live keys per hypothesis set and partial sides, the member keys
-    per family test, and the passes of the chains' links, which each chain
-    conjoins as key sets.
+    key's sorted graph6 strings and their number (the key's weight), the
+    eight side values in ``GraphContext.values`` order (with the keys where
+    each is None, and its screen), n and delta.  It also holds what the
+    bounds of the audit share: one hypothesis column per hypothesis set, the
+    member keys per family test, and the passes of the chains' links, which
+    each chain conjoins as key sets.
     """
 
     def __init__(self, groups):
         self.ctxs = [ctx for ctx, _ in groups]
-        self.index = list(range(len(self.ctxs)))
         self.g6s = [g6s for _, g6s in groups]
         self.weights = [len(g6s) for g6s in self.g6s]
-        self.first = [g6s[0] for g6s in self.g6s]
         self.sides = list(zip(*(ctx.values for ctx in self.ctxs))) or [()] * len(_SIDES)
         self.undefined = [{i for i, v in enumerate(col) if v is None} for col in self.sides]
         # A margin above its lhs column's screen, DEFAULT_TOL * max(1, max |lhs|),
@@ -251,7 +248,6 @@ class _Columns:
         self.n = [ctx.n for ctx in self.ctxs]
         self.delta = [ctx.delta for ctx in self.ctxs]
         self.met: dict = {}
-        self.live: dict = {}
         self.members: dict = {}
         self.links: set[int] = set()  # ids of the link specs whose passes are kept
         self.passes: dict[int, _Checked] = {}
@@ -260,15 +256,14 @@ class _Columns:
 class _Checked(NamedTuple):
     """One bound's pass: whether each key meets its hypotheses (for a chain,
     also its links'), the live keys, and at each its lhs, coefficient times
-    rhs and margin (a chain has no sides, and its margin may be None), the
-    number of graphs at live keys, and the positions in ``keys`` of the
-    equality and the violated keys; every other live key holds.  A met key
-    that is not live is domain-skipped, any other a precondition skip."""
+    rhs and margin (a chain has no sides, and its margin may be None), and
+    the positions in ``keys`` of the equality and the violated keys; every
+    other live key holds.  A met key that is not live is domain-skipped, any
+    other a precondition skip."""
 
     met: list[bool]
-    keys: Sequence[int]
-    weight: int
-    lhs: Sequence[float] | None
+    keys: list[int]
+    lhs: list[float] | None
     products: list[float] | None
     margins: list
     equal: list[int]
@@ -283,38 +278,20 @@ def _met(b: BoundSpec, cols: _Columns) -> list[bool]:
     return met
 
 
-def _live(b: BoundSpec, cols: _Columns) -> tuple[list[int], int]:
-    """The keys ``b`` checks, those that meet its hypotheses and define both
-    its sides, and their number of graphs; shared by every bound with its
-    hypotheses and the same partial sides (those None at some key)."""
-    partial = tuple(at for at in b.sides if cols.undefined[at])
-    live = cols.live.get((b.hypotheses, partial))
-    if live is None:
-        keys = list(compress(cols.index, _met(b, cols)))
-        if partial:
-            undefined = set().union(*(cols.undefined[at] for at in partial))
-            keys = [i for i in keys if i not in undefined]
-        if len(keys) == len(cols.index):
-            keys = cols.index
-        live = cols.live[(b.hypotheses, partial)] = (
-            keys, sum(map(cols.weights.__getitem__, keys)))
-    return live
-
-
 def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
     """One bound on every key of ``cols``: the margin rule of every check.
 
-    Over the live keys, the coefficient is ``float(fn(x))`` at each distinct
-    n or delta, the products are ``c * rhs`` and each margin is one
-    subtraction, all mapped over the shared columns.  A margin above the
-    screen of the lhs column, DEFAULT_TOL * max(1, max |lhs|), holds; only
-    the others go through the per-key rule: equality when |margin| <=
-    DEFAULT_TOL * max(1, |lhs|), violated below minus that.  A strict bound
-    reaching equality is still "equality", and the audit surfaces the
-    strictness conflict.  The tolerance is one constant, not a setting: it
-    only absorbs float rounding.  Over the keys of orders 2..7, every
-    equality has a relative margin of at most 3e-16 and every other verdict
-    at least 1e-3.
+    The live keys are those that meet the hypotheses and define both sides.
+    The coefficient is ``float(fn(x))`` at each distinct n or delta of them,
+    and the products ``c * rhs`` and the margins, one subtraction each, are
+    mapped over their columns.  A margin above the screen of the lhs column,
+    DEFAULT_TOL * max(1, max |lhs|), holds; only the others go through the
+    per-key rule: equality when |margin| <= DEFAULT_TOL * max(1, |lhs|),
+    violated below minus that.  A strict bound reaching equality is still
+    "equality", and the audit surfaces the strictness conflict.  The
+    tolerance is one constant, not a setting: it only absorbs float
+    rounding.  Over the keys of orders 2..7, every equality has a relative
+    margin of at most 3e-16 and every other verdict at least 1e-3.
 
     A chain is the conjunction of its links' passes, which the audit computes
     once, taken as key sets: it meets its hypotheses where it and every link
@@ -325,7 +302,8 @@ def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
     if b.chain:
         links = [_checked(_catalog_index()[cid], cols) for cid in b.chain]
         met = list(map(all, zip(_met(b, cols), *(link.met for link in links))))
-        keys = sorted(set(compress(cols.index, met)).intersection(*(link.keys for link in links)))
+        keys = sorted(set(compress(range(len(met)), met)).intersection(
+            *(link.keys for link in links)))
         broken, slacks = set(), []
         for link in links:
             slack = dict(zip(link.keys, link.margins))
@@ -335,21 +313,20 @@ def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
             slacks.append(map(slack.__getitem__, keys))
         margins = [m if m < math.inf else None for m in map(min, zip(*slacks))]
         violated = [k for k, i in enumerate(keys) if i in broken]
-        weight = sum(map(cols.weights.__getitem__, keys))
-        return _Checked(met, keys, weight, None, None, margins, [], violated)
+        return _Checked(met, keys, None, None, margins, [], violated)
 
-    keys, weight = _live(b, cols)
+    met = live = _met(b, cols)
+    undefined = set().union(*(cols.undefined[at] for at in b.sides))
+    if undefined:
+        live = [m and i not in undefined for i, m in enumerate(met)]
     lhs_at, rhs_at = b.sides
-    lhs, rhs = cols.sides[lhs_at], cols.sides[rhs_at]
     xs = cols.delta if b.coeff.var == "delta" else cols.n
-    if keys is not cols.index:
-        lhs, rhs, xs = (list(map(col.__getitem__, keys)) for col in (lhs, rhs, xs))
+    keys, lhs, rhs, xs = (list(compress(col, live)) for col in (
+        range(len(met)), cols.sides[lhs_at], cols.sides[rhs_at], xs))
     screen = cols.screens[lhs_at]
     fn = b.coeff.fn
     coeffs = {x: float(fn(x)) for x in set(xs)}  # bit for bit Coeff.ev
-    cs = (repeat(*coeffs.values()) if len(coeffs) == 1
-          else map(coeffs.__getitem__, xs))
-    products = list(map(mul, cs, rhs))
+    products = list(map(mul, map(coeffs.__getitem__, xs), rhs))
     margins = list(map(sub, products, lhs) if b.direction == "upper"
                    else map(sub, lhs, products))
     equal, violated = [], []
@@ -362,7 +339,7 @@ def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
                     equal.append(k)
                 elif margin < -scale:
                     violated.append(k)
-    return _Checked(_met(b, cols), keys, weight, lhs, products, margins, equal, violated)
+    return _Checked(met, keys, lhs, products, margins, equal, violated)
 
 
 def _checked(b: BoundSpec, cols: _Columns) -> _Checked:
@@ -442,7 +419,7 @@ def _key_groups(graphs) -> list[tuple[GraphContext, list[str]]]:
     return list(groups.values())
 
 
-def _min_margin(checked: _Checked, first: list[str]) -> dict | None:
+def _min_margin(checked: _Checked, g6s: list[list[str]]) -> dict | None:
     """The smallest margin of a key that holds, and the smallest graph6 of
     the keys at that margin."""
     keys, margins = checked.keys, checked.margins
@@ -452,15 +429,12 @@ def _min_margin(checked: _Checked, first: list[str]) -> dict | None:
     if len(unheld) == len(margins):
         return None
     if unheld:
-        margins = margins.copy()
+        held = [True] * len(margins)
         for k in unheld:
-            margins[k] = math.inf
+            held[k] = False
+        keys, margins = list(compress(keys, held)), list(compress(margins, held))
     low = min(margins)
-    if margins.count(low) == 1:
-        witness = first[keys[margins.index(low)]]
-    else:
-        witness = min(first[keys[k]] for k, m in enumerate(margins)
-                      if m == low and k not in unheld)
+    witness = min(g6s[i][0] for i in compress(keys, map(low.__eq__, margins)))
     return {"value": low, "witness_graph6": witness}
 
 
@@ -476,7 +450,7 @@ def _fold(b: BoundSpec, cols: _Columns, population: str) -> SharpnessReport:
     keys = checked.keys
     equal_keys = [keys[k] for k in checked.equal]
     violated_keys = [keys[k] for k in checked.violated]
-    checked_n = checked.weight
+    checked_n = sum(map(weights.__getitem__, keys))
     equal = sum(map(weights.__getitem__, equal_keys))
     violated = sum(map(weights.__getitem__, violated_keys))
     eq_not_family: list[int] = []
@@ -488,8 +462,7 @@ def _fold(b: BoundSpec, cols: _Columns, population: str) -> SharpnessReport:
             members = cols.members[family.contains] = {
                 i for i, ctx in enumerate(cols.ctxs) if family.contains(ctx.graph)}
         eq_not_family = [i for i in equal_keys if i not in members]
-        if members:
-            family_not_eq = list(members.intersection(keys).difference(equal_keys))
+        family_not_eq = list(members.intersection(keys).difference(equal_keys))
 
     def witnesses(at):
         return sorted([g6 for i in at for g6 in g6s[i]])
@@ -515,7 +488,7 @@ def _fold(b: BoundSpec, cols: _Columns, population: str) -> SharpnessReport:
             "equality": equal,
             "violated": violated,
         },
-        min_margin=_min_margin(checked, cols.first),
+        min_margin=_min_margin(checked, g6s),
         equality_witnesses=equality_w,
         violation_witnesses=witnesses(violated_keys),
         verdict=verdict,
@@ -531,16 +504,16 @@ def _fold(b: BoundSpec, cols: _Columns, population: str) -> SharpnessReport:
 def audit_all(bounds, graphs, population: str = "population") -> dict[str, SharpnessReport]:
     """Audit several bounds over one population, one columnar pass per bound.
 
-    The key groups become columns once per audit (weights, first graph6,
+    The key groups become columns once per audit (graph6 strings, weights,
     the eight side values, n and delta).  Each hypothesis set and each
     claimed family is tested once per key and shared by the bounds that
-    state it, and so are the live keys of each (hypotheses, sides).  Each
-    bound evaluates its coefficient once per distinct n or delta of its live
-    keys, maps its margins over the shared columns, and applies the per-key
-    rule only to the margins at or below one screen; a chain folds its
-    links' passes, computed once.  Witness lists are sorted by graph6
-    string, so the result does not depend on the population order (for
-    equal populations as sets).
+    state it.  Each bound takes its live keys from its hypotheses and
+    sides, evaluates its coefficient once per distinct n or delta of them,
+    maps its margins over them, and applies the per-key rule only to the
+    margins at or below one screen; a chain folds its links' passes,
+    computed once.  Witness lists are sorted by graph6 string, so the result
+    does not depend on the population order (for equal populations as
+    sets).
     """
     cols = _Columns(_key_groups(graphs))
     index = _catalog_index()

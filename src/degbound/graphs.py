@@ -350,10 +350,9 @@ def parse_graph6(s: str) -> Graph:
     s = s.strip()
     if not s:
         raise GraphError("empty graph6 string")
-    if not (s.isascii() and "?" <= min(s) and max(s) <= "~"):
-        for i, ch in enumerate(s):
-            if not 63 <= ord(ch) <= 126:
-                raise GraphError(f"graph6: invalid character {ch!r} at position {i}")
+    for i, ch in enumerate(s):
+        if not 63 <= ord(ch) <= 126:
+            raise GraphError(f"graph6: invalid character {ch!r} at position {i}")
     if s[0] == "~":
         raise GraphError("graph6 long form (n > 62) is not supported")
     n = ord(s[0]) - 63

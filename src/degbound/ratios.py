@@ -170,7 +170,7 @@ def concordance(b: BoundSpec, n: int, delta: int = 1) -> ConcordanceRecord:
     ratio over the degree grid its hypotheses imply.  A coefficient of delta
     is defined only from the bound's own delta floor up.  The two match within
     the audit's relative DEFAULT_TOL: over n = 3..62, matches differ by at most
-    5e-16 and mismatches by at least 3e-3, so the rule only absorbs rounding."""
+    5e-16 and mismatches by at least 2.9e-3, so the rule only absorbs rounding."""
     if not is_concordance_candidate(b):
         raise ValueError(f"bound {b.bound_id} has no ratio-grid counterpart")
     if b.coeff.var == "delta" and delta < b.delta_min:
@@ -207,7 +207,7 @@ def concordance_report(n: int, delta: int = 2):
 def proofs_report(n: int) -> list[dict]:
     """Audit the specific grid claims the bound proofs rest on.
 
-    Every n lists the same 13 claims in the same order: five monotonicity
+    Every n lists the same 13 claims in the same order: four monotonicity
     lines, a sampled observation, and the grid extrema behind the catalog
     coefficients of T1L, T1U, T2U, T4U, T4L, T6L, T7-(21)L and T7-(21)U,
     each checked by ``concordance`` at the audit's one tolerance.  Each

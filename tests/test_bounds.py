@@ -684,6 +684,22 @@ def test_audit_matches_reference_fold_on_seeded_populations(seed):
         assert empty[b.bound_id].verdict == VACUOUS
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_audit_of_each_bound_alone_matches_the_full_audit(seed):
+    """Each bound audited alone, C4 and its links too, gives the report the
+    audit of the catalog and the custom bounds gives it, so no hypothesis
+    column, family-member set or link pass that bounds share changes a
+    report with the bound set (a ``--bounds`` subset against the full
+    audit)."""
+    bounds = builtin_catalog() + _custom_bounds()
+    graphs = _seeded_population(seed)
+    reports = audit_all(bounds, graphs, population="seeded")
+    assert "C4" in reports
+    for b in bounds:
+        alone = audit_all([b], graphs, population="seeded")
+        assert alone[b.bound_id].to_dict() == reports[b.bound_id].to_dict(), b.bound_id
+
+
 def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
     """Ten relabelings each of the prism and of K_{3,3} make two keys (they
     share a partition but not chi), so each of the 55 catalog bounds, EXT-4

@@ -20,7 +20,9 @@ set; any other skip (say, a missing networkx or hypothesis turning an oracle
 into an ``importorskip``) counts as a failure.  The exit code is 0 when the
 failing set is exactly those five and nothing else is skipped, and 1
 otherwise, after naming what failed unexpectedly, which by-design case
-passed and which skip was unexpected.
+passed and which skip was unexpected.  The last line it prints is
+``src/degbound: N lines``, the ``wc -l`` total of ``src/degbound/*.py``, so
+each change can state its net line change of ``src/`` the same way.
 """
 
 from __future__ import annotations
@@ -44,7 +46,19 @@ SUMMARY_LINE = re.compile(r"^(?:FAILED|ERROR) (\S+)")
 ORDER_9_OPT_IN = "DEGBOUND_TEST_ORDER_9"
 
 
+def source_lines() -> int:
+    """The ``wc -l`` total of the package's modules: their newline count."""
+    return sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "degbound").glob("*.py"))
+
+
 def main() -> int:
+    code = run()
+    sys.stdout.flush()
+    print(f"src/degbound: {source_lines()} lines", file=sys.stderr)
+    return code
+
+
+def run() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
