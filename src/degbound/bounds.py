@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import compress
 from operator import mul, sub
 from typing import NamedTuple
@@ -390,7 +390,11 @@ class SharpnessReport:
     strict_conflicts: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"schema_version": 1, **asdict(self)}
+        """The report as a json-ready dict under ``schema_version`` 1.
+
+        Its containers are the report's own, not copies: do not mutate them.
+        """
+        return {"schema_version": 1, **vars(self)}
 
 
 def _key_groups(graphs) -> list[tuple[GraphContext, list[str]]]:
@@ -407,7 +411,7 @@ def _key_groups(graphs) -> list[tuple[GraphContext, list[str]]]:
         connected = is_connected(g)
         chi = _chi(g)
         part = edge_degree_partition(g)
-        key = (g.n, connected, frozenset(part.items()), chi)
+        key = (g.n, connected, tuple(part.items()), chi)
         group = groups.get(key)
         if group is None:
             ctx = GraphContext(g, chi, connected, part)

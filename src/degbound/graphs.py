@@ -105,7 +105,10 @@ def edge_degree_partition(g: Graph) -> dict[tuple[int, int], int]:
     statistic for all of them.  It is counted per pair of degree classes,
     one ``(adj[v] & class_mask).bit_count()`` per vertex and class, so the
     cost grows with n times the number of distinct degrees, not with m.
-    Nothing is cached: each call counts afresh and returns a new dict.
+    Nothing is cached: each call counts afresh and returns a new dict.  Its
+    keys are inserted in sorted pair order, so equal partitions list their
+    items in the same order; the audit's partition key, a tuple of these
+    items, relies on that.
     """
     rows: dict[int, list[int]] = {}  # degree -> adjacency rows of that class
     masks: dict[int, int] = {}  # degree -> vertex mask of that class
@@ -285,19 +288,36 @@ CHROMATIC_CAP = 12
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number: the smallest k for which a backtracking search
-    colours ``g`` with k colours.
+    """Exact chromatic number, searched only between two greedy bounds.
 
-    Vertices are placed in decreasing-degree order.  Each joins an open colour
-    class (a vertex bitmask) that holds none of its neighbours, or opens a new
-    class while fewer than k are open.  Exponential in the worst case; refuse
-    instances above ``CHROMATIC_CAP`` vertices.
+    One pass over the vertices in decreasing-degree order builds a greedy
+    clique (a vertex joins when it is adjacent to all of it) of size ``lo``
+    and a first-fit colouring with ``hi`` colours, so lo <= chi <= hi.  For
+    k = lo .. hi - 1 a backtracking search in the same order then tries to
+    colour ``g`` with k colours: each vertex joins an open colour class (a
+    vertex bitmask) that holds none of its neighbours, or opens a new class
+    while fewer than k are open.  The first k that succeeds is chi; when none
+    does, chi is ``hi``.  Exponential in the worst case; refuse instances
+    above ``CHROMATIC_CAP`` vertices.
     """
     n = g.n
     if n > CHROMATIC_CAP:
         raise SizeLimitError(f"exact chromatic number capped at n <= {CHROMATIC_CAP}, got {n}")
     order = sorted(range(n), key=lambda v: -g.degrees[v])
     adj = g.adj
+    lo = clique = 0
+    greedy: list[int] = []
+    for v in order:
+        if adj[v] & clique == clique:
+            clique |= 1 << v
+            lo += 1
+        for j, members in enumerate(greedy):
+            if not adj[v] & members:
+                greedy[j] = members | 1 << v
+                break
+        else:
+            greedy.append(1 << v)
+    hi = len(greedy)
 
     def colours(i: int, classes: list[int], k: int) -> bool:
         if i == n:
@@ -316,10 +336,10 @@ def chromatic_number(g: Graph) -> int:
             classes.pop()
         return False
 
-    k = 1
-    while not colours(0, [], k):
-        k += 1
-    return k
+    for k in range(lo, hi):
+        if colours(0, [], k):
+            return k
+    return hi
 
 
 # ---------------------------------------------------------------------------

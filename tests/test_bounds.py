@@ -1,7 +1,10 @@
 import dataclasses
+import importlib
 import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,12 +48,15 @@ from degbound.graphs import (
     double_star,
     is_complete,
     is_cycle,
+    parse_graph6,
     path_graph,
     star_graph,
 )
 from degbound.indices import IndexId
 
 from conftest import random_connected_graph
+
+ROOT = Path(__file__).resolve().parent.parent
 
 EXPECTED_IDS = [
     "T1L", "T1U", "C1", "T2L", "T2U", "C2", "C3", "EXT-ZT",
@@ -492,6 +498,23 @@ def test_report_json_schema(full_reports):
     if doc["min_margin"] is not None:
         assert set(doc["min_margin"]) == {"value", "witness_graph6"}
     json.dumps(doc)  # serializable
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_report_dict_equals_a_deep_copy(full_reports, monkeypatch, seed):
+    """``to_dict`` hands out the report's own containers; the dict, its key
+    order and its json bytes are those of a deep copy through
+    ``dataclasses.asdict``, on every report of the order 2..7 audit and of a
+    seeded benchmark ``repeats`` population."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    lines, _ = importlib.import_module("population").generate("repeats", seed, size=500)
+    repeats = audit_all(builtin_catalog(), [parse_graph6(s) for s in lines],
+                        population="repeats")
+    for r in [*full_reports.values(), *repeats.values()]:
+        doc, want = r.to_dict(), {"schema_version": 1, **dataclasses.asdict(r)}
+        assert doc == want and list(doc) == list(want), r.bound_id
+        assert json.dumps(doc, indent=2) == json.dumps(want, indent=2), r.bound_id
 
 
 def _reference_report(b, graphs, population):

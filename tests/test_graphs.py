@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from degbound.enumeration import connected_graphs
 from degbound.graphs import (
     CHROMATIC_CAP,
     Graph,
@@ -296,14 +297,67 @@ def test_chromatic_matches_cover_oracle(populations):
     assert disconnected >= 10
 
 
-def test_chromatic_groetzsch_graph():
-    # Mycielski's construction on C5: triangle-free with chromatic number 4
+def _groetzsch() -> Graph:
+    """Mycielski's construction on C5: triangle-free with chromatic number 4."""
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, (i + s) % 5) for i in range(5) for s in (1, 4)]
     edges += [(5 + i, 10) for i in range(5)]
-    g = Graph(11, edges)
+    return Graph(11, edges)
+
+
+def test_chromatic_groetzsch_graph():
+    g = _groetzsch()
     assert all(not g.adj[u] & g.adj[v] for u, v in g.edges)  # clique number 2
     assert chromatic_number(g) == _cover_chromatic(g) == 4
+
+
+def _incremental_chromatic(g: Graph) -> int:
+    """The smallest k for which the static-order backtracking search colours
+    ``g``, trying k = 1, 2, ... with no bracket."""
+    order = sorted(range(g.n), key=lambda v: -g.degrees[v])
+
+    def colours(i, classes, k):
+        if i == g.n:
+            return True
+        v = order[i]
+        for j, members in enumerate(classes):
+            if not g.adj[v] & members:
+                classes[j] = members | 1 << v
+                if colours(i + 1, classes, k):
+                    return True
+                classes[j] = members
+        if len(classes) < k:
+            classes.append(1 << v)
+            if colours(i + 1, classes, k):
+                return True
+            classes.pop()
+        return False
+
+    k = 1
+    while not colours(0, [], k):
+        k += 1
+    return k
+
+
+def test_chromatic_matches_incremental_search():
+    """The clique/first-fit bracket changes no chromatic number: every class
+    of order <= 8, seeded random graphs of order 9..12 (disconnected and
+    edgeless ones among them) and two graphs whose bracket stays open."""
+    graphs = [Graph(1)] + [g for n in range(2, 9) for g in connected_graphs(n)]
+    rng = random.Random(61)
+    graphs += [random_graph(rng, rng.randint(9, 12), rng.uniform(0.05, 0.95))
+               for _ in range(300)]
+    graphs += [Graph(n) for n in range(9, 13)]
+    assert sum(not is_connected(g) for g in graphs) >= 30
+    for g in graphs:
+        assert chromatic_number(g) == _incremental_chromatic(g), to_graph6(g)
+    # The crown graph: first-fit in vertex order uses 5 colours, the greedy
+    # clique has 2 vertices, and the search succeeds at k = 2.
+    crown = Graph(10, [(2 * i, 2 * j + 1) for i in range(5) for j in range(5) if i != j])
+    # The Groetzsch graph: omega = 2, and the searches for k = 2 and 3 fail,
+    # so chi is the colour count of first-fit.
+    for g, chi in ((crown, 2), (_groetzsch(), 4)):
+        assert chromatic_number(g) == _incremental_chromatic(g) == chi
 
 
 def test_chromatic_size_cap():
@@ -375,6 +429,13 @@ def test_graph6_malformed():
         parse_graph6("~~~")  # long form unsupported
     with pytest.raises(GraphError):
         to_graph6(Graph(63))
+
+
+def test_graph6_padding_bits():
+    # n = 2 holds one pair bit and five padding bits; chr(96) sets the last.
+    with pytest.raises(GraphError, match="nonzero padding bits"):
+        parse_graph6("A" + chr(96))
+    assert parse_graph6("C~") == complete_graph(4)  # six pair bits, no padding
 
 
 # ---------------------------------------------------------------------------

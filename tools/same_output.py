@@ -14,7 +14,9 @@ to a temporary directory by ``perfbench/population.py`` and shared by both
 sides, plus two fixed ``compute --file`` inputs written there too, as UTF-8:
 a graph6 file of mixed graphs (see ``MIXED``) that opens with a UTF-8
 byte-order mark and then a comment line outside ASCII (``MIXED_HEADER``), and
-the Petersen graph as an edge list.
+the Petersen graph as an edge list.  Two graphs of the mixed file, a crown
+graph and the Groetzsch graph, take chi past its clique and first-fit
+bracket: one to a colouring search that succeeds, one to the first-fit count.
 Both sides run in the caller's locale.
 Two audits filtered by ``--min-degree 2 --molecular``, one enumerated and one
 over ``audit-distinct``, guard the population filter both sources share.
@@ -50,10 +52,14 @@ OUT = "{out}"  # replaced by a fresh directory per side and command
 TIMEOUT_S = 900
 
 # The first line of the compute --file graph6 input: a comment outside ASCII.
-MIXED_HEADER = "# mixed graphs: disconnected, the wheel of order 13, K₃,₃, K₁,₄, T*, S₁,₈\n"
+MIXED_HEADER = ("# mixed graphs: disconnected, the wheel of order 13, K₃,₃, K₁,₄, T*, S₁,₈,"
+                " a crown, Grötzsch\n")
 # (order, edges as u < v) of the compute --file graph6 input: disconnected graphs
 # (two triangles, K_2 + K_1, P_3 + K_2), the order-13 wheel (above the
-# chromatic cap), K_{3,3}, K_{1,4}, T* and S_{1,8}.  No edgeless graph.
+# chromatic cap), K_{3,3}, K_{1,4}, T*, S_{1,8}, and two graphs whose chi lies
+# strictly between a greedy clique and a first-fit colouring: the order-10
+# crown graph (chi 2, first-fit 5) and the order-11 Groetzsch graph (chi 4,
+# clique number 2).  No edgeless graph.
 MIXED = [
     (6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
     (3, [(0, 1)]),
@@ -63,6 +69,11 @@ MIXED = [
     (5, [(0, v) for v in range(1, 5)]),
     (8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]),
     (9, [(0, v) for v in range(1, 9)]),
+    (10, [(min(2 * i, 2 * j + 1), max(2 * i, 2 * j + 1))
+          for i in range(5) for j in range(5) if i != j]),
+    (11, [(i, i + 1) for i in range(4)] + [(0, 4)]
+     + [((i + s) % 5, 5 + i) for i in range(5) for s in (1, 4)]
+     + [(5 + i, 10) for i in range(5)]),
 ]
 PETERSEN = [(v, (v + 1) % 5) for v in range(5)] + [(v, v + 5) for v in range(5)] \
     + [(5 + v, 5 + (v + 2) % 5) for v in range(5)]
