@@ -90,7 +90,10 @@ class Coeff:
 @dataclass(frozen=True)
 class EqualityFamily:
     """A claimed extremal family, or a graph a bound excludes: its report
-    label and its membership test.  Families compare by label."""
+    label and its membership test.  Families compare by label.  An audit
+    tests ``contains`` on one graph per (n, connectivity, edge-degree
+    partition, chi) key, so it must be a function of that key, as every
+    built-in test is; "has a triangle" is not."""
 
     label: str
     contains: Callable[[Graph], bool] = field(compare=False)
@@ -125,8 +128,9 @@ class BoundSpec:
     ``coeff*rhs <= lhs`` (direction "lower"), under the stated hypotheses.
 
     ``degree_cap``, when set, is an integer test on (delta, Delta) that the
-    graph must pass.  ``chain`` entries compose other catalog entries instead
-    of carrying a coefficient of their own.
+    graph must pass.  ``exclusions`` are tested like families, once per audit
+    key, so each must be a function of the key.  ``chain`` entries compose
+    other catalog entries instead of carrying a coefficient of their own.
     """
 
     bound_id: str
@@ -229,9 +233,8 @@ class _Columns:
     key's sorted graph6 strings and their number (the key's weight), the
     eight side values in ``GraphContext.values`` order (with the keys where
     each is None, and its screen), n and delta.  It also holds what the
-    bounds of the audit share: one hypothesis column per hypothesis set, the
-    member keys per family test, and the passes of the chains' links, which
-    each chain conjoins as key sets.
+    bounds of the audit share: one hypothesis column per hypothesis set and
+    the member keys per family test.
     """
 
     def __init__(self, groups):
@@ -249,23 +252,18 @@ class _Columns:
         self.delta = [ctx.delta for ctx in self.ctxs]
         self.met: dict = {}
         self.members: dict = {}
-        self.links: set[int] = set()  # ids of the link specs whose passes are kept
-        self.passes: dict[int, _Checked] = {}
 
 
 class _Checked(NamedTuple):
     """One bound's pass: whether each key meets its hypotheses (for a chain,
-    also its links'), the live keys, and at each its lhs, coefficient times
-    rhs and margin (a chain has no sides, and its margin may be None), and
-    the positions in ``keys`` of the equality and the violated keys; every
-    other live key holds.  A met key that is not live is domain-skipped, any
-    other a precondition skip."""
+    also its links'), the live keys, the slack at each (its margin where it
+    holds, ``math.inf`` where it is attained or violated), and the equality
+    and the violated keys; every other live key holds.  A met key that is
+    not live is domain-skipped, any other a precondition skip."""
 
     met: list[bool]
     keys: list[int]
-    lhs: list[float] | None
-    products: list[float] | None
-    margins: list
+    slacks: list[float]
     equal: list[int]
     violated: list[int]
 
@@ -283,37 +281,31 @@ def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
 
     The live keys are those that meet the hypotheses and define both sides.
     The coefficient is ``float(fn(x))`` at each distinct n or delta of them,
-    and the products ``c * rhs`` and the margins, one subtraction each, are
-    mapped over their columns.  A margin above the screen of the lhs column,
+    and the margins, one multiplication and one subtraction each, are mapped
+    over their columns.  A margin above the screen of the lhs column,
     DEFAULT_TOL * max(1, max |lhs|), holds; only the others go through the
     per-key rule: equality when |margin| <= DEFAULT_TOL * max(1, |lhs|),
-    violated below minus that.  A strict bound reaching equality is still
-    "equality", and the audit surfaces the strictness conflict.  The
-    tolerance is one constant, not a setting: it only absorbs float
-    rounding.  Over the keys of orders 2..7, every equality has a relative
-    margin of at most 3e-16 and every other verdict at least 1e-3.
+    violated below minus that, and either way the slack becomes ``inf``.  A
+    strict bound reaching equality is still "equality", and the audit
+    surfaces the strictness conflict.  The tolerance is one constant, not a
+    setting: it only absorbs float rounding.  Over the keys of orders 2..7,
+    every equality has a relative margin of at most 3e-16 and every other
+    verdict at least 1e-3.
 
-    A chain is the conjunction of its links' passes, which the audit computes
-    once, taken as key sets: it meets its hypotheses where it and every link
-    do, it checks the met keys live in every link, and it is violated where
-    any link is.  Its margin is the slack of the tightest link that holds
-    there, neither attained nor violated, and None where none does.
+    A chain is the conjunction of its links' passes, taken as key sets: it
+    meets its hypotheses where it and every link do, it checks the met keys
+    live in every link, and it is violated where any link is.  Its slack is
+    the smallest of its links' slacks, ``inf`` where it is violated.
     """
     if b.chain:
-        links = [_checked(_catalog_index()[cid], cols) for cid in b.chain]
+        links = [_evaluate(_catalog_index()[cid], cols) for cid in b.chain]
         met = list(map(all, zip(_met(b, cols), *(link.met for link in links))))
         keys = sorted(set(compress(range(len(met)), met)).intersection(
             *(link.keys for link in links)))
-        broken, slacks = set(), []
-        for link in links:
-            slack = dict(zip(link.keys, link.margins))
-            for k in (*link.equal, *link.violated):
-                slack[link.keys[k]] = math.inf
-            broken.update(link.keys[k] for k in link.violated)
-            slacks.append(map(slack.__getitem__, keys))
-        margins = [m if m < math.inf else None for m in map(min, zip(*slacks))]
-        violated = [k for k, i in enumerate(keys) if i in broken]
-        return _Checked(met, keys, None, None, margins, [], violated)
+        broken = set().union(*(link.violated for link in links))
+        by_key = [dict(zip(link.keys, link.slacks)) for link in links]
+        slacks = [math.inf if i in broken else min(s[i] for s in by_key) for i in keys]
+        return _Checked(met, keys, slacks, [], [i for i in keys if i in broken])
 
     met = live = _met(b, cols)
     undefined = set().union(*(cols.undefined[at] for at in b.sides))
@@ -326,46 +318,43 @@ def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
     screen = cols.screens[lhs_at]
     fn = b.coeff.fn
     coeffs = {x: float(fn(x)) for x in set(xs)}  # bit for bit Coeff.ev
-    products = list(map(mul, map(coeffs.__getitem__, xs), rhs))
-    margins = list(map(sub, products, lhs) if b.direction == "upper"
-                   else map(sub, lhs, products))
+    products = map(mul, map(coeffs.__getitem__, xs), rhs)
+    slacks = list(map(sub, products, lhs) if b.direction == "upper"
+                  else map(sub, lhs, products))
     equal, violated = [], []
-    if margins and min(margins) <= screen:
-        eps = DEFAULT_TOL
-        for k, margin in enumerate(margins):
+    if slacks and min(slacks) <= screen:
+        for k, margin in enumerate(slacks):
             if margin <= screen:
-                scale = eps * max(1.0, abs(lhs[k]))
-                if abs(margin) <= scale:
-                    equal.append(k)
-                elif margin < -scale:
-                    violated.append(k)
-    return _Checked(met, keys, lhs, products, margins, equal, violated)
-
-
-def _checked(b: BoundSpec, cols: _Columns) -> _Checked:
-    """``b``'s pass, computed once per audit for a chain's link."""
-    checked = cols.passes.get(id(b))
-    if checked is None:
-        checked = _evaluate(b, cols)
-        if id(b) in cols.links:
-            cols.passes[id(b)] = checked
-    return checked
+                scale = DEFAULT_TOL * max(1.0, abs(lhs[k]))
+                if margin <= scale:  # attained at or above -scale, else violated
+                    (equal if margin >= -scale else violated).append(keys[k])
+                    slacks[k] = math.inf
+    return _Checked(met, keys, slacks, equal, violated)
 
 
 def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
     """Check one bound on one graph; every outcome is a verdict, not an error.
 
-    The check is the audit's pass over the graph's one key, so a single
-    graph and a population follow one margin rule.
+    The verdict is the audit's pass over the graph's one key, so a single
+    graph and a population follow one margin rule.  The sides and margin are
+    those the pass computes, read back from the context.  A chain has no
+    sides; its margin is the smallest of its links' that hold, or None.
     """
     ctx = GraphContext(g)
-    checked = _evaluate(b, _Columns([(ctx, [ctx.graph6])]))
+    cols = _Columns([(ctx, [ctx.graph6])])
+    checked = _evaluate(b, cols)
     if not checked.keys:
         verdict = DOMAIN_SKIPPED if checked.met[0] else PRECONDITION_SKIPPED
         return BoundCheck(b.bound_id, ctx.graph6, None, None, None, verdict)
     verdict = EQUALITY if checked.equal else VIOLATED if checked.violated else HOLDS
-    sides = (None, None) if checked.lhs is None else (checked.lhs[0], checked.products[0])
-    return BoundCheck(b.bound_id, ctx.graph6, *sides, checked.margins[0], verdict)
+    if b.chain:
+        low = min(_evaluate(_catalog_index()[cid], cols).slacks[0] for cid in b.chain)
+        margin = None if low == math.inf else low
+        return BoundCheck(b.bound_id, ctx.graph6, None, None, margin, verdict)
+    lhs, rhs = (ctx.values[at] for at in b.sides)
+    product = b.coeff.ev(ctx.n, ctx.delta) * rhs
+    margin = product - lhs if b.direction == "upper" else lhs - product
+    return BoundCheck(b.bound_id, ctx.graph6, lhs, product, margin, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +389,13 @@ class SharpnessReport:
 def _key_groups(graphs) -> list[tuple[GraphContext, list[str]]]:
     """The population grouped by (n, connectivity, edge-degree partition, chi).
 
-    That key fixes all a bound reads: the indices, delta, Delta, chi and the
-    family and exclusion predicates.  Each group holds one context, built on
-    its first graph from the partition keyed on here, and the sorted graph6
-    strings of all its members (K_{3,3} and the prism share a partition but
-    not chi).
+    That key fixes the indices, delta, Delta and chi, and every built-in
+    family and exclusion test, so the audit reads all of them on one graph
+    per key.  A custom test must be a function of the key too: at n = 7, 9
+    of the 670 keys hold a graph with a triangle and one without (F?C~? and
+    F?Dl_).  Each group holds one context, built on its first graph from the
+    partition keyed on here, and the sorted graph6 strings of all its
+    members (K_{3,3} and the prism share a partition but not chi).
     """
     groups: dict[tuple, tuple[GraphContext, list[str]]] = {}
     for g in graphs:
@@ -424,21 +415,12 @@ def _key_groups(graphs) -> list[tuple[GraphContext, list[str]]]:
 
 
 def _min_margin(checked: _Checked, g6s: list[list[str]]) -> dict | None:
-    """The smallest margin of a key that holds, and the smallest graph6 of
-    the keys at that margin."""
-    keys, margins = checked.keys, checked.margins
-    unheld = {*checked.equal, *checked.violated}
-    if checked.lhs is None:  # a chain has no margin where every link is attained
-        unheld.update(k for k, m in enumerate(margins) if m is None)
-    if len(unheld) == len(margins):
+    """The smallest slack, a margin of a key that holds, and the smallest
+    first graph6 of the keys at that slack; None when no key holds."""
+    low = min(checked.slacks, default=math.inf)
+    if low == math.inf:
         return None
-    if unheld:
-        held = [True] * len(margins)
-        for k in unheld:
-            held[k] = False
-        keys, margins = list(compress(keys, held)), list(compress(margins, held))
-    low = min(margins)
-    witness = min(g6s[i][0] for i in compress(keys, map(low.__eq__, margins)))
+    witness = min(g6s[i][0] for i, s in zip(checked.keys, checked.slacks) if s == low)
     return {"value": low, "witness_graph6": witness}
 
 
@@ -449,11 +431,9 @@ def _fold(b: BoundSpec, cols: _Columns, population: str) -> SharpnessReport:
     equality, violation and family-member keys.  Witness lists are sorted,
     and the minimum-margin witness is the smallest graph6 at the smallest
     margin, so the report does not depend on the population order."""
-    checked = _checked(b, cols)
+    checked = _evaluate(b, cols)
     weights, g6s = cols.weights, cols.g6s
-    keys = checked.keys
-    equal_keys = [keys[k] for k in checked.equal]
-    violated_keys = [keys[k] for k in checked.violated]
+    keys, equal_keys, violated_keys = checked.keys, checked.equal, checked.violated
     checked_n = sum(map(weights.__getitem__, keys))
     equal = sum(map(weights.__getitem__, equal_keys))
     violated = sum(map(weights.__getitem__, violated_keys))
@@ -514,14 +494,12 @@ def audit_all(bounds, graphs, population: str = "population") -> dict[str, Sharp
     state it.  Each bound takes its live keys from its hypotheses and
     sides, evaluates its coefficient once per distinct n or delta of them,
     maps its margins over them, and applies the per-key rule only to the
-    margins at or below one screen; a chain folds its links' passes,
-    computed once.  Witness lists are sorted by graph6 string, so the result
-    does not depend on the population order (for equal populations as
-    sets).
+    margins at or below one screen; a chain evaluates its links again and
+    conjoins their passes.  Witness lists are sorted by graph6 string, so
+    the result does not depend on the population order (for equal
+    populations as sets).
     """
     cols = _Columns(_key_groups(graphs))
-    index = _catalog_index()
-    cols.links = {id(index[cid]) for b in bounds for cid in b.chain}
     return {b.bound_id: _fold(b, cols, population) for b in bounds}
 
 

@@ -391,9 +391,13 @@ def _margin_gap(bounds, groups):
             continue
         checked = bounds_module._evaluate(b, cols)
         equal = set(checked.equal)
-        for k, (lhs, margin) in enumerate(zip(checked.lhs, checked.margins)):
+        lhs_col, rhs_col = (cols.sides[at] for at in b.sides)
+        for i in checked.keys:
+            lhs = lhs_col[i]
+            product = b.coeff.ev(cols.n[i], cols.delta[i]) * rhs_col[i]
+            margin = product - lhs if b.direction == "upper" else lhs - product
             rel = abs(margin) / max(1.0, abs(lhs))
-            (equality if k in equal else other).append(rel)
+            (equality if i in equal else other).append(rel)
     return max(equality), min(other)
 
 
@@ -456,6 +460,17 @@ def test_chain_edge_cases():
     assert audit(chain, [complete_graph(5)]).min_margin is None
     assert audit(chain, [complete_graph(5), cycle_graph(5)]).min_margin == {
         "value": 2.0, "witness_graph6": "Dhc"}
+
+    # a violated chain key still reports the slack of the link that holds
+    broken = next(b for b in _custom_bounds() if b.bound_id == "test-broken-chain")
+    k4 = evaluate_bound(broken, complete_graph(4))  # X - R = 6/sqrt(6) - 2
+    assert k4 == ("test-broken-chain", "C~", None, None, 0.4494897427831783, VIOLATED)
+    report = audit(broken, [complete_graph(4), complete_graph(5), cycle_graph(5)])
+    assert report.verdict == VIOLATED
+    assert (report.counts["checked"], report.counts["holds"],
+            report.counts["violated"]) == (3, 1, 2)
+    assert report.min_margin == {"value": 13.333333333333329, "witness_graph6": "Dhc"}
+    assert report.violation_witnesses == ["C~", "D~{"]
 
 
 def test_ext2_chain_structure(populations):
@@ -626,6 +641,9 @@ def _custom_bounds():
                   claimed_equality=REGULAR_FAMILY),
         BoundSpec("test-chain", "test", "a chain with a link on chi",
                   chain=("EXT-2a", "EXT-4")),
+        # K_n violates T7-(21)U, which no catalog chain has as a link
+        BoundSpec("test-broken-chain", "test", "R <= X and T7-(21)U",
+                  chain=("EXT-2b", "T7-(21)U")),
         # equal hypotheses but for an exclusion labelled alike, so sharing
         # hypotheses or families by label instead of by test shows
         BoundSpec("test-not-cycle", "test", "H <= R off cycles",
@@ -726,9 +744,9 @@ def test_audit_of_each_bound_alone_matches_the_full_audit(seed):
 def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
     """Ten relabelings each of the prism and of K_{3,3} make two keys (they
     share a partition but not chi), so each of the 55 catalog bounds, EXT-4
-    and C6 too, is evaluated exactly once over those two keys (C4 folds its
-    links' passes instead of evaluating them again), and each distinct
-    hypothesis set is tested exactly once on each key."""
+    and C6 too, is evaluated exactly once over those two keys, and C4's four
+    links once more for C4; each distinct hypothesis set is tested exactly
+    once on each key."""
     prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                       (0, 3), (1, 4), (2, 5)])
     rng = random.Random(10)
@@ -759,7 +777,10 @@ def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
     monkeypatch.setattr(bounds_module, "_evaluate", counted)
     monkeypatch.setattr(BoundSpec, "preconditions_met", counted_hypotheses)
     reports = audit_all(builtin_catalog(), graphs)
-    assert sorted(evaluated) == sorted((bid, 2) for bid in EXPECTED_IDS)
+    links = catalog_by_id()["C4"].chain
+    assert links == ("EXT-2a", "EXT-2b", "EXT-2c", "T4U")
+    assert len(evaluated) == 59
+    assert sorted(evaluated) == sorted((bid, 2) for bid in EXPECTED_IDS + list(links))
     hypothesis_sets = {hypothesis_set(b) for b in builtin_catalog()}
     assert len(hypothesis_sets) == 7
     assert len(tested) == len(set(tested))

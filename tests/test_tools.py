@@ -1,6 +1,6 @@
 """tools/same_output.py: byte-identity of CLI output between two checkouts;
 tools/make_expected.py: the packaged pins and the verdicts it names as changed;
-and the package names the traced benchmark wraps."""
+the package names the traced benchmark wraps; and no unused package import."""
 
 import importlib
 import importlib.util
@@ -90,3 +90,31 @@ def test_tracing_patches_resolve(monkeypatch):
     assert tracing.PATCHES
     for module, attr, _ in tracing.PATCHES:
         assert hasattr(importlib.import_module(module), attr), (module, attr)
+
+
+def test_package_imports_are_used():
+    """Every name a package module imports is read somewhere in that module,
+    so a deletion cannot leave its imports behind.  ``__future__`` imports
+    and lines marked ``# noqa`` are exempt."""
+    import ast
+
+    unused = []
+    for path in sorted((ROOT / "src" / "degbound").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
