@@ -1,26 +1,24 @@
 """Isomorphism-reduced streams of connected graphs of a given order.
 
-Generation is vertex extension, the first step of McKay's orderly generation
-("Isomorph-free exhaustive generation", J. Algorithms 1998): each order-n
-class is built from the order-(n-1) classes by adding one vertex joined to a
-nonempty subset of the old vertices.  A candidate is kept only if no other
-non-cut vertex has a smaller degree than the new one.  Every connected graph
-has a non-cut vertex of minimum degree among its non-cut vertices, and
-deleting it leaves a connected parent, so no class is lost; extensions of a
-connected graph are connected, so no candidate needs a connectivity test.
-The survivors are deduplicated by a certificate, and the exact canonical
-form runs once per class.  The certificate is the minimal column sequence
-over only the orderings that list the vertices in ascending degree order.
-The degree cells are an isomorphism-invariant ordered partition, so equal
-column sequences mean isomorphic graphs: it is a complete invariant.  Each
-class representative then gets the lex-min canonical form (the
-lexicographically minimal graph6 encoding over all vertex relabelings).
-Both are one search, which keeps the unplaced vertices in cells split by
-their placed neighbours (the cell splitting of McKay & Piperno, "Practical
-graph isomorphism II", J. Symb. Comput. 2014).
+Generation is Read's orderly generation (R. C. Read, "Every one a winner",
+Ann. Discrete Math. 2, 1978), the method McKay's "Isomorph-free exhaustive
+generation" (J. Algorithms 1998) builds on.  The canonical form of a graph
+is its lex-min column sequence: the upper-triangle columns of an ordering
+of its vertices, minimal over all orderings, which read in order are the
+bits of its graph6 encoding.  The first n-1 positions of a lex-min ordering
+are a lex-min ordering of the subgraph they induce, so each canonical graph
+of order n is a canonical graph of order n-1, connected or not, plus a last
+column.  Each such candidate is kept exactly when its own ordering is
+already lex-min, so each class is born once, canonically labeled.  The
+test is the canonical-form search itself, tight against the candidate's
+columns from the start and stopped at the first smaller prefix; at the
+requested order, a disconnected candidate is dropped before it.  The
+search keeps the unplaced vertices in cells split by their placed
+neighbours (the cell splitting of McKay & Piperno, "Practical graph
+isomorphism II", J. Symb. Comput. 2014).
 
-On a 2-vCPU host, orders 2..7 together take 0.2-0.3 s.  Order 8 takes
-3.0-3.9 s; the library runs any order up to MAX_ORDER, and the CLI's
+On a 2-vCPU host, orders 2..7 together take 0.06-0.08 s.  Order 8 takes
+1.1-1.3 s; the library runs any order up to MAX_ORDER, and the CLI's
 ``--allow-n8`` is the one opt-in for order 8.
 """
 
@@ -50,52 +48,54 @@ CANONICAL_CAP = 10
 
 
 def _canonical_columns(adj: tuple[int, ...], n: int,
-                       cells: tuple[int, ...] | None = None) -> tuple[int, ...]:
-    """Minimal upper-triangle column sequence over all vertex orderings, or,
-    given ``cells``, over the orderings that place a vertex of the mask
-    ``cells[k]`` at each position k.
+                       own: tuple[int, ...] | None = None) -> tuple[int, ...] | None:
+    """Minimal upper-triangle column sequence over all vertex orderings.
+
+    Given ``own``, the columns of the identity ordering, it decides instead
+    whether that ordering is already minimal: the search starts tight
+    against ``own``, returns None at the first ordering prefix with smaller
+    columns, and returns ``own`` when there is none.
 
     Branch and bound on the ordering prefix.  The unplaced vertices sit in
     cells ``(pattern, mask)`` in ascending pattern order, where bit n-1-i of
     ``pattern`` marks a neighbour at position i.  A vertex's column at
-    position k is its pattern >> (n-k), so the candidates are the first cell
-    that meets ``cells[k]``.  Placing a vertex splits each cell into its
-    non-neighbours, then its neighbours, which keeps that order.  While the
-    prefix equals the incumbent's (``tight``), a larger column is cut off.
-    Open twins (equal adjacency rows) and closed twins (equal rows once each
-    vertex is added to its own) are interchangeable: swapping two unplaced
-    twins is an automorphism that fixes the placed prefix and every cell.
-    So only one vertex of each twin class is branched on.
+    position k is its pattern >> (n-k), so the candidates are the first
+    cell.  Placing a vertex splits each cell into its non-neighbours, then
+    its neighbours, which keeps that order.  While the prefix equals the
+    incumbent's (``tight``), a larger column is cut off.  Open twins (equal
+    adjacency rows) and closed twins (equal rows once each vertex is added
+    to its own) are interchangeable: swapping two unplaced twins is an
+    automorphism that fixes the placed prefix and every cell.  So only one
+    vertex of each twin class is branched on.
     """
-    if cells is None:
-        cells = ((1 << n) - 1,) * n
-    best: list[int] = []
+    checking = own is not None
+    best = list(own or ())
     cols = [0] * n
 
-    def search(k: int, parts: list[tuple[int, int]], tight: bool) -> None:
+    def search(k: int, parts: list[tuple[int, int]], tight: bool) -> bool:
+        """Search the orderings that extend ``cols[:k]``; True stops the
+        whole search at a prefix smaller than ``own``."""
         nonlocal best
         if k == n:
             if not tight:
                 best = cols[:]
-            return
-        allowed = cells[k]
-        for pattern, mask in parts:
-            if mask & allowed:
-                break
+            return False
+        pattern, mask = parts[0]
         col = pattern >> (n - k)
         if tight:
             if col > best[k]:
-                return
+                return False
             tight = col == best[k]
+            if not tight and checking:
+                return True
         cols[k] = col
         bit = 1 << (n - 1 - k)
         # One vertex's open row never equals another's closed row (it would
         # hold its own vertex), so one set holds both kinds.
         seen_rows = set()
-        todo = mask & allowed
-        while todo:
-            low = todo & -todo
-            todo ^= low
+        while mask:
+            low = mask & -mask
+            mask ^= low
             row = adj[low.bit_length() - 1]
             if row in seen_rows or row | low in seen_rows:
                 continue
@@ -108,22 +108,15 @@ def _canonical_columns(adj: tuple[int, ...], n: int,
                     split.append((p, lo))
                 if hi := m & row:
                     split.append((p | bit, hi))
-            search(k + 1, split, tight)
+            if search(k + 1, split, tight):
+                return True
             # The subtree ended on the incumbent's prefix or replaced it.
             tight = True
+        return False
 
-    search(0, [(0, (1 << n) - 1)], False)
+    if search(0, [(0, (1 << n) - 1)], checking):
+        return None
     return tuple(best)
-
-
-def _degree_cells(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """Per-position vertex masks that list the vertices in ascending degree
-    order, an isomorphism-invariant ordered partition."""
-    degrees = [a.bit_count() for a in adj]
-    masks: dict[int, int] = {}
-    for v, d in enumerate(degrees):
-        masks[d] = masks.get(d, 0) | 1 << v
-    return tuple(masks[d] for d in sorted(degrees))
 
 
 def _columns_to_graph(cols: tuple[int, ...], n: int) -> Graph:
@@ -176,33 +169,35 @@ class EnumerationSpec:
         return "enumerate(" + ", ".join(parts) + ")"
 
 
-def _extensions(parents, n: int):
-    """Adjacency tuples of the order-n vertex extensions of ``parents``
-    whose new vertex has minimum degree among the non-cut vertices."""
+@cache
+def _classes(n: int, connected: bool = True) -> tuple[Graph, ...]:
+    """Every class of graphs of order n, or only the connected ones, each in
+    its canonical labeling and sorted by graph6 string; each order is built
+    once and filtered per spec.
+
+    Orderly generation (see the module docstring) from every class of order
+    n-1.  Parents come in ascending column order and so do their last
+    columns, so the output is sorted as it is built."""
+    if n == 1:
+        return (Graph(1),)
     new = n - 1
     bit = 1 << new
     everyone = (1 << n) - 1
-    for parent in parents:
-        for nbrs in range(1, bit):
-            k = nbrs.bit_count()
-            adj = tuple(a | bit if nbrs >> u & 1 else a
-                        for u, a in enumerate(parent.adj)) + (nbrs,)
-            if all(adj[u].bit_count() >= k or not connected_within(adj, everyone ^ 1 << u)
-                   for u in range(new)):
-                yield adj
-
-
-@cache
-def _classes(n: int) -> tuple[Graph, ...]:
-    """Every class of connected graphs of order n, sorted by canonical graph6
-    string; each order is built once and filtered per spec."""
-    parents = _classes(n - 1) if n > 2 else (Graph(1),)
-    reps = {}
-    for adj in _extensions(parents, n):
-        reps.setdefault(_canonical_columns(adj, n, _degree_cells(adj)), adj)
-    # Same-order column tuples sort as their graph6 strings, which list the same bits in order.
-    cols = sorted(_canonical_columns(adj, n) for adj in reps.values())
-    return tuple(_columns_to_graph(c, n) for c in cols)
+    # Bit new-1-u of a last column marks neighbour u; nbrs[col] is its vertex mask.
+    nbrs = [int(f"{col:0{new}b}"[::-1], 2) for col in range(bit)]
+    out = []
+    for parent in _classes(new, False):
+        own = tuple(sum(1 << (v - 1 - u) for u in range(v) if a >> u & 1)
+                    for v, a in enumerate(parent.adj))
+        # Swapping the last two positions must not shrink the columns.
+        for col in range(own[-1] << 1, bit):
+            adj = tuple(a | bit if nbrs[col] >> u & 1 else a
+                        for u, a in enumerate(parent.adj)) + (nbrs[col],)
+            if connected and not connected_within(adj, everyone):
+                continue
+            if _canonical_columns(adj, n, own + (col,)):
+                out.append(Graph._from_adj(n, adj))
+    return tuple(out)
 
 
 def check_order(n: int) -> None:

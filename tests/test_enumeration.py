@@ -11,7 +11,6 @@ from degbound import enumeration
 from degbound.enumeration import (
     EnumerationSpec,
     _canonical_columns,
-    _degree_cells,
     canonical_form,
     canonical_graph,
     connected_graphs,
@@ -36,6 +35,9 @@ from degbound.graphs import (
 
 from conftest import random_connected_graph, random_graph
 
+# All graphs up to isomorphism, orders 1..7 (OEIS A000088).
+GRAPH_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
+
 # Connected graphs up to isomorphism, orders 2..7.
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -48,7 +50,7 @@ REPRESENTATIVE_DIGESTS = {
     9: "035e9c603032ba21d4f1ec877e9adb25c7bc097e7182ce3ee39567a96b9a2fad",
 }
 
-# Order 9 takes minutes and about 280 MB, so its oracles run only on request.
+# Order 9 takes about 1.5 minutes and 260 MB, so its oracles run only on request.
 ORDER_9_OPT_IN = "DEGBOUND_TEST_ORDER_9"
 ORDER_9_ONLY = pytest.mark.skipif(not os.environ.get(ORDER_9_OPT_IN),
                                   reason=f"order 9 takes minutes; set {ORDER_9_OPT_IN}=1 to run it")
@@ -148,7 +150,7 @@ def _connected_counts_from_totals(totals):
 
 def test_euler_transform_oracle_agrees_with_published_counts():
     totals = [_burnside_all_graph_count(n) for n in range(1, 8)]
-    assert totals == [1, 2, 4, 11, 34, 156, 1044]
+    assert totals == GRAPH_COUNTS
     connected = _connected_counts_from_totals(totals)
     assert connected == [1, 1, 2, 6, 21, 112, 853]
 
@@ -401,14 +403,6 @@ def test_canonical_graph_round_trip():
         assert canonical_form(cg) == canonical_form(g)
 
 
-def _assert_certificate_complete(graphs):
-    """Degree-cell certificates are equal iff canonical forms are equal."""
-    pairs = {(_canonical_columns(g.adj, g.n, _degree_cells(g.adj)), canonical_form(g))
-             for g in graphs}
-    assert len({cert for cert, _ in pairs}) == len(pairs)
-    assert len({form for _, form in pairs}) == len(pairs)
-
-
 def _with_relabelings(graphs, rng, copies):
     out = list(graphs)
     for g in graphs:
@@ -419,13 +413,7 @@ def _with_relabelings(graphs, rng, copies):
     return out
 
 
-def test_certificate_is_complete_invariant_on_all_small_graphs(populations):
-    rng = random.Random(21)
-    for graphs in populations.values():
-        _assert_certificate_complete(_with_relabelings(graphs, rng, 2))
-
-
-def test_certificate_separates_refinement_hard_pairs():
+def test_canonical_form_separates_refinement_hard_pairs():
     # Each pair is regular with equal degree, so even colour refinement would
     # leave one cell and only the column search can tell the two apart.
     prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
@@ -439,43 +427,60 @@ def test_certificate_separates_refinement_hard_pairs():
              (petersen, pentagonal_prism)]
     rng = random.Random(34)
     for pair in pairs:
-        _assert_certificate_complete(_with_relabelings(pair, rng, 3))
+        forms = [{canonical_form(h) for h in _with_relabelings([g], rng, 3)} for g in pair]
+        assert all(len(f) == 1 for f in forms) and forms[0] != forms[1], forms
 
 
-def _bruteforce_columns(g, cells):
-    """Minimal column sequence over the orderings that place a vertex of
-    ``cells[k]`` at each position k, by trying every permutation."""
+def _columns(g, order):
+    """Upper-triangle columns of ``g`` with its vertices placed in ``order``."""
     edges = set(g.edges)
-    best = None
-    for order in permutations(range(g.n)):
-        if any(not cells[k] >> v & 1 for k, v in enumerate(order)):
-            continue
-        cols = tuple(sum(1 << (k - 1 - i) for i, u in enumerate(order[:k])
-                         if (min(u, v), max(u, v)) in edges)
-                     for k, v in enumerate(order))
-        best = cols if best is None else min(best, cols)
-    return best
+    return tuple(sum(1 << (k - 1 - i) for i, u in enumerate(order[:k])
+                     if (min(u, v), max(u, v)) in edges)
+                 for k, v in enumerate(order))
 
 
-def _random_cells(rng, n):
-    """Per-position masks of a random ordered partition of range(n)."""
-    labels = [rng.randrange(n) for _ in range(n)]
-    return tuple(sum(1 << v for v in range(n) if labels[v] == c) for c in sorted(labels))
+def _bruteforce_columns(g):
+    """Minimal column sequence over all orderings, by trying every permutation."""
+    return min(_columns(g, order) for order in permutations(range(g.n)))
 
 
-def test_cell_restricted_columns_match_bruteforce():
-    # The dedup keys on this minimum over the degree-cell orderings, so it
-    # must be the true minimum, not only some isomorphism invariant.
-    rng = random.Random(17)
+def _small_cases(rng):
+    """Random graphs and twin-rich graphs of order 2..6."""
     cases = [random_graph(rng, rng.randrange(2, 7)) for _ in range(60)]
-    cases += [g for n in range(2, 7) for g in _twin_rich(n)]
-    for g in cases:
+    return cases + [g for n in range(2, 7) for g in _twin_rich(n)]
+
+
+def test_canonical_columns_match_bruteforce():
+    rng = random.Random(17)
+    for g in _small_cases(rng):
         perm = list(range(g.n))
         rng.shuffle(perm)
         g = g.relabeled(perm)
-        for cells in (((1 << g.n) - 1,) * g.n, _degree_cells(g.adj), _random_cells(rng, g.n)):
-            assert _canonical_columns(g.adj, g.n, cells) == _bruteforce_columns(g, cells), \
-                (g.edges, cells)
+        assert _canonical_columns(g.adj, g.n) == _bruteforce_columns(g), g.edges
+
+
+def test_canonicity_test_accepts_exactly_the_lex_min_labelings():
+    # Orderly generation keeps a candidate exactly when this test accepts its
+    # own labeling, so on every relabeling it must accept the lex-min ones and
+    # reject the rest.
+    for g in _small_cases(random.Random(21)):
+        best = _bruteforce_columns(g)
+        for perm in permutations(range(g.n)):
+            h = g.relabeled(perm)
+            own = _columns(h, range(h.n))
+            assert _canonical_columns(h.adj, h.n, own) == (own if own == best else None), \
+                (h.edges, own, best)
+
+
+def test_every_level_matches_oeis_and_is_canonical():
+    # Each order is built from every class of the order below, connected or
+    # not, which the connected output never shows.  Distinct canonical forms
+    # and the OEIS count make each level exact.
+    for n, want in enumerate(GRAPH_COUNTS, 1):
+        level = enumeration._classes(n, False)
+        forms = [to_graph6(g) for g in level]
+        assert len(forms) == len(set(forms)) == want, n
+        assert forms == [canonical_form(g) for g in level], n
 
 
 def test_canonical_cap():
