@@ -9,16 +9,19 @@ bits of its graph6 encoding.  The first n-1 positions of a lex-min ordering
 are a lex-min ordering of the subgraph they induce, so each canonical graph
 of order n is a canonical graph of order n-1, connected or not, plus a last
 column.  Each such candidate is kept exactly when its own ordering is
-already lex-min, so each class is born once, canonically labeled.  The
-test is the canonical-form search itself, tight against the candidate's
-columns from the start and stopped at the first smaller prefix; at the
-requested order, a disconnected candidate is dropped before it.  The
+already lex-min, so each class is born once, canonically labeled; at the
+requested order, a disconnected candidate is dropped first.  The test is
+the canonical-form search, tight against the candidate's columns and
+stopped at the first smaller prefix.  Its orderings that begin with parent
+vertices only are the same for every last column of one parent, so one
+walk over them decides all of that parent's candidates together, and each
+candidate's own search starts only where the new vertex is placed.  The
 search keeps the unplaced vertices in cells split by their placed
 neighbours (the cell splitting of McKay & Piperno, "Practical graph
 isomorphism II", J. Symb. Comput. 2014).
 
-On a 2-vCPU host, orders 2..7 together take 0.06-0.08 s.  Order 8 takes
-1.1-1.3 s; the library runs any order up to MAX_ORDER, and the CLI's
+On a 2-vCPU host, orders 2..7 together take 0.02-0.03 s.  Order 8 takes
+0.3-0.4 s; the library runs any order up to MAX_ORDER, and the CLI's
 ``--allow-n8`` is the one opt-in for order 8.
 """
 
@@ -35,11 +38,11 @@ from .graphs import (
     Graph,
     GraphError,
     SizeLimitError,
-    connected_within,
     content_lines,
     is_molecular,
     min_degree,
     parse_graph6,
+    reach,
     to_graph6,
 )
 
@@ -47,14 +50,19 @@ MAX_ORDER = 8
 CANONICAL_CAP = 10
 
 
-def _canonical_columns(adj: tuple[int, ...], n: int,
-                       own: tuple[int, ...] | None = None) -> tuple[int, ...] | None:
+def _canonical_columns(adj: tuple[int, ...], n: int, own: tuple[int, ...] | None = None,
+                       k: int = 0, parts: list[tuple[int, int]] | None = None
+                       ) -> tuple[int, ...] | None:
     """Minimal upper-triangle column sequence over all vertex orderings.
 
     Given ``own``, the columns of the identity ordering, it decides instead
     whether that ordering is already minimal: the search starts tight
     against ``own``, returns None at the first ordering prefix with smaller
-    columns, and returns ``own`` when there is none.
+    columns, and returns ``own`` when there is none.  Given also ``k`` and
+    ``parts``, it decides this only over the orderings that extend a placed
+    prefix of length k with the columns ``own[:k]``; ``parts`` holds the
+    unplaced vertices' cells after that prefix, and only the rows of those
+    vertices, and their bits for each other, are read.
 
     Branch and bound on the ordering prefix.  The unplaced vertices sit in
     cells ``(pattern, mask)`` in ascending pattern order, where bit n-1-i of
@@ -62,15 +70,17 @@ def _canonical_columns(adj: tuple[int, ...], n: int,
     position k is its pattern >> (n-k), so the candidates are the first
     cell.  Placing a vertex splits each cell into its non-neighbours, then
     its neighbours, which keeps that order.  While the prefix equals the
-    incumbent's (``tight``), a larger column is cut off.  Open twins (equal
-    adjacency rows) and closed twins (equal rows once each vertex is added
-    to its own) are interchangeable: swapping two unplaced twins is an
-    automorphism that fixes the placed prefix and every cell.  So only one
-    vertex of each twin class is branched on.
+    incumbent's (``tight``), a larger column is cut off.  Swapping two
+    unplaced twins is an automorphism that fixes the placed prefix and every
+    cell, so a search from the empty prefix branches only on the lowest
+    vertex of each twin class in the first cell.  One from a placed prefix
+    prunes no twins: it runs once per orderly-generation candidate, where
+    finding the twins costs more than it saves.
     """
     checking = own is not None
     best = list(own or ())
     cols = [0] * n
+    below = [0] * n if parts else _twins_below(adj)
 
     def search(k: int, parts: list[tuple[int, int]], tight: bool) -> bool:
         """Search the orderings that extend ``cols[:k]``; True stops the
@@ -80,7 +90,7 @@ def _canonical_columns(adj: tuple[int, ...], n: int,
             if not tight:
                 best = cols[:]
             return False
-        pattern, mask = parts[0]
+        pattern, cell = parts[0]
         col = pattern >> (n - k)
         if tight:
             if col > best[k]:
@@ -90,17 +100,15 @@ def _canonical_columns(adj: tuple[int, ...], n: int,
                 return True
         cols[k] = col
         bit = 1 << (n - 1 - k)
-        # One vertex's open row never equals another's closed row (it would
-        # hold its own vertex), so one set holds both kinds.
-        seen_rows = set()
+        mask = cell
         while mask:
             low = mask & -mask
             mask ^= low
-            row = adj[low.bit_length() - 1]
-            if row in seen_rows or row | low in seen_rows:
+            v = low.bit_length() - 1
+            if below[v] & cell:
                 continue
-            seen_rows.add(row)
-            seen_rows.add(row | low)
+            # _split, inlined: this loop is most of canonical_form's time.
+            row = adj[v]
             off = ~(row | low)
             split = []
             for p, m in parts:
@@ -114,9 +122,125 @@ def _canonical_columns(adj: tuple[int, ...], n: int,
             tight = True
         return False
 
-    if search(0, [(0, (1 << n) - 1)], checking):
+    if search(k, parts or [(0, (1 << n) - 1)], checking):
         return None
     return tuple(best)
+
+
+def _twins_below(adj: tuple[int, ...]) -> list[int]:
+    """Per vertex, the mask of the lower vertices that are its open twins
+    (equal adjacency rows) or closed twins (equal rows once each vertex is
+    added to its own).  One vertex's open row never equals another's closed
+    row (it would hold its own vertex), so one dict holds both kinds."""
+    below = []
+    seen: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        me = 1 << v
+        below.append(seen.get(row, 0) | seen.get(row | me, 0))
+        seen[row] = seen.get(row, 0) | me
+        seen[row | me] = seen.get(row | me, 0) | me
+    return below
+
+
+def _split(parts: list[tuple[int, int]], row: int, low: int, bit: int) -> list[tuple[int, int]]:
+    """The cells once a vertex with neighbour mask ``row`` is placed at the
+    position whose pattern bit is ``bit``; ``low`` is that vertex's one-bit
+    mask, or 0 for a vertex outside the cells."""
+    off = ~(row | low)
+    split = []
+    for p, m in parts:
+        if lo := m & off:
+            split.append((p, lo))
+        if hi := m & row:
+            split.append((p | bit, hi))
+    return split
+
+
+@cache
+def _last_columns(new: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For a last column after ``new`` vertices: ``nbrs[col]``, the vertex
+    mask of its neighbours (bit new-1-u of col marks neighbour u), and
+    ``cover[u]``, the mask of the columns that hold u (bit col).  Reversing
+    ``new`` bits is its own inverse, so ``nbrs`` also maps a vertex mask to
+    its column."""
+    nbrs = tuple(int(f"{col:0{new}b}"[::-1], 2) for col in range(1 << new))
+    cover = tuple(sum(1 << col for col, s in enumerate(nbrs) if s >> u & 1) for u in range(new))
+    return nbrs, cover
+
+
+def _lex_min_last_columns(adj: tuple[int, ...], own: tuple[int, ...], live: int) -> int:
+    """The mask of the last columns, of those in the mask ``live``, after
+    which the identity ordering of the canonical graph ``adj`` (columns
+    ``own``) plus a new vertex x is lex-min; bit c stands for last column c.
+
+    It is the canonicity test of every candidate at once: one walk over the
+    parent's tight prefixes, the orderings of parent vertices whose columns
+    equal ``own``.  At each, x's column is compared with the next of ``own``
+    for all candidates by masks: a smaller one rejects the candidate, and an
+    equal one continues that candidate's own search, with x placed next.
+    At a full prefix, an automorphism of the parent, x's last column must
+    not be smaller than its own.  The parent's first cell is never below
+    ``own``, as the parent is canonical, and the walk stops where it is
+    above.  Twins follow the search's rule, per candidate: a parent twin is
+    branched on only for the candidates that tell it from every lower twin
+    in its cell, and x's continuation is left to a twin of x in the cell."""
+    new = len(adj)
+    n = new + 1
+    nbrs, cover = _last_columns(new)
+    below = _twins_below(adj)
+    # The last columns that make x an open or a closed twin of vertex u.
+    twin_of_x = [1 << nbrs[a] | 1 << nbrs[a | 1 << u] for u, a in enumerate(adj)]
+    # bits[k][i] marks the candidates whose own column at position k joins
+    # position i: all or none for k < new, as own[k] is every candidate's,
+    # and cover[i] for the last column.
+    bits = [[-(c >> (k - 1 - i) & 1) for i in range(k)] for k, c in enumerate(own)] + [cover]
+    order = [0] * new
+    rejected = 0
+    continuations = []
+
+    def walk(k: int, parts: list[tuple[int, int]], live: int) -> None:
+        nonlocal rejected
+        # x's column at position k against each candidate's own there.
+        smaller = 0
+        same = live
+        for v, mine in zip(order, bits[k]):
+            differ = same & (mine ^ cover[v])
+            smaller |= differ & mine
+            same ^= differ
+        rejected |= smaller
+        if k == new:
+            return
+        pattern, cell = parts[0]
+        mask = cell if pattern >> (n - k) == own[k] else 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            v = low.bit_length() - 1
+            same &= ~twin_of_x[v]
+            branch = live & ~rejected
+            twins = below[v] & cell
+            while twins and branch:
+                w = twins & -twins
+                twins ^= w
+                branch &= cover[w.bit_length() - 1] ^ cover[v]
+            if branch:
+                order[k] = v
+                walk(k + 1, _split(parts, adj[v], low, 1 << (n - 1 - k)), branch)
+        if same:
+            continuations.append((k, parts, same))
+
+    walk(0, [(0, (1 << new) - 1)], live)
+    # Continuations run last, so that the walk's cheap rejections spare them.
+    for k, parts, same in continuations:
+        same &= ~rejected
+        while same:
+            low = same & -same
+            same ^= low
+            col = low.bit_length() - 1
+            split = _split(parts, nbrs[col], 0, 1 << (n - 1 - k))
+            if _canonical_columns(adj, n, own + (col,), k + 1, split) is None:
+                rejected |= low
+    return live & ~rejected
 
 
 def _columns_to_graph(cols: tuple[int, ...], n: int) -> Graph:
@@ -182,21 +306,31 @@ def _classes(n: int, connected: bool = True) -> tuple[Graph, ...]:
         return (Graph(1),)
     new = n - 1
     bit = 1 << new
-    everyone = (1 << n) - 1
-    # Bit new-1-u of a last column marks neighbour u; nbrs[col] is its vertex mask.
-    nbrs = [int(f"{col:0{new}b}"[::-1], 2) for col in range(bit)]
+    nbrs, cover = _last_columns(new)
     out = []
     for parent in _classes(new, False):
+        adj = parent.adj
         own = tuple(sum(1 << (v - 1 - u) for u in range(v) if a >> u & 1)
-                    for v, a in enumerate(parent.adj))
+                    for v, a in enumerate(adj))
         # Swapping the last two positions must not shrink the columns.
-        for col in range(own[-1] << 1, bit):
-            adj = tuple(a | bit if nbrs[col] >> u & 1 else a
-                        for u, a in enumerate(parent.adj)) + (nbrs[col],)
-            if connected and not connected_within(adj, everyone):
-                continue
-            if _canonical_columns(adj, n, own + (col,)):
-                out.append(Graph._from_adj(n, adj))
+        live = (1 << bit) - (1 << (own[-1] << 1))
+        # A connected candidate's last column meets every parent component.
+        rest = (1 << new) - 1 if connected else 0
+        while rest:
+            component = reach(adj, rest)
+            rest ^= component
+            meets = 0
+            for u in range(new):
+                if component >> u & 1:
+                    meets |= cover[u]
+            live &= meets
+        kept = _lex_min_last_columns(adj, own, live)
+        while kept:
+            low = kept & -kept
+            kept ^= low
+            joined = nbrs[low.bit_length() - 1]
+            out.append(Graph._from_adj(n, tuple(a | bit if joined >> u & 1 else a
+                                                for u, a in enumerate(adj)) + (joined,)))
     return tuple(out)
 
 

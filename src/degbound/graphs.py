@@ -150,10 +150,10 @@ def is_molecular(g: Graph) -> bool:
     return max(g.degrees) <= 4
 
 
-def connected_within(adj, mask: int) -> bool:
-    """True when the subgraph induced by the vertex bitmask ``mask`` is
-    connected, given one adjacency bitmask per vertex (BFS from the lowest
-    vertex in ``mask``)."""
+def reach(adj, mask: int) -> int:
+    """The vertices of the bitmask ``mask`` reachable from its lowest vertex
+    within the subgraph it induces, given one adjacency bitmask per vertex
+    (BFS); 0 for an empty mask."""
     seen = frontier = mask & -mask
     while frontier:
         nxt = 0
@@ -164,7 +164,13 @@ def connected_within(adj, mask: int) -> bool:
             f ^= low
         frontier = nxt & mask & ~seen
         seen |= frontier
-    return seen == mask
+    return seen
+
+
+def connected_within(adj, mask: int) -> bool:
+    """True when the subgraph induced by the vertex bitmask ``mask`` is
+    connected, given one adjacency bitmask per vertex."""
+    return reach(adj, mask) == mask
 
 
 def is_connected(g: Graph) -> bool:

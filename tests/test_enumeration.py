@@ -50,10 +50,10 @@ REPRESENTATIVE_DIGESTS = {
     9: "035e9c603032ba21d4f1ec877e9adb25c7bc097e7182ce3ee39567a96b9a2fad",
 }
 
-# Order 9 takes about 1.5 minutes and 260 MB, so its oracles run only on request.
+# Order 9 takes about 40 seconds and 260 MB, so its oracles run only on request.
 ORDER_9_OPT_IN = "DEGBOUND_TEST_ORDER_9"
 ORDER_9_ONLY = pytest.mark.skipif(not os.environ.get(ORDER_9_OPT_IN),
-                                  reason=f"order 9 takes minutes; set {ORDER_9_OPT_IN}=1 to run it")
+                                  reason=f"order 9 takes 40 s; set {ORDER_9_OPT_IN}=1 to run it")
 
 
 def _digest(graphs):
@@ -248,12 +248,14 @@ def test_filtered_count_matches_bruteforce():
 def test_filtered_specs_reuse_the_order(monkeypatch):
     unfiltered = enumerate_connected(EnumerationSpec(6))
     calls = []
+    walk = enumeration._lex_min_last_columns
 
     def counted(*args):
         calls.append(args)
-        return _canonical_columns(*args)
+        return walk(*args)
 
-    monkeypatch.setattr(enumeration, "_canonical_columns", counted)
+    # The canonicity walk runs once per parent of every order built.
+    monkeypatch.setattr(enumeration, "_lex_min_last_columns", counted)
     for spec in (EnumerationSpec(6, delta_min=2), EnumerationSpec(6, molecular=True)):
         assert enumerate_connected(spec) == [g for g in unfiltered if spec.admits(g)]
     assert calls == []
@@ -470,6 +472,28 @@ def test_canonicity_test_accepts_exactly_the_lex_min_labelings():
             own = _columns(h, range(h.n))
             assert _canonical_columns(h.adj, h.n, own) == (own if own == best else None), \
                 (h.edges, own, best)
+
+
+def test_walk_accepts_exactly_the_lex_min_last_columns():
+    # Orderly generation keeps the last columns the walk accepts, so for a
+    # canonical parent it must accept exactly the candidates whose own
+    # labeling is lex-min, connected or not.  The parents are every class of
+    # order <= 6, so they hold every twin-rich graph of those orders, whose
+    # twin classes the candidates split.  Order 6 is needed: a walk that
+    # leaves x's continuation to any vertex of x's cell, twin or not, is
+    # wrong on two of its parents and on none below.
+    for n in range(2, 8):
+        cases = []
+        for parent in enumeration._classes(n - 1, False):
+            own = _columns(parent, range(n - 1))
+            cols = range(own[-1] << 1, 1 << (n - 1))
+            kept = enumeration._lex_min_last_columns(parent.adj, own, sum(1 << c for c in cols))
+            for col in cols:
+                edges = [(u, n - 1) for u in range(n - 1) if col >> (n - 2 - u) & 1]
+                cases.append((Graph(n, parent.edges + tuple(edges)), kept >> col & 1))
+        forms = _bruteforce_forms([g for g, _ in cases], n)
+        for (g, kept), form in zip(cases, forms):
+            assert kept == (to_graph6(g) == form), (g.edges, kept)
 
 
 def test_every_level_matches_oeis_and_is_canonical():
