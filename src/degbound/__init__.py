@@ -16,7 +16,6 @@ from .bounds import (
 from .enumeration import (
     EnumerationSpec,
     canonical_form,
-    canonical_graph,
     connected_graphs,
     enumerate_connected,
     read_population,

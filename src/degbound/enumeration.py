@@ -11,14 +11,14 @@ of order n is a canonical graph of order n-1, connected or not, plus a last
 column.  Each such candidate is kept exactly when its own ordering is
 already lex-min, so each class is born once, canonically labeled; at the
 requested order, a disconnected candidate is dropped first.  The test is
-the canonical-form search, tight against the candidate's columns and
-stopped at the first smaller prefix.  Its orderings that begin with parent
-vertices only are the same for every last column of one parent, so one
-walk over them decides all of that parent's candidates together, and each
-candidate's own search starts only where the new vertex is placed.  The
-search keeps the unplaced vertices in cells split by their placed
-neighbours (the cell splitting of McKay & Piperno, "Practical graph
-isomorphism II", J. Symb. Comput. 2014).
+the canonical-form search, started tight against the candidate's columns:
+the candidate is kept when the search finds none smaller.  Its orderings
+that begin with parent vertices only are the same for every last column
+of one parent, so one walk over them decides all of that parent's
+candidates together, and each candidate's own search starts only where
+the new vertex is placed.  The search keeps the unplaced vertices in cells
+split by their placed neighbours (the cell splitting of McKay & Piperno,
+"Practical graph isomorphism II", J. Symb. Comput. 2014).
 
 On a 2-vCPU host, orders 2..7 together take 0.02-0.03 s.  Order 8 takes
 0.3-0.4 s; the library runs any order up to MAX_ORDER, and the CLI's
@@ -50,19 +50,18 @@ MAX_ORDER = 8
 CANONICAL_CAP = 10
 
 
-def _canonical_columns(adj: tuple[int, ...], n: int, own: tuple[int, ...] | None = None,
-                       k: int = 0, parts: list[tuple[int, int]] | None = None
-                       ) -> tuple[int, ...] | None:
-    """Minimal upper-triangle column sequence over all vertex orderings.
+def _canonical_columns(adj: tuple[int, ...], n: int, own: tuple[int, ...], k: int,
+                       parts: list[tuple[int, int]], below: list[int]) -> tuple[int, ...]:
+    """Minimal upper-triangle column sequence over the vertex orderings that
+    extend a placed prefix of length k, whose columns are ``own[:k]``.
 
-    Given ``own``, the columns of the identity ordering, it decides instead
-    whether that ordering is already minimal: the search starts tight
-    against ``own``, returns None at the first ordering prefix with smaller
-    columns, and returns ``own`` when there is none.  Given also ``k`` and
-    ``parts``, it decides this only over the orderings that extend a placed
-    prefix of length k with the columns ``own[:k]``; ``parts`` holds the
-    unplaced vertices' cells after that prefix, and only the rows of those
-    vertices, and their bits for each other, are read.
+    ``own`` is the column sequence of one such ordering, the incumbent the
+    search starts tight against; so the result is ``own`` exactly when no
+    ordering that extends the prefix has smaller columns.  ``parts`` holds
+    the unplaced vertices' cells after the prefix, and only the rows of
+    those vertices, and their bits for each other, are read.  ``below[v]``
+    masks the lower vertices that are twins of v when they share its cell
+    (``_twins_below``).
 
     Branch and bound on the ordering prefix.  The unplaced vertices sit in
     cells ``(pattern, mask)`` in ascending pattern order, where bit n-1-i of
@@ -72,32 +71,24 @@ def _canonical_columns(adj: tuple[int, ...], n: int, own: tuple[int, ...] | None
     its neighbours, which keeps that order.  While the prefix equals the
     incumbent's (``tight``), a larger column is cut off.  Swapping two
     unplaced twins is an automorphism that fixes the placed prefix and every
-    cell, so a search from the empty prefix branches only on the lowest
-    vertex of each twin class in the first cell.  One from a placed prefix
-    prunes no twins: it runs once per orderly-generation candidate, where
-    finding the twins costs more than it saves.
+    cell, so the search branches only on the lowest vertex of each twin
+    class in the first cell.
     """
-    checking = own is not None
-    best = list(own or ())
-    cols = [0] * n
-    below = [0] * n if parts else _twins_below(adj)
+    best = own
+    cols = list(own)
 
-    def search(k: int, parts: list[tuple[int, int]], tight: bool) -> bool:
-        """Search the orderings that extend ``cols[:k]``; True stops the
-        whole search at a prefix smaller than ``own``."""
+    def search(k: int, parts: list[tuple[int, int]], tight: bool) -> None:
         nonlocal best
         if k == n:
             if not tight:
-                best = cols[:]
-            return False
+                best = tuple(cols)
+            return
         pattern, cell = parts[0]
         col = pattern >> (n - k)
         if tight:
             if col > best[k]:
-                return False
+                return
             tight = col == best[k]
-            if not tight and checking:
-                return True
         cols[k] = col
         bit = 1 << (n - 1 - k)
         mask = cell
@@ -107,24 +98,12 @@ def _canonical_columns(adj: tuple[int, ...], n: int, own: tuple[int, ...] | None
             v = low.bit_length() - 1
             if below[v] & cell:
                 continue
-            # _split, inlined: this loop is most of canonical_form's time.
-            row = adj[v]
-            off = ~(row | low)
-            split = []
-            for p, m in parts:
-                if lo := m & off:
-                    split.append((p, lo))
-                if hi := m & row:
-                    split.append((p | bit, hi))
-            if search(k + 1, split, tight):
-                return True
+            search(k + 1, _split(parts, adj[v], low, bit), tight)
             # The subtree ended on the incumbent's prefix or replaced it.
             tight = True
-        return False
 
-    if search(k, parts or [(0, (1 << n) - 1)], checking):
-        return None
-    return tuple(best)
+    search(k, parts, True)
+    return best
 
 
 def _twins_below(adj: tuple[int, ...]) -> list[int]:
@@ -238,9 +217,19 @@ def _lex_min_last_columns(adj: tuple[int, ...], own: tuple[int, ...], live: int)
             same ^= low
             col = low.bit_length() - 1
             split = _split(parts, nbrs[col], 0, 1 << (n - 1 - k))
-            if _canonical_columns(adj, n, own + (col,), k + 1, split) is None:
+            # Two parent twins left in one cell are joined alike to x, so
+            # they are twins of the candidate too.
+            columns = own + (col,)
+            if _canonical_columns(adj, n, columns, k + 1, split, below) != columns:
                 rejected |= low
     return live & ~rejected
+
+
+def _own_columns(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """The columns of the identity ordering: bit v-1-u of column v marks
+    the edge uv."""
+    return tuple(sum(1 << (v - 1 - u) for u in range(v) if a >> u & 1)
+                 for v, a in enumerate(adj))
 
 
 def _columns_to_graph(cols: tuple[int, ...], n: int) -> Graph:
@@ -254,21 +243,18 @@ def _columns_to_graph(cols: tuple[int, ...], n: int) -> Graph:
     return Graph._from_adj(n, adj)
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically labeled representative of g's isomorphism class."""
-    if g.n > CANONICAL_CAP:
-        raise SizeLimitError(
-            f"canonical form capped at n <= {CANONICAL_CAP}, got {g.n}"
-        )
-    return _columns_to_graph(_canonical_columns(g.adj, g.n), g.n)
-
-
 def canonical_form(g: Graph) -> str:
     """Lexicographically minimal graph6 encoding over all relabelings.
 
     Two graphs have equal canonical form iff they are isomorphic.
     """
-    return to_graph6(canonical_graph(g))
+    if g.n > CANONICAL_CAP:
+        raise SizeLimitError(
+            f"canonical form capped at n <= {CANONICAL_CAP}, got {g.n}"
+        )
+    cols = _canonical_columns(g.adj, g.n, _own_columns(g.adj), 0,
+                              [(0, (1 << g.n) - 1)], _twins_below(g.adj))
+    return to_graph6(_columns_to_graph(cols, g.n))
 
 
 @dataclass(frozen=True)
@@ -310,8 +296,7 @@ def _classes(n: int, connected: bool = True) -> tuple[Graph, ...]:
     out = []
     for parent in _classes(new, False):
         adj = parent.adj
-        own = tuple(sum(1 << (v - 1 - u) for u in range(v) if a >> u & 1)
-                    for v, a in enumerate(adj))
+        own = _own_columns(adj)
         # Swapping the last two positions must not shrink the columns.
         live = (1 << bit) - (1 << (own[-1] << 1))
         # A connected candidate's last column meets every parent component.

@@ -167,15 +167,10 @@ def reach(adj, mask: int) -> int:
     return seen
 
 
-def connected_within(adj, mask: int) -> bool:
-    """True when the subgraph induced by the vertex bitmask ``mask`` is
-    connected, given one adjacency bitmask per vertex."""
-    return reach(adj, mask) == mask
-
-
 def is_connected(g: Graph) -> bool:
     """True when every vertex is reachable from vertex 0 (true for n = 1)."""
-    return connected_within(g.adj, (1 << g.n) - 1)
+    everyone = (1 << g.n) - 1
+    return reach(g.adj, everyone) == everyone
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from degbound.graphs import (
     chromatic_number,
     complete_bipartite,
     complete_graph,
-    connected_within,
     content_lines,
     cycle_graph,
     double_star,
@@ -30,6 +29,7 @@ from degbound.graphs import (
     parse_edge_list,
     parse_graph6,
     path_graph,
+    reach,
     star_graph,
     to_graph6,
 )
@@ -106,12 +106,19 @@ def test_is_connected_examples():
     assert is_connected(Graph(1))
 
 
-def test_connected_within_vertex_subsets():
+def test_reach_is_the_component_of_the_lowest_vertex():
+    # Within the subgraph that the mask induces.
     adj = path_graph(4).adj
-    assert connected_within(adj, 0b1110)  # drop an end: still a path
-    assert not connected_within(adj, 0b1101)  # drop an inner vertex: cut
-    assert connected_within(adj, 0b0100)
-    assert connected_within(adj, 0)
+    assert reach(adj, 0b1111) == 0b1111
+    assert reach(adj, 0b1110) == 0b1110  # drop an end: still a path
+    assert reach(adj, 0b1101) == 0b0001  # drop an inner vertex: 0 is cut off
+    assert reach(adj, 0b1100) == 0b1100
+    assert reach(adj, 0b0100) == 0b0100
+    assert reach(adj, 0) == 0
+    adj = Graph(5, [(0, 1), (2, 3), (3, 4)]).adj
+    assert reach(adj, 0b11111) == 0b00011
+    assert reach(adj, 0b11110) == 0b00010
+    assert reach(adj, 0b11100) == 0b11100
 
 
 def test_degree_extremes():

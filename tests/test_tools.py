@@ -5,6 +5,7 @@ the package names the traced benchmark wraps; and no unused package import."""
 import importlib
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -83,13 +84,22 @@ def test_make_expected_names_each_changed_verdict(tmp_path, monkeypatch, capsys)
 
 def test_tracing_patches_resolve(monkeypatch):
     """Every (module, attribute) that perfbench/tracing.py wraps exists, so
-    renaming a layer entry point cannot silently break a traced benchmark run."""
+    renaming a layer entry point cannot silently break a traced benchmark run.
+    Nor can deleting what perfbench reads outside ``PATCHES``: traced runs
+    time ``enumeration.canonical_form``, and perfbench/child.py records
+    ``sys.modules["numpy"]`` after ``import degbound.cli`` on every run, which
+    only a fresh interpreter can show."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     tracing = importlib.import_module("tracing")
     assert tracing.PATCHES
     for module, attr, _ in tracing.PATCHES:
         assert hasattr(importlib.import_module(module), attr), (module, attr)
+    assert hasattr(importlib.import_module("degbound.enumeration"), "canonical_form")
+    proc = subprocess.run([sys.executable, "-c", "import sys, degbound.cli; print('numpy' in sys.modules)"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.stdout == "True\n", proc.stderr
 
 
 def test_package_imports_are_used():
