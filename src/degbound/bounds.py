@@ -19,13 +19,13 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import mul, sub
+from itertools import compress, repeat
 from typing import NamedTuple
 
 from .graphs import (
     G6_MAX,
     Graph,
+    GraphError,
     SizeLimitError,
     chromatic_number,
     edge_degree_partition,
@@ -208,17 +208,16 @@ class GraphContext:
     per key, and the per-graph record ``compute`` prints.  ``values`` holds
     the seven indices in ALL_INDICES order, then chi as a float, so a bound
     reads each side by position; a side that is None is domain-skipped.
-    ``graph6`` is None above the short form's G6_MAX.  ``connected``, ``chi``
-    and the edge-degree partition ``part`` are computed unless passed in.
+    ``graph6`` is encoded on each read, None above the short form's G6_MAX.
+    ``connected``, ``chi`` and the edge-degree partition ``part`` are
+    computed unless passed in.
     """
 
-    __slots__ = ("graph", "graph6", "n", "delta", "Delta", "connected", "chi",
-                 "values")
+    __slots__ = ("graph", "n", "delta", "Delta", "connected", "chi", "values")
 
     def __init__(self, g: Graph, chi=_UNSET, connected: bool | None = None,
                  part: dict[tuple[int, int], int] | None = None):
         self.graph = g
-        self.graph6 = to_graph6(g) if g.n <= G6_MAX else None
         self.n = g.n
         self.delta = min_degree(g)
         self.Delta = max_degree(g)
@@ -227,20 +226,25 @@ class GraphContext:
         self.values = (*all_indices(g, part).values(),
                        None if self.chi is None else float(self.chi))
 
+    @property
+    def graph6(self) -> str | None:
+        return to_graph6(self.graph) if self.n <= G6_MAX else None
+
 
 class _Columns:
     """The keys of one audit as columns, built once from its key groups: each
-    key's sorted graph6 strings and their number (the key's weight), the
-    eight side values in ``GraphContext.values`` order (with the keys where
-    each is None, and its screen), n and delta.  It also holds what the
-    bounds of the audit share: one hypothesis column per hypothesis set and
-    the member keys per family test.
+    key's graphs and their number (the key's weight), the eight side values
+    in ``GraphContext.values`` order (with the keys where each is None, and
+    its screen), n, delta and the key indices, all in ``columns``.  It also
+    holds what the bounds of the audit share: one ``_Live`` per hypothesis
+    set and undefined set, the member keys per family test, and the graph6
+    strings of each key a report names.
     """
 
     def __init__(self, groups):
         self.ctxs = [ctx for ctx, _ in groups]
-        self.g6s = [g6s for _, g6s in groups]
-        self.weights = [len(g6s) for g6s in self.g6s]
+        self.graphs = [graphs for _, graphs in groups]
+        self.weights = list(map(len, self.graphs))
         self.sides = list(zip(*(ctx.values for ctx in self.ctxs))) or [()] * len(_SIDES)
         self.undefined = [{i for i, v in enumerate(col) if v is None} for col in self.sides]
         # A margin above its lhs column's screen, DEFAULT_TOL * max(1, max |lhs|),
@@ -248,46 +252,78 @@ class _Columns:
         self.screens = [DEFAULT_TOL * max(1.0, max((abs(v) for v in col if v is not None),
                                                    default=0.0))
                         for col in self.sides]
-        self.n = [ctx.n for ctx in self.ctxs]
-        self.delta = [ctx.delta for ctx in self.ctxs]
-        self.met: dict = {}
+        # The live key lists share the ints of the "keys" column.
+        self.columns = dict(enumerate(self.sides), n=[ctx.n for ctx in self.ctxs],
+                            delta=[ctx.delta for ctx in self.ctxs], keys=list(range(len(groups))))
+        self.live: dict = {}
         self.members: dict = {}
+        self._g6s: dict[int, list[str]] = {}
+
+    def g6s(self, i: int) -> list[str]:
+        """The sorted graph6 strings of key ``i``'s graphs."""
+        g6s = self._g6s.get(i)
+        if g6s is None:
+            g6s = self._g6s[i] = sorted(map(to_graph6, self.graphs[i]))
+        return g6s
+
+
+class _Live(dict):
+    """The keys of a pass: ``met`` marks those that meet its hypotheses (for
+    a chain, also its links'), ``mask`` the live ones, ``keys`` lists these
+    and ``weight`` sums their weights.  Each item is a column of
+    ``cols.columns`` compressed to the live keys, made on first read."""
+
+    def __init__(self, cols: _Columns, met: list[bool], mask: list[bool]):
+        self.columns, self.met, self.mask = cols.columns, met, mask
+        self.keys = self["keys"]
+        self.weight = sum(compress(cols.weights, mask))
+
+    def __missing__(self, name):
+        col = self[name] = list(compress(self.columns[name], self.mask))
+        return col
 
 
 class _Checked(NamedTuple):
-    """One bound's pass: whether each key meets its hypotheses (for a chain,
-    also its links'), the live keys, the slack at each (its margin where it
-    holds, ``math.inf`` where it is attained or violated), and the equality
-    and the violated keys; every other live key holds.  A met key that is
-    not live is domain-skipped, any other a precondition skip."""
+    """One bound's pass: its keys, the slack at each live key (its margin
+    where it holds, ``math.inf`` where it is attained or violated), and the
+    equality and the violated keys; every other live key holds.  A met key
+    that is not live is domain-skipped, any other a precondition skip."""
 
-    met: list[bool]
-    keys: list[int]
+    live: _Live
     slacks: list[float]
     equal: list[int]
     violated: list[int]
 
 
-def _met(b: BoundSpec, cols: _Columns) -> list[bool]:
-    """``b.preconditions_met`` on every key, tested once per hypothesis set."""
-    met = cols.met.get(b.hypotheses)
-    if met is None:
-        met = cols.met[b.hypotheses] = [b.preconditions_met(ctx) for ctx in cols.ctxs]
-    return met
+def _live(b: BoundSpec, cols: _Columns, undefined: tuple[int, ...] = ()) -> _Live:
+    """The keys that meet ``b``'s hypotheses and define the sides at the
+    positions ``undefined``, shared by the bounds with the same hypotheses
+    and undefined sides: ``b.preconditions_met`` is tested once per
+    hypothesis set and key."""
+    live = cols.live.get((b.hypotheses, undefined))
+    if live is None:
+        if undefined:
+            met = _live(b, cols).met
+            out = set().union(*(cols.undefined[at] for at in undefined))
+            mask = [m and i not in out for i, m in enumerate(met)]
+        else:
+            met = mask = [b.preconditions_met(ctx) for ctx in cols.ctxs]
+        live = cols.live[b.hypotheses, undefined] = _Live(cols, met, mask)
+    return live
 
 
 def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
     """One bound on every key of ``cols``: the margin rule of every check.
 
-    The live keys are those that meet the hypotheses and define both sides.
-    The coefficient is ``float(fn(x))`` at each distinct n or delta of them,
-    and the margins, one multiplication and one subtraction each, are mapped
-    over their columns.  A margin above the screen of the lhs column,
-    DEFAULT_TOL * max(1, max |lhs|), holds; only the others go through the
-    per-key rule: equality when |margin| <= DEFAULT_TOL * max(1, |lhs|),
-    violated below minus that, and either way the slack becomes ``inf``.  A
-    strict bound reaching equality is still "equality", and the audit
-    surfaces the strictness conflict.  The tolerance is one constant, not a
+    The live keys are those that meet the hypotheses and define both sides
+    (``_live``).  The coefficient is ``float(fn(x))`` at each distinct n or
+    delta of them, and each margin is one multiplication and one subtraction.
+    A margin above the screen of the lhs column, DEFAULT_TOL * max(1, max
+    |lhs|), holds; only the keys at or below it go through the per-key rule:
+    equality when |margin| <= DEFAULT_TOL * max(1, |lhs|), violated below
+    minus that, and either way the slack becomes ``inf``.  A strict bound
+    reaching equality is still "equality", and the audit surfaces the
+    strictness conflict.  The tolerance is one constant, not a
     setting: it only absorbs float rounding.  Over the keys of orders 2..7,
     every equality has a relative margin of at most 3e-16 and every other
     verdict at least 1e-3.
@@ -299,37 +335,35 @@ def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
     """
     if b.chain:
         links = [_evaluate(_catalog_index()[cid], cols) for cid in b.chain]
-        met = list(map(all, zip(_met(b, cols), *(link.met for link in links))))
-        keys = sorted(set(compress(range(len(met)), met)).intersection(
-            *(link.keys for link in links)))
+        met = list(map(all, zip(_live(b, cols).met, *(link.live.met for link in links))))
+        live = _Live(cols, met, list(map(all, zip(met, *(link.live.mask for link in links)))))
         broken = set().union(*(link.violated for link in links))
-        by_key = [dict(zip(link.keys, link.slacks)) for link in links]
-        slacks = [math.inf if i in broken else min(s[i] for s in by_key) for i in keys]
-        return _Checked(met, keys, slacks, [], [i for i in keys if i in broken])
+        # Each link's slacks at the chain's keys; the inf lets min take one link.
+        at_keys = [compress(link.slacks, compress(live.mask, link.live.mask)) for link in links]
+        lows = map(min, *at_keys, repeat(math.inf))
+        slacks = [math.inf if i in broken else s for i, s in zip(live.keys, lows)]
+        return _Checked(live, slacks, [], [i for i in live.keys if i in broken])
 
-    met = live = _met(b, cols)
-    undefined = set().union(*(cols.undefined[at] for at in b.sides))
-    if undefined:
-        live = [m and i not in undefined for i, m in enumerate(met)]
+    live = _live(b, cols, tuple(at for at in b.sides if cols.undefined[at]))
     lhs_at, rhs_at = b.sides
-    xs = cols.delta if b.coeff.var == "delta" else cols.n
-    keys, lhs, rhs, xs = (list(compress(col, live)) for col in (
-        range(len(met)), cols.sides[lhs_at], cols.sides[rhs_at], xs))
+    lhs, rhs, xs = live[lhs_at], live[rhs_at], live["delta" if b.coeff.var == "delta" else "n"]
     screen = cols.screens[lhs_at]
     fn = b.coeff.fn
     coeffs = {x: float(fn(x)) for x in set(xs)}  # bit for bit Coeff.ev
-    products = map(mul, map(coeffs.__getitem__, xs), rhs)
-    slacks = list(map(sub, products, lhs) if b.direction == "upper"
-                  else map(sub, lhs, products))
+    values = set(coeffs.values())
+    cs = repeat(values.pop()) if len(values) == 1 else map(coeffs.__getitem__, xs)
+    if b.direction == "upper":
+        slacks = [c * r - l for c, r, l in zip(cs, rhs, lhs)]
+    else:
+        slacks = [l - c * r for c, r, l in zip(cs, rhs, lhs)]
     equal, violated = [], []
-    if slacks and min(slacks) <= screen:
-        for k, margin in enumerate(slacks):
-            if margin <= screen:
-                scale = DEFAULT_TOL * max(1.0, abs(lhs[k]))
-                if margin <= scale:  # attained at or above -scale, else violated
-                    (equal if margin >= -scale else violated).append(keys[k])
-                    slacks[k] = math.inf
-    return _Checked(met, keys, slacks, equal, violated)
+    for k in [k for k, margin in enumerate(slacks) if margin <= screen]:
+        margin = slacks[k]
+        scale = DEFAULT_TOL * max(1.0, abs(lhs[k]))
+        if margin <= scale:  # attained at or above -scale, else violated
+            (equal if margin >= -scale else violated).append(live.keys[k])
+            slacks[k] = math.inf
+    return _Checked(live, slacks, equal, violated)
 
 
 def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
@@ -341,20 +375,21 @@ def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
     sides; its margin is the smallest of its links' that hold, or None.
     """
     ctx = GraphContext(g)
-    cols = _Columns([(ctx, [ctx.graph6])])
+    cols = _Columns([(ctx, [g])])
     checked = _evaluate(b, cols)
-    if not checked.keys:
-        verdict = DOMAIN_SKIPPED if checked.met[0] else PRECONDITION_SKIPPED
-        return BoundCheck(b.bound_id, ctx.graph6, None, None, None, verdict)
+    label = ctx.graph6
+    if not checked.live.keys:
+        verdict = DOMAIN_SKIPPED if checked.live.met[0] else PRECONDITION_SKIPPED
+        return BoundCheck(b.bound_id, label, None, None, None, verdict)
     verdict = EQUALITY if checked.equal else VIOLATED if checked.violated else HOLDS
     if b.chain:
         low = min(_evaluate(_catalog_index()[cid], cols).slacks[0] for cid in b.chain)
         margin = None if low == math.inf else low
-        return BoundCheck(b.bound_id, ctx.graph6, None, None, margin, verdict)
+        return BoundCheck(b.bound_id, label, None, None, margin, verdict)
     lhs, rhs = (ctx.values[at] for at in b.sides)
     product = b.coeff.ev(ctx.n, ctx.delta) * rhs
     margin = product - lhs if b.direction == "upper" else lhs - product
-    return BoundCheck(b.bound_id, ctx.graph6, lhs, product, margin, verdict)
+    return BoundCheck(b.bound_id, label, lhs, product, margin, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +421,7 @@ class SharpnessReport:
         return {"schema_version": 1, **vars(self)}
 
 
-def _key_groups(graphs) -> list[tuple[GraphContext, list[str]]]:
+def _key_groups(graphs) -> list[tuple[GraphContext, list[Graph]]]:
     """The population grouped by (n, connectivity, edge-degree partition, chi).
 
     That key fixes the indices, delta, Delta and chi, and every built-in
@@ -394,10 +429,12 @@ def _key_groups(graphs) -> list[tuple[GraphContext, list[str]]]:
     per key.  A custom test must be a function of the key too: at n = 7, 9
     of the 670 keys hold a graph with a triangle and one without (F?C~? and
     F?Dl_).  Each group holds one context, built on its first graph from the
-    partition keyed on here, and the sorted graph6 strings of all its
-    members (K_{3,3} and the prism share a partition but not chi).
+    partition counted once per graph and keyed on here, and all its member
+    graphs (K_{3,3} and the prism share a partition but not chi).  Reports
+    name graphs by graph6 string, so a key above G6_MAX is refused here,
+    before any bound runs, whether or not a report would name it.
     """
-    groups: dict[tuple, tuple[GraphContext, list[str]]] = {}
+    groups: dict[tuple, tuple[GraphContext, list[Graph]]] = {}
     for g in graphs:
         connected = is_connected(g)
         chi = _chi(g)
@@ -405,36 +442,37 @@ def _key_groups(graphs) -> list[tuple[GraphContext, list[str]]]:
         key = (g.n, connected, tuple(part.items()), chi)
         group = groups.get(key)
         if group is None:
-            ctx = GraphContext(g, chi, connected, part)
-            groups[key] = (ctx, [ctx.graph6 or to_graph6(g)])  # raises above G6_MAX
+            if g.n > G6_MAX:
+                raise GraphError(f"graph6 short form encodes n <= {G6_MAX}, got {g.n}")
+            groups[key] = (GraphContext(g, chi, connected, part), [g])
         else:
-            group[1].append(to_graph6(g))
-    for _, g6s in groups.values():
-        g6s.sort()
+            group[1].append(g)
     return list(groups.values())
 
 
-def _min_margin(checked: _Checked, g6s: list[list[str]]) -> dict | None:
+def _min_margin(checked: _Checked, cols: _Columns) -> dict | None:
     """The smallest slack, a margin of a key that holds, and the smallest
-    first graph6 of the keys at that slack; None when no key holds."""
-    low = min(checked.slacks, default=math.inf)
+    graph6 of the keys at that slack; None when no key holds."""
+    slacks, keys = checked.slacks, checked.live.keys
+    low = min(slacks, default=math.inf)
     if low == math.inf:
         return None
-    witness = min(g6s[i][0] for i, s in zip(checked.keys, checked.slacks) if s == low)
-    return {"value": low, "witness_graph6": witness}
+    at = ([keys[slacks.index(low)]] if slacks.count(low) == 1
+          else [i for i, s in zip(keys, slacks) if s == low])
+    return {"value": low, "witness_graph6": min(cols.g6s(i)[0] for i in at)}
 
 
 def _fold(b: BoundSpec, cols: _Columns, population: str) -> SharpnessReport:
     """Fold one bound's pass over the keys into a report; each key counts
-    once for every graph6 string of its group.  Counts are sums of key
-    weights, and the witness and family-mismatch lists come from the sparse
-    equality, violation and family-member keys.  Witness lists are sorted,
+    once for every graph of its group.  Counts are sums of key weights, and
+    the witness and family-mismatch lists come from the sparse equality,
+    violation and family-member keys, whose graphs alone are encoded.  Witness lists are sorted,
     and the minimum-margin witness is the smallest graph6 at the smallest
     margin, so the report does not depend on the population order."""
     checked = _evaluate(b, cols)
-    weights, g6s = cols.weights, cols.g6s
-    keys, equal_keys, violated_keys = checked.keys, checked.equal, checked.violated
-    checked_n = sum(map(weights.__getitem__, keys))
+    weights, live = cols.weights, checked.live
+    equal_keys, violated_keys = checked.equal, checked.violated
+    checked_n = live.weight
     equal = sum(map(weights.__getitem__, equal_keys))
     violated = sum(map(weights.__getitem__, violated_keys))
     eq_not_family: list[int] = []
@@ -446,10 +484,10 @@ def _fold(b: BoundSpec, cols: _Columns, population: str) -> SharpnessReport:
             members = cols.members[family.contains] = {
                 i for i, ctx in enumerate(cols.ctxs) if family.contains(ctx.graph)}
         eq_not_family = [i for i in equal_keys if i not in members]
-        family_not_eq = list(members.intersection(keys).difference(equal_keys))
+        family_not_eq = [i for i in members.difference(equal_keys) if live.mask[i]]
 
     def witnesses(at):
-        return sorted([g6 for i in at for g6 in g6s[i]])
+        return sorted([g6 for i in at for g6 in cols.g6s(i)])
 
     equality_w = witnesses(equal_keys)
     if violated:
@@ -472,7 +510,7 @@ def _fold(b: BoundSpec, cols: _Columns, population: str) -> SharpnessReport:
             "equality": equal,
             "violated": violated,
         },
-        min_margin=_min_margin(checked, g6s),
+        min_margin=_min_margin(checked, cols),
         equality_witnesses=equality_w,
         violation_witnesses=witnesses(violated_keys),
         verdict=verdict,
@@ -488,14 +526,14 @@ def _fold(b: BoundSpec, cols: _Columns, population: str) -> SharpnessReport:
 def audit_all(bounds, graphs, population: str = "population") -> dict[str, SharpnessReport]:
     """Audit several bounds over one population, one columnar pass per bound.
 
-    The key groups become columns once per audit (graph6 strings, weights,
-    the eight side values, n and delta).  Each hypothesis set and each
-    claimed family is tested once per key and shared by the bounds that
-    state it.  Each bound takes its live keys from its hypotheses and
-    sides, evaluates its coefficient once per distinct n or delta of them,
-    maps its margins over them, and applies the per-key rule only to the
-    margins at or below one screen; a chain evaluates its links again and
-    conjoins their passes.  Witness lists are sorted by graph6 string, so
+    The key groups become columns once per audit (graphs, weights, the eight
+    side values, n and delta).  Each hypothesis set and each claimed family
+    is tested once per key and shared by the bounds that state it, and so
+    are the live keys and their columns of each hypothesis and undefined
+    set.  Each bound evaluates its coefficient once per distinct n or delta
+    of its live keys, computes its margins over them, and applies the
+    per-key rule only to the margins at or below one screen; a chain
+    evaluates its links again and conjoins their passes.  Witness lists are sorted by graph6 string, so
     the result does not depend on the population order (for equal
     populations as sets).
     """

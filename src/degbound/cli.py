@@ -47,7 +47,7 @@ EXIT_PIPE = 141
 # Largest --family parameter, --max-n and edge-list order: construction is quadratic in
 # the order. The largest graph built is K_{200,200} (delta_regular_witness:200, 400 vertices).
 FAMILY_MAX = 200
-# Largest --enumerate order that runs without --allow-n8 (an order-8 audit takes 0.7-0.8 s).
+# Largest --enumerate order that runs without --allow-n8 (an order-8 audit takes 0.6-0.7 s).
 DEFAULT_ORDER_CAP = 7
 FORMATS = ("table", "json", "csv")
 
@@ -263,7 +263,7 @@ def _check_population_flags(args) -> None:
             raise UsageError(str(exc)) from None
         if args.enumerate > DEFAULT_ORDER_CAP and not args.allow_n8:
             raise UsageError(f"order {args.enumerate} is above the default cap "
-                             f"{DEFAULT_ORDER_CAP} and takes 0.7-0.8 seconds; "
+                             f"{DEFAULT_ORDER_CAP} and takes 0.6-0.7 seconds; "
                              "pass --allow-n8 to run it")
 
 
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--molecular", action="store_true",
                        help="restrict to maximum degree <= 4")
         p.add_argument("--allow-n8", action="store_true",
-                       help="permit the order-8 enumeration (0.7-0.8 seconds)")
+                       help="permit the order-8 enumeration (0.6-0.7 seconds)")
         p.add_argument("--bounds", metavar="LIST|all", default="all")
         p.add_argument("--format", choices=FORMATS, default="table")
         p.add_argument("--out", metavar="DIR", help="write one report JSON per bound")

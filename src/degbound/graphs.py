@@ -60,7 +60,7 @@ class Graph:
     def _set_adj(self, n: int, adj) -> None:
         self.n = n
         self.adj = tuple(adj)
-        self.degrees = tuple(a.bit_count() for a in self.adj)
+        self.degrees = tuple(map(int.bit_count, self.adj))
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -291,56 +291,57 @@ CHROMATIC_CAP = 12
 def chromatic_number(g: Graph) -> int:
     """Exact chromatic number, searched only between two greedy bounds.
 
-    One pass over the vertices in decreasing-degree order builds a greedy
-    clique (a vertex joins when it is adjacent to all of it) of size ``lo``
-    and a first-fit colouring with ``hi`` colours, so lo <= chi <= hi.  For
-    k = lo .. hi - 1 a backtracking search in the same order then tries to
-    colour ``g`` with k colours: each vertex joins an open colour class (a
-    vertex bitmask) that holds none of its neighbours, or opens a new class
-    while fewer than k are open.  The first k that succeeds is chi; when none
-    does, chi is ``hi``.  Exponential in the worst case; refuse instances
-    above ``CHROMATIC_CAP`` vertices.
+    One pass over the vertices in decreasing-degree order (stable, so ties
+    keep vertex order) builds a greedy clique (a vertex joins when it is
+    adjacent to all of it) of size ``lo`` and a first-fit colouring with
+    ``hi`` colours, so lo <= chi <= hi.  For k = lo .. hi - 1 ``_colours``
+    then tries to colour ``g`` with k colours in the same order; the first k
+    that succeeds is chi, and when none does (at once when lo = hi), chi is
+    ``hi``.  Exponential in the worst case; refuse instances above
+    ``CHROMATIC_CAP`` vertices.
     """
     n = g.n
     if n > CHROMATIC_CAP:
         raise SizeLimitError(f"exact chromatic number capped at n <= {CHROMATIC_CAP}, got {n}")
-    order = sorted(range(n), key=lambda v: -g.degrees[v])
+    order = sorted(range(n), key=g.degrees.__getitem__, reverse=True)
     adj = g.adj
-    lo = clique = 0
+    clique = 0
     greedy: list[int] = []
     for v in order:
-        if adj[v] & clique == clique:
+        row = adj[v]
+        if row & clique == clique:
             clique |= 1 << v
-            lo += 1
         for j, members in enumerate(greedy):
-            if not adj[v] & members:
+            if not row & members:
                 greedy[j] = members | 1 << v
                 break
         else:
             greedy.append(1 << v)
     hi = len(greedy)
-
-    def colours(i: int, classes: list[int], k: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for j, members in enumerate(classes):
-            if not adj[v] & members:
-                classes[j] = members | 1 << v
-                if colours(i + 1, classes, k):
-                    return True
-                classes[j] = members
-        if len(classes) < k:
-            classes.append(1 << v)
-            if colours(i + 1, classes, k):
-                return True
-            classes.pop()
-        return False
-
-    for k in range(lo, hi):
-        if colours(0, [], k):
+    for k in range(clique.bit_count(), hi):
+        if _colours(adj, order, 0, [], k):
             return k
     return hi
+
+
+def _colours(adj, order, i: int, classes: list[int], k: int) -> bool:
+    """Whether ``order[i:]`` can join ``classes`` (vertex bitmasks), each
+    vertex a class free of its neighbours, with at most ``k`` classes."""
+    if i == len(order):
+        return True
+    v = order[i]
+    for j, members in enumerate(classes):
+        if not adj[v] & members:
+            classes[j] = members | 1 << v
+            if _colours(adj, order, i + 1, classes, k):
+                return True
+            classes[j] = members
+    if len(classes) < k:
+        classes.append(1 << v)
+        if _colours(adj, order, i + 1, classes, k):
+            return True
+        classes.pop()
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -356,9 +356,13 @@ def test_evaluate_bound_above_graph6_order_is_a_verdict():
 
 
 def test_audit_above_graph6_order_is_an_error():
-    """The audit lists witnesses by graph6 string, so it cannot label such a graph."""
+    """The audit lists witnesses by graph6 string, so it cannot label such a
+    graph, and refuses it even where no report would name it: C1 skips the
+    path (delta = 1)."""
     with pytest.raises(GraphError, match="graph6 short form encodes n <= 62"):
         audit(catalog_by_id()["T1U"], [cycle_graph(70)])
+    with pytest.raises(GraphError, match="graph6 short form encodes n <= 62"):
+        audit(catalog_by_id()["C1"], [path_graph(70)])
 
 
 def test_audit_vacuous_when_no_graph_qualifies():
@@ -392,9 +396,9 @@ def _margin_gap(bounds, groups):
         checked = bounds_module._evaluate(b, cols)
         equal = set(checked.equal)
         lhs_col, rhs_col = (cols.sides[at] for at in b.sides)
-        for i in checked.keys:
+        for i in checked.live.keys:
             lhs = lhs_col[i]
-            product = b.coeff.ev(cols.n[i], cols.delta[i]) * rhs_col[i]
+            product = b.coeff.ev(cols.columns["n"][i], cols.columns["delta"][i]) * rhs_col[i]
             margin = product - lhs if b.direction == "upper" else lhs - product
             rel = abs(margin) / max(1.0, abs(lhs))
             (equality if i in equal else other).append(rel)
@@ -790,24 +794,52 @@ def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
 
 
 def test_audit_counts_each_partition_once(monkeypatch, populations):
-    """The audit counts each graph's edge-degree partition once: the key
-    groups hand it to the key's context instead of counting it again.  A
-    graph caches no partition, so a caller may mutate the one it gets."""
-    counted_graphs = []
+    """The audit counts each graph's edge-degree partition exactly once, in
+    the key groups (``bounds.edge_degree_partition``), which hand it to the
+    key's context: ``all_indices`` counts none.  A graph caches no
+    partition, so a caller may mutate the one it gets."""
+    counted = {module: [] for module in (graphs_module, indices_module, bounds_module)}
     count_partition = graphs_module.edge_degree_partition
 
-    def counted(g):
-        counted_graphs.append(g)
-        return count_partition(g)
+    def counter(module):
+        def counted_partition(g):
+            counted[module].append(g)
+            return count_partition(g)
+        return counted_partition
 
-    for module in (graphs_module, indices_module, bounds_module):
-        monkeypatch.setattr(module, "edge_degree_partition", counted)
+    for module in counted:
+        monkeypatch.setattr(module, "edge_degree_partition", counter(module))
     order_7 = populations[7]
     audit_all(builtin_catalog(), order_7)
-    assert len(counted_graphs) == len(order_7) == 853
-    assert set(counted_graphs) == set(order_7)
+    assert len(counted[bounds_module]) == len(order_7) == 853
+    assert set(counted[bounds_module]) == set(order_7)
+    assert counted[graphs_module] == counted[indices_module] == []
 
     t = double_star()
     part = count_partition(t)
     part[(1, 4)] = 0
     assert count_partition(t) == {(1, 4): 6, (4, 4): 1}
+
+
+def test_audit_encodes_only_the_graphs_its_reports_name(monkeypatch, populations):
+    """An order-7 audit encodes each graph at most once, every graph a
+    report names, and not the whole population."""
+    encoded = []
+    encode = bounds_module.to_graph6
+
+    def counted(g):
+        encoded.append(g)
+        return encode(g)
+
+    monkeypatch.setattr(bounds_module, "to_graph6", counted)
+    order_7 = populations[7]
+    reports = audit_all(builtin_catalog(), order_7)
+    named = set()
+    for r in reports.values():
+        named.update(r.equality_witnesses, r.violation_witnesses,
+                     *r.family_mismatches.values())
+        if r.min_margin is not None:
+            named.add(r.min_margin["witness_graph6"])
+    assert len(encoded) == len(set(encoded))
+    assert named <= {encode(g) for g in encoded}
+    assert len(encoded) < len(order_7)

@@ -559,7 +559,7 @@ def test_packaged_pins_cover_every_enumerated_order():
 def test_order_8_without_opt_in_names_the_flag(capsys):
     code, out, err = run(capsys, "audit", "--enumerate", "8")
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == ("error: order 8 is above the default cap 7 and takes 0.7-0.8 seconds; "
+    assert err == ("error: order 8 is above the default cap 7 and takes 0.6-0.7 seconds; "
                    "pass --allow-n8 to run it\n")
 
 

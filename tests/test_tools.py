@@ -1,4 +1,5 @@
-"""tools/same_output.py: byte-identity of CLI output between two checkouts;
+"""tools/same_output.py: byte-identity of CLI output between two checkouts
+and against pinned digests;
 tools/make_expected.py: the packaged pins and the verdicts it names as changed;
 the package names the traced benchmark wraps; and no unused package import."""
 
@@ -13,34 +14,42 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SAME_OUTPUT = ROOT / "tools" / "same_output.py"
+# Stub CLIs: one prints its subcommand, the other marks "verify" with a "!".
+SUBCOMMAND = "import sys\nprint(sys.argv[1])\n"
+VERIFY_CHANGED = 'import sys\nprint(sys.argv[1] + "!" * (sys.argv[1] == "verify"))\n'
 MAKE_EXPECTED = ROOT / "tools" / "make_expected.py"
 DATA = ROOT / "src" / "degbound" / "data"
 
 
-def same_output(parent):
-    return subprocess.run([sys.executable, str(SAME_OUTPUT), str(parent)],
+def same_output(arg, tool=SAME_OUTPUT):
+    return subprocess.run([sys.executable, str(tool), str(arg)],
                           capture_output=True, text=True, timeout=900)
 
 
-def test_same_output_against_itself():
-    proc = same_output(ROOT)
+def test_same_output_matches_the_pins():
+    """Each command, run once, gives the output pinned by digest."""
+    proc = same_output("--pinned")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "same output on all 28 commands"
+
+
+def _stub_checkout(root, cli_source):
+    """A checkout whose CLI is ``cli_source``, with the tool and the
+    population generator it imports."""
+    (root / "src" / "degbound").mkdir(parents=True, exist_ok=True)
+    (root / "src" / "degbound" / "cli.py").write_text(cli_source)
+    for name in ("tools/same_output.py", "perfbench/population.py"):
+        (root / name).parent.mkdir(exist_ok=True)
+        shutil.copy(ROOT / name, root / name)
 
 
 def test_same_output_reports_every_command(tmp_path):
     """Two stub checkouts whose CLIs print their subcommand, the parent's
     differently for ``verify``: every command is still run and named."""
     parent, change = tmp_path / "parent", tmp_path / "change"
-    for root, suffix in ((parent, ' + "!" * (sys.argv[1] == "verify")'), (change, "")):
-        (root / "src" / "degbound").mkdir(parents=True)
-        (root / "src" / "degbound" / "cli.py").write_text(
-            f"import sys\nprint(sys.argv[1]{suffix})\n")
-    for name in ("tools/same_output.py", "perfbench/population.py"):
-        (change / name).parent.mkdir(exist_ok=True)
-        shutil.copy(ROOT / name, change / name)
-    proc = subprocess.run([sys.executable, str(change / "tools" / "same_output.py"),
-                           str(parent)], capture_output=True, text=True, timeout=900)
+    _stub_checkout(parent, VERIFY_CHANGED)
+    _stub_checkout(change, SUBCOMMAND)
+    proc = same_output(parent, change / "tools" / "same_output.py")
     lines = proc.stdout.splitlines()
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert lines[-1] == "different output on 3 of 28 commands"
@@ -50,6 +59,22 @@ def test_same_output_reports_every_command(tmp_path):
     assert [line.split("`")[1].split()[0] for line in different] == ["verify"] * 3
     assert all(line.endswith(": stdout: line 1: b'verify!' != b'verify'")
                for line in different)
+
+
+def test_same_output_pins_catch_drift(tmp_path):
+    """Pins recorded on a stub checkout name each command whose output
+    drifts from them afterwards, and only those."""
+    _stub_checkout(tmp_path, SUBCOMMAND)
+    tool = tmp_path / "tools" / "same_output.py"
+    assert same_output("--pin", tool).stdout.splitlines()[-1] == "pinned 28 commands"
+    (tmp_path / "src" / "degbound" / "cli.py").write_text(VERIFY_CHANGED)
+    proc = same_output("--pinned", tool)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert lines[-1] == "different output on 3 of 28 commands"
+    different = [line for line in lines if line.startswith("DIFFERENT")]
+    assert [line.split("`")[1].split()[0] for line in different] == ["verify"] * 3
+    assert all(": stdout: sha256 " in line for line in different)
 
 
 def test_same_output_needs_a_package(tmp_path):

@@ -12,7 +12,7 @@ published equality claims; ``degbound verify --enumerate N`` compares future
 runs against these.  Before a file is replaced, every verdict that differs
 from it is printed as ``CHANGED <file> <bound>: <old> -> <new>`` (a bound
 added or removed counts): a changed verdict is a finding to explain, not a
-fixture to refresh quietly.  The run takes about 0.8 s, most of it order 8.
+fixture to refresh quietly.  The run takes about 0.7 s, most of it order 8.
 """
 
 import json

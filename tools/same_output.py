@@ -1,20 +1,30 @@
 #!/usr/bin/env python3
-"""Check that this checkout's CLI output is byte-identical to another's.
+"""Check that this checkout's CLI output is byte-identical to another's, or
+to the digests pinned in ``tools/same_output_pins.json``.
 
     python3 tools/same_output.py PARENT_DIR
+    python3 tools/same_output.py --pinned
+    python3 tools/same_output.py --pin
 
 PARENT_DIR is the root of another checkout (say, a ``git archive`` of the
 parent commit).  Each command below runs twice, at the same time, as
 ``python -m degbound.cli`` in a fresh subprocess: once with
 ``PYTHONPATH=PARENT_DIR/src`` and once with this checkout's ``src``.  The two
 runs must agree byte for byte on exit code, stdout, stderr and every file
-written under ``--out``.  The file populations are the seed-0
-``audit-distinct`` and ``audit-repeats`` benchmark populations, written once
-to a temporary directory by ``perfbench/population.py`` and shared by both
-sides, plus two fixed ``compute --file`` inputs written there too, as UTF-8:
-a graph6 file of mixed graphs (see ``MIXED``) that opens with a UTF-8
-byte-order mark and then a comment line outside ASCII (``MIXED_HEADER``), and
-the Petersen graph as an edge list.  Two graphs of the mixed file, a crown
+written under ``--out``.  ``--pinned`` runs each command once, with this
+checkout's ``src``, and compares the sha256 of each of those outputs with
+the pins, so it also catches drift from the pinned output, not only
+nondeterminism; ``--pin`` runs them once and rewrites the pins, which name
+the Python they were made with (float text can depend on its ``pow``).  The
+temporary directory's path is replaced by ``TMP`` in everything hashed.
+
+The file populations are the seed-0 ``audit-distinct`` and ``audit-repeats``
+benchmark populations, written once to a temporary directory by
+``perfbench/population.py`` and shared by both sides, plus two fixed
+``compute --file`` inputs written there too, as UTF-8: a graph6 file of
+mixed graphs (see ``MIXED``) that opens with a UTF-8 byte-order mark and
+then a comment line outside ASCII (``MIXED_HEADER``), and the Petersen graph
+as an edge list.  Two graphs of the mixed file, a crown
 graph and the Groetzsch graph, take chi past its clique and first-fit
 bracket: one to a colouring search that succeeds, one to the first-fit count.
 Both sides run in the caller's locale.
@@ -34,13 +44,17 @@ Every ``DEGBOUND_*`` variable is removed from the environment.
 Every command runs, whatever came before it: each prints one ``same`` line,
 or one ``DIFFERENT`` line per output that differs, so an intended change in
 one command hides no other.  The last line is ``same output on all N
-commands`` (exit 0) or ``different output on K of N commands`` (exit 1).
-Exits 2 when PARENT_DIR holds no degbound package.
+commands`` (exit 0) or ``different output on K of N commands`` (exit 1);
+``--pin`` prints ``pinned N commands``.  Exits 2 when PARENT_DIR holds no
+degbound package.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -48,6 +62,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
+PINS = Path(__file__).resolve().parent / "same_output_pins.json"
 OUT = "{out}"  # replaced by a fresh directory per side and command
 TIMEOUT_S = 900
 
@@ -139,18 +154,28 @@ def first_difference(a: bytes, b: bytes) -> str:
     return f"{len(lines_a)} lines != {len(lines_b)} lines"
 
 
+def digests(found: list[tuple[str, bytes]], tmp: Path) -> list[tuple[str, str]]:
+    """(name, sha256) of each output, with the temporary directory as TMP."""
+    return [(name, hashlib.sha256(data.replace(str(tmp).encode(), b"TMP")).hexdigest())
+            for name, data in found]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    parent_src = Path(argv[0]).resolve() / "src"
-    if not (parent_src / "degbound" / "cli.py").is_file():
-        print(f"error: no degbound package under {parent_src}", file=sys.stderr)
-        return 2
+    mode = argv[0] if argv[0] in ("--pin", "--pinned") else "parent"
+    sides = [("change", ROOT / "src")]
+    if mode == "parent":
+        parent_src = Path(argv[0]).resolve() / "src"
+        if not (parent_src / "degbound" / "cli.py").is_file():
+            print(f"error: no degbound package under {parent_src}", file=sys.stderr)
+            return 2
+        sides.insert(0, ("parent", parent_src))
+    pins = json.loads(PINS.read_text(encoding="utf-8")) if mode == "--pinned" else {}
     env = {k: v for k, v in os.environ.items() if not k.startswith("DEGBOUND_")}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    sides = (("parent", parent_src), ("change", ROOT / "src"))
-    differing = 0
+    differing, pinned = 0, {}
     with tempfile.TemporaryDirectory(prefix="same-output-") as tmp:
         tmp = Path(tmp)
         cmds = commands(tmp)
@@ -165,23 +190,40 @@ def main(argv: list[str]) -> int:
                     stdout=subprocess.PIPE, stderr=subprocess.PIPE)
                 runs.append((proc, out))
             try:
-                parent, change = [outputs(proc, out) for proc, out in runs]
+                found = [outputs(proc, out) for proc, out in runs]
             finally:
                 for proc, _ in runs:
                     if proc.poll() is None:
                         proc.kill()
                         proc.wait()
             shown = " ".join("DIR" if a == OUT else a.replace(str(tmp), "TMP") for a in cmd)
-            # A file written by one side only shows up in the --out file list.
-            changed = dict(change)
-            diffs = [(name, want, changed[name]) for name, want in parent
-                     if name in changed and want != changed[name]]
-            for name, want, got in diffs:
-                print(f"DIFFERENT `{shown}`: {name}: {first_difference(want, got)}")
+            if mode == "--pin":
+                pinned[shown] = dict(digests(found[0], tmp))
+                continue
+            if mode == "parent":
+                # A file written by one side only shows up in the --out file list.
+                parent, change = found[0], dict(found[1])
+                diffs = [(name, first_difference(want, change[name])) for name, want in parent
+                         if name in change and want != change[name]]
+            else:
+                want, got = pins["commands"].get(shown, {}), dict(digests(found[0], tmp))
+                diffs = [(name, f"sha256 {got.get(name, 'none')[:12]}, "
+                                f"pinned {want.get(name, 'none')[:12]}")
+                         for name in sorted(want.keys() | got.keys())
+                         if want.get(name) != got.get(name)]
+            for name, why in diffs:
+                print(f"DIFFERENT `{shown}`: {name}: {why}")
             if not diffs:
                 print(f"same `{shown}`")
             differing += bool(diffs)
+    if mode == "--pin":
+        PINS.write_text(json.dumps({"python": platform.python_version(), "commands": pinned},
+                                   indent=1) + "\n", encoding="utf-8")
+        print(f"pinned {len(cmds)} commands")
+        return 0
     if differing:
+        if mode == "--pinned" and pins["python"] != platform.python_version():
+            print(f"the pins were made with Python {pins['python']}")
         print(f"different output on {differing} of {len(cmds)} commands")
         return 1
     print(f"same output on all {len(cmds)} commands")
