@@ -28,7 +28,7 @@ from .graphs import (
     GraphError,
     SizeLimitError,
     chromatic_number,
-    edge_degree_partition,
+    degree_pair_counts,
     is_complete,
     is_connected,
     is_cycle,
@@ -40,7 +40,7 @@ from .graphs import (
     min_degree,
     to_graph6,
 )
-from .indices import ALL_INDICES, IndexId, all_indices
+from .indices import ALL_INDICES, IndexId, all_indices, index_sums
 
 DEFAULT_TOL = 1e-9
 
@@ -209,22 +209,24 @@ class GraphContext:
     the seven indices in ALL_INDICES order, then chi as a float, so a bound
     reads each side by position; a side that is None is domain-skipped.
     ``graph6`` is encoded on each read, None above the short form's G6_MAX.
-    ``connected``, ``chi`` and the edge-degree partition ``part`` are
-    computed unless passed in.
+    ``connected`` and ``chi`` are computed unless passed in.  The audit
+    passes the key's flat pair counts ``counts`` (``degree_pair_counts``),
+    whose ``index_sums`` are the indices; without them the indices are
+    ``all_indices(g)``.
     """
 
     __slots__ = ("graph", "n", "delta", "Delta", "connected", "chi", "values")
 
     def __init__(self, g: Graph, chi=_UNSET, connected: bool | None = None,
-                 part: dict[tuple[int, int], int] | None = None):
+                 counts: tuple[int, ...] | None = None):
         self.graph = g
         self.n = g.n
         self.delta = min_degree(g)
         self.Delta = max_degree(g)
         self.connected = is_connected(g) if connected is None else connected
         self.chi = _chi(g) if chi is _UNSET else chi
-        self.values = (*all_indices(g, part).values(),
-                       None if self.chi is None else float(self.chi))
+        sums = all_indices(g).values() if counts is None else index_sums(counts)
+        self.values = (*sums, None if self.chi is None else float(self.chi))
 
     @property
     def graph6(self) -> str | None:
@@ -422,29 +424,30 @@ class SharpnessReport:
 
 
 def _key_groups(graphs) -> list[tuple[GraphContext, list[Graph]]]:
-    """The population grouped by (n, connectivity, edge-degree partition, chi).
+    """The population grouped by (n, connectivity, flat pair counts, chi).
 
     That key fixes the indices, delta, Delta and chi, and every built-in
     family and exclusion test, so the audit reads all of them on one graph
     per key.  A custom test must be a function of the key too: at n = 7, 9
     of the 670 keys hold a graph with a triangle and one without (F?C~? and
-    F?Dl_).  Each group holds one context, built on its first graph from the
-    partition counted once per graph and keyed on here, and all its member
-    graphs (K_{3,3} and the prism share a partition but not chi).  Reports
-    name graphs by graph6 string, so a key above G6_MAX is refused here,
-    before any bound runs, whether or not a report would name it.
+    F?Dl_).  The edge-degree partition is keyed as ``degree_pair_counts``
+    returns it, counted once per graph.  Each group holds one context, built
+    on its first graph from those same counts, and all its member graphs
+    (K_{3,3} and the prism share a partition but not chi).  Reports name
+    graphs by graph6 string, so a key above G6_MAX is refused here, before
+    any bound runs, whether or not a report would name it.
     """
     groups: dict[tuple, tuple[GraphContext, list[Graph]]] = {}
     for g in graphs:
         connected = is_connected(g)
         chi = _chi(g)
-        part = edge_degree_partition(g)
-        key = (g.n, connected, tuple(part.items()), chi)
+        counts = degree_pair_counts(g)
+        key = (g.n, connected, counts, chi)
         group = groups.get(key)
         if group is None:
             if g.n > G6_MAX:
                 raise GraphError(f"graph6 short form encodes n <= {G6_MAX}, got {g.n}")
-            groups[key] = (GraphContext(g, chi, connected, part), [g])
+            groups[key] = (GraphContext(g, chi, connected, counts), [g])
         else:
             group[1].append(g)
     return list(groups.values())

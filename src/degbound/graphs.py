@@ -96,19 +96,19 @@ class Graph:
 # Degree statistics
 
 
-def edge_degree_partition(g: Graph) -> dict[tuple[int, int], int]:
-    """Multiset of unordered endpoint-degree pairs over all edges, keyed in
-    sorted pair order.
+def degree_pair_counts(g: Graph) -> tuple[int, ...]:
+    """The edge-degree partition as one flat tuple ``(a1, b1, c1, a2, b2,
+    c2, ...)``: ``c`` edges join a vertex of degree ``a`` to one of degree
+    ``b >= a``, one triple per pair that occurs, pairs strictly increasing.
 
     Every index this package computes is a sum over edges of a symmetric
-    function of the endpoint degrees, so this multiset is a sufficient
-    statistic for all of them.  It is counted per pair of degree classes,
+    function of the endpoint degrees, so these counts are a sufficient
+    statistic for all of them.  They are counted per pair of degree classes,
     one ``(adj[v] & class_mask).bit_count()`` per vertex and class, so the
     cost grows with n times the number of distinct degrees, not with m.
-    Nothing is cached: each call counts afresh and returns a new dict.  Its
-    keys are inserted in sorted pair order, so equal partitions list their
-    items in the same order; the audit's partition key, a tuple of these
-    items, relies on that.
+    Nothing is cached: each call counts afresh.  Equal partitions give equal
+    tuples, so the audit keys on the tuple as it is, and the index sums read
+    it in the same order.
     """
     rows: dict[int, list[int]] = {}  # degree -> adjacency rows of that class
     masks: dict[int, int] = {}  # degree -> vertex mask of that class
@@ -117,7 +117,7 @@ def edge_degree_partition(g: Graph) -> dict[tuple[int, int], int]:
             rows.setdefault(d, []).append(g.adj[v])
             masks[d] = masks.get(d, 0) | 1 << v
     degrees = sorted(rows)
-    part: dict[tuple[int, int], int] = {}
+    counts: list[int] = []
     for i, a in enumerate(degrees):
         for b in degrees[i:]:
             mask = masks[b]
@@ -125,8 +125,16 @@ def edge_degree_partition(g: Graph) -> dict[tuple[int, int], int]:
             for row in rows[a]:
                 count += (row & mask).bit_count()
             if count:
-                part[(a, b)] = count // 2 if a == b else count
-    return part
+                counts += (a, b, count // 2 if a == b else count)
+    return tuple(counts)
+
+
+def edge_degree_partition(g: Graph) -> dict[tuple[int, int], int]:
+    """Multiset of unordered endpoint-degree pairs over all edges: the
+    triples of ``degree_pair_counts`` as a new dict from each ``(a, b)`` to
+    its count, inserted in sorted pair order."""
+    counts = degree_pair_counts(g)
+    return dict(zip(zip(counts[::3], counts[1::3]), counts[2::3]))
 
 
 def min_degree(g: Graph) -> int:
@@ -202,7 +210,7 @@ def is_double_star_t(g: Graph) -> bool:
     """True for the 8-vertex tree with two adjacent degree-4 centers."""
     if g.n != 8 or g.m != 7 or not is_connected(g):
         return False
-    return edge_degree_partition(g) == {(1, 4): 6, (4, 4): 1}
+    return degree_pair_counts(g) == (1, 4, 6, 4, 4, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import enum
 import functools
 import math
 
-from .graphs import Graph, edge_degree_partition
+from .graphs import Graph, degree_pair_counts
 
 
 class IndexId(enum.Enum):
@@ -76,30 +76,28 @@ def index_value(idx: IndexId, g: Graph) -> float:
 
 
 @functools.cache
-def _pair_terms(pair: tuple[int, int]) -> tuple[float, ...]:
-    """The seven per-edge terms at one sorted degree pair, in ALL_INDICES
-    order.  AZI reads 0.0 at (1,1), where ``all_indices`` reports it None."""
+def _pair_terms(a: int, b: int) -> tuple[float, ...]:
+    """The seven per-edge terms at endpoint degrees ``a`` and ``b``, in
+    ALL_INDICES order.  AZI reads 0.0 at (1,1), where ``index_sums`` reports
+    it None."""
+    pair = (a, b)
     return tuple(0.0 if idx is IndexId.AZI and pair == (1, 1) else edge_term(idx, pair)
                  for idx in ALL_INDICES)
 
 
-def all_indices(g: Graph, part: dict[tuple[int, int], int] | None = None
-                ) -> dict[IndexId, float | None]:
-    """All seven index values from the edge-degree partition.
+def index_sums(counts: tuple[int, ...]) -> tuple[float | None, ...]:
+    """The seven index values, in ALL_INDICES order, from flat pair counts
+    ``(a1, b1, c1, ...)`` in increasing pair order (``degree_pair_counts``).
 
-    ``part`` is ``g``'s edge-degree partition when the caller already holds
-    it; otherwise it is counted here.  Each degree pair's seven terms are
-    computed once per process, and every index accumulates ``count * term``
-    left to right in sorted-pair order, so the result is bit-identical for
-    isomorphic graphs.  AZI maps to ``None`` when its domain restriction
-    fails instead of raising.
+    Each degree pair's seven terms are computed once per process, and every
+    index accumulates ``count * term`` left to right in that order, so the
+    result is bit-identical for isomorphic graphs.  AZI is None when a
+    (1,1) pair, which would come first, occurs.
     """
-    if part is None:
-        part = edge_degree_partition(g)
     r = h = abc = x = ga = azi = m2 = 0.0
-    for pair in sorted(part):
-        count = part[pair]
-        t_r, t_h, t_abc, t_x, t_ga, t_azi, t_m2 = _pair_terms(pair)
+    triples = iter(counts)
+    for a, b, count in zip(triples, triples, triples):
+        t_r, t_h, t_abc, t_x, t_ga, t_azi, t_m2 = _pair_terms(a, b)
         r += count * t_r
         h += count * t_h
         abc += count * t_abc
@@ -107,4 +105,21 @@ def all_indices(g: Graph, part: dict[tuple[int, int], int] | None = None
         ga += count * t_ga
         azi += count * t_azi
         m2 += count * t_m2
-    return dict(zip(ALL_INDICES, (r, h, abc, x, ga, None if (1, 1) in part else azi, m2)))
+    return r, h, abc, x, ga, None if counts[:2] == (1, 1) else azi, m2
+
+
+def all_indices(g: Graph, part: dict[tuple[int, int], int] | None = None
+                ) -> dict[IndexId, float | None]:
+    """All seven index values from the edge-degree partition, by
+    ``index_sums``.
+
+    ``part`` is ``g``'s edge-degree partition when the caller already holds
+    it, in any insertion order (it is read in sorted pair order); otherwise
+    it is counted here.  AZI maps to ``None`` when its domain restriction
+    fails instead of raising.
+    """
+    if part is None:
+        counts = degree_pair_counts(g)
+    else:
+        counts = tuple(c for pair in sorted(part) for c in (*pair, part[pair]))
+    return dict(zip(ALL_INDICES, index_sums(counts)))

@@ -795,20 +795,21 @@ def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
 
 def test_audit_counts_each_partition_once(monkeypatch, populations):
     """The audit counts each graph's edge-degree partition exactly once, in
-    the key groups (``bounds.edge_degree_partition``), which hand it to the
-    key's context: ``all_indices`` counts none.  A graph caches no
-    partition, so a caller may mutate the one it gets."""
+    the key groups (``bounds.degree_pair_counts``), which hand the flat
+    counts to the key's context: neither ``graphs`` nor ``indices`` counts
+    any.  A graph caches no partition, so a caller may mutate the dict
+    ``edge_degree_partition`` gives it."""
     counted = {module: [] for module in (graphs_module, indices_module, bounds_module)}
-    count_partition = graphs_module.edge_degree_partition
+    count_pairs = graphs_module.degree_pair_counts
 
     def counter(module):
-        def counted_partition(g):
+        def counted_pairs(g):
             counted[module].append(g)
-            return count_partition(g)
-        return counted_partition
+            return count_pairs(g)
+        return counted_pairs
 
     for module in counted:
-        monkeypatch.setattr(module, "edge_degree_partition", counter(module))
+        monkeypatch.setattr(module, "degree_pair_counts", counter(module))
     order_7 = populations[7]
     audit_all(builtin_catalog(), order_7)
     assert len(counted[bounds_module]) == len(order_7) == 853
@@ -816,9 +817,9 @@ def test_audit_counts_each_partition_once(monkeypatch, populations):
     assert counted[graphs_module] == counted[indices_module] == []
 
     t = double_star()
-    part = count_partition(t)
+    part = graphs_module.edge_degree_partition(t)
     part[(1, 4)] = 0
-    assert count_partition(t) == {(1, 4): 6, (4, 4): 1}
+    assert graphs_module.edge_degree_partition(t) == {(1, 4): 6, (4, 4): 1}
 
 
 def test_audit_encodes_only_the_graphs_its_reports_name(monkeypatch, populations):

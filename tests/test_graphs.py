@@ -1,8 +1,11 @@
+import importlib.util
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
+from degbound.bounds import GraphContext
 from degbound.enumeration import connected_graphs
 from degbound.graphs import (
     CHROMATIC_CAP,
@@ -14,6 +17,7 @@ from degbound.graphs import (
     complete_graph,
     content_lines,
     cycle_graph,
+    degree_pair_counts,
     double_star,
     edge_degree_partition,
     is_connected,
@@ -573,3 +577,44 @@ def test_edge_degree_partition_matches_per_edge_count(populations):
         part = edge_degree_partition(g)
         assert part == _reference_partition(order, edges), (order, len(edges))
         assert list(part) == sorted(part)
+
+
+def _flat_count_graphs(populations):
+    """Every connected class of order 2..7, the mixed graphs of
+    ``tools/same_output.py`` and every family graph of order 2..200."""
+    tool = Path(__file__).resolve().parent.parent / "tools" / "same_output.py"
+    spec = importlib.util.spec_from_file_location("same_output", tool)
+    same_output = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_output)
+    graphs = [g for classes in populations.values() for g in classes]
+    graphs += [Graph(n, edges) for n, edges in same_output.MIXED]
+    orders = range(2, 201)
+    graphs += [make_family(tag, n) for tag in ("path", "complete") for n in orders]
+    graphs += [make_family("cycle", n) for n in orders if n >= 3]
+    graphs += [make_family("star", n - 1) for n in orders]
+    graphs += [make_family("delta_regular_witness", n // 2) for n in orders if n % 2 == 0]
+    graphs.append(make_family("double_star"))
+    return graphs
+
+
+def _bits(values):
+    return [None if v is None else v.hex() for v in values]
+
+
+def test_flat_pair_counts_are_the_partition(populations):
+    """``degree_pair_counts`` is the edge-degree partition as (a, b, count)
+    triples with a <= b, in strictly increasing pair order, and a context
+    built from those counts holds the values, bit for bit, of one built
+    from the graph alone."""
+    graphs = _flat_count_graphs(populations)
+    assert len(graphs) == 995 + 10 + 4 * 199 - 1 + 100 + 1
+    for g in graphs:
+        counts = degree_pair_counts(g)
+        assert len(counts) % 3 == 0
+        pairs = list(zip(counts[::3], counts[1::3]))
+        assert all(0 < a <= b for a, b in pairs)
+        assert all(p < q for p, q in zip(pairs, pairs[1:]))
+        part = edge_degree_partition(g)
+        assert list(part) == pairs
+        assert part == dict(zip(pairs, counts[2::3])) == _reference_partition(g.n, g.edges)
+        assert _bits(GraphContext(g, counts=counts).values) == _bits(GraphContext(g).values)

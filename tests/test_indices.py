@@ -137,6 +137,32 @@ def test_cached_terms_sum_in_sorted_pair_order():
             assert vals[idx] == index_value(idx, g) == total, (idx, part)
 
 
+def _bits(values):
+    return {idx: None if v is None else v.hex() for idx, v in values.items()}
+
+
+def test_all_indices_sorts_a_callers_partition(populations):
+    """A caller's partition dict is read in sorted pair order, whatever its
+    insertion order: one inserted in reverse pair order gives the values of
+    ``all_indices(g)`` bit for bit, on graphs where summing in that reverse
+    order would round differently."""
+    rng = random.Random(13)
+    graphs = [g for classes in populations.values() for g in classes]
+    graphs += [random_graph(rng, rng.randrange(1, 13)) for _ in range(200)]
+    reordered = 0
+    for g in graphs:
+        part = edge_degree_partition(g)
+        backwards = dict(reversed(part.items()))
+        assert list(backwards) == sorted(part, reverse=True)
+        vals = all_indices(g)
+        assert _bits(all_indices(g, backwards)) == _bits(vals)
+        total = 0.0
+        for pair in backwards:
+            total += backwards[pair] * edge_term(R, pair)
+        reordered += total != vals[R]
+    assert reordered > 0
+
+
 def test_isomorphism_invariance_bit_identical():
     rng = random.Random(43)
     for _ in range(200):

@@ -16,7 +16,10 @@ checkout's ``src``, and compares the sha256 of each of those outputs with
 the pins, so it also catches drift from the pinned output, not only
 nondeterminism; ``--pin`` runs them once and rewrites the pins, which name
 the Python they were made with (float text can depend on its ``pow``).  The
-temporary directory's path is replaced by ``TMP`` in everything hashed.
+temporary directory's path is replaced by ``TMP`` in everything hashed and
+in the command text that names each command, where the checkout's root is
+replaced by ``ROOT`` too, so the pins hold no absolute path and match in any
+checkout.
 
 The file populations are the seed-0 ``audit-distinct`` and ``audit-repeats``
 benchmark populations, written once to a temporary directory by
@@ -196,7 +199,8 @@ def main(argv: list[str]) -> int:
                     if proc.poll() is None:
                         proc.kill()
                         proc.wait()
-            shown = " ".join("DIR" if a == OUT else a.replace(str(tmp), "TMP") for a in cmd)
+            shown = " ".join("DIR" if a == OUT else
+                             a.replace(str(tmp), "TMP").replace(str(ROOT), "ROOT") for a in cmd)
             if mode == "--pin":
                 pinned[shown] = dict(digests(found[0], tmp))
                 continue
