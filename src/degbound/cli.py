@@ -176,6 +176,7 @@ def families_rows(max_n: int) -> list[dict]:
         ("complete", complete_graph, range(2, max_n + 1)),
         ("star", star_graph, range(1, max_n)),
     ]
+    columns = tuple(zip(ALL_INDICES, map(str, ALL_INDICES)))
     rows = []
     for family, builder, params in plans:
         formula = FAMILY_FORMULAS[family]
@@ -192,8 +193,8 @@ def families_rows(max_n: int) -> list[dict]:
                     continue
                 dev = max(dev, abs(c - e) / max(1.0, abs(c)))
             row = {"family": family, "param": p, "n": g.n, "m": g.m}
-            for idx in ALL_INDICES:
-                row[str(idx)] = closed[idx]
+            for idx, name in columns:
+                row[name] = closed[idx]
             row["max_rel_dev"] = dev
             row["agrees"] = dev <= 1e-12
             rows.append(row)

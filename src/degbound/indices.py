@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Callable
 
 from .graphs import Graph, degree_pair_counts
 
@@ -40,30 +41,36 @@ class UndefinedIndexError(ValueError):
 _AZI_UNDEFINED = "AZI undefined on an isolated-edge component (degree pair (1,1))"
 
 
+# One term function per index, in ALL_INDICES order.  Each takes the degrees
+# unchecked: ``edge_term`` checks the domain, ``ratios.grid_extremum`` skips
+# undefined pairs by rule.  Every term is symmetric in a and b, bit for bit.
+EDGE_TERMS: dict[IndexId, Callable[[float, float], float]] = {
+    IndexId.R: lambda a, b: 1.0 / math.sqrt(a * b),
+    IndexId.H: lambda a, b: 2.0 / (a + b),
+    IndexId.ABC: lambda a, b: math.sqrt((a + b - 2) / (a * b)),
+    IndexId.X: lambda a, b: 1.0 / math.sqrt(a + b),
+    IndexId.GA: lambda a, b: math.sqrt(a * b) / (0.5 * (a + b)),
+    IndexId.AZI: lambda a, b: ((a * b) / (a + b - 2)) ** 3,
+    IndexId.M2STAR: lambda a, b: 1.0 / (a * b),
+}
+
+
 def edge_term(idx: IndexId, pair: tuple[int, int]) -> float:
-    """Per-edge contribution of index ``idx`` at endpoint degrees ``pair``."""
+    """Per-edge contribution of index ``idx`` at endpoint degrees ``pair``.
+
+    Checks the degrees, the index and AZI's domain, then calls that one
+    index's function from ``EDGE_TERMS``.
+    """
     a, b = pair
     if a > b:
         a, b = b, a
     if a < 1:
         raise ValueError(f"degrees must be >= 1, got {pair}")
-    if idx is IndexId.R:
-        return 1.0 / math.sqrt(a * b)
-    if idx is IndexId.H:
-        return 2.0 / (a + b)
-    if idx is IndexId.ABC:
-        return math.sqrt((a + b - 2) / (a * b))
-    if idx is IndexId.X:
-        return 1.0 / math.sqrt(a + b)
-    if idx is IndexId.GA:
-        return math.sqrt(a * b) / (0.5 * (a + b))
-    if idx is IndexId.AZI:
-        if a == 1 and b == 1:
-            raise UndefinedIndexError(_AZI_UNDEFINED)
-        return ((a * b) / (a + b - 2)) ** 3
-    if idx is IndexId.M2STAR:
-        return 1.0 / (a * b)
-    raise ValueError(f"unknown index {idx!r}")
+    if not isinstance(idx, IndexId):
+        raise ValueError(f"unknown index {idx!r}")
+    if idx is IndexId.AZI and a == 1 and b == 1:
+        raise UndefinedIndexError(_AZI_UNDEFINED)
+    return EDGE_TERMS[idx](a, b)
 
 
 def index_value(idx: IndexId, g: Graph) -> float:
@@ -78,11 +85,11 @@ def index_value(idx: IndexId, g: Graph) -> float:
 @functools.cache
 def _pair_terms(a: int, b: int) -> tuple[float, ...]:
     """The seven per-edge terms at endpoint degrees ``a`` and ``b``, in
-    ALL_INDICES order.  AZI reads 0.0 at (1,1), where ``index_sums`` reports
-    it None."""
-    pair = (a, b)
-    return tuple(0.0 if idx is IndexId.AZI and pair == (1, 1) else edge_term(idx, pair)
-                 for idx in ALL_INDICES)
+    ALL_INDICES order, from ``EDGE_TERMS``: each equals ``edge_term`` at the
+    pair.  AZI reads 0.0 at (1,1), where ``index_sums`` reports it None."""
+    one_one = a == 1 and b == 1
+    return tuple(0.0 if one_one and idx is IndexId.AZI else term(a, b)
+                 for idx, term in EDGE_TERMS.items())
 
 
 def index_sums(counts: tuple[int, ...]) -> tuple[float | None, ...]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import CHI, DEFAULT_TOL, BoundSpec, builtin_catalog, catalog_by_id
-from .indices import IndexId, UndefinedIndexError, edge_term
+from .indices import EDGE_TERMS, IndexId, UndefinedIndexError, edge_term
 
 GRID_CAP = 62
 
@@ -59,24 +59,31 @@ def grid_extremum(r: RatioFn, n: int, kind: str = "min", delta_min: int = 1,
                   exclude_one_one: bool = False) -> GridExtremum:
     """Exhaustive scan of integer pairs delta_min <= a <= b <= n-1.
 
-    Pairs where the ratio is undefined are skipped; ties break to the
-    lexicographically smallest pair.
+    Each pair calls the numerator's and denominator's ``EDGE_TERMS``
+    functions directly and squares their quotient as ``ratio_at`` does.
+    Pairs where the ratio is undefined are skipped by rule: (1,1) when
+    ``exclude_one_one`` is set or either index is AZI, and any pair whose
+    denominator term is zero.  Ties break to the lexicographically smallest
+    pair.
     """
     if not 2 <= n <= GRID_CAP:
         raise ValueError(f"grid order must be in 2..{GRID_CAP}, got {n}")
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
+    num = EDGE_TERMS[r.numerator]
+    den = EDGE_TERMS[r.denominator]
+    skip_one_one = exclude_one_one or IndexId.AZI in (r.numerator, r.denominator)
+    minimize = kind == "min"
     best_pair = None
     best_value = None
     for a in range(max(1, delta_min), n):
-        for b in range(a, n):
-            if exclude_one_one and a == 1 and b == 1:
+        for b in range(a + 1 if skip_one_one and a == 1 else a, n):
+            d = den(a, b)
+            if d == 0:
                 continue
-            try:
-                value = ratio_at(r, (a, b))
-            except UndefinedIndexError:
-                continue
-            if best_value is None or (value < best_value if kind == "min"
+            value = num(a, b) / d
+            value = value * value
+            if best_value is None or (value < best_value if minimize
                                       else value > best_value):
                 best_value = value
                 best_pair = (a, b)
@@ -97,6 +104,11 @@ class MonotonicityReport:
     first_violation: tuple | None
 
 
+def _check_fixed(fixed: str) -> None:
+    if fixed not in ("a", "b"):
+        raise ValueError(f"fixed coordinate must be 'a' or 'b', got {fixed!r}")
+
+
 def monotonicity_audit(r: RatioFn, fixed: str, fixed_value: int,
                        lo: int, hi: int) -> MonotonicityReport:
     """Check successive differences of the ratio along one grid line.
@@ -104,8 +116,7 @@ def monotonicity_audit(r: RatioFn, fixed: str, fixed_value: int,
     ``fixed`` names the frozen coordinate ("a" or "b"); the other coordinate
     runs over lo..hi.
     """
-    if fixed not in ("a", "b"):
-        raise ValueError(f"fixed coordinate must be 'a' or 'b', got {fixed!r}")
+    _check_fixed(fixed)
     if not 1 <= lo <= hi <= GRID_CAP - 1:
         raise ValueError(f"line range must satisfy 1 <= lo <= hi <= {GRID_CAP - 1}: {(lo, hi)}")
     points = []
@@ -134,7 +145,14 @@ LINE_STEP = 1 / 64
 
 def line_samples(r: RatioFn, fixed: str, fixed_value: float, lo: float, hi: float):
     """Samples of the ratio along a line, ``LINE_STEP`` apart; a smoke check of
-    the proofs' continuous calculus, reported but never asserted."""
+    the proofs' continuous calculus, reported but never asserted.
+
+    ``fixed`` names the frozen coordinate ("a" or "b"); the other coordinate
+    runs from lo up to hi, so lo must not exceed hi.
+    """
+    _check_fixed(fixed)
+    if lo > hi:
+        raise ValueError(f"line range must satisfy lo <= hi: {(lo, hi)}")
     out = []
     t = lo
     while t <= hi + 1e-12:

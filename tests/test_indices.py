@@ -23,12 +23,15 @@ from degbound.graphs import (
     star_graph,
 )
 from degbound.indices import (
+    _AZI_UNDEFINED,
     ALL_INDICES,
     UndefinedIndexError,
+    _pair_terms,
     all_indices,
     edge_term,
     index_value,
 )
+from degbound.ratios import F_T6, line_samples
 
 from conftest import random_graph
 
@@ -45,6 +48,58 @@ def test_edge_term_examples():
 def test_edge_term_normalizes_pair_order():
     for idx in ALL_INDICES:
         assert edge_term(idx, (5, 2)) == edge_term(idx, (2, 5))
+
+
+# The seven textbook expressions, written out apart from indices.EDGE_TERMS,
+# at endpoint degrees a <= b.
+TEXTBOOK_TERMS = {
+    R: lambda a, b: 1.0 / math.sqrt(a * b),
+    H: lambda a, b: 2.0 / (a + b),
+    ABC: lambda a, b: math.sqrt((a + b - 2) / (a * b)),
+    X: lambda a, b: 1.0 / math.sqrt(a + b),
+    GA: lambda a, b: math.sqrt(a * b) / (0.5 * (a + b)),
+    AZI: lambda a, b: ((a * b) / (a + b - 2)) ** 3,
+    M2: lambda a, b: 1.0 / (a * b),
+}
+
+
+def test_edge_term_is_the_textbook_expression_bit_for_bit():
+    grid = [(a, b) for a in range(1, 62) for b in range(a, 62)]
+    line = [(1.0, t) for t, _ in line_samples(F_T6, "a", 1.0, 7.0, 8.0)]
+    assert len(line) == 65
+    for a, b in grid + line:
+        for idx in ALL_INDICES:
+            if idx is AZI and (a, b) == (1, 1):
+                continue
+            want = TEXTBOOK_TERMS[idx](a, b).hex()
+            assert edge_term(idx, (a, b)).hex() == want, (idx, a, b)
+            assert edge_term(idx, (b, a)).hex() == want, (idx, b, a)
+
+
+def test_pair_terms_are_the_edge_terms():
+    for a in range(1, 62):
+        for b in range(a, 62):
+            terms = _pair_terms(a, b)
+            want = [0.0 if idx is AZI and (a, b) == (1, 1) else edge_term(idx, (a, b))
+                    for idx in ALL_INDICES]
+            assert [t.hex() for t in terms] == [t.hex() for t in want], (a, b)
+            assert (terms[ALL_INDICES.index(AZI)] == 0.0) == ((a, b) == (1, 1))
+
+
+def test_edge_term_errors_keep_their_type_and_message():
+    cases = [
+        ("R", (1, 2), ValueError, "unknown index 'R'"),
+        (None, (1, 1), ValueError, "unknown index None"),
+        (R, (0, 3), ValueError, "degrees must be >= 1, got (0, 3)"),
+        (AZI, (3, 0), ValueError, "degrees must be >= 1, got (3, 0)"),
+        ("R", (0, 1), ValueError, "degrees must be >= 1, got (0, 1)"),
+        (AZI, (1, 1), UndefinedIndexError, _AZI_UNDEFINED),
+        (AZI, (1.0, 1.0), UndefinedIndexError, _AZI_UNDEFINED),
+    ]
+    for idx, pair, kind, message in cases:
+        with pytest.raises(ValueError) as err:
+            edge_term(idx, pair)
+        assert type(err.value) is kind and str(err.value) == message, (idx, pair)
 
 
 def test_azi_undefined_at_isolated_edge():

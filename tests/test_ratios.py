@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -7,7 +10,7 @@ import pytest
 
 from degbound import ratios
 from degbound.bounds import Coeff, builtin_catalog, catalog_by_id
-from degbound.indices import IndexId, UndefinedIndexError
+from degbound.indices import ALL_INDICES, IndexId, UndefinedIndexError
 from degbound.ratios import (
     F_T1,
     F_T4,
@@ -58,20 +61,36 @@ def test_grid_extremum_examples():
 
 
 def test_grid_extremum_matches_unpruned_scan():
-    for r in (F_T1, F_T4, F_T6, F_T21):
-        for n in (3, 5, 8, 12):
-            for kind in ("min", "max"):
-                values = {}
-                for a in range(1, n):
-                    for b in range(a, n):
-                        try:
-                            values[(a, b)] = ratio_at(r, (a, b))
-                        except UndefinedIndexError:
-                            pass
-                want = (min if kind == "min" else max)(values.values())
-                got = grid_extremum(r, n, kind)
-                assert got.value == want
-                assert values[got.location] == want
+    """Every ordered pair of distinct indices, both kinds, both delta floors
+    and both (1,1) rules agree with a scan of ``ratio_at`` that skips only
+    what raises: same value bits, the smallest pair at that value, and the
+    same error on an empty grid (n = 2 has one)."""
+    pairs = list(itertools.permutations(ALL_INDICES, 2))
+    assert len(pairs) == 42
+    for n in (2, 3, 9, 62):
+        grid = [(a, b) for a in range(1, n) for b in range(a, n)]
+        for numerator, denominator in pairs:
+            r = RatioFn(numerator, denominator)
+            values = {}
+            for pair in grid:
+                try:
+                    values[pair] = ratio_at(r, pair)
+                except UndefinedIndexError:
+                    pass
+            for delta_min, exclude_one_one, kind in itertools.product(
+                    (1, 2), (False, True), ("min", "max")):
+                kept = {p: v for p, v in values.items() if p[0] >= delta_min
+                        and not (exclude_one_one and p == (1, 1))}
+                case = (r.label, n, delta_min, exclude_one_one, kind)
+                if not kept:
+                    with pytest.raises(ValueError, match=re.escape(
+                            f"empty grid for {r.label} at n={n}")):
+                        grid_extremum(r, n, kind, delta_min, exclude_one_one)
+                    continue
+                want = (min if kind == "min" else max)(kept.values())
+                got = grid_extremum(r, n, kind, delta_min, exclude_one_one)
+                assert got.value.hex() == want.hex(), case
+                assert got.location == min(p for p, v in kept.items() if v == want), case
 
 
 def test_grid_extremum_tie_breaks_to_smallest_pair():
@@ -112,6 +131,17 @@ def test_continuous_dip_location_between_7_and_8():
     t_min = min(samples, key=lambda s: s[1])[0]
     root = (7 + math.sqrt(73)) / 2
     assert abs(t_min - root) <= LINE_STEP
+
+
+def test_line_samples_rejects_what_monotonicity_audit_rejects():
+    with pytest.raises(ValueError, match=r"fixed coordinate must be 'a' or 'b', got 'c'"):
+        line_samples(F_T6, "c", 1.0, 7.0, 8.0)
+    with pytest.raises(ValueError, match=r"fixed coordinate must be 'a' or 'b', got 'c'"):
+        monotonicity_audit(F_T6, "c", 1, 2, 7)
+    with pytest.raises(ValueError, match=re.escape("line range must satisfy lo <= hi: (8.0, 7.0)")):
+        line_samples(F_T6, "a", 1.0, 8.0, 7.0)
+    assert line_samples(F_T6, "a", 1.0, 7.5, 7.5) == [(7.5, ratio_at(F_T6, (1.0, 7.5)))]
+    assert line_samples(F_T1, "b", 3.0, 1.0, 2.0)[-1] == (2.0, ratio_at(F_T1, (2.0, 3.0)))
 
 
 def test_concordance_matches_for_sharp_entries():
@@ -261,3 +291,15 @@ def test_proofs_report_out_of_range_exactly_where_the_grid_is_too_small():
             assert (claim["verdict"] == "out_of_range") == (degree > n - 1), (n, claim)
             if degree > n - 1:
                 assert claim["observed"].startswith(f"grid only reaches degree {n - 1}; ")
+
+
+# sha256 of ``json.dumps([proofs_report(n) for n in range(3, 63)],
+# sort_keys=True)``, taken before the grid scan called the term functions
+# directly; the report must not change by a bit at any grid order.
+PROOFS_REPORT_DIGEST = "f50da6eb28d1240cae68d6fd56399045783199308c36559ede03b1af7251aa21"
+
+
+def test_proofs_report_is_pinned_at_every_grid_order():
+    reports = [proofs_report(n) for n in range(3, GRID_CAP + 1)]
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PROOFS_REPORT_DIGEST
