@@ -14,7 +14,6 @@ from degbound import (
     cycle_graph,
     double_star,
     edge_degree_partition,
-    index_value,
     path_graph,
     star_graph,
 )
@@ -40,11 +39,11 @@ print()
 # Two famous molecular-graph exceptions: the star with four leaves and the
 # double star T* are the only connected molecular graphs with ABC >= GA.
 for g, name in [(star_graph(4), "K_{1,4}"), (double_star(), "T*")]:
-    ga = index_value(IndexId.GA, g)
-    abc = index_value(IndexId.ABC, g)
+    vals = all_indices(g)
+    ga, abc = vals[IndexId.GA], vals[IndexId.ABC]
     print(f"{name}: GA = {ga:.6f} < ABC = {abc:.6f}")
 
 # For T* the exact values are GA = 29/5 and ABC = 3*sqrt(3) + sqrt(6)/4.
 expected = 3 * math.sqrt(3) + math.sqrt(6) / 4
 print("T* ABC closed form check:",
-      abs(index_value(IndexId.ABC, double_star()) - expected) < 1e-12)
+      abs(all_indices(double_star())[IndexId.ABC] - expected) < 1e-12)

@@ -48,7 +48,6 @@ from .indices import (
     UndefinedIndexError,
     all_indices,
     edge_term,
-    index_value,
 )
 from .ratios import (
     F_T1,

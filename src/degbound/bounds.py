@@ -79,6 +79,10 @@ class Coeff:
     var: str
     fn: Callable[[int], float]
 
+    def __post_init__(self):
+        if self.var not in ("n", "delta"):
+            raise ValueError(f"coefficient variable must be 'n' or 'delta', got {self.var!r}")
+
     def ev(self, n: int, delta: int) -> float:
         return float(self.fn(delta if self.var == "delta" else n))
 
@@ -147,6 +151,10 @@ class BoundSpec:
     exclusions: tuple[EqualityFamily, ...] = ()
     claimed_equality: EqualityFamily | None = None
     chain: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.direction not in ("lower", "upper"):
+            raise ValueError(f"direction must be 'lower' or 'upper', got {self.direction!r}")
 
     @functools.cached_property
     def sides(self) -> tuple[int, int]:

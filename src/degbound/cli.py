@@ -176,25 +176,22 @@ def families_rows(max_n: int) -> list[dict]:
         ("complete", complete_graph, range(2, max_n + 1)),
         ("star", star_graph, range(1, max_n)),
     ]
-    columns = tuple(zip(ALL_INDICES, map(str, ALL_INDICES)))
+    names = tuple(map(str, ALL_INDICES))
     rows = []
     for family, builder, params in plans:
         formula = FAMILY_FORMULAS[family]
         for p in params:
             g = builder(p)
-            closed = {idx: formula(idx, p) for idx in ALL_INDICES}
-            evaluated = all_indices(g)
+            closed = formula(p)
             dev = 0.0
-            for idx in ALL_INDICES:
-                c, e = closed[idx], evaluated[idx]
+            for c, e in zip(closed, all_indices(g).values()):
                 if c is None or e is None:
                     if c is not e:
                         dev = float("inf")
                     continue
                 dev = max(dev, abs(c - e) / max(1.0, abs(c)))
             row = {"family": family, "param": p, "n": g.n, "m": g.m}
-            for idx, name in columns:
-                row[name] = closed[idx]
+            row.update(zip(names, closed))
             row["max_rel_dev"] = dev
             row["agrees"] = dev <= 1e-12
             rows.append(row)

@@ -73,15 +73,6 @@ def edge_term(idx: IndexId, pair: tuple[int, int]) -> float:
     return EDGE_TERMS[idx](a, b)
 
 
-def index_value(idx: IndexId, g: Graph) -> float:
-    """Evaluate index ``idx`` on ``g``; AZI raises ``UndefinedIndexError``
-    where ``all_indices`` reports it None."""
-    value = all_indices(g)[idx]
-    if value is None:
-        raise UndefinedIndexError(_AZI_UNDEFINED)
-    return value
-
-
 @functools.cache
 def _pair_terms(a: int, b: int) -> tuple[float, ...]:
     """The seven per-edge terms at endpoint degrees ``a`` and ``b``, in
@@ -115,18 +106,8 @@ def index_sums(counts: tuple[int, ...]) -> tuple[float | None, ...]:
     return r, h, abc, x, ga, None if counts[:2] == (1, 1) else azi, m2
 
 
-def all_indices(g: Graph, part: dict[tuple[int, int], int] | None = None
-                ) -> dict[IndexId, float | None]:
-    """All seven index values from the edge-degree partition, by
-    ``index_sums``.
-
-    ``part`` is ``g``'s edge-degree partition when the caller already holds
-    it, in any insertion order (it is read in sorted pair order); otherwise
-    it is counted here.  AZI maps to ``None`` when its domain restriction
-    fails instead of raising.
-    """
-    if part is None:
-        counts = degree_pair_counts(g)
-    else:
-        counts = tuple(c for pair in sorted(part) for c in (*pair, part[pair]))
-    return dict(zip(ALL_INDICES, index_sums(counts)))
+def all_indices(g: Graph) -> dict[IndexId, float | None]:
+    """All seven index values of ``g``, by ``index_sums`` over its flat pair
+    counts.  AZI maps to ``None`` where it is undefined instead of raising;
+    ``edge_term`` is the checked per-edge entry that raises."""
+    return dict(zip(ALL_INDICES, index_sums(degree_pair_counts(g))))

@@ -46,7 +46,7 @@ from degbound.bounds import (
 )
 from degbound.cli import main as cli_main
 from degbound.enumeration import EnumerationSpec, connected_graphs, enumerate_connected
-from degbound.formulas import regular_index_value
+from degbound.formulas import regular_values
 from degbound.graphs import (
     complete_bipartite,
     complete_graph,
@@ -58,7 +58,7 @@ from degbound.graphs import (
     star_graph,
     to_graph6,
 )
-from degbound.indices import ALL_INDICES, IndexId, all_indices, edge_term, index_value
+from degbound.indices import ALL_INDICES, IndexId, all_indices, edge_term
 from degbound.ratios import (
     F_T6,
     F_T21,
@@ -189,7 +189,7 @@ def test_criterion_4_star_sharpness():
         ratios = {}
         for k in range(2, 13):
             s = star_graph(k)
-            ratios[k] = index_value(IndexId.AZI, s) / index_value(IndexId.X, s)
+            ratios[k] = all_indices(s)[IndexId.AZI] / all_indices(s)[IndexId.X]
         best = min(ratios, key=ratios.get)
         assert best == 8
         want = 1536 / 343
@@ -251,16 +251,16 @@ def test_criterion_7_molecular_strict_inequality(population_2_7):
                 continue
             if g.n == 5 and is_star(g):
                 continue  # K_{1,4} itself
-            margins.append(index_value(IndexId.GA, g) - index_value(IndexId.ABC, g))
+            margins.append(all_indices(g)[IndexId.GA] - all_indices(g)[IndexId.ABC])
         assert margins and min(margins) > 1e-9
 
-        ga, abc = index_value(IndexId.GA, k14), index_value(IndexId.ABC, k14)
+        ga, abc = all_indices(k14)[IndexId.GA], all_indices(k14)[IndexId.ABC]
         assert abs(ga - 3.2) <= 1e-12 * 3.2
         assert abs(abc - 2 * math.sqrt(3)) <= 1e-12 * abc
         assert ga < abc
 
         t = double_star()
-        ga, abc = index_value(IndexId.GA, t), index_value(IndexId.ABC, t)
+        ga, abc = all_indices(t)[IndexId.GA], all_indices(t)[IndexId.ABC]
         assert abs(ga - 5.8) <= 1e-12 * 5.8
         assert abs(abc - (3 * math.sqrt(3) + math.sqrt(6) / 4)) <= 1e-12 * abc
         assert ga < abc
@@ -313,7 +313,7 @@ def test_criterion_9_linearity_1000():
                         direct += edge_term(idx, (degs[u], degs[v]))
                 except Exception:
                     continue
-                assert index_value(idx, g) == pytest.approx(direct, rel=1e-12,
+                assert all_indices(g)[idx] == pytest.approx(direct, rel=1e-12,
                                                             abs=1e-12)
 
 
@@ -341,8 +341,7 @@ def test_criterion_9_regular_closed_forms_1000():
                 k = rng.randrange(1, 9)
                 g, d = complete_bipartite(k, k), k
             vals = all_indices(g)
-            for idx in ALL_INDICES:
-                want = regular_index_value(idx, d, g.m)
+            for idx, want in zip(ALL_INDICES, regular_values(d, g.m)):
                 if want is None:
                     assert vals[idx] is None
                 else:

@@ -506,6 +506,29 @@ def test_strict_equality_is_surfaced_not_passed():
     assert chk.verdict == EQUALITY
 
 
+def test_bound_refuses_a_direction_other_than_lower_or_upper():
+    # The audit read any direction but "upper" as lower, and the proof grids
+    # any but "lower" as upper: a misspelt T2U was violated on P4 by one and
+    # concordant by the other.
+    t2u = catalog_by_id()["T2U"]
+    for bad in ("Upper", "", None):
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(t2u, direction=bad)
+        assert str(err.value) == f"direction must be 'lower' or 'upper', got {bad!r}"
+    assert dataclasses.replace(t2u, direction="lower").direction == "lower"
+
+
+def test_coeff_refuses_a_variable_other_than_n_or_delta():
+    # Any variable but "delta" was read as n: C2 on C6 went from equality
+    # to violated under Coeff("Delta", ...).
+    fn = catalog_by_id()["C2"].coeff.fn
+    for bad in ("Delta", "N", ""):
+        with pytest.raises(ValueError) as err:
+            Coeff(bad, fn)
+        assert str(err.value) == f"coefficient variable must be 'n' or 'delta', got {bad!r}"
+    assert evaluate_bound(catalog_by_id()["C2"], cycle_graph(6)).verdict == EQUALITY
+
+
 def test_report_json_schema(full_reports):
     doc = full_reports["T6L"].to_dict()
     assert doc["schema_version"] == 1

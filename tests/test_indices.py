@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degbound.formulas import (
-    complete_index_value,
-    cycle_index_value,
-    path_index_value,
-    regular_index_value,
-    star_index_value,
+    complete_values,
+    cycle_values,
+    path_values,
+    regular_values,
+    star_values,
 )
 from degbound.enumeration import connected_graphs
 from degbound.graphs import (
@@ -29,7 +29,6 @@ from degbound.indices import (
     _pair_terms,
     all_indices,
     edge_term,
-    index_value,
 )
 from degbound.ratios import F_T6, line_samples
 
@@ -105,25 +104,23 @@ def test_edge_term_errors_keep_their_type_and_message():
 def test_azi_undefined_at_isolated_edge():
     with pytest.raises(UndefinedIndexError):
         edge_term(AZI, (1, 1))
-    with pytest.raises(UndefinedIndexError):
-        index_value(AZI, path_graph(2))
     assert all_indices(path_graph(2))[AZI] is None
     assert all_indices(path_graph(3))[AZI] is not None
 
 
 def test_index_value_examples():
-    assert index_value(R, path_graph(2)) == pytest.approx(1.0, abs=0)
+    assert all_indices(path_graph(2))[R] == pytest.approx(1.0, abs=0)
     for n in (3, 5, 11, 60):
-        assert index_value(AZI, cycle_graph(n)) == pytest.approx(8 * n, rel=1e-14)
-        assert index_value(GA, cycle_graph(n)) == pytest.approx(n, rel=1e-14)
-    assert index_value(M2, path_graph(3)) == pytest.approx(1.0, abs=0)
-    assert index_value(ABC, path_graph(3)) == pytest.approx(math.sqrt(2), rel=1e-15)
-    assert index_value(AZI, star_graph(8)) == pytest.approx(4096 / 343, rel=1e-14)
-    assert index_value(X, star_graph(8)) == pytest.approx(8 / 3, rel=1e-15)
+        assert all_indices(cycle_graph(n))[AZI] == pytest.approx(8 * n, rel=1e-14)
+        assert all_indices(cycle_graph(n))[GA] == pytest.approx(n, rel=1e-14)
+    assert all_indices(path_graph(3))[M2] == pytest.approx(1.0, abs=0)
+    assert all_indices(path_graph(3))[ABC] == pytest.approx(math.sqrt(2), rel=1e-15)
+    assert all_indices(star_graph(8))[AZI] == pytest.approx(4096 / 343, rel=1e-14)
+    assert all_indices(star_graph(8))[X] == pytest.approx(8 / 3, rel=1e-15)
     # the excluded double star has ABC above GA
-    assert index_value(ABC, double_star()) == pytest.approx(
+    assert all_indices(double_star())[ABC] == pytest.approx(
         3 * math.sqrt(3) + math.sqrt(6) / 4, rel=1e-14)
-    assert index_value(GA, double_star()) == pytest.approx(5.8, rel=1e-14)
+    assert all_indices(double_star())[GA] == pytest.approx(5.8, rel=1e-14)
 
 
 def test_all_indices_k3():
@@ -166,13 +163,13 @@ def test_linearity_against_direct_edge_sum():
             if idx is AZI and all_indices(g)[AZI] is None:
                 continue
             direct = sum(edge_term(idx, (degs[u], degs[v])) for u, v in g.edges)
-            assert index_value(idx, g) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+            assert all_indices(g)[idx] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 def test_cached_terms_sum_in_sorted_pair_order():
     """all_indices reads each degree pair's terms from a cache; every value
-    must equal, exactly, index_value and a left-to-right sum of
-    count * edge_term in sorted-pair order."""
+    must equal, exactly, a left-to-right sum of count * edge_term in
+    sorted-pair order."""
     rng = random.Random(11)
     graphs = [g for n in range(2, 8) for g in connected_graphs(n)]
     assert len(graphs) == 995
@@ -183,39 +180,11 @@ def test_cached_terms_sum_in_sorted_pair_order():
         for idx in ALL_INDICES:
             if idx is AZI and (1, 1) in part:
                 assert vals[idx] is None
-                with pytest.raises(UndefinedIndexError):
-                    index_value(idx, g)
                 continue
             total = 0.0
             for pair in sorted(part):
                 total += part[pair] * edge_term(idx, pair)
-            assert vals[idx] == index_value(idx, g) == total, (idx, part)
-
-
-def _bits(values):
-    return {idx: None if v is None else v.hex() for idx, v in values.items()}
-
-
-def test_all_indices_sorts_a_callers_partition(populations):
-    """A caller's partition dict is read in sorted pair order, whatever its
-    insertion order: one inserted in reverse pair order gives the values of
-    ``all_indices(g)`` bit for bit, on graphs where summing in that reverse
-    order would round differently."""
-    rng = random.Random(13)
-    graphs = [g for classes in populations.values() for g in classes]
-    graphs += [random_graph(rng, rng.randrange(1, 13)) for _ in range(200)]
-    reordered = 0
-    for g in graphs:
-        part = edge_degree_partition(g)
-        backwards = dict(reversed(part.items()))
-        assert list(backwards) == sorted(part, reverse=True)
-        vals = all_indices(g)
-        assert _bits(all_indices(g, backwards)) == _bits(vals)
-        total = 0.0
-        for pair in backwards:
-            total += backwards[pair] * edge_term(R, pair)
-        reordered += total != vals[R]
-    assert reordered > 0
+            assert vals[idx] == total, (idx, part)
 
 
 def test_isomorphism_invariance_bit_identical():
@@ -233,8 +202,7 @@ def test_regular_closed_forms():
                  (complete_graph(5), 4), (complete_graph(7), 6),
                  (complete_bipartite(3, 3), 3)]:
         vals = all_indices(g)
-        for idx in ALL_INDICES:
-            want = regular_index_value(idx, d, g.m)
+        for idx, want in zip(ALL_INDICES, regular_values(d, g.m)):
             if want is None:
                 assert vals[idx] is None
             else:
@@ -244,22 +212,90 @@ def test_regular_closed_forms():
 def test_family_closed_forms():
     for n in (2, 3, 4, 9, 30):
         vals = all_indices(path_graph(n))
-        for idx in ALL_INDICES:
-            want = path_index_value(idx, n)
+        for idx, want in zip(ALL_INDICES, path_values(n)):
             if want is None:
                 assert vals[idx] is None
             else:
                 assert vals[idx] == pytest.approx(want, rel=1e-12)
     for k in (1, 2, 8, 25):
         vals = all_indices(star_graph(k))
-        for idx in ALL_INDICES:
-            want = star_index_value(idx, k)
+        for idx, want in zip(ALL_INDICES, star_values(k)):
             if want is None:
                 assert vals[idx] is None
             else:
                 assert vals[idx] == pytest.approx(want, rel=1e-12)
-    assert cycle_index_value(AZI, 10) == pytest.approx(80.0)
-    assert complete_index_value(GA, 6) == pytest.approx(15.0)
+
+
+# The closed forms as one expression per index, written out apart from
+# degbound.formulas; None where AZI is undefined.
+def _regular_reference(d, m):
+    return {
+        R: m / d,
+        H: m / d,
+        X: m / math.sqrt(2 * d),
+        ABC: m * math.sqrt(2 * d - 2) / d,
+        GA: float(m),
+        AZI: None if d == 1 else m * d**6 / (8 * (d - 1) ** 3),
+        M2: m / d**2,
+    }
+
+
+def _star_reference(k):
+    return {
+        R: math.sqrt(k),
+        H: 2 * k / (k + 1),
+        X: k / math.sqrt(k + 1),
+        ABC: math.sqrt(k * (k - 1)),
+        GA: 2 * k**1.5 / (k + 1),
+        AZI: None if k == 1 else k**4 / (k - 1) ** 3,
+        M2: 1.0,
+    }
+
+
+def _path_reference(n):
+    if n == 2:
+        return {R: 1.0, H: 1.0, ABC: 0.0, X: 1 / math.sqrt(2), GA: 1.0,
+                AZI: None, M2: 1.0}
+    inner = n - 3
+    return {
+        R: 2 / math.sqrt(2) + inner / 2,
+        H: 2 * (2 / 3) + inner / 2,
+        ABC: (n - 1) / math.sqrt(2),
+        X: 2 / math.sqrt(3) + inner / 2,
+        GA: 2 * (2 * math.sqrt(2) / 3) + inner,
+        AZI: 8.0 * (n - 1),
+        M2: 1.0 + inner / 4,
+    }
+
+
+def _hex(values):
+    return [None if v is None else float.hex(v) for v in values]
+
+
+def test_closed_forms_are_the_per_index_expressions_bit_for_bit():
+    cases = [(path_values(n), _path_reference(n)) for n in range(2, 401)]
+    cases += [(cycle_values(n), _regular_reference(2, n)) for n in range(3, 401)]
+    cases += [(complete_values(n), _regular_reference(n - 1, n * (n - 1) // 2))
+              for n in range(2, 401)]
+    cases += [(star_values(k), _star_reference(k)) for k in range(1, 400)]
+    cases += [(regular_values(d, m), _regular_reference(d, m))
+              for d in range(1, 200) for m in (1, 5, 7 * d)]
+    for got, ref in cases:
+        assert _hex(got) == _hex(ref[idx] for idx in ALL_INDICES), ref
+
+
+def test_closed_form_errors_keep_their_type_and_message():
+    cases = [
+        (regular_values, (0, 3), "regular degree must be >= 1, got 0"),
+        (cycle_values, (2,), "cycle needs n >= 3, got 2"),
+        (complete_values, (1,), "closed forms for complete graphs need n >= 2, got 1"),
+        (star_values, (0,), "star needs k >= 1 leaves, got 0"),
+        (path_values, (1,), "closed forms for paths need n >= 2, got 1"),
+    ]
+    for fn, args, message in cases:
+        with pytest.raises(ValueError) as err:
+            fn(*args)
+        assert type(err.value) is ValueError and str(err.value) == message, fn
 
 
 @given(st.integers(1, 61), st.integers(1, 61))

@@ -1,7 +1,8 @@
 """tools/same_output.py: byte-identity of CLI output between two checkouts
 and against pinned digests;
 tools/make_expected.py: the packaged pins and the verdicts it names as changed;
-the package names the traced benchmark wraps; and no unused package import."""
+the package names the traced benchmark wraps; no unused package import; and
+the closed forms' independence from the package."""
 
 import importlib
 import importlib.util
@@ -157,3 +158,20 @@ def test_package_imports_are_used():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+def test_formulas_imports_only_the_standard_library():
+    """The closed forms cross-check the per-edge sums, so ``formulas`` may
+    import ``__future__`` and the standard library, never the package."""
+    import ast
+
+    tree = ast.parse((ROOT / "src" / "degbound" / "formulas.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported
+    assert [name for name in imported
+            if name.split(".")[0] not in sys.stdlib_module_names] == [], imported
