@@ -169,19 +169,14 @@ class BoundSpec:
         return (self.n_min, self.delta_min, self.degree_cap,
                 tuple(f.contains for f in self.exclusions))
 
+    def admits(self, connected: bool, n: int, delta: int, Delta: int) -> bool:
+        """Every hypothesis but the exclusions: these four values decide them."""
+        return (connected and n >= self.n_min and delta >= self.delta_min
+                and (self.degree_cap is None or self.degree_cap(delta, Delta)))
+
     def preconditions_met(self, ctx: "GraphContext") -> bool:
-        if not ctx.connected:
-            return False
-        if ctx.n < self.n_min:
-            return False
-        if ctx.delta < self.delta_min:
-            return False
-        if self.degree_cap is not None and not self.degree_cap(ctx.delta, ctx.Delta):
-            return False
-        for f in self.exclusions:
-            if f.contains(ctx.graph):
-                return False
-        return True
+        return (self.admits(ctx.connected, ctx.n, ctx.delta, ctx.Delta)
+                and not any(f.contains(ctx.graph) for f in self.exclusions))
 
 
 class BoundCheck(NamedTuple):
@@ -245,7 +240,9 @@ class _Columns:
     """The keys of one audit as columns, built once from its key groups: each
     key's graphs and their number (the key's weight), the eight side values
     in ``GraphContext.values`` order (with the keys where each is None, and
-    its screen), n, delta and the key indices, all in ``columns``.  It also
+    its screen), n, delta and the key indices, all in ``columns``, and each
+    key's position in ``shapes``, the distinct (connected, n, delta, Delta)
+    of the keys, in ``shape_of``.  It also
     holds what the bounds of the audit share: one ``_Live`` per hypothesis
     set and undefined set, the member keys per family test, and the graph6
     strings of each key a report names.
@@ -265,6 +262,11 @@ class _Columns:
         # The live key lists share the ints of the "keys" column.
         self.columns = dict(enumerate(self.sides), n=[ctx.n for ctx in self.ctxs],
                             delta=[ctx.delta for ctx in self.ctxs], keys=list(range(len(groups))))
+        shapes: dict[tuple, int] = {}
+        self.shape_of = [
+            shapes.setdefault((ctx.connected, ctx.n, ctx.delta, ctx.Delta), len(shapes))
+            for ctx in self.ctxs]
+        self.shapes = list(shapes)
         self.live: dict = {}
         self.members: dict = {}
         self._g6s: dict[int, list[str]] = {}
@@ -308,8 +310,9 @@ class _Checked(NamedTuple):
 def _live(b: BoundSpec, cols: _Columns, undefined: tuple[int, ...] = ()) -> _Live:
     """The keys that meet ``b``'s hypotheses and define the sides at the
     positions ``undefined``, shared by the bounds with the same hypotheses
-    and undefined sides: ``b.preconditions_met`` is tested once per
-    hypothesis set and key."""
+    and undefined sides.  Per hypothesis set, ``b.admits`` is tested once
+    per distinct (connected, n, delta, Delta) of the keys, and the
+    exclusions only on the keys it admits."""
     live = cols.live.get((b.hypotheses, undefined))
     if live is None:
         if undefined:
@@ -317,7 +320,12 @@ def _live(b: BoundSpec, cols: _Columns, undefined: tuple[int, ...] = ()) -> _Liv
             out = set().union(*(cols.undefined[at] for at in undefined))
             mask = [m and i not in out for i, m in enumerate(met)]
         else:
-            met = mask = [b.preconditions_met(ctx) for ctx in cols.ctxs]
+            admitted = [b.admits(*shape) for shape in cols.shapes]
+            met = list(map(admitted.__getitem__, cols.shape_of))
+            if b.exclusions:
+                met = [m and not any(f.contains(ctx.graph) for f in b.exclusions)
+                       for m, ctx in zip(met, cols.ctxs)]
+            mask = met
         live = cols.live[b.hypotheses, undefined] = _Live(cols, met, mask)
     return live
 

@@ -768,12 +768,27 @@ def test_audit_of_each_bound_alone_matches_the_full_audit(seed):
         assert alone[b.bound_id].to_dict() == reports[b.bound_id].to_dict(), b.bound_id
 
 
+def test_audit_hypotheses_match_preconditions_met(population_2_7):
+    """The audit's met keys, decided once per (connected, n, delta, Delta)
+    and then by exclusion, are the keys ``preconditions_met`` accepts, for
+    every bound: over every connected graph of order 2..7 (K_{1,4} among
+    them), T*, and disconnected graphs, one of them 3-regular."""
+    two_k4 = Graph(8, [(u + s, v + s) for s in (0, 4) for u in range(4) for v in range(u + 1, 4)])
+    graphs = [*population_2_7, double_star(), Graph(3, [(0, 1)]), two_k4]
+    cols = bounds_module._Columns(bounds_module._key_groups(graphs))
+    for b in builtin_catalog():
+        met = [b.preconditions_met(ctx) for ctx in cols.ctxs]
+        assert bounds_module._live(b, cols).met == met, b.bound_id
+    assert sum(not ctx.connected for ctx in cols.ctxs) == 2
+
+
 def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
     """Ten relabelings each of the prism and of K_{3,3} make two keys (they
     share a partition but not chi), so each of the 55 catalog bounds, EXT-4
     and C6 too, is evaluated exactly once over those two keys, and C4's four
-    links once more for C4; each distinct hypothesis set is tested exactly
-    once on each key."""
+    links once more for C4.  The two keys share (connected, n, delta,
+    Delta), so each distinct hypothesis set is tested exactly once, and
+    ``preconditions_met`` not at all."""
     prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                       (0, 3), (1, 4), (2, 5)])
     rng = random.Random(10)
@@ -795,14 +810,18 @@ def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
                 tuple(f.contains for f in b.exclusions))
 
     tested = []
-    preconditions_met = BoundSpec.preconditions_met
+    admits = BoundSpec.admits
 
-    def counted_hypotheses(b, ctx):
-        tested.append((hypothesis_set(b), ctx.chi))
-        return preconditions_met(b, ctx)
+    def counted_hypotheses(b, *shape):
+        tested.append((hypothesis_set(b), shape))
+        return admits(b, *shape)
+
+    def uncalled(b, ctx):
+        raise AssertionError("the audit decides the hypotheses per shape, not per key")
 
     monkeypatch.setattr(bounds_module, "_evaluate", counted)
-    monkeypatch.setattr(BoundSpec, "preconditions_met", counted_hypotheses)
+    monkeypatch.setattr(BoundSpec, "admits", counted_hypotheses)
+    monkeypatch.setattr(BoundSpec, "preconditions_met", uncalled)
     reports = audit_all(builtin_catalog(), graphs)
     links = catalog_by_id()["C4"].chain
     assert links == ("EXT-2a", "EXT-2b", "EXT-2c", "T4U")
@@ -811,7 +830,7 @@ def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
     hypothesis_sets = {hypothesis_set(b) for b in builtin_catalog()}
     assert len(hypothesis_sets) == 7
     assert len(tested) == len(set(tested))
-    assert set(tested) == {(h, chi) for h in hypothesis_sets for chi in (2, 3)}
+    assert set(tested) == {(h, (True, 6, 3, 3)) for h in hypothesis_sets}
     assert reports["EXT-4"].counts["checked"] == reports["C6"].counts["checked"] == 20
     assert reports["C4"].counts["checked"] == 20
 

@@ -145,11 +145,21 @@ def test_compute_file_error_names_the_line(capsys, tmp_path):
      "error: edge list, line 5: expected 'u v', got '0 1 2'\n"),
     ("pop.g6", "# a population\n\nBw  # K_3\nBAD~LINE  # bad\n",
      "error: {path}, line 4: graph6: expected 2 characters for n=3, got 8\n"),
-], ids=["edge-list", "graph6"])
+    ("pop.g6", "Bw\x0c  # K_3, then a form feed\nBw\x0cBg\n",
+     "error: {path}, line 2: graph6: invalid character '\\x0c' at position 2\n"),
+    ("pop.g6", "Bw\u2028Bg\n",
+     "error: {path}, line 1: graph6: invalid character '\\u2028' at position 2\n"),
+    ("path.edges", "3\n0 1\x0b1 2\n",
+     "error: edge list, line 2: expected 'u v', got '0 1\\x0b1 2'\n"),
+], ids=["edge-list", "graph6", "graph6-form-feed", "graph6-line-separator",
+        "edge-list-vertical-tab"])
 def test_compute_file_error_names_the_true_line(capsys, tmp_path, name, text, err):
-    """Comment and blank lines count toward the reported line number."""
+    """Comment and blank lines count toward the reported line number, and a
+    line ends only at a newline: a form feed, line separator or vertical tab
+    inside it is a malformed character of that line, and a trailing one is
+    stripped as a blank."""
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert run(capsys, "compute", "--file", str(path)) == (EXIT_IO, "", err.format(path=path))
 
 

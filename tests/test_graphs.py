@@ -1,5 +1,6 @@
 import importlib.util
 import random
+from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from degbound.bounds import GraphContext
 from degbound.enumeration import connected_graphs
 from degbound.graphs import (
     CHROMATIC_CAP,
+    G6_MAX,
     Graph,
     GraphError,
     SizeLimitError,
@@ -423,23 +425,30 @@ def test_graph6_matches_networkx():
         assert set(map(tuple, map(sorted, back.edges()))) == set(g.edges)
 
 
+# Each malformed string and the exact message it fails with.
+G6_MALFORMED = [
+    ("", "empty graph6 string"),
+    ("  \n", "empty graph6 string"),
+    ("B", "graph6: expected 2 characters for n=3, got 1"),  # truncated body
+    ("Bww", "graph6: expected 2 characters for n=3, got 3"),  # overlong body
+    ("B" + chr(20), "graph6: invalid character '\\x14' at position 1"),  # below 63
+    ("Bw\x7f", "graph6: invalid character '\\x7f' at position 2"),  # above 126
+    ("Bé", "graph6: invalid character 'é' at position 1"),  # not ASCII
+    ("B\ud800", "graph6: invalid character '\\ud800' at position 1"),  # lone surrogate
+    ("~~~", "graph6 long form (n > 62) is not supported"),
+    ("~", "graph6 long form (n > 62) is not supported"),
+    ("?", "graph6: vertex count 0 out of range"),
+]
+
+
 def test_graph6_malformed():
-    with pytest.raises(GraphError):
-        parse_graph6("")
-    with pytest.raises(GraphError):
-        parse_graph6("B")  # truncated body
-    with pytest.raises(GraphError):
-        parse_graph6("Bww")  # overlong body
-    with pytest.raises(GraphError, match=r"invalid character '\\x14' at position 1"):
-        parse_graph6("B" + chr(20))  # character below 63
-    with pytest.raises(GraphError, match=r"invalid character '\\x7f' at position 2"):
-        parse_graph6("Bw\x7f")  # character above 126
-    with pytest.raises(GraphError, match="invalid character 'é' at position 1"):
-        parse_graph6("Bé")  # not ASCII
-    with pytest.raises(GraphError):
-        parse_graph6("~~~")  # long form unsupported
-    with pytest.raises(GraphError):
+    for s, message in G6_MALFORMED:
+        with pytest.raises(GraphError) as exc:
+            parse_graph6(s)
+        assert str(exc.value) == message, s
+    with pytest.raises(GraphError) as exc:
         to_graph6(Graph(63))
+    assert str(exc.value) == "graph6 short form encodes n <= 62, got 63"
 
 
 def test_graph6_padding_bits():
@@ -482,6 +491,9 @@ def test_parse_edge_list_errors():
 def test_content_lines_keep_true_line_numbers():
     assert content_lines(COMMENTED_EDGE_LIST) == [(3, "3"), (4, "0 1"), (5, "0 1 2")]
     assert content_lines("# only a comment\n\n   \n") == []
+    # Lines end at \n, \r\n and \r alone; other breaks stay in the line.
+    assert content_lines("a\r\nb\rc\x0cd\x0be\x1cf\x85g\u2028h\u2029i\nj\x0c") == [
+        (1, "a"), (2, "b"), (3, "c\x0cd\x0be\x1cf\x85g\u2028h\u2029i"), (4, "j")]
 
 
 def test_complete_graph_edge_count():
@@ -533,12 +545,13 @@ def _reference_graph6_edges(s: str) -> tuple[int, list[tuple[int, int]]]:
 
 def _graph6_samples(populations):
     """Every connected class of order 2..7, then seeded random graphs of
-    order 1..20 with densities from 0 (edgeless) to 1 (complete)."""
+    every order 1..62 at densities from 0 (edgeless) to 1 (complete), so
+    every body position of the short form is decoded."""
     samples = [to_graph6(g) for graphs in populations.values() for g in graphs]
     rng = random.Random(29)
-    for _ in range(300):
-        samples.append(to_graph6(random_graph(rng, rng.randrange(1, 21),
-                                              rng.choice([0.0, 0.1, 0.5, 0.9, 1.0]))))
+    for n in range(1, G6_MAX + 1):
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            samples.append(to_graph6(random_graph(rng, n, p)))
     return samples
 
 
@@ -549,6 +562,67 @@ def test_parse_graph6_matches_edge_list_constructor(populations):
     assert sum(g.m == 0 for g in graphs) >= 20
     for s, g in zip(samples, graphs):
         _same_graph(g, *_reference_graph6_edges(s))
+
+
+def _reference_graph6(s: str) -> Graph | str:
+    """What decoding ``s`` gives: the bit-by-bit reference's graph, or the
+    message of the first check it fails, in this order: empty, a character
+    outside 63..126, the long form, an order below 1, the length, then a
+    nonzero padding bit."""
+    s = s.strip()
+    if not s:
+        return "empty graph6 string"
+    for i, ch in enumerate(s):
+        if not 63 <= ord(ch) <= 126:
+            return f"graph6: invalid character {ch!r} at position {i}"
+    if s[0] == "~":
+        return "graph6 long form (n > 62) is not supported"
+    n = ord(s[0]) - 63
+    if n < 1:
+        return f"graph6: vertex count {n} out of range"
+    nbits = n * (n - 1) // 2
+    expected = 1 + (nbits + 5) // 6
+    if len(s) != expected:
+        return f"graph6: expected {expected} characters for n={n}, got {len(s)}"
+    if any((ord(s[-1]) - 63) >> k & 1 for k in range(6 * (expected - 1) - nbits)):
+        return "graph6: nonzero padding bits"
+    return Graph(*_reference_graph6_edges(s))
+
+
+# Outside the graph6 alphabet: DEL, controls (tab, form feed and the other
+# line breaks of str.splitlines among them), a space, non-ASCII and a lone
+# surrogate, as a command-line argument can hold.
+G6_FUZZ_EXTRA = "\x7f\x00\t\n\x0b\x0c\r\x1c\x1e \x85é\u2028\U0001f600\ud800"
+
+
+def test_parse_graph6_matches_reference_on_random_strings():
+    """Seeded random strings of length 0..12: each decodes to the
+    reference's graph or fails with exactly the reference's message.  Half
+    have the length a random order 0..12 asks for, and half start with
+    that order's character, so many decode."""
+    rng = random.Random(36)
+    alphabet = "".join(map(chr, range(63, 127)))
+    outcomes = Counter()
+    for _ in range(50_000):
+        n = rng.randrange(0, 13)
+        length = 1 + (n * (n - 1) // 2 + 5) // 6 if rng.random() < 0.5 else rng.randrange(13)
+        chars = [rng.choice(G6_FUZZ_EXTRA) if rng.random() < 0.03 else rng.choice(alphabet)
+                 for _ in range(length)]
+        if chars and rng.random() < 0.5:
+            chars[0] = chr(63 + n)
+        s = "".join(chars)
+        want = _reference_graph6(s)
+        try:
+            got = parse_graph6(s)
+        except GraphError as exc:
+            assert str(exc) == want, s
+            outcomes[want.split(" ", 2)[1]] += 1
+        else:
+            assert isinstance(want, Graph), (s, want)
+            assert (got.n, got.adj, got.degrees) == (want.n, want.adj, want.degrees), s
+            outcomes["decoded"] += 1
+    # Every outcome occurs: a graph, and each of the six messages.
+    assert min(outcomes.values()) >= 100 and len(outcomes) == 7, outcomes
 
 
 def _reference_partition(n: int, edges) -> dict[tuple[int, int], int]:

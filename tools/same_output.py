@@ -41,7 +41,8 @@ covers a chain without its links, a chi bound and a violated bound.
 ``families``, ``proofs`` and ``compute``
 each render in two formats or more, so each of the table, csv and json
 renderers sees the rows of several commands; ``proofs --n 7`` also reaches
-the ``out_of_range`` verdict.
+the ``out_of_range`` verdict.  ``compute --g6`` of a seeded order-62 graph
+decodes the longest graph6 body the short form has.
 Every ``DEGBOUND_*`` variable is removed from the environment.
 
 Every command runs, whatever came before it: each prints one ``same`` line,
@@ -58,6 +59,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import tempfile
@@ -135,6 +137,10 @@ def commands(populations: Path) -> list[list[str]]:
              ["audit", "--enumerate", "9", "--allow-n8"],
              ["audit", "--file", str(mixed), "--format", "json"],
              ["audit", "--file", str(mixed), "--min-degree", "5", "--format", "json"]]
+    # A seeded random graph of order 62 reads every position of a graph6 body.
+    rng = random.Random(62)
+    order_62 = graph6(62, [(u, v) for v in range(62) for u in range(v) if rng.random() < 0.5])
+    cmds.append(["compute", "--g6", order_62, "--format", "json"])
     return cmds
 
 
