@@ -7,8 +7,8 @@ between the chromatic number and an index): the bounded side, the comparison
 side, a closed-form coefficient (a constant, or a plain function of the graph
 order n or of the minimum degree delta), the hypotheses with any excluded
 graphs, and the family of graphs claimed to attain equality.  A family and an
-excluded graph are the same kind of value: a label and a structural
-membership test.
+excluded graph are the same kind of value: a label and a membership test on
+the audit key's record, ``GraphContext``.
 The auditor evaluates entries verbatim and reports where the claims hold,
 where they are attained, and where they fail; it never repairs a coefficient.
 """
@@ -29,18 +29,14 @@ from .graphs import (
     SizeLimitError,
     chromatic_number,
     degree_pair_counts,
-    is_complete,
     is_connected,
-    is_cycle,
-    is_double_star_t,
-    is_path,
-    is_regular,
-    is_star,
     max_degree,
     min_degree,
     to_graph6,
 )
-from .indices import ALL_INDICES, IndexId, all_indices, index_sums
+from .indices import ALL_INDICES, IndexId, index_sums
+# Not read here: perfbench/tracing.py wraps this name to time the indices.
+from .indices import all_indices  # noqa: F401
 
 DEFAULT_TOL = 1e-9
 
@@ -88,38 +84,37 @@ class Coeff:
 
 
 # ---------------------------------------------------------------------------
-# Equality families and excluded graphs (structural membership, never numeric)
+# Equality families and excluded graphs (decided on the audit key, never numeric)
 
 
 @dataclass(frozen=True)
 class EqualityFamily:
     """A claimed extremal family, or a graph a bound excludes: its report
-    label and its membership test.  Families compare by label.  An audit
-    tests ``contains`` on one graph per (n, connectivity, edge-degree
-    partition, chi) key, so it must be a function of that key, as every
-    built-in test is; "has a triangle" is not."""
+    label and its membership test on a graph's ``GraphContext``.  Families
+    compare by label."""
 
     label: str
-    contains: Callable[[Graph], bool] = field(compare=False)
+    contains: Callable[["GraphContext"], bool] = field(compare=False)
 
 
-P2_FAMILY = EqualityFamily("P2", lambda g: g.n == 2 and g.m == 1)
-P3_FAMILY = EqualityFamily("P3", lambda g: g.n == 3 and is_path(g))
-COMPLETE_FAMILY = EqualityFamily("K_n", is_complete)
-CYCLE_FAMILY = EqualityFamily("C_n", is_cycle)
-C3_FAMILY = EqualityFamily("C_3", lambda g: g.n == 3 and is_cycle(g))
-SPANNING_STAR_FAMILY = EqualityFamily("S_{1,n-1}", lambda g: g.n >= 2 and is_star(g))
-REGULAR_FAMILY = EqualityFamily("delta-regular", is_regular)
+P2_FAMILY = EqualityFamily("P2", lambda c: c.n == 2 and c.counts == (1, 1, 1))
+P3_FAMILY = EqualityFamily("P3", lambda c: c.n == 3 and c.counts == (1, 2, 2))
+COMPLETE_FAMILY = EqualityFamily("K_n", lambda c: c.delta == c.n - 1)
+CYCLE_FAMILY = EqualityFamily("C_n", lambda c: c.delta == c.Delta == 2 and c.connected)
+C3_FAMILY = EqualityFamily("C_3", lambda c: c.n == 3 and c.delta == 2)
+SPANNING_STAR_FAMILY = EqualityFamily("S_{1,n-1}", lambda c: c.counts == (1, c.n - 1, c.n - 1))
+REGULAR_FAMILY = EqualityFamily("delta-regular", lambda c: c.delta == c.Delta)
 
 
 def star_family(k: int) -> EqualityFamily:
     """The star with ``k`` leaves."""
-    return EqualityFamily(f"S_{{1,{k}}}", lambda g: g.n == k + 1 and is_star(g))
+    return EqualityFamily(f"S_{{1,{k}}}", lambda c: c.n == k + 1 and c.counts == (1, k, k))
 
 
-# The exceptional graphs of the Das-Trinajstic comparison.
+# The exceptional graphs of the Das-Trinajstic comparison; T* is the tree
+# of two adjacent centers with three leaves each.
 K14 = EqualityFamily("K_{1,4}", star_family(4).contains)
-T_STAR = EqualityFamily("T*", is_double_star_t)
+T_STAR = EqualityFamily("T*", lambda c: c.n == 8 and c.counts == (1, 4, 6, 4, 4, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +127,10 @@ class BoundSpec:
     ``coeff*rhs <= lhs`` (direction "lower"), under the stated hypotheses.
 
     ``degree_cap``, when set, is an integer test on (delta, Delta) that the
-    graph must pass.  ``exclusions`` are tested like families, once per audit
-    key, so each must be a function of the key.  ``chain`` entries compose
-    other catalog entries instead of carrying a coefficient of their own.
+    graph must pass.  ``exclusions`` are tested like families.  ``chain``
+    entries compose other catalog entries instead of carrying sides and a
+    coefficient of their own; every other entry needs all three, and only
+    ``lhs`` may be ``CHI``.
     """
 
     bound_id: str
@@ -155,6 +151,14 @@ class BoundSpec:
     def __post_init__(self):
         if self.direction not in ("lower", "upper"):
             raise ValueError(f"direction must be 'lower' or 'upper', got {self.direction!r}")
+        for name, ok, want in (("lhs", self.lhs in _SIDES, "an index or CHI"),
+                               ("rhs", isinstance(self.rhs, IndexId), "an index"),
+                               ("coeff", isinstance(self.coeff, Coeff), "a Coeff")):
+            value = getattr(self, name)
+            if self.chain and value is not None:
+                raise ValueError(f"a chain takes no {name}, got {value!r}")
+            if not self.chain and not ok:
+                raise ValueError(f"{name} must be {want}, got {value!r}")
 
     @functools.cached_property
     def sides(self) -> tuple[int, int]:
@@ -176,7 +180,7 @@ class BoundSpec:
 
     def preconditions_met(self, ctx: "GraphContext") -> bool:
         return (self.admits(ctx.connected, ctx.n, ctx.delta, ctx.Delta)
-                and not any(f.contains(ctx.graph) for f in self.exclusions))
+                and not any(f.contains(ctx) for f in self.exclusions))
 
 
 class BoundCheck(NamedTuple):
@@ -207,33 +211,28 @@ _SIDES = (*ALL_INDICES, CHI)
 
 
 class GraphContext:
-    """Everything a bound reads on the graphs of one audit key, computed once
-    per key, and the per-graph record ``compute`` prints.  ``values`` holds
-    the seven indices in ALL_INDICES order, then chi as a float, so a bound
-    reads each side by position; a side that is None is domain-skipped.
-    ``graph6`` is encoded on each read, None above the short form's G6_MAX.
-    ``connected`` and ``chi`` are computed unless passed in.  The audit
-    passes the key's flat pair counts ``counts`` (``degree_pair_counts``),
-    whose ``index_sums`` are the indices; without them the indices are
-    ``all_indices(g)``.
+    """The audit key's record: everything a bound, a family or an exclusion
+    reads on the graphs of one (n, connectivity, flat pair counts, chi) key,
+    computed once per key, and the per-graph record ``compute`` prints.  It
+    holds no graph, so whatever reads it is a function of the key.
+    ``counts`` are the flat pair counts (``degree_pair_counts``) and
+    ``values`` their seven ``index_sums`` in ALL_INDICES order, then chi as
+    a float, so a bound reads each side by position; a side that is None is
+    domain-skipped.  ``connected``, ``chi`` and ``counts`` are computed
+    unless passed in.
     """
 
-    __slots__ = ("graph", "n", "delta", "Delta", "connected", "chi", "values")
+    __slots__ = ("n", "delta", "Delta", "connected", "chi", "counts", "values")
 
     def __init__(self, g: Graph, chi=_UNSET, connected: bool | None = None,
                  counts: tuple[int, ...] | None = None):
-        self.graph = g
         self.n = g.n
         self.delta = min_degree(g)
         self.Delta = max_degree(g)
         self.connected = is_connected(g) if connected is None else connected
         self.chi = _chi(g) if chi is _UNSET else chi
-        sums = all_indices(g).values() if counts is None else index_sums(counts)
-        self.values = (*sums, None if self.chi is None else float(self.chi))
-
-    @property
-    def graph6(self) -> str | None:
-        return to_graph6(self.graph) if self.n <= G6_MAX else None
+        self.counts = degree_pair_counts(g) if counts is None else counts
+        self.values = (*index_sums(self.counts), None if self.chi is None else float(self.chi))
 
 
 class _Columns:
@@ -323,7 +322,7 @@ def _live(b: BoundSpec, cols: _Columns, undefined: tuple[int, ...] = ()) -> _Liv
             admitted = [b.admits(*shape) for shape in cols.shapes]
             met = list(map(admitted.__getitem__, cols.shape_of))
             if b.exclusions:
-                met = [m and not any(f.contains(ctx.graph) for f in b.exclusions)
+                met = [m and not any(f.contains(ctx) for f in b.exclusions)
                        for m, ctx in zip(met, cols.ctxs)]
             mask = met
         live = cols.live[b.hypotheses, undefined] = _Live(cols, met, mask)
@@ -395,7 +394,7 @@ def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
     ctx = GraphContext(g)
     cols = _Columns([(ctx, [g])])
     checked = _evaluate(b, cols)
-    label = ctx.graph6
+    label = to_graph6(g) if g.n <= G6_MAX else None
     if not checked.live.keys:
         verdict = DOMAIN_SKIPPED if checked.live.met[0] else PRECONDITION_SKIPPED
         return BoundCheck(b.bound_id, label, None, None, None, verdict)
@@ -442,16 +441,13 @@ class SharpnessReport:
 def _key_groups(graphs) -> list[tuple[GraphContext, list[Graph]]]:
     """The population grouped by (n, connectivity, flat pair counts, chi).
 
-    That key fixes the indices, delta, Delta and chi, and every built-in
-    family and exclusion test, so the audit reads all of them on one graph
-    per key.  A custom test must be a function of the key too: at n = 7, 9
-    of the 670 keys hold a graph with a triangle and one without (F?C~? and
-    F?Dl_).  The edge-degree partition is keyed as ``degree_pair_counts``
-    returns it, counted once per graph.  Each group holds one context, built
-    on its first graph from those same counts, and all its member graphs
-    (K_{3,3} and the prism share a partition but not chi).  Reports name
-    graphs by graph6 string, so a key above G6_MAX is refused here, before
-    any bound runs, whether or not a report would name it.
+    That key fixes the indices, delta, Delta and chi.  The edge-degree
+    partition is keyed as ``degree_pair_counts`` returns it, counted once
+    per graph.  Each group holds one context, built on its first graph from
+    those same counts, and all its member graphs (K_{3,3} and the prism
+    share a partition but not chi).  Reports name graphs by graph6 string,
+    so a key above G6_MAX is refused here, before any bound runs, whether
+    or not a report would name it.
     """
     groups: dict[tuple, tuple[GraphContext, list[Graph]]] = {}
     for g in graphs:
@@ -501,7 +497,7 @@ def _fold(b: BoundSpec, cols: _Columns, population: str) -> SharpnessReport:
         members = cols.members.get(family.contains)
         if members is None:
             members = cols.members[family.contains] = {
-                i for i, ctx in enumerate(cols.ctxs) if family.contains(ctx.graph)}
+                i for i, ctx in enumerate(cols.ctxs) if family.contains(ctx)}
         eq_not_family = [i for i in equal_keys if i not in members]
         family_not_eq = [i for i in members.difference(equal_keys) if live.mask[i]]
 

@@ -27,13 +27,14 @@ from .enumeration import (
 )
 from .formulas import FAMILY_FORMULAS
 from .graphs import (
+    G6_MAX,
     Graph,
     GraphError,
     content_lines,
-    is_regular,
     make_family,
     parse_edge_list,
     parse_graph6,
+    to_graph6,
 )
 from .indices import ALL_INDICES, all_indices
 from .ratios import proofs_report
@@ -128,9 +129,9 @@ def _compute_rows(graphs):
     rows = []
     for g in graphs:
         ctx = GraphContext(g)
-        rows.append({"graph6": ctx.graph6, "n": g.n, "m": g.m, "delta": ctx.delta,
-                     "Delta": ctx.Delta, "regular": is_regular(g), "chi": ctx.chi,
-                     **dict(zip(map(str, ALL_INDICES), ctx.values))})
+        rows.append({"graph6": to_graph6(g) if g.n <= G6_MAX else None, "n": g.n, "m": g.m,
+                     "delta": ctx.delta, "Delta": ctx.Delta, "regular": ctx.delta == ctx.Delta,
+                     "chi": ctx.chi, **dict(zip(map(str, ALL_INDICES), ctx.values))})
     return rows
 
 

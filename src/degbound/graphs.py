@@ -1,5 +1,8 @@
-"""Simple undirected graphs with bitset adjacency, plus the structural
-predicates and named families needed by the bound auditor.
+"""Simple undirected graphs with bitset adjacency: degree statistics, the
+named families, the exact chromatic number and the graph6 and edge-list
+text formats.  The only structural predicates are connectivity, regularity
+and molecularity; the bound auditor decides its equality families on the
+edge-degree partition and the degrees, not on a graph.
 
 Vertices are the integers ``0..n-1``.  A graph is a plain value: its order,
 one Python int adjacency bitmask per vertex and its degrees, with nothing
@@ -184,38 +187,6 @@ def is_connected(g: Graph) -> bool:
     """True when every vertex is reachable from vertex 0 (true for n = 1)."""
     everyone = (1 << g.n) - 1
     return reach(g.adj, everyone) == everyone
-
-
-# ---------------------------------------------------------------------------
-# Family recognizers (structural, never numeric)
-
-
-def is_complete(g: Graph) -> bool:
-    return g.m == g.n * (g.n - 1) // 2
-
-
-def is_cycle(g: Graph) -> bool:
-    return g.n >= 3 and is_regular(g, 2) and is_connected(g)
-
-
-def is_path(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    degs = sorted(g.degrees)
-    return degs.count(1) == 2 and all(d == 2 for d in degs[2:]) and is_connected(g)
-
-
-def is_star(g: Graph) -> bool:
-    """True for the star with n-1 leaves (includes K1 and K2).  Its n-1
-    edges all meet at a vertex of degree n-1, which makes it connected."""
-    return g.m == g.n - 1 and max(g.degrees) == g.n - 1
-
-
-def is_double_star_t(g: Graph) -> bool:
-    """True for the 8-vertex tree with two adjacent degree-4 centers."""
-    if g.n != 8 or g.m != 7 or not is_connected(g):
-        return False
-    return degree_pair_counts(g) == (1, 4, 6, 4, 4, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from degbound.bounds import (
     VACUOUS,
     VIOLATED,
     C3_FAMILY,
+    COMPLETE_FAMILY,
     CYCLE_FAMILY,
     K14,
     P2_FAMILY,
@@ -32,6 +33,7 @@ from degbound.bounds import (
     BoundSpec,
     Coeff,
     EqualityFamily,
+    GraphContext,
     audit,
     audit_all,
     builtin_catalog,
@@ -46,8 +48,6 @@ from degbound.graphs import (
     complete_graph,
     cycle_graph,
     double_star,
-    is_complete,
-    is_cycle,
     parse_graph6,
     path_graph,
     star_graph,
@@ -223,8 +223,6 @@ def test_domain_skip_azi_on_p2():
 
 
 def test_precondition_soundness_never_judges_skipped():
-    from degbound.bounds import GraphContext
-
     rng = random.Random(2)
     graphs = [random_connected_graph(rng, rng.randrange(2, 8)) for _ in range(60)]
     for b in builtin_catalog():
@@ -258,7 +256,7 @@ def test_check_equality_family_examples():
 
     def in_family(bid, g):
         b = by_id[bid]
-        return b.claimed_equality is not None and b.claimed_equality.contains(g)
+        return b.claimed_equality is not None and b.claimed_equality.contains(GraphContext(g))
 
     assert in_family("C1", cycle_graph(6))
     assert in_family("T1U", complete_graph(5))
@@ -269,19 +267,22 @@ def test_check_equality_family_examples():
 
 
 def test_family_membership_is_structural():
-    assert REGULAR_FAMILY.contains(complete_bipartite(3, 3))
-    assert not REGULAR_FAMILY.contains(star_graph(3))
-    assert C3_FAMILY.contains(cycle_graph(3))
-    assert not C3_FAMILY.contains(cycle_graph(4))
-    assert star_family(4).contains(star_graph(4))
-    assert not star_family(4).contains(star_graph(5))
-    assert SPANNING_STAR_FAMILY.contains(star_graph(6))
-    assert P2_FAMILY.contains(path_graph(2))
-    assert P3_FAMILY.contains(path_graph(3))
-    assert K14.contains(star_graph(4))
-    assert not K14.contains(star_graph(5))
-    assert T_STAR.contains(double_star())
-    assert not T_STAR.contains(star_graph(7))
+    def contains(family, g):
+        return family.contains(GraphContext(g))
+
+    assert contains(REGULAR_FAMILY, complete_bipartite(3, 3))
+    assert not contains(REGULAR_FAMILY, star_graph(3))
+    assert contains(C3_FAMILY, cycle_graph(3))
+    assert not contains(C3_FAMILY, cycle_graph(4))
+    assert contains(star_family(4), star_graph(4))
+    assert not contains(star_family(4), star_graph(5))
+    assert contains(SPANNING_STAR_FAMILY, star_graph(6))
+    assert contains(P2_FAMILY, path_graph(2))
+    assert contains(P3_FAMILY, path_graph(3))
+    assert contains(K14, star_graph(4))
+    assert not contains(K14, star_graph(5))
+    assert contains(T_STAR, double_star())
+    assert not contains(T_STAR, star_graph(7))
 
 
 # claimed equality family label -> catalog ids, as the reports print it
@@ -489,7 +490,7 @@ def test_ext2_chain_structure(populations):
             ha = evaluate_bound(by_id["EXT-2a"], g)
             assert (ha.verdict == EQUALITY) == is_regular(g)
             rx = evaluate_bound(by_id["EXT-2b"], g)
-            assert (rx.verdict == EQUALITY) == is_cycle(g)
+            assert (rx.verdict == EQUALITY) == (set(g.degrees) == {2})  # a cycle
             xa = evaluate_bound(by_id["EXT-2c"], g)
             assert xa.verdict == HOLDS and xa.margin > 1e-9
 
@@ -516,6 +517,32 @@ def test_bound_refuses_a_direction_other_than_lower_or_upper():
             dataclasses.replace(t2u, direction=bad)
         assert str(err.value) == f"direction must be 'lower' or 'upper', got {bad!r}"
     assert dataclasses.replace(t2u, direction="lower").direction == "lower"
+
+
+def test_bound_refuses_malformed_sides_and_coefficients():
+    # Each of these was built: the audit then failed on a missing
+    # coefficient (AttributeError) or side (ValueError), audited chi as a
+    # comparison side that concordance could not read (KeyError), or, for a
+    # chain, ignored the sides and coefficient it was given.
+    by_id = catalog_by_id()
+    t2u, c4 = by_id["T2U"], by_id["C4"]
+    cases = [
+        (t2u, {"coeff": None}, "coeff must be a Coeff, got None"),
+        (t2u, {"coeff": t2u.coeff.fn}, f"coeff must be a Coeff, got {t2u.coeff.fn!r}"),
+        (t2u, {"rhs": None}, "rhs must be an index, got None"),
+        (t2u, {"rhs": CHI}, "rhs must be an index, got 'CHI'"),
+        (t2u, {"lhs": None}, "lhs must be an index or CHI, got None"),
+        (t2u, {"lhs": "GA"}, "lhs must be an index or CHI, got 'GA'"),
+        (c4, {"lhs": IndexId.GA}, f"a chain takes no lhs, got {IndexId.GA!r}"),
+        (c4, {"rhs": IndexId.R}, f"a chain takes no rhs, got {IndexId.R!r}"),
+        (c4, {"coeff": t2u.coeff}, f"a chain takes no coeff, got {t2u.coeff!r}"),
+    ]
+    for base, change, message in cases:
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(base, **change)
+        assert str(err.value) == message, change
+    assert dataclasses.replace(t2u, lhs=CHI).sides == (7, 0)
+    assert dataclasses.replace(c4, chain=("EXT-2a",)).chain == ("EXT-2a",)
 
 
 def test_coeff_refuses_a_variable_other_than_n_or_delta():
@@ -562,13 +589,15 @@ def test_report_dict_equals_a_deep_copy(full_reports, monkeypatch, seed):
 def _reference_report(b, graphs, population):
     """The report ``audit_all`` must produce, folded graph by graph from
     ``evaluate_bound`` on a fresh context.  Family and exclusion membership
-    come from the predicates themselves, not from a context's memo."""
+    come from the predicates on a context of their own, not from the audit's
+    member sets."""
     counts = dict.fromkeys(("checked", "skipped", "holds", "equality", "violated"), 0)
     equality, violation, eq_not_family, family_not_eq, margins = [], [], [], [], []
     for g in graphs:
         chk = evaluate_bound(b, g)
-        in_family = b.claimed_equality is not None and b.claimed_equality.contains(g)
-        if any(f.contains(g) for f in b.exclusions):
+        ctx = GraphContext(g)
+        in_family = b.claimed_equality is not None and b.claimed_equality.contains(ctx)
+        if any(f.contains(ctx) for f in b.exclusions):
             assert chk.verdict == PRECONDITION_SKIPPED, (b.bound_id, chk.graph6)
         if chk.verdict in (PRECONDITION_SKIPPED, DOMAIN_SKIPPED):
             counts["skipped"] += 1
@@ -675,12 +704,12 @@ def _custom_bounds():
         # hypotheses or families by label instead of by test shows
         BoundSpec("test-not-cycle", "test", "H <= R off cycles",
                   lhs=IndexId.H, rhs=IndexId.R, coeff=by_id["EXT-2a"].coeff,
-                  direction="upper", exclusions=(EqualityFamily("X", is_cycle),),
-                  claimed_equality=EqualityFamily("X", is_complete)),
+                  direction="upper", exclusions=(EqualityFamily("X", CYCLE_FAMILY.contains),),
+                  claimed_equality=EqualityFamily("X", COMPLETE_FAMILY.contains)),
         BoundSpec("test-not-complete", "test", "H <= R off complete graphs",
                   lhs=IndexId.H, rhs=IndexId.R, coeff=by_id["EXT-2a"].coeff,
-                  direction="upper", exclusions=(EqualityFamily("X", is_complete),),
-                  claimed_equality=EqualityFamily("X", is_cycle)),
+                  direction="upper", exclusions=(EqualityFamily("X", COMPLETE_FAMILY.contains),),
+                  claimed_equality=EqualityFamily("X", CYCLE_FAMILY.contains)),
         # every catalog AZI bound needs n >= 3; this one reads AZI on P2
         BoundSpec("test-azi", "test", "4*M2* <= AZI from n = 2",
                   lhs=IndexId.AZI, rhs=IndexId.M2STAR, coeff=by_id["T7-(21)L"].coeff,

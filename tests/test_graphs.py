@@ -6,8 +6,20 @@ from pathlib import Path
 
 import pytest
 
-from degbound.bounds import GraphContext
-from degbound.enumeration import connected_graphs
+from degbound.bounds import (
+    C3_FAMILY,
+    COMPLETE_FAMILY,
+    CYCLE_FAMILY,
+    K14,
+    P2_FAMILY,
+    P3_FAMILY,
+    REGULAR_FAMILY,
+    SPANNING_STAR_FAMILY,
+    T_STAR,
+    GraphContext,
+    star_family,
+)
+from degbound.enumeration import _classes, connected_graphs
 from degbound.graphs import (
     CHROMATIC_CAP,
     G6_MAX,
@@ -23,12 +35,8 @@ from degbound.graphs import (
     double_star,
     edge_degree_partition,
     is_connected,
-    is_cycle,
-    is_double_star_t,
     is_molecular,
-    is_path,
     is_regular,
-    is_star,
     make_family,
     max_degree,
     min_degree,
@@ -147,45 +155,63 @@ def test_is_molecular():
 
 
 def test_recognizers():
-    assert is_path(path_graph(5)) and not is_path(star_graph(3))
-    assert is_star(star_graph(6)) and is_star(path_graph(2))
-    assert not is_star(path_graph(4))
-    assert is_cycle(cycle_graph(4)) and not is_cycle(path_graph(4))
-    assert is_double_star_t(double_star())
-    assert not is_double_star_t(star_graph(7))
+    def contains(family, g):
+        return family.contains(GraphContext(g, chi=None))
+
+    assert contains(P3_FAMILY, path_graph(3)) and not contains(P3_FAMILY, path_graph(4))
+    assert contains(P2_FAMILY, path_graph(2)) and not contains(P2_FAMILY, star_graph(3))
+    assert contains(SPANNING_STAR_FAMILY, star_graph(6))
+    assert contains(SPANNING_STAR_FAMILY, path_graph(2))
+    assert not contains(SPANNING_STAR_FAMILY, path_graph(4))
+    assert contains(CYCLE_FAMILY, cycle_graph(4)) and not contains(CYCLE_FAMILY, path_graph(4))
+    assert contains(T_STAR, double_star())
+    assert not contains(T_STAR, star_graph(7))
+
+
+def _by_definition(g):
+    """Each family's members by its textbook definition, connectivity first:
+    family label (a star by its leaves) -> whether ``g`` is a member."""
+    n, degrees = g.n, sorted(g.degrees)
+    connected = is_connected(g)
+    path = connected and (n == 1 or degrees == [1, 1] + [2] * (n - 2))
+    cycle = connected and n >= 3 and degrees == [2] * n
+    star = connected and n >= 2 and degrees == [1] * (n - 1) + [n - 1]
+    centers = [v for v, d in enumerate(g.degrees) if d == 4]
+    t_star = (connected and n == 8 and degrees == [1] * 6 + [4, 4]
+              and g.adj[centers[0]] >> centers[1] & 1 == 1)
+    return {"P2": path and n == 2, "P3": path and n == 3,
+            "K_n": g.m == n * (n - 1) // 2, "C_n": cycle, "C_3": cycle and n == 3,
+            "S_{1,n-1}": star, "delta-regular": degrees[0] == degrees[-1],
+            "K_{1,4}": star and n == 5, "T*": t_star,
+            **{f"S_{{1,{k}}}": star and n == k + 1 for k in range(1, 9)}}
 
 
 def test_star_and_path_match_connectivity_first_definitions():
-    """is_star needs no connectivity test and is_path makes it last; both
-    agree with the definitions that test connectivity first on every
-    labelled graph with at most 6 vertices, disconnected ones included."""
-    def star_by_bfs(g):
-        if not is_connected(g):
-            return False
-        if g.n <= 2:
-            return g.m == g.n - 1
-        degs = sorted(g.degrees)
-        return degs[-1] == g.n - 1 and all(d == 1 for d in degs[:-1])
-
-    def path_by_bfs(g):
-        if not is_connected(g):
-            return False
-        if g.n == 1:
-            return True
-        degs = sorted(g.degrees)
-        return degs.count(1) == 2 and all(d == 2 for d in degs[2:])
-
-    stars = paths = 0
-    for n in range(1, 7):
-        pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            g = Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
-            assert is_star(g) == star_by_bfs(g), (n, g.edges)
-            assert is_path(g) == path_by_bfs(g), (n, g.edges)
-            stars += is_star(g)
-            paths += is_path(g)
-    # labelled stars: 1, 1, 3, 4, 5, 6; labelled paths: 1, 1, 3, 12, 60, 360
-    assert (stars, paths) == (20, 437)
+    """The star and path families, and with them every other family and
+    exclusion, read on a graph's context without chi, agree with their
+    connectivity-first definitions on every labelled graph with at most 6
+    vertices and every class of order 1..8, disconnected ones included, and
+    on S_{1,8} and T*, alone and with isolated vertices."""
+    families = [P2_FAMILY, P3_FAMILY, COMPLETE_FAMILY, CYCLE_FAMILY, C3_FAMILY,
+                SPANNING_STAR_FAMILY, REGULAR_FAMILY, K14, T_STAR,
+                *map(star_family, range(1, 9))]
+    labelled = [Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                for n in range(1, 7)
+                for pairs in [[(u, v) for v in range(n) for u in range(v)]]
+                for mask in range(1 << len(pairs))]
+    classes = [g for n in range(1, 9) for g in _classes(n, False)]
+    members = dict.fromkeys((f.label for f in families), 0)
+    extra = [star_graph(8), Graph(10, star_graph(8).edges), Graph(9, double_star().edges)]
+    for g in [*labelled, *classes, *extra]:
+        ctx, want = GraphContext(g, chi=None), _by_definition(g)
+        for f in families:
+            assert f.contains(ctx) == want[f.label], (f.label, g.n, g.edges)
+            members[f.label] += want[f.label]
+    assert len(labelled) == 33_867 and len(classes) == 13_598
+    assert members == {"P2": 2, "P3": 4, "K_n": 14, "C_n": 82, "C_3": 2, "S_{1,n-1}": 27,
+                       "delta-regular": 247, "K_{1,4}": 6, "T*": 1, "S_{1,1}": 2,
+                       "S_{1,2}": 4, "S_{1,3}": 5, "S_{1,4}": 6, "S_{1,5}": 7,
+                       "S_{1,6}": 1, "S_{1,7}": 1, "S_{1,8}": 1}
 
 
 # ---------------------------------------------------------------------------

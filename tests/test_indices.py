@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from degbound.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    degree_pair_counts,
     double_star,
     edge_degree_partition,
     path_graph,
@@ -29,6 +32,7 @@ from degbound.indices import (
     _pair_terms,
     all_indices,
     edge_term,
+    index_sums,
 )
 from degbound.ratios import F_T6, line_samples
 
@@ -185,6 +189,38 @@ def test_cached_terms_sum_in_sorted_pair_order():
             for pair in sorted(part):
                 total += part[pair] * edge_term(idx, pair)
             assert vals[idx] == total, (idx, part)
+
+
+def _exact_sums(counts):
+    """The seven index sums of flat pair counts in 40-digit decimal, each
+    term the textbook expression; AZI is None at a (1,1) pair."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        sums = [Decimal(0)] * 7
+        triples = iter(counts)
+        for a, b, count in zip(triples, triples, triples):
+            a, b = Decimal(a), Decimal(b)
+            terms = [1 / (a * b).sqrt(), 2 / (a + b), ((a + b - 2) / (a * b)).sqrt(),
+                     1 / (a + b).sqrt(), 2 * (a * b).sqrt() / (a + b),
+                     (a * b / (a + b - 2)) ** 3 if a + b > 2 else None, 1 / (a * b)]
+            sums = [None if s is None or t is None else s + count * t
+                    for s, t in zip(sums, terms)]
+        return sums
+
+
+def test_index_sums_against_an_exact_oracle():
+    """index_sums on every distinct connected partition of order 2..8 is
+    within 4 ulp of the exact sum; the largest error is 2.5 ulp."""
+    partitions = {degree_pair_counts(g) for n in range(2, 9) for g in connected_graphs(n)}
+    assert len(partitions) == 5425
+    worst = 0.0
+    for counts in partitions:
+        for got, want in zip(index_sums(counts), _exact_sums(counts)):
+            assert (got is None) == (want is None), counts
+            if want is not None:
+                error = abs(Decimal(got) - want) / Decimal(math.ulp(float(want)))
+                worst = max(worst, float(error))
+    assert 1.0 < worst <= 4.0, worst
 
 
 def test_isomorphism_invariance_bit_identical():

@@ -132,32 +132,48 @@ def test_tracing_patches_resolve(monkeypatch):
     assert proc.stdout == "True\n", proc.stderr
 
 
-def test_package_imports_are_used():
-    """Every name a package module imports is read somewhere in that module,
-    so a deletion cannot leave its imports behind.  ``__future__`` imports
-    and lines marked ``# noqa`` are exempt."""
+def _unused_imports(name: str, source: str) -> list[str]:
+    """The names module ``name`` imports and never reads, and each ``# noqa``
+    import line that imports more than one name.  ``__future__`` imports are
+    exempt, and so is the one name of a line marked ``# noqa``."""
     import ast
 
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if "# noqa" in lines[node.lineno - 1]:
+            if len(node.names) != 1:
+                unused.append(f"{name}:{node.lineno}: # noqa on {len(node.names)} names")
+            continue
+        for alias in node.names:
+            imported = alias.asname or alias.name.split(".")[0]
+            if imported not in used:
+                unused.append(f"{name}:{node.lineno}: {imported}")
+    return unused
+
+
+def test_package_imports_are_used():
+    """Every name a package module imports is read somewhere in that module,
+    so a deletion cannot leave its imports behind.  A line marked ``# noqa``
+    may import one unread name, and only one, so it hides no neighbour."""
     unused = []
     for path in sorted((ROOT / "src" / "degbound").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        source = path.read_text()
-        lines = source.splitlines()
-        tree = ast.parse(source)
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if "# noqa" in lines[node.lineno - 1]:
-                continue
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                if name not in used:
-                    unused.append(f"{path.name}:{node.lineno}: {name}")
+        if path.name != "__init__.py":
+            unused += _unused_imports(path.name, path.read_text())
     assert unused == []
+    assert _unused_imports("m", "import numpy  # noqa: F401\n") == []
+    assert _unused_imports("m", "from .indices import all_indices  # noqa: F401\n") == []
+    assert _unused_imports("m", "from .a import b, c  # noqa: F401\nc\n") == [
+        "m:1: # noqa on 2 names"]
+    assert _unused_imports("m", "from .a import (  # noqa\n    b,\n    c,\n)\n") == [
+        "m:1: # noqa on 2 names"]
+    assert _unused_imports("m", "import os, sys\nos\n") == ["m:1: sys"]
 
 
 def test_formulas_imports_only_the_standard_library():
