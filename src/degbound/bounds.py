@@ -19,13 +19,12 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from typing import NamedTuple
 
 from .graphs import (
     G6_MAX,
     Graph,
-    GraphError,
     SizeLimitError,
     chromatic_number,
     degree_pair_counts,
@@ -237,20 +236,20 @@ class GraphContext:
 
 class _Columns:
     """The keys of one audit as columns, built once from its key groups: each
-    key's graphs and their number (the key's weight), the eight side values
-    in ``GraphContext.values`` order (with the keys where each is None, and
-    its screen), n, delta and the key indices, all in ``columns``, and each
-    key's position in ``shapes``, the distinct (connected, n, delta, Delta)
-    of the keys, in ``shape_of``.  It also
-    holds what the bounds of the audit share: one ``_Live`` per hypothesis
-    set and undefined set, the member keys per family test, and the graph6
-    strings of each key a report names.
+    key's graph6 strings and their number (the key's weight), the eight side
+    values in ``GraphContext.values`` order (with the keys where each is
+    None, and its screen), n, delta and the key indices, all in ``columns``,
+    and each key's position in ``shapes``, the distinct (connected, n,
+    delta, Delta) of the keys, in ``shape_of``.  It also holds what the
+    bounds of the audit share: one ``_Live`` per hypothesis set and
+    undefined set, and the member keys per family test.  A key's strings
+    are sorted in place the first time a report names the key.
     """
 
     def __init__(self, groups):
         self.ctxs = [ctx for ctx, _ in groups]
-        self.graphs = [graphs for _, graphs in groups]
-        self.weights = list(map(len, self.graphs))
+        self.labels = [labels for _, labels in groups]
+        self.weights = list(map(len, self.labels))
         self.sides = list(zip(*(ctx.values for ctx in self.ctxs))) or [()] * len(_SIDES)
         self.undefined = [{i for i, v in enumerate(col) if v is None} for col in self.sides]
         # A margin above its lhs column's screen, DEFAULT_TOL * max(1, max |lhs|),
@@ -268,13 +267,14 @@ class _Columns:
         self.shapes = list(shapes)
         self.live: dict = {}
         self.members: dict = {}
-        self._g6s: dict[int, list[str]] = {}
+        self._sorted: set[int] = set()
 
     def g6s(self, i: int) -> list[str]:
         """The sorted graph6 strings of key ``i``'s graphs."""
-        g6s = self._g6s.get(i)
-        if g6s is None:
-            g6s = self._g6s[i] = sorted(map(to_graph6, self.graphs[i]))
+        g6s = self.labels[i]
+        if i not in self._sorted:
+            g6s.sort()
+            self._sorted.add(i)
         return g6s
 
 
@@ -392,9 +392,9 @@ def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
     sides; its margin is the smallest of its links' that hold, or None.
     """
     ctx = GraphContext(g)
-    cols = _Columns([(ctx, [g])])
-    checked = _evaluate(b, cols)
     label = to_graph6(g) if g.n <= G6_MAX else None
+    cols = _Columns([(ctx, [label])])
+    checked = _evaluate(b, cols)
     if not checked.live.keys:
         verdict = DOMAIN_SKIPPED if checked.live.met[0] else PRECONDITION_SKIPPED
         return BoundCheck(b.bound_id, label, None, None, None, verdict)
@@ -438,30 +438,36 @@ class SharpnessReport:
         return {"schema_version": 1, **vars(self)}
 
 
-def _key_groups(graphs) -> list[tuple[GraphContext, list[Graph]]]:
-    """The population grouped by (n, connectivity, flat pair counts, chi).
+_CHUNK = 256
+
+
+def _key_groups(labelled) -> list[tuple[GraphContext, list[str]]]:
+    """The population, ``(graph6, graph)`` pairs, grouped by (n,
+    connectivity, flat pair counts, chi).
 
     That key fixes the indices, delta, Delta and chi.  The edge-degree
     partition is keyed as ``degree_pair_counts`` returns it, counted once
     per graph.  Each group holds one context, built on its first graph from
-    those same counts, and all its member graphs (K_{3,3} and the prism
-    share a partition but not chi).  Reports name graphs by graph6 string,
-    so a key above G6_MAX is refused here, before any bound runs, whether
-    or not a report would name it.
+    those same counts, and the graph6 strings of all its members (K_{3,3}
+    and the prism share a partition but not chi).  No graph is kept: the
+    pairs are read and keyed ``_CHUNK`` at a time, so they can be a stream
+    that builds or parses each graph on demand.
     """
-    groups: dict[tuple, tuple[GraphContext, list[Graph]]] = {}
-    for g in graphs:
-        connected = is_connected(g)
-        chi = _chi(g)
-        counts = degree_pair_counts(g)
-        key = (g.n, connected, counts, chi)
-        group = groups.get(key)
-        if group is None:
-            if g.n > G6_MAX:
-                raise GraphError(f"graph6 short form encodes n <= {G6_MAX}, got {g.n}")
-            groups[key] = (GraphContext(g, chi, connected, counts), [g])
-        else:
-            group[1].append(g)
+    groups: dict[tuple, tuple[GraphContext, list[str]]] = {}
+    pairs = iter(labelled)
+    # A chunk of pairs at a time: building each graph of order 7 between
+    # keying two others cost 5 us a graph, 8% of the build and keying.
+    while chunk := list(islice(pairs, _CHUNK)):
+        for g6, g in chunk:
+            connected = is_connected(g)
+            chi = _chi(g)
+            counts = degree_pair_counts(g)
+            key = (g.n, connected, counts, chi)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = (GraphContext(g, chi, connected, counts), [g6])
+            else:
+                group[1].append(g6)
     return list(groups.values())
 
 
@@ -481,9 +487,10 @@ def _fold(b: BoundSpec, cols: _Columns, population: str) -> SharpnessReport:
     """Fold one bound's pass over the keys into a report; each key counts
     once for every graph of its group.  Counts are sums of key weights, and
     the witness and family-mismatch lists come from the sparse equality,
-    violation and family-member keys, whose graphs alone are encoded.  Witness lists are sorted,
-    and the minimum-margin witness is the smallest graph6 at the smallest
-    margin, so the report does not depend on the population order."""
+    violation and family-member keys, whose strings alone are sorted.
+    Witness lists are sorted, and the minimum-margin witness is the smallest
+    graph6 at the smallest margin, so the report does not depend on the
+    population order."""
     checked = _evaluate(b, cols)
     weights, live = cols.weights, checked.live
     equal_keys, violated_keys = checked.equal, checked.violated
@@ -538,22 +545,33 @@ def _fold(b: BoundSpec, cols: _Columns, population: str) -> SharpnessReport:
     )
 
 
-def audit_all(bounds, graphs, population: str = "population") -> dict[str, SharpnessReport]:
-    """Audit several bounds over one population, one columnar pass per bound.
+def audit_labelled(bounds, labelled, population: str = "population") -> dict[str, SharpnessReport]:
+    """Audit several bounds over one population of ``(graph6, graph)``
+    pairs, one columnar pass per bound.
 
-    The key groups become columns once per audit (graphs, weights, the eight
-    side values, n and delta).  Each hypothesis set and each claimed family
-    is tested once per key and shared by the bounds that state it, and so
-    are the live keys and their columns of each hypothesis and undefined
-    set.  Each bound evaluates its coefficient once per distinct n or delta
-    of its live keys, computes its margins over them, and applies the
-    per-key rule only to the margins at or below one screen; a chain
-    evaluates its links again and conjoins their passes.  Witness lists are sorted by graph6 string, so
-    the result does not depend on the population order (for equal
-    populations as sets).
+    The pairs are keyed as they are read (``_key_groups``), so a stream of
+    them is never held whole, and each graph6 string is taken as given.
+    The key groups become columns once per audit (graph6 strings, weights,
+    the eight side values, n and delta).  Each hypothesis set and each
+    claimed family is tested once per key and shared by the bounds that
+    state it, and so are the live keys and their columns of each hypothesis
+    and undefined set.  Each bound evaluates its coefficient once per
+    distinct n or delta of its live keys, computes its margins over them,
+    and applies the per-key rule only to the margins at or below one
+    screen; a chain evaluates its links again and conjoins their passes.
+    Witness lists are sorted by graph6 string, so the result does not
+    depend on the population order (for equal populations as sets).
     """
-    cols = _Columns(_key_groups(graphs))
+    cols = _Columns(_key_groups(labelled))
     return {b.bound_id: _fold(b, cols, population) for b in bounds}
+
+
+def audit_all(bounds, graphs, population: str = "population") -> dict[str, SharpnessReport]:
+    """:func:`audit_labelled` over ``graphs``, each labelled with its
+    ``to_graph6``, which refuses an order above G6_MAX before any bound runs,
+    whether or not a report would name the graph.  ``graphs`` may be a
+    one-shot iterator."""
+    return audit_labelled(bounds, ((to_graph6(g), g) for g in graphs), population)
 
 
 def audit(b: BoundSpec, graphs, population: str = "population") -> SharpnessReport:

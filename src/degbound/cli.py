@@ -16,15 +16,21 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .bounds import DEFAULT_TOL, GraphContext, audit_all, builtin_catalog
+from .bounds import DEFAULT_TOL, GraphContext, audit_labelled, builtin_catalog
 from .enumeration import (
     EnumerationSpec,
     MAX_ORDER,
     check_order,
-    enumerate_connected,
     parse_population,
-    read_population,
+    stream_connected,
+    stream_population,
 )
+# Not called here: perfbench/tracing.py wraps these names on this module.  The
+# audit reads its population through stream_connected or stream_population
+# and audit_labelled instead.
+from .bounds import audit_all  # noqa: F401
+from .enumeration import enumerate_connected  # noqa: F401
+from .enumeration import read_population  # noqa: F401
 from .formulas import FAMILY_FORMULAS
 from .graphs import (
     G6_MAX,
@@ -267,15 +273,22 @@ def _check_population_flags(args) -> None:
 
 
 def _population(args):
-    """The graphs to audit and their label, once ``_check_population_flags``
-    has passed.  Both sources pass through the same ``--min-degree`` /
-    ``--molecular`` filter, ``EnumerationSpec.admits``."""
+    """The population to audit, as a one-shot stream of ``(graph6, graph)``
+    pairs, and its label, once ``_check_population_flags`` has passed.
+
+    A file is read whole, so an I/O error comes first, and its lines are
+    parsed as the stream is read, each labelled with its stripped line; so a
+    malformed line is raised from inside the audit, before any report is
+    written.  An enumerated class is labelled with ``to_graph6``.  Both
+    sources pass through the same ``--min-degree`` / ``--molecular``
+    filter, ``EnumerationSpec.admits``."""
     spec = EnumerationSpec(args.enumerate, delta_min=args.min_degree,
                            molecular=args.molecular)
     if args.file is not None:
         path = Path(args.file)
-        return list(filter(spec.admits, _read(path, read_population))), f"file({path.name})"
-    return enumerate_connected(spec), spec.describe()
+        pairs = stream_population(_read(path), path)
+        return ((g6, g) for g6, g in pairs if spec.admits(g)), f"file({path.name})"
+    return ((to_graph6(g), g) for g in stream_connected(spec)), spec.describe()
 
 
 def _report_rows(reports, order):
@@ -357,8 +370,8 @@ def cmd_audit(args) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise IOError(f"cannot write reports to {out_dir}: {exc}") from None
-    graphs, population = _population(args)
-    reports = audit_all(bounds, graphs, population=population)
+    labelled, population = _population(args)
+    reports = audit_labelled(bounds, labelled, population=population)
     order = [b.bound_id for b in bounds]
     _emit_reports(reports, order, population, args.format, out_dir)
     if expected is None:

@@ -20,13 +20,24 @@ the new vertex is placed.  The search keeps the unplaced vertices in cells
 split by their placed neighbours (the cell splitting of McKay & Piperno,
 "Practical graph isomorphism II", J. Symb. Comput. 2014).
 
-On a 2-vCPU host, orders 2..7 together take 0.02-0.03 s.  Order 8 takes
-0.3-0.4 s; the library runs any order up to MAX_ORDER, and the CLI's
-``--allow-n8`` is the one opt-in for order 8.
+So each order is a stream (``_stream``): the classes of order n-1 are built
+whole and cached (``_classes``), and those of order n follow one parent at
+a time, in ascending graph6 order.  ``enumerate_connected`` reads the
+cached tuple of its order; ``stream_connected`` reads the stream as it is
+built, and the CLI's audit keys each graph as it comes, so no graph of the
+requested order outlives its keying.  An in-process audit of all 261,080
+classes of order 9 read that way peaks at 145 MB, and at 255 MB from the
+cached tuple.
+
+On a shared 2-vCPU host (Xeon, 2.0 GHz), a cold build of orders 2..7
+together took 0.04-0.08 s and one of order 8 took 0.5-0.8 s, over twelve
+fresh processes each; the library runs any order up to MAX_ORDER, and the
+CLI's ``--allow-n8`` is the one opt-in for order 8.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -279,21 +290,20 @@ class EnumerationSpec:
         return "enumerate(" + ", ".join(parts) + ")"
 
 
-@cache
-def _classes(n: int, connected: bool = True) -> tuple[Graph, ...]:
+def _stream(n: int, connected: bool = True) -> Iterator[Graph]:
     """Every class of graphs of order n, or only the connected ones, each in
-    its canonical labeling and sorted by graph6 string; each order is built
-    once and filtered per spec.
+    its canonical labeling, in ascending graph6 order, built as it is read.
 
     Orderly generation (see the module docstring) from every class of order
-    n-1.  Parents come in ascending column order and so do their last
-    columns, so the output is sorted as it is built."""
+    n-1, which is built whole and cached.  Parents come in ascending column
+    order and so do their last columns, so the stream is sorted as it is
+    built."""
     if n == 1:
-        return (Graph(1),)
+        yield Graph(1)
+        return
     new = n - 1
     bit = 1 << new
     nbrs, cover = _last_columns(new)
-    out = []
     for parent in _classes(new, False):
         adj = parent.adj
         own = _own_columns(adj)
@@ -314,9 +324,15 @@ def _classes(n: int, connected: bool = True) -> tuple[Graph, ...]:
             low = kept & -kept
             kept ^= low
             joined = nbrs[low.bit_length() - 1]
-            out.append(Graph._from_adj(n, tuple(a | bit if joined >> u & 1 else a
-                                                for u, a in enumerate(adj)) + (joined,)))
-    return tuple(out)
+            yield Graph._from_adj(n, tuple(a | bit if joined >> u & 1 else a
+                                           for u, a in enumerate(adj)) + (joined,))
+
+
+@cache
+def _classes(n: int, connected: bool = True) -> tuple[Graph, ...]:
+    """The whole of ``_stream(n, connected)``, built once per order and
+    filtered per spec."""
+    return tuple(_stream(n, connected))
 
 
 def check_order(n: int) -> None:
@@ -335,6 +351,14 @@ def enumerate_connected(spec: EnumerationSpec) -> list[Graph]:
     return [g for g in _classes(spec.n) if spec.admits(g)]
 
 
+def stream_connected(spec: EnumerationSpec) -> Iterator[Graph]:
+    """The graphs of :func:`enumerate_connected`, in the same order, built
+    one at a time: of the orders below ``spec.n``, only order n-1 is kept
+    whole."""
+    check_order(spec.n)
+    return filter(spec.admits, _stream(spec.n))
+
+
 def connected_graphs(n: int, delta_min: int | None = None,
                      molecular: bool = False) -> list[Graph]:
     """Convenience wrapper over :func:`enumerate_connected`."""
@@ -348,16 +372,25 @@ def read_population(path: str | Path) -> list[Graph]:
 
 
 def parse_population(text: str, path: str | Path) -> list[Graph]:
-    """Parse the text of population file ``path``: one graph6 string per
-    line, blank lines and ``#`` comments (whole-line or trailing) ignored.
-    graph6 never contains ``#``.  A file with no graph line is an error, and
-    every error names ``path``."""
-    graphs = []
+    """The graphs of :func:`stream_population`, as a list."""
+    return [g for _, g in stream_population(text, path)]
+
+
+def stream_population(text: str, path: str | Path) -> Iterator[tuple[str, Graph]]:
+    """Parse the text of population file ``path`` one line at a time: one
+    graph6 string per line, blank lines and ``#`` comments (whole-line or
+    trailing) ignored.  graph6 never contains ``#``.  Yields each graph with
+    its stripped line, which is its ``to_graph6``: the decoder refuses any
+    other spelling of a graph, such as nonzero padding bits.  A file with no
+    graph line is an error, raised once the text is read through, and every
+    error names ``path``."""
+    found = False
     for lineno, line in content_lines(text):
         try:
-            graphs.append(parse_graph6(line))
+            g = parse_graph6(line)
         except GraphError as exc:
             raise GraphError(f"{path}, line {lineno}: {exc}") from None
-    if not graphs:
+        found = True
+        yield line, g
+    if not found:
         raise GraphError(f"{path}: no graphs found")
-    return graphs

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import importlib
 import json
 import math
@@ -51,6 +52,7 @@ from degbound.graphs import (
     parse_graph6,
     path_graph,
     star_graph,
+    to_graph6,
 )
 from degbound.indices import IndexId
 
@@ -382,7 +384,7 @@ def test_audit_counts_are_consistent(full_reports):
 @pytest.fixture(scope="module")
 def keys_2_7(population_2_7):
     """The audit key groups of the graphs of order 2..7."""
-    return bounds_module._key_groups(population_2_7)
+    return bounds_module._key_groups((to_graph6(g), g) for g in population_2_7)
 
 
 def _margin_gap(bounds, groups):
@@ -804,7 +806,7 @@ def test_audit_hypotheses_match_preconditions_met(population_2_7):
     them), T*, and disconnected graphs, one of them 3-regular."""
     two_k4 = Graph(8, [(u + s, v + s) for s in (0, 4) for u in range(4) for v in range(u + 1, 4)])
     graphs = [*population_2_7, double_star(), Graph(3, [(0, 1)]), two_k4]
-    cols = bounds_module._Columns(bounds_module._key_groups(graphs))
+    cols = bounds_module._Columns(bounds_module._key_groups((to_graph6(g), g) for g in graphs))
     for b in builtin_catalog():
         met = [b.preconditions_met(ctx) for ctx in cols.ctxs]
         assert bounds_module._live(b, cols).met == met, b.bound_id
@@ -893,9 +895,9 @@ def test_audit_counts_each_partition_once(monkeypatch, populations):
     assert graphs_module.edge_degree_partition(t) == {(1, 4): 6, (4, 4): 1}
 
 
-def test_audit_encodes_only_the_graphs_its_reports_name(monkeypatch, populations):
-    """An order-7 audit encodes each graph at most once, every graph a
-    report names, and not the whole population."""
+def test_audit_encodes_each_graph_once(monkeypatch, populations):
+    """An order-7 audit encodes each graph exactly once, as it keys it, and
+    every graph a report names is one of them."""
     encoded = []
     encode = bounds_module.to_graph6
 
@@ -912,6 +914,46 @@ def test_audit_encodes_only_the_graphs_its_reports_name(monkeypatch, populations
                      *r.family_mismatches.values())
         if r.min_margin is not None:
             named.add(r.min_margin["witness_graph6"])
-    assert len(encoded) == len(set(encoded))
+    assert encoded == list(order_7)
     assert named <= {encode(g) for g in encoded}
-    assert len(encoded) < len(order_7)
+
+
+def _reaches_a_graph(root) -> bool:
+    """Whether a ``Graph`` can be reached from ``root`` through its
+    referents, not counting classes."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, Graph):
+            return True
+        if isinstance(obj, type) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return False
+
+
+def test_key_groups_hold_graph6_strings_not_graphs(population_2_7):
+    """Each key keeps its context and its members' graph6 strings, as given,
+    and no graph can be reached from the key table; the check catches a key
+    that keeps one."""
+    pairs = [(to_graph6(g), g) for g in population_2_7]
+    groups = bounds_module._key_groups(iter(pairs))
+    assert all(type(label) is str for _, labels in groups for label in labels)
+    assert sorted(label for _, labels in groups for label in labels) == sorted(
+        g6 for g6, _ in pairs)
+    assert not _reaches_a_graph(groups)
+    ctx, labels = groups[0]
+    assert _reaches_a_graph([(ctx, [*labels, population_2_7[0]])])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_audit_of_a_one_shot_iterator_equals_the_list(seed):
+    """``audit_all`` reads its population once, so a generator over a list
+    gives the reports of the list itself."""
+    bounds = builtin_catalog() + _custom_bounds()
+    graphs = _seeded_population(seed)
+    from_list = audit_all(bounds, graphs, population="seeded")
+    from_stream = audit_all(bounds, (g for g in graphs), population="seeded")
+    assert {k: r.to_dict() for k, r in from_stream.items()} == {
+        k: r.to_dict() for k, r in from_list.items()}

@@ -344,8 +344,9 @@ def test_unwritable_out_fails_before_any_graph_is_built(capsys, monkeypatch, tmp
     def refuse(*args, **kwargs):
         raise AssertionError("the population was built before --out was checked")
 
-    monkeypatch.setattr(cli, "enumerate_connected", refuse)
-    monkeypatch.setattr(cli, "read_population", refuse)
+    for name in ("enumerate_connected", "read_population", "stream_connected",
+                 "stream_population"):
+        monkeypatch.setattr(cli, name, refuse)
     monkeypatch.chdir(tmp_path)
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -400,6 +401,61 @@ def test_file_and_enumerated_populations_share_one_filter(capsys, tmp_path):
             report.pop("population")
     assert docs[0] == docs[1]
     assert docs[0]["reports"][0]["counts"]["checked"] > 0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_enumerated_population_streams_the_classes_with_their_graph6(n):
+    """The audit's enumerated source yields every class of the order, in the
+    cached order, each labelled with its graph6 string."""
+    from degbound import enumeration
+
+    args = cli.build_parser().parse_args(["audit", "--enumerate", str(n), "--allow-n8"])
+    labelled, population = cli._population(args)
+    pairs = list(labelled)
+    assert population == f"enumerate(n={n})"
+    assert [g for _, g in pairs] == list(enumeration._classes(n))
+    assert [g6 for g6, _ in pairs] == [to_graph6(g) for _, g in pairs]
+
+
+def test_min_degree_filters_a_streamed_file_line_by_line(capsys, tmp_path):
+    """``--min-degree`` on a file population, with blanks, comments and
+    repeats among its lines, reports what the file of the admitted lines
+    alone reports."""
+    from degbound.enumeration import connected_graphs
+    from degbound.graphs import min_degree
+
+    graphs = connected_graphs(5) * 2
+    lines = [f"  {to_graph6(g)}  # class {i % 21}\n\n" for i, g in enumerate(graphs)]
+    (tmp_path / "all").mkdir()
+    (tmp_path / "kept").mkdir()
+    (tmp_path / "all" / "pop.g6").write_text("# order 5, twice\n" + "".join(lines))
+    (tmp_path / "kept" / "pop.g6").write_text(
+        "".join(line for line, g in zip(lines, graphs) if min_degree(g) >= 2))
+    outs = []
+    for source, filters in (("all", ["--min-degree", "2"]), ("kept", [])):
+        code, out, err = run(capsys, "audit", "--file", str(tmp_path / source / "pop.g6"),
+                             *filters, "--format", "json")
+        assert code == EXIT_OK, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    checked = json.loads(outs[0])["reports"][0]["counts"]
+    assert 0 < checked["checked"] + checked["skipped"] < len(graphs)
+
+
+def test_late_malformed_line_fails_the_audit_and_writes_nothing(capsys, tmp_path):
+    """A file is parsed while the audit keys it, so a malformed line after
+    100 good ones still fails the whole run: exit 3, the true line number,
+    nothing on stdout and no report under ``--out``."""
+    from degbound.enumeration import connected_graphs
+
+    good = [to_graph6(g) for g in connected_graphs(6)[:100]]
+    pop = tmp_path / "pop.g6"
+    pop.write_text("# 100 graphs, then a bad line\n" + "\n".join(good) + "\nE~~~w~\nBw\n")
+    out_dir = tmp_path / "reports"
+    code, out, err = run(capsys, "audit", "--file", str(pop), "--out", str(out_dir))
+    assert (code, out) == (EXIT_IO, "")
+    assert err == f"error: {pop}, line 102: graph6: expected 4 characters for n=6, got 6\n"
+    assert list(out_dir.iterdir()) == []
 
 
 def test_verify_matches_pinned_expectations(capsys):

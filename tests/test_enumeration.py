@@ -18,6 +18,8 @@ from degbound.enumeration import (
     enumerate_connected,
     parse_population,
     read_population,
+    stream_connected,
+    stream_population,
 )
 from degbound.graphs import (
     Graph,
@@ -29,6 +31,7 @@ from degbound.graphs import (
     is_connected,
     is_molecular,
     min_degree,
+    parse_graph6,
     path_graph,
     star_graph,
     to_graph6,
@@ -515,6 +518,16 @@ def test_every_level_matches_oeis_and_is_canonical():
         assert forms == _bruteforce_forms(level, n), n
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stream_builds_each_order_as_cached(n):
+    """The stream yields the cached order's classes in the same order, and
+    so does the filtered stream for a spec (the CLI's unfiltered stream is
+    checked with its labels in test_cli)."""
+    assert tuple(enumeration._stream(n, False)) == enumeration._classes(n, False)
+    spec = EnumerationSpec(n, delta_min=2, molecular=True)
+    assert list(stream_connected(spec)) == enumerate_connected(spec)
+
+
 def test_canonical_cap():
     with pytest.raises(SizeLimitError):
         canonical_form(path_graph(11))
@@ -537,6 +550,29 @@ def test_read_population_bad_line(tmp_path):
     with pytest.raises(GraphError) as err:
         read_population(path)
     assert "line 2" in str(err.value)
+
+
+def test_stream_population_labels_each_graph_with_its_graph6():
+    """A file graph's label is its stripped line, which is the graph6 of the
+    graph it decodes to, whatever the blanks around it and a trailing
+    comment."""
+    text = "# header\n  Bw  \n\tA_# P2\nDhc   # C5\n\n  Ch\t# a comment  \n"
+    pairs = list(stream_population(text, "pop.g6"))
+    assert [g6 for g6, _ in pairs] == ["Bw", "A_", "Dhc", "Ch"]
+    for g6, g in pairs:
+        assert g6 == to_graph6(g) == to_graph6(parse_graph6(g6))
+    assert [g for _, g in pairs] == parse_population(text, "pop.g6")
+
+
+def test_stream_population_fails_where_the_bad_line_is_read():
+    """Parsing runs as the stream is read: the graphs before a malformed
+    line come out first, and a file without a graph line fails at its end."""
+    stream = stream_population("Bw\nA_\nBAD~LINE\n", "pop.g6")
+    assert [g6 for g6, _ in (next(stream), next(stream))] == ["Bw", "A_"]
+    with pytest.raises(GraphError, match=r"^pop\.g6, line 3: "):
+        next(stream)
+    with pytest.raises(GraphError, match=r"^pop\.g6: no graphs found$"):
+        list(stream_population("# only a comment\n\n", "pop.g6"))
 
 
 def test_parse_population_error_names_the_true_line():

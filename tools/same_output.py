@@ -42,7 +42,10 @@ covers a chain without its links, a chi bound and a violated bound.
 each render in two formats or more, so each of the table, csv and json
 renderers sees the rows of several commands; ``proofs --n 7`` also reaches
 the ``out_of_range`` verdict.  ``compute --g6`` of a seeded order-62 graph
-decodes the longest graph6 body the short form has.
+decodes the longest graph6 body the short form has.  The last command
+audits, with ``--out``, a file whose line 101, after 100 graphs, is
+malformed (``late-error.g6``): the run must fail as a whole, with the true
+line number, nothing on stdout and no report file.
 Every ``DEGBOUND_*`` variable is removed from the environment.
 
 Every command runs, whatever came before it: each prints one ``same`` line,
@@ -141,6 +144,12 @@ def commands(populations: Path) -> list[list[str]]:
     rng = random.Random(62)
     order_62 = graph6(62, [(u, v) for v in range(62) for u in range(v) if rng.random() < 0.5])
     cmds.append(["compute", "--g6", order_62, "--format", "json"])
+    # The first 100 audit-distinct graphs, then a malformed line and a good one.
+    late = populations / "late-error.g6"
+    head = (populations / "audit-distinct.g6").read_text(encoding="utf-8").splitlines()
+    graphs = [line for line in head if line and not line.startswith("#")][:100]
+    late.write_text("\n".join(graphs) + "\nG~~~\nBw\n", encoding="utf-8")
+    cmds.append(["audit", "--file", str(late), "--out", OUT])
     return cmds
 
 
