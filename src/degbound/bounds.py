@@ -29,8 +29,6 @@ from .graphs import (
     chromatic_number,
     degree_pair_counts,
     is_connected,
-    max_degree,
-    min_degree,
     to_graph6,
 )
 from .indices import ALL_INDICES, IndexId, index_sums
@@ -89,8 +87,9 @@ class Coeff:
 @dataclass(frozen=True)
 class EqualityFamily:
     """A claimed extremal family, or a graph a bound excludes: its report
-    label and its membership test on a graph's ``GraphContext``.  Families
-    compare by label."""
+    label and its membership test on the record of a graph's audit key,
+    ``GraphContext`` (no graph), so membership is a function of the key.
+    Families compare by label."""
 
     label: str
     contains: Callable[["GraphContext"], bool] = field(compare=False)
@@ -194,48 +193,52 @@ class BoundCheck(NamedTuple):
     verdict: str
 
 
-def _chi(g: Graph) -> int | None:
-    """The chromatic number, or None above CHROMATIC_CAP."""
-    try:
-        return chromatic_number(g)
-    except SizeLimitError:
-        return None
-
-
-_UNSET = object()
-
-
 # The sides a bound can read, in the order of GraphContext.values.
 _SIDES = (*ALL_INDICES, CHI)
 
 
-class GraphContext:
+# perfbench/tracing.py replaces this name with a function that forwards to
+# the class, so the package builds a record only by calling it.
+class GraphContext(NamedTuple):
     """The audit key's record: everything a bound, a family or an exclusion
-    reads on the graphs of one (n, connectivity, flat pair counts, chi) key,
-    computed once per key, and the per-graph record ``compute`` prints.  It
-    holds no graph, so whatever reads it is a function of the key.
-    ``counts`` are the flat pair counts (``degree_pair_counts``) and
-    ``values`` their seven ``index_sums`` in ALL_INDICES order, then chi as
-    a float, so a bound reads each side by position; a side that is None is
-    domain-skipped.  ``connected``, ``chi`` and ``counts`` are computed
-    unless passed in.
+    reads on the graphs of one key, and the per-graph record ``compute``
+    prints.  The record is the key itself, the plain tuple of its six
+    fields, so it holds no graph and whatever reads it is a function of the
+    key.  ``counts`` are the flat pair counts (``degree_pair_counts``) and
+    ``chi`` is None above CHROMATIC_CAP.  ``values`` are the counts' seven
+    ``index_sums`` in ALL_INDICES order, then chi as a float, so a bound
+    reads each side by position; a side that is None is domain-skipped.
     """
 
-    __slots__ = ("n", "delta", "Delta", "connected", "chi", "counts", "values")
+    n: int
+    connected: bool
+    delta: int
+    Delta: int
+    counts: tuple[int, ...]
+    chi: int | None
 
-    def __init__(self, g: Graph, chi=_UNSET, connected: bool | None = None,
-                 counts: tuple[int, ...] | None = None):
-        self.n = g.n
-        self.delta = min_degree(g)
-        self.Delta = max_degree(g)
-        self.connected = is_connected(g) if connected is None else connected
-        self.chi = _chi(g) if chi is _UNSET else chi
-        self.counts = degree_pair_counts(g) if counts is None else counts
-        self.values = (*index_sums(self.counts), None if self.chi is None else float(self.chi))
+    @property
+    def values(self) -> tuple[float | None, ...]:
+        return (*index_sums(self.counts), None if self.chi is None else float(self.chi))
+
+
+def _key(g: Graph) -> tuple:
+    """The fields of ``g``'s record, in order, as a plain tuple."""
+    try:
+        chi = chromatic_number(g)
+    except SizeLimitError:
+        chi = None
+    degrees = g.degrees
+    return g.n, is_connected(g), min(degrees), max(degrees), degree_pair_counts(g), chi
+
+
+def graph_context(g: Graph) -> GraphContext:
+    """The record of ``g``'s audit key."""
+    return GraphContext(*_key(g))
 
 
 class _Columns:
-    """The keys of one audit as columns, built once from its key groups: each
+    """The keys of one audit as columns, built once from its key table: each
     key's graph6 strings and their number (the key's weight), the eight side
     values in ``GraphContext.values`` order (with the keys where each is
     None, and its screen), n, delta and the key indices, all in ``columns``,
@@ -243,12 +246,12 @@ class _Columns:
     delta, Delta) of the keys, in ``shape_of``.  It also holds what the
     bounds of the audit share: one ``_Live`` per hypothesis set and
     undefined set, and the member keys per family test.  A key's strings
-    are sorted in place the first time a report names the key.
+    stay in the order they were read; a report sorts those it names.
     """
 
-    def __init__(self, groups):
-        self.ctxs = [ctx for ctx, _ in groups]
-        self.labels = [labels for _, labels in groups]
+    def __init__(self, groups: dict[GraphContext, list[str]]):
+        self.ctxs = list(groups)
+        self.labels = list(groups.values())
         self.weights = list(map(len, self.labels))
         self.sides = list(zip(*(ctx.values for ctx in self.ctxs))) or [()] * len(_SIDES)
         self.undefined = [{i for i, v in enumerate(col) if v is None} for col in self.sides]
@@ -267,15 +270,6 @@ class _Columns:
         self.shapes = list(shapes)
         self.live: dict = {}
         self.members: dict = {}
-        self._sorted: set[int] = set()
-
-    def g6s(self, i: int) -> list[str]:
-        """The sorted graph6 strings of key ``i``'s graphs."""
-        g6s = self.labels[i]
-        if i not in self._sorted:
-            g6s.sort()
-            self._sorted.add(i)
-        return g6s
 
 
 class _Live(dict):
@@ -386,14 +380,15 @@ def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
 def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
     """Check one bound on one graph; every outcome is a verdict, not an error.
 
-    The verdict is the audit's pass over the graph's one key, so a single
-    graph and a population follow one margin rule.  The sides and margin are
-    those the pass computes, read back from the context.  A chain has no
-    sides; its margin is the smallest of its links' that hold, or None.
+    The verdict is the audit's pass over the one key of the graph's record
+    (``graph_context``), so a single graph and a population follow one
+    margin rule.  The sides and margin are those the pass computes, read
+    back from the record's columns.  A chain has no sides; its margin is the
+    smallest of its links' that hold, or None.
     """
-    ctx = GraphContext(g)
+    ctx = graph_context(g)
     label = to_graph6(g) if g.n <= G6_MAX else None
-    cols = _Columns([(ctx, [label])])
+    cols = _Columns({ctx: [label]})
     checked = _evaluate(b, cols)
     if not checked.live.keys:
         verdict = DOMAIN_SKIPPED if checked.live.met[0] else PRECONDITION_SKIPPED
@@ -403,7 +398,7 @@ def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
         low = min(_evaluate(_catalog_index()[cid], cols).slacks[0] for cid in b.chain)
         margin = None if low == math.inf else low
         return BoundCheck(b.bound_id, label, None, None, margin, verdict)
-    lhs, rhs = (ctx.values[at] for at in b.sides)
+    lhs, rhs = (cols.sides[at][0] for at in b.sides)
     product = b.coeff.ev(ctx.n, ctx.delta) * rhs
     margin = product - lhs if b.direction == "upper" else lhs - product
     return BoundCheck(b.bound_id, label, lhs, product, margin, verdict)
@@ -441,34 +436,32 @@ class SharpnessReport:
 _CHUNK = 256
 
 
-def _key_groups(labelled) -> list[tuple[GraphContext, list[str]]]:
-    """The population, ``(graph6, graph)`` pairs, grouped by (n,
-    connectivity, flat pair counts, chi).
+def _key_groups(labelled) -> dict[GraphContext, list[str]]:
+    """The population, ``(graph6, graph)`` pairs, as a table from each audit
+    key's record to the graph6 strings of its members, in the order read.
 
-    That key fixes the indices, delta, Delta and chi.  The edge-degree
-    partition is keyed as ``degree_pair_counts`` returns it, counted once
-    per graph.  Each group holds one context, built on its first graph from
-    those same counts, and the graph6 strings of all its members (K_{3,3}
-    and the prism share a partition but not chi).  No graph is kept: the
-    pairs are read and keyed ``_CHUNK`` at a time, so they can be a stream
-    that builds or parses each graph on demand.
+    The key is (n, connectivity, delta, Delta, flat pair counts, chi), which
+    fixes the indices; the edge-degree partition is keyed as
+    ``degree_pair_counts`` returns it, counted once per graph (K_{3,3} and
+    the prism share a partition but not chi).  Each graph is looked up by
+    the plain tuple of those fields, which equals its record, so a record
+    is built once per key, not per graph.  No graph is kept: the pairs are
+    read and keyed ``_CHUNK`` at a time, so they can be a stream that
+    builds or parses each graph on demand.
     """
-    groups: dict[tuple, tuple[GraphContext, list[str]]] = {}
+    groups: dict[GraphContext, list[str]] = {}
     pairs = iter(labelled)
     # A chunk of pairs at a time: building each graph of order 7 between
     # keying two others cost 5 us a graph, 8% of the build and keying.
     while chunk := list(islice(pairs, _CHUNK)):
         for g6, g in chunk:
-            connected = is_connected(g)
-            chi = _chi(g)
-            counts = degree_pair_counts(g)
-            key = (g.n, connected, counts, chi)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = (GraphContext(g, chi, connected, counts), [g6])
+            key = _key(g)
+            members = groups.get(key)
+            if members is None:
+                groups[GraphContext(*key)] = [g6]
             else:
-                group[1].append(g6)
-    return list(groups.values())
+                members.append(g6)
+    return groups
 
 
 def _min_margin(checked: _Checked, cols: _Columns) -> dict | None:
@@ -480,15 +473,15 @@ def _min_margin(checked: _Checked, cols: _Columns) -> dict | None:
         return None
     at = ([keys[slacks.index(low)]] if slacks.count(low) == 1
           else [i for i, s in zip(keys, slacks) if s == low])
-    return {"value": low, "witness_graph6": min(cols.g6s(i)[0] for i in at)}
+    return {"value": low, "witness_graph6": min(min(cols.labels[i]) for i in at)}
 
 
 def _fold(b: BoundSpec, cols: _Columns, population: str) -> SharpnessReport:
     """Fold one bound's pass over the keys into a report; each key counts
     once for every graph of its group.  Counts are sums of key weights, and
     the witness and family-mismatch lists come from the sparse equality,
-    violation and family-member keys, whose strings alone are sorted.
-    Witness lists are sorted, and the minimum-margin witness is the smallest
+    violation and family-member keys.  Each witness list is sorted here,
+    where it is reported, and the minimum-margin witness is the smallest
     graph6 at the smallest margin, so the report does not depend on the
     population order."""
     checked = _evaluate(b, cols)
@@ -509,7 +502,7 @@ def _fold(b: BoundSpec, cols: _Columns, population: str) -> SharpnessReport:
         family_not_eq = [i for i in members.difference(equal_keys) if live.mask[i]]
 
     def witnesses(at):
-        return sorted([g6 for i in at for g6 in cols.g6s(i)])
+        return sorted([g6 for i in at for g6 in cols.labels[i]])
 
     equality_w = witnesses(equal_keys)
     if violated:

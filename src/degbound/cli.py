@@ -16,7 +16,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .bounds import DEFAULT_TOL, GraphContext, audit_labelled, builtin_catalog
+from .bounds import DEFAULT_TOL, audit_labelled, builtin_catalog, graph_context
 from .enumeration import (
     EnumerationSpec,
     MAX_ORDER,
@@ -134,7 +134,7 @@ def _sniff_file_graphs(path: Path) -> list[Graph]:
 def _compute_rows(graphs):
     rows = []
     for g in graphs:
-        ctx = GraphContext(g)
+        ctx = graph_context(g)
         rows.append({"graph6": to_graph6(g) if g.n <= G6_MAX else None, "n": g.n, "m": g.m,
                      "delta": ctx.delta, "Delta": ctx.Delta, "regular": ctx.delta == ctx.Delta,
                      "chi": ctx.chi, **dict(zip(map(str, ALL_INDICES), ctx.values))})

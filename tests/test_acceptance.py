@@ -36,13 +36,13 @@ import pytest
 import degbound.enumeration as enumeration
 from degbound.bounds import (
     CONFIRMED_SHARP,
-    GraphContext,
     HOLDS_NOT_SHARP,
     VIOLATED,
     audit_all,
     builtin_catalog,
     catalog_by_id,
     evaluate_bound,
+    graph_context,
 )
 from degbound.cli import main as cli_main
 from degbound.enumeration import EnumerationSpec, connected_graphs, enumerate_connected
@@ -128,7 +128,7 @@ def test_criterion_2_equality_witness_exactness(bound_id, population_2_7,
     report = full_reports[bound_id]
     expected = sorted(
         to_graph6(g) for g in population_2_7
-        if b.preconditions_met(ctx := GraphContext(g)) and b.claimed_equality is not None
+        if b.preconditions_met(ctx := graph_context(g)) and b.claimed_equality is not None
         and b.claimed_equality.contains(ctx)
     )
     ok = report.equality_witnesses == expected

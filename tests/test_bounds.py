@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from degbound import bounds as bounds_module
+from degbound import cli
 from degbound import graphs as graphs_module
 from degbound import indices as indices_module
 from degbound.bounds import (
@@ -40,8 +41,10 @@ from degbound.bounds import (
     builtin_catalog,
     catalog_by_id,
     evaluate_bound,
+    graph_context,
     star_family,
 )
+from degbound.enumeration import connected_graphs
 from degbound.graphs import (
     Graph,
     GraphError,
@@ -230,7 +233,7 @@ def test_precondition_soundness_never_judges_skipped():
     for b in builtin_catalog():
         for g in graphs:
             chk = evaluate_bound(b, g)
-            if not b.preconditions_met(GraphContext(g)):
+            if not b.preconditions_met(graph_context(g)):
                 assert chk.verdict == PRECONDITION_SKIPPED
 
 
@@ -258,7 +261,7 @@ def test_check_equality_family_examples():
 
     def in_family(bid, g):
         b = by_id[bid]
-        return b.claimed_equality is not None and b.claimed_equality.contains(GraphContext(g))
+        return b.claimed_equality is not None and b.claimed_equality.contains(graph_context(g))
 
     assert in_family("C1", cycle_graph(6))
     assert in_family("T1U", complete_graph(5))
@@ -270,7 +273,7 @@ def test_check_equality_family_examples():
 
 def test_family_membership_is_structural():
     def contains(family, g):
-        return family.contains(GraphContext(g))
+        return family.contains(graph_context(g))
 
     assert contains(REGULAR_FAMILY, complete_bipartite(3, 3))
     assert not contains(REGULAR_FAMILY, star_graph(3))
@@ -597,7 +600,7 @@ def _reference_report(b, graphs, population):
     equality, violation, eq_not_family, family_not_eq, margins = [], [], [], [], []
     for g in graphs:
         chk = evaluate_bound(b, g)
-        ctx = GraphContext(g)
+        ctx = graph_context(g)
         in_family = b.claimed_equality is not None and b.claimed_equality.contains(ctx)
         if any(f.contains(ctx) for f in b.exclusions):
             assert chk.verdict == PRECONDITION_SKIPPED, (b.bound_id, chk.graph6)
@@ -934,17 +937,47 @@ def _reaches_a_graph(root) -> bool:
 
 
 def test_key_groups_hold_graph6_strings_not_graphs(population_2_7):
-    """Each key keeps its context and its members' graph6 strings, as given,
-    and no graph can be reached from the key table; the check catches a key
+    """The key table maps each key's record to its members' graph6 strings,
+    as given, and no graph can be reached from it; the check catches a key
     that keeps one."""
     pairs = [(to_graph6(g), g) for g in population_2_7]
     groups = bounds_module._key_groups(iter(pairs))
-    assert all(type(label) is str for _, labels in groups for label in labels)
-    assert sorted(label for _, labels in groups for label in labels) == sorted(
+    assert all(type(ctx) is GraphContext for ctx in groups)
+    assert all(type(label) is str for labels in groups.values() for label in labels)
+    assert sorted(label for labels in groups.values() for label in labels) == sorted(
         g6 for g6, _ in pairs)
     assert not _reaches_a_graph(groups)
-    ctx, labels = groups[0]
-    assert _reaches_a_graph([(ctx, [*labels, population_2_7[0]])])
+    ctx, labels = next(iter(groups.items()))
+    assert _reaches_a_graph({ctx: [*labels, population_2_7[0]]})
+
+
+def test_the_record_is_built_only_by_calling_its_name(monkeypatch):
+    """With ``degbound.bounds.GraphContext`` replaced by a plain function
+    that forwards to the class, as a tracer that times the records does,
+    an audit, single checks and ``compute``'s rows come out the same: the
+    package builds a record only by calling that name."""
+    bounds = builtin_catalog() + _custom_bounds()
+    population = [g for n in range(2, 7) for g in connected_graphs(n)]
+    # K1, an edgeless graph, chi undefined (order 13) and no graph6 (order 63)
+    sample = [Graph(1), Graph(3), path_graph(2), complete_bipartite(3, 3),
+              double_star(), cycle_graph(13), star_graph(62)]
+
+    def run():
+        reports = audit_all(bounds, population, population="orders 2..6")
+        return ({k: r.to_dict() for k, r in reports.items()},
+                [evaluate_bound(b, g) for b in bounds for g in sample],
+                cli._compute_rows(sample))
+
+    plain = run()
+    record, built = GraphContext, []
+
+    def forward(*args):
+        built.append(args)
+        return record(*args)
+
+    monkeypatch.setattr(bounds_module, "GraphContext", forward)
+    assert run() == plain
+    assert len(built) > len(sample)
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -16,7 +16,7 @@ from degbound.bounds import (
     REGULAR_FAMILY,
     SPANNING_STAR_FAMILY,
     T_STAR,
-    GraphContext,
+    graph_context,
     star_family,
 )
 from degbound.enumeration import _classes, connected_graphs
@@ -156,7 +156,7 @@ def test_is_molecular():
 
 def test_recognizers():
     def contains(family, g):
-        return family.contains(GraphContext(g, chi=None))
+        return family.contains(graph_context(g))
 
     assert contains(P3_FAMILY, path_graph(3)) and not contains(P3_FAMILY, path_graph(4))
     assert contains(P2_FAMILY, path_graph(2)) and not contains(P2_FAMILY, star_graph(3))
@@ -186,24 +186,30 @@ def _by_definition(g):
             **{f"S_{{1,{k}}}": star and n == k + 1 for k in range(1, 9)}}
 
 
+def _small_graphs():
+    """Every labelled graph with at most 6 vertices and every class of order
+    1..8, disconnected and edgeless ones and K1 included."""
+    labelled = [Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                for n in range(1, 7)
+                for pairs in [[(u, v) for v in range(n) for u in range(v)]]
+                for mask in range(1 << len(pairs))]
+    return labelled, [g for n in range(1, 9) for g in _classes(n, False)]
+
+
 def test_star_and_path_match_connectivity_first_definitions():
     """The star and path families, and with them every other family and
-    exclusion, read on a graph's context without chi, agree with their
+    exclusion, read on a graph's record, agree with their
     connectivity-first definitions on every labelled graph with at most 6
     vertices and every class of order 1..8, disconnected ones included, and
     on S_{1,8} and T*, alone and with isolated vertices."""
     families = [P2_FAMILY, P3_FAMILY, COMPLETE_FAMILY, CYCLE_FAMILY, C3_FAMILY,
                 SPANNING_STAR_FAMILY, REGULAR_FAMILY, K14, T_STAR,
                 *map(star_family, range(1, 9))]
-    labelled = [Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
-                for n in range(1, 7)
-                for pairs in [[(u, v) for v in range(n) for u in range(v)]]
-                for mask in range(1 << len(pairs))]
-    classes = [g for n in range(1, 9) for g in _classes(n, False)]
+    labelled, classes = _small_graphs()
     members = dict.fromkeys((f.label for f in families), 0)
     extra = [star_graph(8), Graph(10, star_graph(8).edges), Graph(9, double_star().edges)]
     for g in [*labelled, *classes, *extra]:
-        ctx, want = GraphContext(g, chi=None), _by_definition(g)
+        ctx, want = graph_context(g), _by_definition(g)
         for f in families:
             assert f.contains(ctx) == want[f.label], (f.label, g.n, g.edges)
             members[f.label] += want[f.label]
@@ -212,6 +218,26 @@ def test_star_and_path_match_connectivity_first_definitions():
                        "delta-regular": 247, "K_{1,4}": 6, "T*": 1, "S_{1,1}": 2,
                        "S_{1,2}": 4, "S_{1,3}": 5, "S_{1,4}": 6, "S_{1,5}": 7,
                        "S_{1,6}": 1, "S_{1,7}": 1, "S_{1,8}": 1}
+
+
+def test_the_record_splits_no_audit_key():
+    """A graph's record holds the four fields the audit keyed on before it
+    keyed on the record, (n, connectivity, flat pair counts, chi), and its
+    delta and Delta are the least and the largest degree, on every graph of
+    ``_small_graphs``.  So graphs with equal four-field keys have equal
+    records, and keying on the record groups graphs as that key did."""
+    labelled, classes = _small_graphs()
+    records = {}
+    for g in [*labelled, *classes]:
+        ctx = graph_context(g)
+        old = (g.n, is_connected(g), degree_pair_counts(g), chromatic_number(g))
+        assert (ctx.n, ctx.connected, ctx.counts, ctx.chi) == old
+        assert (ctx.delta, ctx.Delta) == (min(g.degrees), max(g.degrees))
+        assert records.setdefault(old, ctx) == ctx, (g.n, g.edges)
+    edgeless = [ctx for ctx in records.values() if ctx.counts == ()]
+    assert [(ctx.n, ctx.connected, ctx.delta, ctx.Delta, ctx.chi) for ctx in edgeless] == [
+        (1, True, 0, 0, 1), *((n, False, 0, 0, 1) for n in range(2, 9))]
+    assert (len(records), sum(not ctx.connected for ctx in records.values())) == (7788, 1275)
 
 
 # ---------------------------------------------------------------------------
@@ -697,15 +723,9 @@ def _flat_count_graphs(populations):
     return graphs
 
 
-def _bits(values):
-    return [None if v is None else v.hex() for v in values]
-
-
 def test_flat_pair_counts_are_the_partition(populations):
     """``degree_pair_counts`` is the edge-degree partition as (a, b, count)
-    triples with a <= b, in strictly increasing pair order, and a context
-    built from those counts holds the values, bit for bit, of one built
-    from the graph alone."""
+    triples with a <= b, in strictly increasing pair order."""
     graphs = _flat_count_graphs(populations)
     assert len(graphs) == 995 + 10 + 4 * 199 - 1 + 100 + 1
     for g in graphs:
@@ -717,4 +737,3 @@ def test_flat_pair_counts_are_the_partition(populations):
         part = edge_degree_partition(g)
         assert list(part) == pairs
         assert part == dict(zip(pairs, counts[2::3])) == _reference_partition(g.n, g.edges)
-        assert _bits(GraphContext(g, counts=counts).values) == _bits(GraphContext(g).values)

@@ -35,7 +35,7 @@ def test_same_output_matches_the_pins():
             if any(Path(arg).is_absolute() for arg in cmd.split())] == []
     proc = same_output("--pinned")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "same output on all 30 commands"
+    assert proc.stdout.splitlines()[-1] == "same output on all 32 commands"
 
 
 def _stub_checkout(root, cli_source):
@@ -57,9 +57,9 @@ def test_same_output_reports_every_command(tmp_path):
     proc = same_output(parent, change / "tools" / "same_output.py")
     lines = proc.stdout.splitlines()
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert lines[-1] == "different output on 3 of 30 commands"
+    assert lines[-1] == "different output on 3 of 32 commands"
     named = [line for line in lines[:-1] if line.startswith(("same `", "DIFFERENT `"))]
-    assert len(named) == len(lines) - 1 == 30
+    assert len(named) == len(lines) - 1 == 32
     different = [line for line in named if line.startswith("DIFFERENT")]
     assert [line.split("`")[1].split()[0] for line in different] == ["verify"] * 3
     assert all(line.endswith(": stdout: line 1: b'verify!' != b'verify'")
@@ -71,12 +71,12 @@ def test_same_output_pins_catch_drift(tmp_path):
     drifts from them afterwards, and only those."""
     _stub_checkout(tmp_path, SUBCOMMAND)
     tool = tmp_path / "tools" / "same_output.py"
-    assert same_output("--pin", tool).stdout.splitlines()[-1] == "pinned 30 commands"
+    assert same_output("--pin", tool).stdout.splitlines()[-1] == "pinned 32 commands"
     (tmp_path / "src" / "degbound" / "cli.py").write_text(VERIFY_CHANGED)
     proc = same_output("--pinned", tool)
     lines = proc.stdout.splitlines()
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert lines[-1] == "different output on 3 of 30 commands"
+    assert lines[-1] == "different output on 3 of 32 commands"
     different = [line for line in lines if line.startswith("DIFFERENT")]
     assert [line.split("`")[1].split()[0] for line in different] == ["verify"] * 3
     assert all(": stdout: sha256 " in line for line in different)

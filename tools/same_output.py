@@ -36,8 +36,11 @@ over ``audit-distinct``, guard the population filter both sources share.
 ``audit --enumerate 8`` without ``--allow-n8`` and ``--enumerate 9`` with it
 guard the order gate's two usage errors, an audit of the mixed file
 guards chi on disconnected graphs, and the same audit with ``--min-degree 5``
-admits none of its graphs, so every bound reports over no keys at all.  An audit with ``--bounds C4,C6,T7-(21)U``
-covers a chain without its links, a chi bound and a violated bound.
+admits none of its graphs, so every bound reports over no keys at all.
+``compute`` and ``audit`` of ``corner.g6``, K1 (``@``) and the edgeless
+graph of order 3 (``B?``), reach the only records whose edge-degree
+partition is empty, which the mixed file, with no edgeless graph, does not.
+An audit with ``--bounds C4,C6,T7-(21)U`` covers a chain without its links, a chi bound and a violated bound.
 ``families``, ``proofs`` and ``compute``
 each render in two formats or more, so each of the table, csv and json
 renderers sees the rows of several commands; ``proofs --n 7`` also reaches
@@ -140,6 +143,11 @@ def commands(populations: Path) -> list[list[str]]:
              ["audit", "--enumerate", "9", "--allow-n8"],
              ["audit", "--file", str(mixed), "--format", "json"],
              ["audit", "--file", str(mixed), "--min-degree", "5", "--format", "json"]]
+    # K1 and the edgeless graph of order 3: records whose pair counts are empty.
+    corner = populations / "corner.g6"
+    corner.write_text("@\nB?\n", encoding="utf-8")
+    cmds += [["compute", "--file", str(corner), "--format", "json"],
+             ["audit", "--file", str(corner), "--format", "json"]]
     # A seeded random graph of order 62 reads every position of a graph6 body.
     rng = random.Random(62)
     order_62 = graph6(62, [(u, v) for v in range(62) for u in range(v) if rng.random() < 0.5])
