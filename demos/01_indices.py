@@ -12,16 +12,17 @@ from degbound import (
     all_indices,
     complete_graph,
     cycle_graph,
+    degree_pair_counts,
     double_star,
-    edge_degree_partition,
     path_graph,
     star_graph,
 )
 
-# The partition is tiny even when the graph is not.
+# The partition is tiny even when the graph is not: flat (a, b, count)
+# triples, one per pair of endpoint degrees that occurs.
 for g, name in [(cycle_graph(12), "C_12"), (star_graph(8), "S_{1,8}"),
                 (double_star(), "T*")]:
-    print(f"{name}: edge-degree partition {edge_degree_partition(g)}")
+    print(f"{name}: edge-degree partition {degree_pair_counts(g)}")
 print()
 
 # All seven indices of the complete graph K_5.

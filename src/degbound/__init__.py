@@ -28,14 +28,10 @@ from .graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    degree_pair_counts,
     double_star,
-    edge_degree_partition,
     is_connected,
-    is_molecular,
-    is_regular,
     make_family,
-    max_degree,
-    min_degree,
     parse_edge_list,
     parse_graph6,
     path_graph,

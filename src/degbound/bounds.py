@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 from .graphs import (
     G6_MAX,
+    MOLECULAR_MAX_DEGREE,
     Graph,
     SizeLimitError,
     chromatic_number,
@@ -345,7 +346,7 @@ def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
     the smallest of its links' slacks, ``inf`` where it is violated.
     """
     if b.chain:
-        links = [_evaluate(_catalog_index()[cid], cols) for cid in b.chain]
+        links = [_evaluate(link, cols) for link in _links(b)]
         met = list(map(all, zip(_live(b, cols).met, *(link.live.met for link in links))))
         live = _Live(cols, met, list(map(all, zip(met, *(link.live.mask for link in links)))))
         broken = set().union(*(link.violated for link in links))
@@ -377,6 +378,16 @@ def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
     return _Checked(live, slacks, equal, violated)
 
 
+def _links(b: BoundSpec) -> list[BoundSpec]:
+    """The catalog entries chain ``b`` composes, in order, or a ``ValueError``
+    naming an id the catalog lacks; not checked as ``b`` is built, since C4
+    is built with the catalog."""
+    for cid in b.chain:
+        if cid not in _catalog_index():
+            raise ValueError(f"chain {b.bound_id!r} names unknown catalog id {cid!r}")
+    return [_catalog_index()[cid] for cid in b.chain]
+
+
 def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
     """Check one bound on one graph; every outcome is a verdict, not an error.
 
@@ -386,6 +397,7 @@ def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
     back from the record's columns.  A chain has no sides; its margin is the
     smallest of its links' that hold, or None.
     """
+    links = _links(b)
     ctx = graph_context(g)
     label = to_graph6(g) if g.n <= G6_MAX else None
     cols = _Columns({ctx: [label]})
@@ -395,7 +407,7 @@ def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
         return BoundCheck(b.bound_id, label, None, None, None, verdict)
     verdict = EQUALITY if checked.equal else VIOLATED if checked.violated else HOLDS
     if b.chain:
-        low = min(_evaluate(_catalog_index()[cid], cols).slacks[0] for cid in b.chain)
+        low = min(_evaluate(link, cols).slacks[0] for link in links)
         margin = None if low == math.inf else low
         return BoundCheck(b.bound_id, label, None, None, margin, verdict)
     lhs, rhs = (cols.sides[at][0] for at in b.sides)
@@ -555,6 +567,9 @@ def audit_labelled(bounds, labelled, population: str = "population") -> dict[str
     Witness lists are sorted by graph6 string, so the result does not
     depend on the population order (for equal populations as sets).
     """
+    bounds = list(bounds)
+    for b in bounds:
+        _links(b)  # an unknown link fails before the population is read
     cols = _Columns(_key_groups(labelled))
     return {b.bound_id: _fold(b, cols, population) for b in bounds}
 
@@ -672,7 +687,7 @@ def _build_catalog() -> list[BoundSpec]:
                   n_min=3, delta_min=2, chain=("EXT-2a", "EXT-2b", "EXT-2c", "T4U")),
         _upper("EXT-3(i)", "Das-Trinajstic strict comparison (molecular)",
                "ABC(G) < GA(G) for molecular G (max degree <= 4) other than K_{1,4} and T*",
-               ABC, GA, one, strict=True, degree_cap=lambda d, D: D <= 4,
+               ABC, GA, one, strict=True, degree_cap=lambda d, D: D <= MOLECULAR_MAX_DEGREE,
                exclusions=(K14, T_STAR)),
         _upper("EXT-3(ii)", "Das-Trinajstic strict comparison (small degree spread)",
                "ABC(G) < GA(G) when Delta - delta <= 3, G other than K_{1,4} and T*",

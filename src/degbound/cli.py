@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 
 from .bounds import DEFAULT_TOL, audit_labelled, builtin_catalog, graph_context
@@ -21,7 +22,6 @@ from .enumeration import (
     EnumerationSpec,
     MAX_ORDER,
     check_order,
-    parse_population,
     stream_connected,
     stream_population,
 )
@@ -34,6 +34,7 @@ from .enumeration import read_population  # noqa: F401
 from .formulas import FAMILY_FORMULAS
 from .graphs import (
     G6_MAX,
+    MOLECULAR_MAX_DEGREE,
     Graph,
     GraphError,
     content_lines,
@@ -103,12 +104,11 @@ def _render_rows(rows, fmt, stream):
             stream.write("  ".join(cells).rstrip() + "\n")
 
 
-def _read(path: Path, read=lambda p: p.read_text(encoding="utf-8-sig")):
-    """``read(path)``, by default the file's text as UTF-8 whatever the locale,
-    less a leading byte-order mark; a file that cannot be opened or decoded is
-    an I/O error."""
+def _read(path: Path) -> str:
+    """The file's text as UTF-8 whatever the locale, less a leading byte-order
+    mark; a file that cannot be opened or decoded is an I/O error."""
     try:
-        return read(path)
+        return path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise IOError(f"cannot read {path}: {exc}") from None
 
@@ -119,7 +119,7 @@ def _read(path: Path, read=lambda p: p.read_text(encoding="utf-8-sig")):
 
 def _sniff_file_graphs(path: Path) -> list[Graph]:
     text = _read(path)
-    body = [line for _, line in content_lines(text)]
+    body = [line for _, line in islice(content_lines(text), 2)]
     if body and body[0].isdigit() and (len(body) == 1 or " " in body[1] or "\t" in body[1]):
         try:
             n = int(body[0])
@@ -128,7 +128,7 @@ def _sniff_file_graphs(path: Path) -> list[Graph]:
         if n > FAMILY_MAX:  # Graph(n, edges) allocates n slots before it reads an edge
             raise GraphError(f"edge list: vertex count must be at most {FAMILY_MAX}, got {n}")
         return [parse_edge_list(text)]
-    return parse_population(text, path)
+    return [g for _, g in stream_population(text, path)]
 
 
 def _compute_rows(graphs):
@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--file", help="population file, one graph6 per line")
         p.add_argument("--min-degree", type=int, metavar="K")
         p.add_argument("--molecular", action="store_true",
-                       help="restrict to maximum degree <= 4")
+                       help=f"restrict to maximum degree <= {MOLECULAR_MAX_DEGREE}")
         p.add_argument("--allow-n8", action="store_true",
                        help="permit the order-8 enumeration (0.6-0.7 seconds)")
         p.add_argument("--bounds", metavar="LIST|all", default="all")

@@ -46,12 +46,11 @@ from pathlib import Path
 import numpy  # noqa: F401
 
 from .graphs import (
+    MOLECULAR_MAX_DEGREE,
     Graph,
     GraphError,
     SizeLimitError,
     content_lines,
-    is_molecular,
-    min_degree,
     parse_graph6,
     reach,
     to_graph6,
@@ -277,9 +276,9 @@ class EnumerationSpec:
     molecular: bool = False
 
     def admits(self, g: Graph) -> bool:
-        if self.delta_min is not None and min_degree(g) < self.delta_min:
+        if self.delta_min is not None and min(g.degrees) < self.delta_min:
             return False
-        return not self.molecular or is_molecular(g)
+        return not self.molecular or max(g.degrees) <= MOLECULAR_MAX_DEGREE
 
     def describe(self) -> str:
         parts = [f"n={self.n}"]
@@ -366,14 +365,9 @@ def connected_graphs(n: int, delta_min: int | None = None,
 
 
 def read_population(path: str | Path) -> list[Graph]:
-    """Read a population file as UTF-8, less a leading byte-order mark; see
-    :func:`parse_population`."""
-    return parse_population(Path(path).read_text(encoding="utf-8-sig"), path)
-
-
-def parse_population(text: str, path: str | Path) -> list[Graph]:
-    """The graphs of :func:`stream_population`, as a list."""
-    return [g for _, g in stream_population(text, path)]
+    """The graphs of population file ``path``, read as UTF-8 less a leading
+    byte-order mark; see :func:`stream_population`."""
+    return [g for _, g in stream_population(Path(path).read_text(encoding="utf-8-sig"), path)]
 
 
 def stream_population(text: str, path: str | Path) -> Iterator[tuple[str, Graph]]:

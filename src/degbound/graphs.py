@@ -1,8 +1,9 @@
-"""Simple undirected graphs with bitset adjacency: degree statistics, the
-named families, the exact chromatic number and the graph6 and edge-list
-text formats.  The only structural predicates are connectivity, regularity
-and molecularity; the bound auditor decides its equality families on the
-edge-degree partition and the degrees, not on a graph.
+"""Simple undirected graphs with bitset adjacency: the edge-degree
+partition, the named families, the exact chromatic number and the graph6
+and edge-list text formats.  Connectivity is the only structural predicate;
+a degree fact is read from ``Graph.degrees`` (such as ``min(g.degrees)``),
+and the bound auditor decides its equality families on the audit key's
+record, not on a graph.
 
 Vertices are the integers ``0..n-1``.  A graph is a plain value: its order,
 one Python int adjacency bitmask per vertex and its degrees, with nothing
@@ -17,7 +18,9 @@ larger graphs, up to K_{200,200} on 400 vertices, for closed-form cross-checks).
 
 from __future__ import annotations
 
+import re
 import struct
+from collections.abc import Iterator
 from functools import cache
 from operator import getitem
 
@@ -103,6 +106,9 @@ class Graph:
 # ---------------------------------------------------------------------------
 # Degree statistics
 
+# A molecular graph has maximum degree at most this (a carbon atom's valence).
+MOLECULAR_MAX_DEGREE = 4
+
 
 def degree_pair_counts(g: Graph) -> tuple[int, ...]:
     """The edge-degree partition as one flat tuple ``(a1, b1, c1, a2, b2,
@@ -135,35 +141,6 @@ def degree_pair_counts(g: Graph) -> tuple[int, ...]:
             if count:
                 counts += (a, b, count // 2 if a == b else count)
     return tuple(counts)
-
-
-def edge_degree_partition(g: Graph) -> dict[tuple[int, int], int]:
-    """Multiset of unordered endpoint-degree pairs over all edges: the
-    triples of ``degree_pair_counts`` as a new dict from each ``(a, b)`` to
-    its count, inserted in sorted pair order."""
-    counts = degree_pair_counts(g)
-    return dict(zip(zip(counts[::3], counts[1::3]), counts[2::3]))
-
-
-def min_degree(g: Graph) -> int:
-    return min(g.degrees)
-
-
-def max_degree(g: Graph) -> int:
-    return max(g.degrees)
-
-
-def is_regular(g: Graph, d: int | None = None) -> bool:
-    """True when all degrees are equal (and equal to ``d`` if given)."""
-    lo = min(g.degrees)
-    if lo != max(g.degrees):
-        return False
-    return d is None or lo == d
-
-
-def is_molecular(g: Graph) -> bool:
-    """True when the maximum degree is at most 4."""
-    return max(g.degrees) <= 4
 
 
 def reach(adj, mask: int) -> int:
@@ -427,25 +404,27 @@ def _graph6_error(s: str) -> GraphError:
     return GraphError("graph6: nonzero padding bits")
 
 
-def content_lines(text: str) -> list[tuple[int, str]]:
+# A line's text, then its end: \r\n, \r, \n or the end of the text.
+_LINE = re.compile(r"([^\r\n]*)(?:\r\n?|\n|\Z)")
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
     """``(line number from 1, text)`` of each line of ``text`` left nonempty
-    once its ``#`` comment and surrounding blanks are stripped.  A line ends
-    only at ``\\n``, ``\\r\\n`` or ``\\r``, as an editor numbers it; a form
-    feed, vertical tab or other break ``str.splitlines`` would split at stays
-    in the line, where only the stripping at its ends removes it."""
-    lines = []
-    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"),
-                                 start=1):
-        stripped = raw.split("#", 1)[0].strip()
+    once its ``#`` comment and surrounding blanks are stripped, yielded as
+    each line is read.  A line ends only at ``\\n``, ``\\r\\n`` or ``\\r``, as an
+    editor numbers it; a form feed, vertical tab or other break
+    ``str.splitlines`` would split at stays in the line, where only the
+    stripping at its ends removes it."""
+    for lineno, line in enumerate(_LINE.finditer(text), start=1):
+        stripped = line[1].split("#", 1)[0].strip()
         if stripped:
-            lines.append((lineno, stripped))
-    return lines
+            yield lineno, stripped
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format: first line ``n``, then one
     whitespace-separated 0-based ``u v`` pair per line."""
-    lines = content_lines(text)
+    lines = list(content_lines(text))
     if not lines:
         raise GraphError("edge list: no content")
     lineno, head = lines[0]

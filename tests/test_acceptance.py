@@ -48,11 +48,11 @@ from degbound.cli import main as cli_main
 from degbound.enumeration import EnumerationSpec, connected_graphs, enumerate_connected
 from degbound.formulas import regular_values
 from degbound.graphs import (
+    MOLECULAR_MAX_DEGREE,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     double_star,
-    is_molecular,
     parse_graph6,
     star_graph,
     to_graph6,
@@ -247,7 +247,7 @@ def test_criterion_7_molecular_strict_inequality(population_2_7):
         k14 = star_graph(4)
         margins = []
         for g in population_2_7:
-            if g.n < 3 or not is_molecular(g):
+            if g.n < 3 or max(g.degrees) > MOLECULAR_MAX_DEGREE:
                 continue
             if sorted(g.degrees) == [1, 1, 1, 1, 4]:
                 continue  # K_{1,4} itself

@@ -483,17 +483,42 @@ def test_chain_edge_cases():
     assert report.violation_witnesses == ["C~", "D~{"]
 
 
+def test_a_chain_with_an_unknown_link_fails_before_any_graph_is_read(monkeypatch):
+    """A chain's links are looked up before the population is read or the
+    record is built: an id the catalog lacks is a ``ValueError`` naming the
+    chain and the id, and a population that fails if it is ever advanced is
+    never advanced."""
+    bad = BoundSpec("X", "c", "s", chain=("EXT-2a", "NOPE"))
+    message = r"^chain 'X' names unknown catalog id 'NOPE'$"
+
+    def untouchable():
+        raise AssertionError("the population was read")
+        yield
+
+    with pytest.raises(ValueError, match=message):
+        audit_all([bad], untouchable())
+    with pytest.raises(ValueError, match=message):
+        audit_all(builtin_catalog() + [bad], untouchable())
+    with pytest.raises(ValueError, match=message):
+        bounds_module.audit_labelled(iter([bad]), untouchable())
+
+    def no_record(g):
+        raise AssertionError("the record was built")
+
+    monkeypatch.setattr(bounds_module, "graph_context", no_record)
+    with pytest.raises(ValueError, match=message):
+        evaluate_bound(bad, cycle_graph(5))
+
+
 def test_ext2_chain_structure(populations):
     """H = R exactly on regular graphs, R = X exactly on cycles, X < ABC."""
-    from degbound.graphs import is_regular, min_degree
-
     by_id = catalog_by_id()
     for n in range(3, 8):
         for g in populations[n]:
-            if min_degree(g) < 2:
+            if min(g.degrees) < 2:
                 continue
             ha = evaluate_bound(by_id["EXT-2a"], g)
-            assert (ha.verdict == EQUALITY) == is_regular(g)
+            assert (ha.verdict == EQUALITY) == (len(set(g.degrees)) == 1)
             rx = evaluate_bound(by_id["EXT-2b"], g)
             assert (rx.verdict == EQUALITY) == (set(g.degrees) == {2})  # a cycle
             xa = evaluate_bound(by_id["EXT-2c"], g)
@@ -873,8 +898,7 @@ def test_audit_counts_each_partition_once(monkeypatch, populations):
     """The audit counts each graph's edge-degree partition exactly once, in
     the key groups (``bounds.degree_pair_counts``), which hand the flat
     counts to the key's context: neither ``graphs`` nor ``indices`` counts
-    any.  A graph caches no partition, so a caller may mutate the dict
-    ``edge_degree_partition`` gives it."""
+    any."""
     counted = {module: [] for module in (graphs_module, indices_module, bounds_module)}
     count_pairs = graphs_module.degree_pair_counts
 
@@ -891,11 +915,6 @@ def test_audit_counts_each_partition_once(monkeypatch, populations):
     assert len(counted[bounds_module]) == len(order_7) == 853
     assert set(counted[bounds_module]) == set(order_7)
     assert counted[graphs_module] == counted[indices_module] == []
-
-    t = double_star()
-    part = graphs_module.edge_degree_partition(t)
-    part[(1, 4)] = 0
-    assert graphs_module.edge_degree_partition(t) == {(1, 4): 6, (4, 4): 1}
 
 
 def test_audit_encodes_each_graph_once(monkeypatch, populations):

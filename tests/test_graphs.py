@@ -16,10 +16,11 @@ from degbound.bounds import (
     REGULAR_FAMILY,
     SPANNING_STAR_FAMILY,
     T_STAR,
+    catalog_by_id,
     graph_context,
     star_family,
 )
-from degbound.enumeration import _classes, connected_graphs
+from degbound.enumeration import EnumerationSpec, _classes, connected_graphs
 from degbound.graphs import (
     CHROMATIC_CAP,
     G6_MAX,
@@ -33,13 +34,8 @@ from degbound.graphs import (
     cycle_graph,
     degree_pair_counts,
     double_star,
-    edge_degree_partition,
     is_connected,
-    is_molecular,
-    is_regular,
     make_family,
-    max_degree,
-    min_degree,
     parse_edge_list,
     parse_graph6,
     path_graph,
@@ -98,20 +94,20 @@ def test_degree_sum_is_twice_edge_count():
 
 
 def test_edge_degree_partition_examples():
-    assert edge_degree_partition(cycle_graph(5)) == {(2, 2): 5}
-    assert edge_degree_partition(star_graph(4)) == {(1, 4): 4}
-    assert edge_degree_partition(double_star()) == {(1, 4): 6, (4, 4): 1}
+    assert degree_pair_counts(cycle_graph(5)) == (2, 2, 5)
+    assert degree_pair_counts(star_graph(4)) == (1, 4, 4)
+    assert degree_pair_counts(double_star()) == (1, 4, 6, 4, 4, 1)
 
 
 def test_partition_total_and_relabel_invariance():
     rng = random.Random(11)
     for _ in range(100):
         g = random_graph(rng, rng.randrange(2, 10))
-        part = edge_degree_partition(g)
-        assert sum(part.values()) == g.m
+        counts = degree_pair_counts(g)
+        assert sum(counts[2::3]) == g.m
         perm = list(range(g.n))
         rng.shuffle(perm)
-        assert edge_degree_partition(g.relabeled(perm)) == part
+        assert degree_pair_counts(g.relabeled(perm)) == counts
 
 
 def test_is_connected_examples():
@@ -133,25 +129,6 @@ def test_reach_is_the_component_of_the_lowest_vertex():
     assert reach(adj, 0b11111) == 0b00011
     assert reach(adj, 0b11110) == 0b00010
     assert reach(adj, 0b11100) == 0b11100
-
-
-def test_degree_extremes():
-    assert (min_degree(cycle_graph(6)), max_degree(cycle_graph(6))) == (2, 2)
-    assert (min_degree(star_graph(4)), max_degree(star_graph(4))) == (1, 4)
-    assert (min_degree(double_star()), max_degree(double_star())) == (1, 4)
-
-
-def test_is_regular():
-    assert is_regular(cycle_graph(7), 2)
-    assert not is_regular(path_graph(3))
-    assert is_regular(complete_graph(5), 4)
-    assert not is_regular(complete_graph(5), 3)
-
-
-def test_is_molecular():
-    assert is_molecular(double_star())
-    assert not is_molecular(complete_graph(6))
-    assert is_molecular(cycle_graph(3))
 
 
 def test_recognizers():
@@ -247,21 +224,21 @@ def test_the_record_splits_no_audit_key():
 def test_make_family_examples():
     s8 = make_family("star", 8)
     assert s8.n == 9
-    assert edge_degree_partition(s8) == {(1, 8): 8}
+    assert degree_pair_counts(s8) == (1, 8, 8)
     t = make_family("double_star")
     assert t.n == 8 and t.m == 7
-    assert edge_degree_partition(t) == {(1, 4): 6, (4, 4): 1}
+    assert degree_pair_counts(t) == (1, 4, 6, 4, 4, 1)
     assert make_family("cycle", 3) == complete_graph(3)
 
 
 def test_make_family_regularity():
     for n in (2, 5, 9):
-        assert is_regular(make_family("complete", n), n - 1)
+        assert set(make_family("complete", n).degrees) == {n - 1}
     for n in (3, 6, 10):
-        assert is_regular(make_family("cycle", n), 2)
+        assert set(make_family("cycle", n).degrees) == {2}
     for d in (1, 2, 4):
         w = make_family("delta_regular_witness", d)
-        assert is_regular(w, d) and is_connected(w)
+        assert set(w.degrees) == {d} and is_connected(w)
 
 
 def test_make_family_errors():
@@ -310,7 +287,7 @@ def test_chromatic_brooks_style_sanity():
     for _ in range(100):
         g = random_graph(rng, rng.randrange(1, 9))
         chi = chromatic_number(g)
-        assert 1 <= chi <= max_degree(g) + 1
+        assert 1 <= chi <= max(g.degrees) + 1
     for n in range(2, 9):
         assert chromatic_number(complete_graph(n)) == n
 
@@ -541,10 +518,10 @@ def test_parse_edge_list_errors():
 
 
 def test_content_lines_keep_true_line_numbers():
-    assert content_lines(COMMENTED_EDGE_LIST) == [(3, "3"), (4, "0 1"), (5, "0 1 2")]
-    assert content_lines("# only a comment\n\n   \n") == []
+    assert list(content_lines(COMMENTED_EDGE_LIST)) == [(3, "3"), (4, "0 1"), (5, "0 1 2")]
+    assert list(content_lines("# only a comment\n\n   \n")) == []
     # Lines end at \n, \r\n and \r alone; other breaks stay in the line.
-    assert content_lines("a\r\nb\rc\x0cd\x0be\x1cf\x85g\u2028h\u2029i\nj\x0c") == [
+    assert list(content_lines("a\r\nb\rc\x0cd\x0be\x1cf\x85g\u2028h\u2029i\nj\x0c")) == [
         (1, "a"), (2, "b"), (3, "c\x0cd\x0be\x1cf\x85g\u2028h\u2029i"), (4, "j")]
 
 
@@ -677,8 +654,9 @@ def test_parse_graph6_matches_reference_on_random_strings():
     assert min(outcomes.values()) >= 100 and len(outcomes) == 7, outcomes
 
 
-def _reference_partition(n: int, edges) -> dict[tuple[int, int], int]:
-    """Per-edge count of sorted endpoint-degree pairs."""
+def _reference_partition(n: int, edges) -> tuple[int, ...]:
+    """Per-edge count of sorted endpoint-degree pairs, as flat
+    ``(a, b, count)`` triples in increasing pair order."""
     deg = [0] * n
     for u, v in edges:
         deg[u] += 1
@@ -687,7 +665,7 @@ def _reference_partition(n: int, edges) -> dict[tuple[int, int], int]:
     for u, v in edges:
         pair = tuple(sorted((deg[u], deg[v])))
         part[pair] = part.get(pair, 0) + 1
-    return part
+    return tuple(x for pair, count in sorted(part.items()) for x in (*pair, count))
 
 
 def test_edge_degree_partition_matches_per_edge_count(populations):
@@ -700,20 +678,22 @@ def test_edge_degree_partition_matches_per_edge_count(populations):
         (star_graph(n - 1), (n, [(0, i) for i in range(1, n)])),
     ]
     for g, (order, edges) in cases:
-        part = edge_degree_partition(g)
-        assert part == _reference_partition(order, edges), (order, len(edges))
-        assert list(part) == sorted(part)
+        assert degree_pair_counts(g) == _reference_partition(order, edges), (order, len(edges))
+
+
+def _mixed_graphs() -> list[Graph]:
+    """The mixed graphs of ``tools/same_output.py``."""
+    tool = Path(__file__).resolve().parent.parent / "tools" / "same_output.py"
+    spec = importlib.util.spec_from_file_location("same_output", tool)
+    same_output = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_output)
+    return [Graph(n, edges) for n, edges in same_output.MIXED]
 
 
 def _flat_count_graphs(populations):
     """Every connected class of order 2..7, the mixed graphs of
     ``tools/same_output.py`` and every family graph of order 2..200."""
-    tool = Path(__file__).resolve().parent.parent / "tools" / "same_output.py"
-    spec = importlib.util.spec_from_file_location("same_output", tool)
-    same_output = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(same_output)
-    graphs = [g for classes in populations.values() for g in classes]
-    graphs += [Graph(n, edges) for n, edges in same_output.MIXED]
+    graphs = [g for classes in populations.values() for g in classes] + _mixed_graphs()
     orders = range(2, 201)
     graphs += [make_family(tag, n) for tag in ("path", "complete") for n in orders]
     graphs += [make_family("cycle", n) for n in orders if n >= 3]
@@ -734,6 +714,22 @@ def test_flat_pair_counts_are_the_partition(populations):
         pairs = list(zip(counts[::3], counts[1::3]))
         assert all(0 < a <= b for a, b in pairs)
         assert all(p < q for p, q in zip(pairs, pairs[1:]))
-        part = edge_degree_partition(g)
-        assert list(part) == pairs
-        assert part == dict(zip(pairs, counts[2::3])) == _reference_partition(g.n, g.edges)
+        assert counts == _reference_partition(g.n, g.edges)
+
+
+def test_the_molecular_cap_is_defined_once(populations):
+    """The ``--molecular`` filter and EXT-3(i)'s degree cap admit the same
+    graphs: both read ``MOLECULAR_MAX_DEGREE``.  The filter's bounds are
+    exact: K_{1,4} is molecular and K_{1,5} is not, and a minimum degree
+    equal to ``delta_min`` is admitted."""
+    cap = catalog_by_id()["EXT-3(i)"].degree_cap
+    graphs = [g for classes in populations.values() for g in classes] + _mixed_graphs()
+    admitted = [EnumerationSpec(g.n, molecular=True).admits(g) for g in graphs]
+    assert admitted == [cap(min(g.degrees), max(g.degrees)) for g in graphs]
+    assert (len(graphs), sum(admitted)) == (1005, 468)
+    assert EnumerationSpec(5, molecular=True).admits(star_graph(4))
+    assert not EnumerationSpec(6, molecular=True).admits(star_graph(5))
+    spec = EnumerationSpec(5, delta_min=2)
+    assert spec.admits(cycle_graph(5)) and not spec.admits(path_graph(5))
+    spec = EnumerationSpec(6, delta_min=3)
+    assert spec.admits(complete_bipartite(3, 3)) and not spec.admits(cycle_graph(6))

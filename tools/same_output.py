@@ -41,6 +41,8 @@ admits none of its graphs, so every bound reports over no keys at all.
 graph of order 3 (``B?``), reach the only records whose edge-degree
 partition is empty, which the mixed file, with no edgeless graph, does not.
 An audit with ``--bounds C4,C6,T7-(21)U`` covers a chain without its links, a chi bound and a violated bound.
+``compute --family`` of ``double_star`` and of ``delta_regular_witness:3``
+(K_{3,3}) builds the two family graphs no other command builds.
 ``families``, ``proofs`` and ``compute``
 each render in two formats or more, so each of the table, csv and json
 renderers sees the rows of several commands; ``proofs --n 7`` also reaches
@@ -135,6 +137,8 @@ def commands(populations: Path) -> list[list[str]]:
     petersen.write_text("10\n" + "".join(f"{u} {v}\n" for u, v in PETERSEN),
                         encoding="utf-8")
     cmds += [["compute", "--family", "complete:200", "--format", "json"],
+             ["compute", "--family", "double_star", "--format", "json"],
+             ["compute", "--family", "delta_regular_witness:3", "--format", "csv"],
              ["compute", "--file", str(mixed), "--format", "json"],
              ["compute", "--file", str(mixed), "--format", "csv"],
              ["compute", "--file", str(petersen), "--format", "json"],
