@@ -23,14 +23,18 @@ from itertools import compress, islice, repeat
 from typing import NamedTuple
 
 from .graphs import (
+    CHROMATIC_CAP,
     G6_MAX,
     MOLECULAR_MAX_DEGREE,
     Graph,
     SizeLimitError,
     chromatic_number,
+    chromatic_upper,
     degree_pair_counts,
     is_connected,
+    parse_graph6,
     to_graph6,
+    welsh_powell_upper,
 )
 from .indices import ALL_INDICES, IndexId, index_sums
 # Not read here: perfbench/tracing.py wraps this name to time the indices.
@@ -90,7 +94,8 @@ class EqualityFamily:
     """A claimed extremal family, or a graph a bound excludes: its report
     label and its membership test on the record of a graph's audit key,
     ``GraphContext`` (no graph), so membership is a function of the key.
-    Families compare by label."""
+    The test must not read ``chi``, which an audit's record may hold only as
+    an upper bound.  Families compare by label."""
 
     label: str
     contains: Callable[["GraphContext"], bool] = field(compare=False)
@@ -196,6 +201,7 @@ class BoundCheck(NamedTuple):
 
 # The sides a bound can read, in the order of GraphContext.values.
 _SIDES = (*ALL_INDICES, CHI)
+_CHI_AT = _SIDES.index(CHI)
 
 
 # perfbench/tracing.py replaces this name with a function that forwards to
@@ -206,9 +212,14 @@ class GraphContext(NamedTuple):
     prints.  The record is the key itself, the plain tuple of its six
     fields, so it holds no graph and whatever reads it is a function of the
     key.  ``counts`` are the flat pair counts (``degree_pair_counts``) and
-    ``chi`` is None above CHROMATIC_CAP.  ``values`` are the counts' seven
-    ``index_sums`` in ALL_INDICES order, then chi as a float, so a bound
-    reads each side by position; a side that is None is domain-skipped.
+    ``chi`` is None above CHROMATIC_CAP.  A single graph's record
+    (``graph_context``) has its exact chi.  In an audit's key table, chi is
+    exact wherever a report of a bound on chi can tell the difference, and
+    elsewhere an upper bound read from the counts, so a family or an
+    exclusion reads the other five fields only.  ``values`` are the
+    counts' seven ``index_sums`` in ALL_INDICES order, then chi as a float,
+    so a bound reads each side by position; a side that is None is
+    domain-skipped.
     """
 
     n: int
@@ -223,19 +234,20 @@ class GraphContext(NamedTuple):
         return (*index_sums(self.counts), None if self.chi is None else float(self.chi))
 
 
-def _key(g: Graph) -> tuple:
-    """The fields of ``g``'s record, in order, as a plain tuple."""
+def _partition(g: Graph) -> tuple:
+    """The first five fields of ``g``'s record, the ones free of chi, in
+    order, as a plain tuple: ``g``'s key in an audit."""
+    degrees = g.degrees
+    return g.n, is_connected(g), min(degrees), max(degrees), degree_pair_counts(g)
+
+
+def graph_context(g: Graph) -> GraphContext:
+    """The record of ``g``'s audit key, with ``g``'s exact chi."""
     try:
         chi = chromatic_number(g)
     except SizeLimitError:
         chi = None
-    degrees = g.degrees
-    return g.n, is_connected(g), min(degrees), max(degrees), degree_pair_counts(g), chi
-
-
-def graph_context(g: Graph) -> GraphContext:
-    """The record of ``g``'s audit key."""
-    return GraphContext(*_key(g))
+    return GraphContext(*_partition(g), chi)
 
 
 class _Columns:
@@ -254,7 +266,8 @@ class _Columns:
         self.ctxs = list(groups)
         self.labels = list(groups.values())
         self.weights = list(map(len, self.labels))
-        self.sides = list(zip(*(ctx.values for ctx in self.ctxs))) or [()] * len(_SIDES)
+        self.sides = [list(col) for col in zip(*(ctx.values for ctx in self.ctxs))] or [
+            [] for _ in _SIDES]
         self.undefined = [{i for i, v in enumerate(col) if v is None} for col in self.sides]
         # A margin above its lhs column's screen, DEFAULT_TOL * max(1, max |lhs|),
         # holds: it exceeds DEFAULT_TOL * max(1, |lhs|) at every key.
@@ -271,6 +284,33 @@ class _Columns:
         self.shapes = list(shapes)
         self.live: dict = {}
         self.members: dict = {}
+
+    def split(self, i: int, by_chi: dict[int, list[str]]) -> None:
+        """Give the members of key ``i`` the chi of ``by_chi``, their exact
+        chi or a tighter bound on it: the labels of each chi make one key,
+        the first in place of key ``i`` and each other appended after the
+        last key.  Only chi and the labels differ between the new keys, so
+        the other columns copy key ``i``'s values; the screens stay, since
+        no chi grew.  The shared live keys and family members are dropped,
+        to be made again on first read."""
+        ctx = self.ctxs[i]
+        for k, (chi, labels) in enumerate(by_chi.items()):
+            at = i
+            if k:
+                at = len(self.ctxs)
+                for col in (*self.sides, self.columns["n"], self.columns["delta"],
+                            self.shape_of, self.ctxs, self.labels, self.weights):
+                    col.append(col[i])
+                self.columns["keys"].append(at)
+                for out in self.undefined:
+                    if i in out:
+                        out.add(at)
+            self.ctxs[at] = GraphContext(*ctx[:5], chi)
+            self.labels[at] = labels
+            self.weights[at] = len(labels)
+            self.sides[_CHI_AT][at] = float(chi)
+        self.live.clear()
+        self.members.clear()
 
 
 class _Live(dict):
@@ -358,8 +398,18 @@ def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
 
     live = _live(b, cols, tuple(at for at in b.sides if cols.undefined[at]))
     lhs_at, rhs_at = b.sides
-    lhs, rhs, xs = live[lhs_at], live[rhs_at], live["delta" if b.coeff.var == "delta" else "n"]
-    screen = cols.screens[lhs_at]
+    slacks, equal, violated = _margins(b, live[lhs_at], live[rhs_at], live[b.coeff.var],
+                                       cols.screens[lhs_at])
+    keys = live.keys
+    return _Checked(live, slacks, [keys[k] for k in equal], [keys[k] for k in violated])
+
+
+def _margins(b: BoundSpec, lhs, rhs, xs, screen: float) -> tuple[list[float], list[int], list[int]]:
+    """The margin rule of ``_evaluate`` on columns of the lhs, the rhs and
+    the coefficient's variable: the slack at each position (``math.inf``
+    where attained or violated), then the equality and the violated
+    positions.  ``screen`` may be any value at or above DEFAULT_TOL * max(1,
+    |lhs|) at every position."""
     fn = b.coeff.fn
     coeffs = {x: float(fn(x)) for x in set(xs)}  # bit for bit Coeff.ev
     values = set(coeffs.values())
@@ -373,9 +423,9 @@ def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
         margin = slacks[k]
         scale = DEFAULT_TOL * max(1.0, abs(lhs[k]))
         if margin <= scale:  # attained at or above -scale, else violated
-            (equal if margin >= -scale else violated).append(live.keys[k])
+            (equal if margin >= -scale else violated).append(k)
             slacks[k] = math.inf
-    return _Checked(live, slacks, equal, violated)
+    return slacks, equal, violated
 
 
 def _links(b: BoundSpec) -> list[BoundSpec]:
@@ -452,28 +502,106 @@ def _key_groups(labelled) -> dict[GraphContext, list[str]]:
     """The population, ``(graph6, graph)`` pairs, as a table from each audit
     key's record to the graph6 strings of its members, in the order read.
 
-    The key is (n, connectivity, delta, Delta, flat pair counts, chi), which
-    fixes the indices; the edge-degree partition is keyed as
-    ``degree_pair_counts`` returns it, counted once per graph (K_{3,3} and
-    the prism share a partition but not chi).  Each graph is looked up by
-    the plain tuple of those fields, which equals its record, so a record
-    is built once per key, not per graph.  No graph is kept: the pairs are
-    read and keyed ``_CHUNK`` at a time, so they can be a stream that
-    builds or parses each graph on demand.
+    The key is (n, connectivity, delta, Delta, flat pair counts)
+    (``_partition``), which fixes the indices; the edge-degree partition is
+    keyed as ``degree_pair_counts`` returns it, counted once per graph.  No
+    chromatic number is computed: each record's chi is ``chromatic_upper``
+    of its counts, at or above the chi of every member (None above
+    CHROMATIC_CAP), and ``_exact_chi`` later splits the few keys whose exact
+    chi a report can show (K_{3,3} and the prism share a key here, with
+    chi 4).  A record is built once per key, not per graph.  No graph is
+    kept: the pairs are read and keyed ``_CHUNK`` at a time, so they can be
+    a stream that builds or parses each graph on demand.
     """
-    groups: dict[GraphContext, list[str]] = {}
+    groups: dict[tuple, list[str]] = {}
     pairs = iter(labelled)
     # A chunk of pairs at a time: building each graph of order 7 between
     # keying two others cost 5 us a graph, 8% of the build and keying.
     while chunk := list(islice(pairs, _CHUNK)):
         for g6, g in chunk:
-            key = _key(g)
+            key = _partition(g)
             members = groups.get(key)
             if members is None:
-                groups[GraphContext(*key)] = [g6]
+                groups[key] = [g6]
             else:
                 members.append(g6)
-    return groups
+    return {GraphContext(*key, None if key[0] > CHROMATIC_CAP else chromatic_upper(key[4])):
+            members for key, members in groups.items()}
+
+
+def _exact_chi(bounds, cols: _Columns) -> None:
+    """Split the keys of ``cols`` by the exact chi of their members (each
+    label parsed again and coloured by ``chromatic_number``) wherever a
+    report of ``bounds`` can tell chi from its upper bound: every key live
+    in a lower bound on chi or in a chain with a link on chi, and, for an
+    upper bound on chi, the keys equal or violated at the upper bound and
+    those that can hold its minimum margin.
+
+    The margin of an upper bound on chi is c*rhs - chi, and float
+    subtraction is monotone, so a key's slack at any upper bound on its chi
+    is at most its exact slack, and a key that holds at such a bound holds
+    exactly.  So the keys that hold are walked in increasing slack at their
+    record's chi, until the next slack is strictly above the smallest exact
+    slack found.  A key reached first tries the tighter
+    ``welsh_powell_upper``: where that bound is lower its record takes it,
+    and the key is made exact only if its slack there is not above the
+    smallest exact slack found.  A key whose members all have its record's
+    chi keeps its record.  A label that does not decode to a graph of its
+    key raises ``ValueError``.
+    """
+    exact: dict[int, dict[int, list[str]]] = {}  # key -> chi -> its labels
+    tight: dict[int, int] = {}  # key -> its Welsh-Powell bound, where below its chi
+
+    def colour(i: int) -> dict[int, list[str]]:
+        by_chi = exact.get(i)
+        if by_chi is None:
+            by_chi = exact[i] = {}
+            key = cols.ctxs[i][:5]
+            for label in cols.labels[i]:
+                g = parse_graph6(label)
+                if _partition(g) != key:
+                    raise ValueError(f"audit label {label!r} is not the graph6 of its graph")
+                by_chi.setdefault(chromatic_number(g), []).append(label)
+        return by_chi
+
+    def least(b: BoundSpec, i: int, chis) -> float:
+        """``b``'s smallest slack at key ``i`` over the chi values ``chis``."""
+        lhs = [float(chi) for chi in chis]
+        rhs, x = cols.sides[b.sides[1]][i], cols.columns[b.coeff.var][i]
+        return min(_margins(b, lhs, [rhs] * len(lhs), [x] * len(lhs), cols.screens[_CHI_AT])[0])
+
+    for b in bounds:
+        if all(link.lhs != CHI for link in (_links(b) if b.chain else [b])):
+            continue
+        checked = _evaluate(b, cols)
+        if b.chain or b.direction == "lower":
+            for i in checked.live.keys:
+                colour(i)
+            continue
+        slacks, keys = checked.slacks, checked.live.keys
+        # The equal and violated keys, and one at the lowest slack, start the
+        # walk exact: that keeps the walk short.
+        low = min(slacks, default=math.inf)
+        start = checked.equal + checked.violated
+        if low < math.inf:
+            start.append(keys[slacks.index(low)])
+        best = min((least(b, i, colour(i)) for i in start), default=math.inf)
+        for s, i in sorted((s, i) for s, i in zip(slacks, keys) if s <= best):
+            if s > best:
+                break
+            if i not in exact:
+                chi = tight.get(i) or welsh_powell_upper(cols.ctxs[i].counts)
+                if chi < cols.ctxs[i].chi:
+                    tight[i] = chi
+                    if least(b, i, [chi]) > best:
+                        continue
+            best = min(best, least(b, i, colour(i)))
+    for i, chi in tight.items():
+        if i not in exact:
+            cols.split(i, {chi: cols.labels[i]})
+    for i, by_chi in exact.items():
+        if list(by_chi) != [cols.ctxs[i].chi]:
+            cols.split(i, by_chi)
 
 
 def _min_margin(checked: _Checked, cols: _Columns) -> dict | None:
@@ -554,16 +682,21 @@ def audit_labelled(bounds, labelled, population: str = "population") -> dict[str
     """Audit several bounds over one population of ``(graph6, graph)``
     pairs, one columnar pass per bound.
 
-    The pairs are keyed as they are read (``_key_groups``), so a stream of
-    them is never held whole, and each graph6 string is taken as given.
-    The key groups become columns once per audit (graph6 strings, weights,
-    the eight side values, n and delta).  Each hypothesis set and each
-    claimed family is tested once per key and shared by the bounds that
-    state it, and so are the live keys and their columns of each hypothesis
-    and undefined set.  Each bound evaluates its coefficient once per
-    distinct n or delta of its live keys, computes its margins over them,
-    and applies the per-key rule only to the margins at or below one
-    screen; a chain evaluates its links again and conjoins their passes.
+    Each label must be its graph's graph6: the reports name graphs by it,
+    and the few graphs whose exact chromatic number a report can show are
+    parsed again from it (``_exact_chi``), which raises ``ValueError`` for a
+    label whose graph is not of its graph's key.  The pairs are keyed as
+    they are read (``_key_groups``), so a stream of them is never held
+    whole.  The key groups become columns once per audit (graph6 strings,
+    weights, the eight side values, n and delta), and the keys of a bound
+    on chi are then split by exact chi where its report needs it.  Each
+    hypothesis set and each claimed family is tested once per key and
+    shared by the bounds that state it, and so are the live keys and their
+    columns of each hypothesis and undefined set.  Each bound evaluates its
+    coefficient once per distinct n or delta of its live keys, computes its
+    margins over them, and applies the per-key rule only to the margins at
+    or below one screen; a chain evaluates its links again and conjoins
+    their passes.
     Witness lists are sorted by graph6 string, so the result does not
     depend on the population order (for equal populations as sets).
     """
@@ -571,6 +704,7 @@ def audit_labelled(bounds, labelled, population: str = "population") -> dict[str
     for b in bounds:
         _links(b)  # an unknown link fails before the population is read
     cols = _Columns(_key_groups(labelled))
+    _exact_chi(bounds, cols)
     return {b.bound_id: _fold(b, cols, population) for b in bounds}
 
 

@@ -26,7 +26,7 @@ a time, in ascending graph6 order.  ``enumerate_connected`` reads the
 cached tuple of its order; ``stream_connected`` reads the stream as it is
 built, and the CLI's audit keys each graph as it comes, so no graph of the
 requested order outlives its keying.  An in-process audit of all 261,080
-classes of order 9 read that way peaks at 145 MB, and at 255 MB from the
+classes of order 9 read that way peaks at 118 MB, and at 235 MB from the
 cached tuple.
 
 On a shared 2-vCPU host (Xeon, 2.0 GHz), a cold build of orders 2..7

@@ -1,6 +1,7 @@
 """Simple undirected graphs with bitset adjacency: the edge-degree
-partition, the named families, the exact chromatic number and the graph6
-and edge-list text formats.  Connectivity is the only structural predicate;
+partition, the named families, the exact chromatic number (and upper
+bounds on it read from the partition) and the graph6 and edge-list text
+formats.  Connectivity is the only structural predicate;
 a degree fact is read from ``Graph.degrees`` (such as ``min(g.degrees)``),
 and the bound auditor decides its equality families on the audit key's
 record, not on a graph.
@@ -18,6 +19,7 @@ larger graphs, up to K_{200,200} on 400 vertices, for closed-form cross-checks).
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from collections.abc import Iterator
@@ -283,6 +285,43 @@ def chromatic_number(g: Graph) -> int:
         if _colours(adj, order, 0, [], k):
             return k
     return hi
+
+
+def chromatic_upper(counts: tuple[int, ...]) -> int:
+    """An upper bound on the chromatic number of every graph whose edge-degree
+    partition is ``counts`` (``degree_pair_counts``), in exact integers: the
+    least of two bounds, both attained by K_n.
+
+    - 1 + k, where k is the largest smaller-end degree of the pairs (0 with
+      no edge): no edge joins two vertices of degree above k, so they share
+      one colour, and a vertex of degree at most k then finds a free colour
+      among k + 1.
+    - floor((1 + isqrt(8m + 1)) / 2), the largest t with t(t - 1)/2 <= m,
+      for m edges: an optimal colouring has an edge between any two of its
+      colour classes.
+    """
+    m = sum(counts[2::3])
+    return min(1 + max(counts[::3], default=0), (1 + math.isqrt(8 * m + 1)) // 2)
+
+
+def welsh_powell_upper(counts: tuple[int, ...]) -> int:
+    """Welsh and Powell's bound (Computer J. 10, 1967) on the chromatic
+    number of every graph whose edge-degree partition is ``counts``:
+    max_i min(d_i + 1, i) over the degrees d_1 >= d_2 >= ... of the
+    vertices with an edge, and 1 without one.  A first-fit colouring in
+    that order gives the i-th vertex a colour at most min(d_i, i - 1) + 1,
+    since at most that many of its neighbours come before it.  Often below
+    ``chromatic_upper``, but dearer.
+    """
+    ends: dict[int, int] = {}  # degree -> edge ends at vertices of that degree
+    for a, b, c in zip(counts[::3], counts[1::3], counts[2::3]):
+        ends[a] = ends.get(a, 0) + c
+        ends[b] = ends.get(b, 0) + c
+    bound, seen = 1, 0
+    for d in sorted(ends, reverse=True):
+        seen += ends[d] // d  # the last i of the vertices of degree d
+        bound = max(bound, min(d + 1, seen))
+    return bound
 
 
 def _colours(adj, order, i: int, classes: list[int], k: int) -> bool:

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,7 @@ from degbound.bounds import (
     graph_context,
     star_family,
 )
-from degbound.enumeration import connected_graphs
+from degbound.enumeration import _classes, connected_graphs
 from degbound.graphs import (
     Graph,
     GraphError,
@@ -386,16 +387,21 @@ def test_audit_counts_are_consistent(full_reports):
 
 @pytest.fixture(scope="module")
 def keys_2_7(population_2_7):
-    """The audit key groups of the graphs of order 2..7."""
-    return bounds_module._key_groups((to_graph6(g), g) for g in population_2_7)
+    """The final key table of the catalog's audit of the graphs of order
+    2..7, as columns: the partition keys, split by exact chi where the
+    reports of EXT-4 and C6 need it (none is, at these orders)."""
+    cols = bounds_module._Columns(
+        bounds_module._key_groups((to_graph6(g), g) for g in population_2_7))
+    bounds_module._exact_chi(builtin_catalog(), cols)
+    return cols
 
 
-def _margin_gap(bounds, groups):
+def _margin_gap(bounds, cols):
     """The largest relative margin |margin| / max(1, |lhs|) of an equality and
     the smallest of any other checked verdict, over ``bounds`` on the keys of
-    ``groups``.  Chains are left out: they fold their links' verdicts."""
+    the columns ``cols``.  Chains are left out: they fold their links'
+    verdicts."""
     equality, other = [0.0], [math.inf]
-    cols = bounds_module._Columns(groups)
     for b in bounds:
         if b.chain:
             continue
@@ -414,7 +420,7 @@ def _margin_gap(bounds, groups):
 def test_verdicts_clear_the_fixed_tolerance(keys_2_7):
     """Every verdict is decided by float rounding or by a wide margin, never
     by DEFAULT_TOL itself: the gap spans orders of magnitude on both sides."""
-    assert len(keys_2_7) == 806
+    assert len(keys_2_7.ctxs) == 728
     equality, other = _margin_gap(builtin_catalog(), keys_2_7)
     assert equality <= 1e-14 < bounds_module.DEFAULT_TOL < 1e-6 <= other, (equality, other)
 
@@ -831,23 +837,32 @@ def test_audit_hypotheses_match_preconditions_met(population_2_7):
     """The audit's met keys, decided once per (connected, n, delta, Delta)
     and then by exclusion, are the keys ``preconditions_met`` accepts, for
     every bound: over every connected graph of order 2..7 (K_{1,4} among
-    them), T*, and disconnected graphs, one of them 3-regular."""
+    them), T*, and disconnected graphs, one of them 3-regular, both on the
+    partition keys and once a lower bound on chi has split them by exact
+    chi."""
     two_k4 = Graph(8, [(u + s, v + s) for s in (0, 4) for u in range(4) for v in range(u + 1, 4)])
     graphs = [*population_2_7, double_star(), Graph(3, [(0, 1)]), two_k4]
     cols = bounds_module._Columns(bounds_module._key_groups((to_graph6(g), g) for g in graphs))
-    for b in builtin_catalog():
-        met = [b.preconditions_met(ctx) for ctx in cols.ctxs]
-        assert bounds_module._live(b, cols).met == met, b.bound_id
-    assert sum(not ctx.connected for ctx in cols.ctxs) == 2
+    partitions = len(cols.ctxs)
+    for split in (False, True):
+        if split:
+            bounds_module._exact_chi(builtin_catalog() + [_chi_lower()], cols)
+            assert len(cols.ctxs) > partitions
+        for b in builtin_catalog():
+            met = [b.preconditions_met(ctx) for ctx in cols.ctxs]
+            assert bounds_module._live(b, cols).met == met, b.bound_id
+        assert sum(not ctx.connected for ctx in cols.ctxs) == 2
 
 
 def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
-    """Ten relabelings each of the prism and of K_{3,3} make two keys (they
-    share a partition but not chi), so each of the 55 catalog bounds, EXT-4
-    and C6 too, is evaluated exactly once over those two keys, and C4's four
-    links once more for C4.  The two keys share (connected, n, delta,
-    Delta), so each distinct hypothesis set is tested exactly once, and
-    ``preconditions_met`` not at all."""
+    """Ten relabelings each of the prism and of K_{3,3} make one partition
+    key, which EXT-4 and C6 each evaluate once at its chi bound (4); their
+    minimum margins need exact chi, so it splits into two keys (chi 3 and
+    2).  Each of the 55 catalog bounds, EXT-4 and C6 too, is then evaluated
+    exactly once over those two keys, and C4's four links once more for C4.
+    All keys share (connected, n, delta, Delta), so each distinct hypothesis
+    set is tested exactly once on the final table, EXT-4's and C6's once
+    more on the partition key, and ``preconditions_met`` not at all."""
     prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                       (0, 3), (1, 4), (2, 5)])
     rng = random.Random(10)
@@ -884,12 +899,15 @@ def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
     reports = audit_all(builtin_catalog(), graphs)
     links = catalog_by_id()["C4"].chain
     assert links == ("EXT-2a", "EXT-2b", "EXT-2c", "T4U")
-    assert len(evaluated) == 59
-    assert sorted(evaluated) == sorted((bid, 2) for bid in EXPECTED_IDS + list(links))
+    chi_bounds = [catalog_by_id()[bid] for bid in ("EXT-4", "C6")]
+    assert len(evaluated) == 61
+    assert sorted(evaluated) == sorted([(bid, 2) for bid in EXPECTED_IDS + list(links)]
+                                       + [(b.bound_id, 1) for b in chi_bounds])
     hypothesis_sets = {hypothesis_set(b) for b in builtin_catalog()}
     assert len(hypothesis_sets) == 7
-    assert len(tested) == len(set(tested))
-    assert set(tested) == {(h, (True, 6, 3, 3)) for h in hypothesis_sets}
+    shape = (True, 6, 3, 3)
+    assert Counter(tested) == Counter(
+        [(h, shape) for h in hypothesis_sets] + [(hypothesis_set(b), shape) for b in chi_bounds])
     assert reports["EXT-4"].counts["checked"] == reports["C6"].counts["checked"] == 20
     assert reports["C4"].counts["checked"] == 20
 
@@ -897,8 +915,9 @@ def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
 def test_audit_counts_each_partition_once(monkeypatch, populations):
     """The audit counts each graph's edge-degree partition exactly once, in
     the key groups (``bounds.degree_pair_counts``), which hand the flat
-    counts to the key's context: neither ``graphs`` nor ``indices`` counts
-    any."""
+    counts to the key's context, and once more for each graph it parses
+    again to colour, to check it against its key: neither ``graphs`` nor
+    ``indices`` counts any."""
     counted = {module: [] for module in (graphs_module, indices_module, bounds_module)}
     count_pairs = graphs_module.degree_pair_counts
 
@@ -910,10 +929,19 @@ def test_audit_counts_each_partition_once(monkeypatch, populations):
 
     for module in counted:
         monkeypatch.setattr(module, "degree_pair_counts", counter(module))
+    coloured = []
+    colour = bounds_module.chromatic_number
+
+    def counted_colour(g):
+        coloured.append(g)
+        return colour(g)
+
+    monkeypatch.setattr(bounds_module, "chromatic_number", counted_colour)
     order_7 = populations[7]
     audit_all(builtin_catalog(), order_7)
-    assert len(counted[bounds_module]) == len(order_7) == 853
-    assert set(counted[bounds_module]) == set(order_7)
+    assert len(order_7) == 853
+    assert counted[bounds_module] == list(order_7) + coloured
+    assert 0 < len(coloured) < len(order_7)
     assert counted[graphs_module] == counted[indices_module] == []
 
 
@@ -957,8 +985,9 @@ def _reaches_a_graph(root) -> bool:
 
 def test_key_groups_hold_graph6_strings_not_graphs(population_2_7):
     """The key table maps each key's record to its members' graph6 strings,
-    as given, and no graph can be reached from it; the check catches a key
-    that keeps one."""
+    as given, and no graph can be reached from it, nor from the records and
+    labels of the table once a lower bound on chi has split it by exact chi;
+    the check catches a key that keeps one."""
     pairs = [(to_graph6(g), g) for g in population_2_7]
     groups = bounds_module._key_groups(iter(pairs))
     assert all(type(ctx) is GraphContext for ctx in groups)
@@ -968,6 +997,13 @@ def test_key_groups_hold_graph6_strings_not_graphs(population_2_7):
     assert not _reaches_a_graph(groups)
     ctx, labels = next(iter(groups.items()))
     assert _reaches_a_graph({ctx: [*labels, population_2_7[0]]})
+    cols = bounds_module._Columns(groups)
+    bounds_module._exact_chi(builtin_catalog() + [_chi_lower()], cols)
+    assert len(cols.ctxs) > len(groups)
+    assert all(type(ctx) is GraphContext for ctx in cols.ctxs)
+    assert sorted(label for labels in cols.labels for label in labels) == sorted(
+        g6 for g6, _ in pairs)
+    assert not _reaches_a_graph((cols.ctxs, cols.labels))
 
 
 def test_the_record_is_built_only_by_calling_its_name(monkeypatch):
@@ -1009,3 +1045,109 @@ def test_audit_of_a_one_shot_iterator_equals_the_list(seed):
     from_stream = audit_all(bounds, (g for g in graphs), population="seeded")
     assert {k: r.to_dict() for k, r in from_stream.items()} == {
         k: r.to_dict() for k, r in from_list.items()}
+
+
+def _chi_lower():
+    """A lower bound on chi, R <= chi: every key it checks needs exact chi.
+    Violated on stars of five leaves or more and on cycles of order 7 or
+    more, and attained on C_4."""
+    return BoundSpec("test-chi-lower", "test", "R <= chi", lhs=CHI, rhs=IndexId.R,
+                     coeff=catalog_by_id()["T2L"].coeff, direction="lower")
+
+
+def _exact_chi_reference(bounds, graphs, population):
+    """The reports of an audit that keys every graph by its exact chi: the
+    ``graph_context`` records as the key table, made columns and folded."""
+    groups = {}
+    for g in graphs:
+        groups.setdefault(graph_context(g), []).append(to_graph6(g))
+    cols = bounds_module._Columns(groups)
+    return {b.bound_id: bounds_module._fold(b, cols, population).to_dict() for b in bounds}
+
+
+def test_audit_matches_an_audit_keyed_by_exact_chi():
+    """Keying on the partition and splitting a key by exact chi only where a
+    report needs it gives the reports of an audit that keys every graph by
+    its exact chi, for the catalog, the custom bounds, a lower bound on chi
+    (violated on stars and long cycles, attained on C_4) and chains that
+    name EXT-4, one of them capped at degree 3, away from EXT-4's smallest
+    margins, over every graph of order 1..7 (disconnected ones included),
+    seeded random graphs of order 8..12, K_2 joined to 7..10 independent
+    vertices (chi 3, which violate EXT-4 at the bound of their partition)
+    and K_13 and K_62, whose chi is undefined: each bound on chi audited
+    alone, and all of them together.  Then the catalog alone, which leaves
+    most keys at their bound on chi, over each order alone and over its
+    graphs of degrees 2..4 alone, where the smallest margins fall on other
+    keys, some of them tied, and over two graphs of order 8 with one
+    harmonic index: at Welsh-Powell's bound (4) the second ties the first's
+    exact EXT-4 margin, and only its exact chi (3) takes it off the
+    witness."""
+    by_id = catalog_by_id()
+    bounds = builtin_catalog() + _custom_bounds() + [
+        _chi_lower(),
+        BoundSpec("test-chi-chain", "test", "C6 and EXT-4 at degree <= 3",
+                  degree_cap=lambda d, D: D <= 3, chain=("C6", "EXT-4")),
+    ]
+    rng = random.Random(41)
+    graphs = [g for n in range(1, 8) for g in _classes(n, False)]
+    graphs += [random_connected_graph(rng, rng.randint(8, 12)) for _ in range(300)]
+    graphs += [Graph(k + 2, [(0, 1)] + [(hub, v) for hub in (0, 1) for v in range(2, k + 2)])
+               for k in range(7, 11)]
+    graphs += [complete_graph(13), complete_graph(62)]
+    rng.shuffle(graphs)
+    want = _exact_chi_reference(bounds, graphs, "mixed")
+    reads_chi = [b for b in bounds if CHI in (b.lhs, *(link.lhs for link in map(
+        by_id.get, b.chain)))]
+    assert len(reads_chi) == 5
+    for audited in [bounds, *([b] for b in reads_chi)]:
+        reports = audit_all(audited, graphs, population="mixed")
+        for b in audited:
+            assert reports[b.bound_id].to_dict() == want[b.bound_id], b.bound_id
+    assert want["test-chi-lower"]["counts"]["violated"] > 0
+    assert want["test-chi-lower"]["counts"]["equality"] > 0
+    assert want["EXT-4"]["counts"]["violated"] == 0
+    populations = [[parse_graph6("G?Cz~C"), parse_graph6("G?CxvO")]]
+    for n in range(1, 8):
+        classes = _classes(n, False)
+        populations += [classes, [g for g in classes if 2 <= min(g.degrees) <= max(g.degrees) <= 4]]
+    for graphs in populations:
+        reports = audit_all(builtin_catalog(), graphs, population="one")
+        assert {k: r.to_dict() for k, r in reports.items()} == _exact_chi_reference(
+            builtin_catalog(), graphs, "one"), to_graph6(graphs[0])
+
+
+def test_only_reports_on_chi_colour_graphs(monkeypatch, populations):
+    """An order-7 audit of every bound but EXT-4 and C6 computes no
+    chromatic number, and one of the whole catalog computes 10 of the 853
+    (K_7, where EXT-4 and C6 are attained, and the graphs that could hold
+    their minimum margins)."""
+    coloured = []
+    colour = bounds_module.chromatic_number
+
+    def counted(g):
+        coloured.append(to_graph6(g))
+        return colour(g)
+
+    monkeypatch.setattr(bounds_module, "chromatic_number", counted)
+    order_7 = populations[7]
+    chi_free = [b for b in builtin_catalog() if b.lhs != CHI]
+    assert len(chi_free) == 53
+    audit_all(chi_free, order_7)
+    assert coloured == []
+    audit_all(builtin_catalog(), order_7)
+    assert 0 < len(coloured) <= 10
+    assert to_graph6(complete_graph(7)) in coloured
+
+
+def test_a_label_that_is_not_its_graphs_graph6_is_refused():
+    """A label parsed again for exact chi must decode to a graph of its
+    graph's key: K_5 labelled as C_5 is refused, as is a label that is no
+    graph6, but only where a report needs the graph's chi."""
+    ext4 = catalog_by_id()["EXT-4"]
+    k5 = complete_graph(5)
+    with pytest.raises(ValueError, match="is not the graph6 of its graph"):
+        bounds_module.audit_labelled([ext4], [(to_graph6(cycle_graph(5)), k5)])
+    with pytest.raises(GraphError):
+        bounds_module.audit_labelled([ext4], [("not graph6", k5)])
+    report = bounds_module.audit_labelled([catalog_by_id()["T1L"]], [("not graph6", k5)])
+    assert report["T1L"].counts["checked"] == 1

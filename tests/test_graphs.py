@@ -28,6 +28,7 @@ from degbound.graphs import (
     GraphError,
     SizeLimitError,
     chromatic_number,
+    chromatic_upper,
     complete_bipartite,
     complete_graph,
     content_lines,
@@ -42,6 +43,7 @@ from degbound.graphs import (
     reach,
     star_graph,
     to_graph6,
+    welsh_powell_upper,
 )
 
 from conftest import random_graph
@@ -400,6 +402,33 @@ def test_chromatic_matches_incremental_search():
     # so chi is the colour count of first-fit.
     for g, chi in ((crown, 2), (_groetzsch(), 4)):
         assert chromatic_number(g) == _incremental_chromatic(g) == chi
+
+
+def test_chromatic_upper_bounds_every_graph_of_its_partition():
+    """Both upper bounds read from the partition are at or above chi on
+    every class of order 1..8, connected or not (K1 and the edgeless graphs
+    among them), and both are attained on K_n, also past the chromatic
+    cap.  Neither is always below the other: on K_2 joined to 7
+    independent vertices only Welsh-Powell's reaches chi, and on three
+    disjoint copies of P_3 only the cheap one does."""
+    classes = [g for n in range(1, 9) for g in _classes(n, False)]
+    assert len(classes) == 13_598
+    above = Counter()
+    for g in classes:
+        counts, chi = degree_pair_counts(g), chromatic_number(g)
+        upper, welsh_powell = chromatic_upper(counts), welsh_powell_upper(counts)
+        assert upper >= chi and welsh_powell >= chi, to_graph6(g)
+        above[upper > chi, welsh_powell > chi] += 1
+    assert above[True, False] and above[True, True]
+    for bound in (chromatic_upper, welsh_powell_upper):
+        assert bound(()) == 1 == chromatic_number(Graph(1)) == chromatic_number(Graph(5))
+        for n in range(1, 63):
+            assert bound(degree_pair_counts(complete_graph(n))) == n
+    split = Graph(9, [(0, 1)] + [(hub, v) for hub in (0, 1) for v in range(2, 9)])
+    paths = Graph(9, [(3 * k + j, 3 * k + 1) for k in range(3) for j in (0, 2)])
+    for g, bounds in ((split, (6, 3, 3)), (paths, (2, 3, 2))):
+        counts = degree_pair_counts(g)
+        assert (chromatic_upper(counts), welsh_powell_upper(counts), chromatic_number(g)) == bounds
 
 
 def test_chromatic_size_cap():

@@ -40,6 +40,10 @@ admits none of its graphs, so every bound reports over no keys at all.
 ``compute`` and ``audit`` of ``corner.g6``, K1 (``@``) and the edgeless
 graph of order 3 (``B?``), reach the only records whose edge-degree
 partition is empty, which the mixed file, with no edgeless graph, does not.
+An audit of ``chi-split.g6`` by EXT-4 and C6 reads K_{3,3} (``EFz_``) and the
+prism (``E{Sw``), which share an edge-degree partition, and with it the
+upper bound 4 on chi, but have chi 2 and 3: its minimum margins need the
+exact chi of each.
 An audit with ``--bounds C4,C6,T7-(21)U`` covers a chain without its links, a chi bound and a violated bound.
 ``compute --family`` of ``double_star`` and of ``delta_regular_witness:3``
 (K_{3,3}) builds the two family graphs no other command builds.
@@ -152,6 +156,10 @@ def commands(populations: Path) -> list[list[str]]:
     corner.write_text("@\nB?\n", encoding="utf-8")
     cmds += [["compute", "--file", str(corner), "--format", "json"],
              ["audit", "--file", str(corner), "--format", "json"]]
+    # K_{3,3} and the prism: one partition, chi 2 and 3 under its bound 4.
+    chi_split = populations / "chi-split.g6"
+    chi_split.write_text("EFz_\nE{Sw\n", encoding="utf-8")
+    cmds.append(["audit", "--file", str(chi_split), "--bounds", "EXT-4,C6", "--format", "json"])
     # A seeded random graph of order 62 reads every position of a graph6 body.
     rng = random.Random(62)
     order_62 = graph6(62, [(u, v) for v in range(62) for u in range(v) if rng.random() < 0.5])
