@@ -10,11 +10,15 @@ Vertices are the integers ``0..n-1``.  A graph is a plain value: its order,
 one Python int adjacency bitmask per vertex and its degrees, with nothing
 derived cached on it.  The named families build the bitmasks directly, the
 graph6 decoder sums them from a table of each body character's adjacency
-bits, and the edge-degree partition is counted afresh per call,
-per pair of degree classes with popcounts, never by walking the edges.  That
-is all the machinery required at the graph orders this package works with
-(graph6 short form, n <= 62, except that family constructors may build
-larger graphs, up to K_{200,200} on 400 vertices, for closed-form cross-checks).
+bits, and the edge-degree partition is counted afresh per call, per pair of
+degree classes with popcounts, never by walking the edges: every vertex
+outside the top degree class is grouped once, each of those classes' rows
+is popcounted against every class at or above its degree (the top class's
+mask is the complement of the others), and the top class's own pairs are
+the edge ends left over.  That is all the machinery required at the graph
+orders this package works with (graph6 short form, n <= 62, except that
+family constructors may build larger graphs, up to K_{200,200} on 400
+vertices, for closed-form cross-checks).
 """
 
 from __future__ import annotations
@@ -120,28 +124,50 @@ def degree_pair_counts(g: Graph) -> tuple[int, ...]:
     Every index this package computes is a sum over edges of a symmetric
     function of the endpoint degrees, so these counts are a sufficient
     statistic for all of them.  They are counted per pair of degree classes,
-    one ``(adj[v] & class_mask).bit_count()`` per vertex and class, so the
-    cost grows with n times the number of distinct degrees, not with m.
-    Nothing is cached: each call counts afresh.  Equal partitions give equal
-    tuples, so the audit keys on the tuple as it is, and the index sums read
-    it in the same order.
+    never by walking the edges, and the class of the maximum degree ``top``
+    is never grouped or read.  Every other vertex is grouped once by degree,
+    and each of those classes' rows is popcounted against every class at or
+    above its degree, the top class included: its mask is the complement of
+    the other classes' masks, isolated vertices among those.  Its own pairs
+    are the edge ends left over, since a class's rows hold ``degree * size``
+    edge ends: ``(top, top)`` is ``(top * |top class| - sum over a of (a,
+    top)) / 2``.  So K_n, C_n and P_n cost at most a few popcounts at any
+    order, a star about 2n.  Nothing is cached: each call counts afresh.
+    Equal partitions give equal tuples, so the audit keys on the tuple as it
+    is, and the index sums read it in the same order.
     """
-    rows: dict[int, list[int]] = {}  # degree -> adjacency rows of that class
-    masks: dict[int, int] = {}  # degree -> vertex mask of that class
-    for v, d in enumerate(g.degrees):
-        if d:
-            rows.setdefault(d, []).append(g.adj[v])
+    degrees = g.degrees
+    adj = g.adj
+    top = max(degrees)
+    rows: dict[int, list[int]] = {}  # degree below top -> adjacency rows of that class
+    masks: dict[int, int] = {}  # degree below top -> vertex mask of that class
+    for v, d in enumerate(degrees):
+        if d != top:
+            rows.setdefault(d, []).append(adj[v])
             masks[d] = masks.get(d, 0) | 1 << v
-    degrees = sorted(rows)
+    top_mask = ((1 << g.n) - 1) ^ sum(masks.values())
+    rows.pop(0, None)  # isolated vertices: in a mask above, but no edge ends
+    lower = sorted(rows)
     counts: list[int] = []
-    for i, a in enumerate(degrees):
-        for b in degrees[i:]:
+    ends = 0  # edge ends in the top class counted from the classes below it
+    for i, a in enumerate(lower):
+        ra = rows[a]
+        for b in lower[i:]:
             mask = masks[b]
             count = 0
-            for row in rows[a]:
+            for row in ra:
                 count += (row & mask).bit_count()
             if count:
                 counts += (a, b, count // 2 if a == b else count)
+        count = 0
+        for row in ra:
+            count += (row & top_mask).bit_count()
+        if count:
+            counts += (a, top, count)
+            ends += count
+    both = (top * top_mask.bit_count() - ends) // 2
+    if both:
+        counts += (top, top, both)
     return tuple(counts)
 
 

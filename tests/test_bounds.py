@@ -435,6 +435,42 @@ def test_a_margin_near_the_tolerance_breaks_the_gap(keys_2_7, shift):
     assert not (equality <= 1e-14 and other >= 1e-6), (equality, other)
 
 
+def test_the_chi_upper_bound_decides_the_chi_entries_on_every_connected_partition():
+    """On each connected partition of order 2..8, the least of
+    ``chromatic_upper`` and ``welsh_powell_upper``, taken as the chi of all
+    its graphs, decides EXT-4 and C6 as the pins do.  Equality falls on the
+    K_n keys alone (EXT-4 at n = 2..8, C6 at n = 3..8, where delta >= 2) and
+    every other margin clears the tolerance, so the bound, being at or above
+    chi, proves both entries on every graph of every other partition."""
+    chi_bounds = [catalog_by_id()[bid] for bid in ("EXT-4", "C6")]
+    keys, equal = 0, []
+    for n in range(2, 9):
+        groups = {}
+        for g in _classes(n, False):
+            if graphs_module.is_connected(g):
+                key = bounds_module._partition(g)
+                counts = key[4]
+                chi = min(graphs_module.chromatic_upper(counts),
+                          graphs_module.welsh_powell_upper(counts))
+                groups.setdefault(GraphContext(*key, chi), []).append(to_graph6(g))
+        cols = bounds_module._Columns(groups)
+        keys += len(cols.ctxs)
+        pins = json.loads((ROOT / "src" / "degbound" / "data" /
+                           f"expected_enumerate_n{n}.json").read_text(encoding="utf-8"))
+        for b in chi_bounds:
+            report = bounds_module._fold(b, cols, f"enumerate(n={n})")
+            assert report.verdict == pins["verdicts"][b.bound_id], (n, b.bound_id)
+            assert report.counts["violated"] == 0
+            assert not any(report.family_mismatches.values()), (n, b.bound_id)
+            equal += [(b.bound_id, n, g6) for g6 in report.equality_witnesses]
+        equality, other = _margin_gap(chi_bounds, cols)
+        assert equality <= 1e-14 < bounds_module.DEFAULT_TOL < 1e-6 <= other, (n, equality, other)
+    assert keys == 5_425
+    assert sorted(equal) == sorted(
+        [("EXT-4", n, to_graph6(complete_graph(n))) for n in range(2, 9)]
+        + [("C6", n, to_graph6(complete_graph(n))) for n in range(3, 9)])
+
+
 def _conjunction(verdicts):
     """A chain's verdict from its links' verdicts: any skip makes it
     unassessable (a precondition skip first), otherwise any violated link

@@ -710,6 +710,37 @@ def test_edge_degree_partition_matches_per_edge_count(populations):
         assert degree_pair_counts(g) == _reference_partition(order, edges), (order, len(edges))
 
 
+class _Unread(int):
+    """An adjacency row that refuses to be intersected or popcounted."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a row of the top degree class was read")
+
+    __and__ = __rand__ = bit_count = _refuse
+
+
+def test_pair_counts_never_read_the_top_class():
+    """On every class of order 1..8, connected or not (edgeless graphs,
+    isolated vertices and regular components among them), on K_200 with
+    three isolated vertices and on K_{200,200}, the counts are the per-edge
+    reference, also when the rows of the maximum degree's class refuse to
+    be read: that class's mask is the complement of the others, isolated
+    vertices left out, and its own pairs are the edge ends left over."""
+    classes = [g for n in range(1, 9) for g in _classes(n, False)]
+    assert len(classes) == 13_598
+    k200 = complete_graph(200)
+    graphs = classes + [Graph._from_adj(203, k200.adj + (0, 0, 0)), complete_bipartite(200, 200)]
+    for g in graphs:
+        want = _reference_partition(g.n, g.edges)
+        assert degree_pair_counts(g) == want, to_graph6(g) if g.n <= G6_MAX else g
+        top = max(g.degrees)
+        unread = [_Unread(row) if d == top else row for row, d in zip(g.adj, g.degrees)]
+        assert degree_pair_counts(Graph._from_adj(g.n, unread)) == want
+    assert degree_pair_counts(graphs[-2]) == (199, 199, 19_900)
+    with pytest.raises(AssertionError, match="top degree class"):
+        _Unread(1) & 1
+
+
 def _mixed_graphs() -> list[Graph]:
     """The mixed graphs of ``tools/same_output.py``."""
     tool = Path(__file__).resolve().parent.parent / "tools" / "same_output.py"

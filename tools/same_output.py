@@ -49,7 +49,8 @@ An audit with ``--bounds C4,C6,T7-(21)U`` covers a chain without its links, a ch
 (K_{3,3}) builds the two family graphs no other command builds.
 ``families``, ``proofs`` and ``compute``
 each render in two formats or more, so each of the table, csv and json
-renderers sees the rows of several commands; ``proofs --n 7`` also reaches
+renderers sees the rows of several commands; ``families --max-n 200 --format
+json`` is the closed-forms benchmark's own command; ``proofs --n 7`` also reaches
 the ``out_of_range`` verdict.  ``compute --g6`` of a seeded order-62 graph
 decodes the longest graph6 body the short form has.  The last command
 audits, with ``--out``, a file whose line 101, after 100 graphs, is
@@ -130,6 +131,7 @@ def commands(populations: Path) -> list[list[str]]:
              ["audit", "--file", str(populations / "audit-distinct.g6"), "--min-degree", "2",
               "--molecular", "--format", "csv"]]
     cmds += [["families", "--max-n", "200", "--format", "csv"],
+             ["families", "--max-n", "200", "--format", "json"],
              ["families", "--max-n", "20"],
              ["proofs", "--n", "62", "--format", "json"],
              ["proofs", "--n", "10", "--format", "csv"],
