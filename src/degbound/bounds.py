@@ -131,10 +131,10 @@ class BoundSpec:
     ``coeff*rhs <= lhs`` (direction "lower"), under the stated hypotheses.
 
     ``degree_cap``, when set, is an integer test on (delta, Delta) that the
-    graph must pass.  ``exclusions`` are tested like families.  ``chain``
-    entries compose other catalog entries instead of carrying sides and a
-    coefficient of their own; every other entry needs all three, and only
-    ``lhs`` may be ``CHI``.
+    graph must pass.  ``exclusions`` are tested like families.  A ``chain``
+    holds the bounds it conjoins, any of them a chain itself, instead of
+    sides and a coefficient of its own; every other bound needs all three,
+    and only ``lhs`` may be ``CHI``.
     """
 
     bound_id: str
@@ -150,7 +150,7 @@ class BoundSpec:
     degree_cap: Callable[[int, int], bool] | None = None
     exclusions: tuple[EqualityFamily, ...] = ()
     claimed_equality: EqualityFamily | None = None
-    chain: tuple[str, ...] = ()
+    chain: tuple[BoundSpec, ...] = ()
 
     def __post_init__(self):
         if self.direction not in ("lower", "upper"):
@@ -163,6 +163,9 @@ class BoundSpec:
                 raise ValueError(f"a chain takes no {name}, got {value!r}")
             if not self.chain and not ok:
                 raise ValueError(f"{name} must be {want}, got {value!r}")
+        for link in self.chain:
+            if not isinstance(link, BoundSpec):
+                raise ValueError(f"chain {self.bound_id!r} holds {link!r}, not a BoundSpec")
 
     @functools.cached_property
     def sides(self) -> tuple[int, int]:
@@ -386,7 +389,7 @@ def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
     the smallest of its links' slacks, ``inf`` where it is violated.
     """
     if b.chain:
-        links = [_evaluate(link, cols) for link in _links(b)]
+        links = [_evaluate(link, cols) for link in b.chain]
         met = list(map(all, zip(_live(b, cols).met, *(link.live.met for link in links))))
         live = _Live(cols, met, list(map(all, zip(met, *(link.live.mask for link in links)))))
         broken = set().union(*(link.violated for link in links))
@@ -428,16 +431,6 @@ def _margins(b: BoundSpec, lhs, rhs, xs, screen: float) -> tuple[list[float], li
     return slacks, equal, violated
 
 
-def _links(b: BoundSpec) -> list[BoundSpec]:
-    """The catalog entries chain ``b`` composes, in order, or a ``ValueError``
-    naming an id the catalog lacks; not checked as ``b`` is built, since C4
-    is built with the catalog."""
-    for cid in b.chain:
-        if cid not in _catalog_index():
-            raise ValueError(f"chain {b.bound_id!r} names unknown catalog id {cid!r}")
-    return [_catalog_index()[cid] for cid in b.chain]
-
-
 def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
     """Check one bound on one graph; every outcome is a verdict, not an error.
 
@@ -447,7 +440,6 @@ def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
     back from the record's columns.  A chain has no sides; its margin is the
     smallest of its links' that hold, or None.
     """
-    links = _links(b)
     ctx = graph_context(g)
     label = to_graph6(g) if g.n <= G6_MAX else None
     cols = _Columns({ctx: [label]})
@@ -457,7 +449,7 @@ def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
         return BoundCheck(b.bound_id, label, None, None, None, verdict)
     verdict = EQUALITY if checked.equal else VIOLATED if checked.violated else HOLDS
     if b.chain:
-        low = min(_evaluate(link, cols).slacks[0] for link in links)
+        low = min(_evaluate(link, cols).slacks[0] for link in b.chain)
         margin = None if low == math.inf else low
         return BoundCheck(b.bound_id, label, None, None, margin, verdict)
     lhs, rhs = (cols.sides[at][0] for at in b.sides)
@@ -529,13 +521,18 @@ def _key_groups(labelled) -> dict[GraphContext, list[str]]:
             members for key, members in groups.items()}
 
 
+def _reads_chi(b: BoundSpec) -> bool:
+    """Whether ``b``, or a bound its chain holds at any depth, reads chi."""
+    return b.lhs == CHI or any(map(_reads_chi, b.chain))
+
+
 def _exact_chi(bounds, cols: _Columns) -> None:
     """Split the keys of ``cols`` by the exact chi of their members (each
     label parsed again and coloured by ``chromatic_number``) wherever a
     report of ``bounds`` can tell chi from its upper bound: every key live
-    in a lower bound on chi or in a chain with a link on chi, and, for an
-    upper bound on chi, the keys equal or violated at the upper bound and
-    those that can hold its minimum margin.
+    in a lower bound on chi or in a chain that holds a bound on chi at any
+    depth, and, for an upper bound on chi, the keys equal or violated at
+    the upper bound and those that can hold its minimum margin.
 
     The margin of an upper bound on chi is c*rhs - chi, and float
     subtraction is monotone, so a key's slack at any upper bound on its chi
@@ -571,7 +568,7 @@ def _exact_chi(bounds, cols: _Columns) -> None:
         return min(_margins(b, lhs, [rhs] * len(lhs), [x] * len(lhs), cols.screens[_CHI_AT])[0])
 
     for b in bounds:
-        if all(link.lhs != CHI for link in (_links(b) if b.chain else [b])):
+        if not _reads_chi(b):
             continue
         checked = _evaluate(b, cols)
         if b.chain or b.direction == "lower":
@@ -701,8 +698,6 @@ def audit_labelled(bounds, labelled, population: str = "population") -> dict[str
     depend on the population order (for equal populations as sets).
     """
     bounds = list(bounds)
-    for b in bounds:
-        _links(b)  # an unknown link fails before the population is read
     cols = _Columns(_key_groups(labelled))
     _exact_chi(bounds, cols)
     return {b.bound_id: _fold(b, cols, population) for b in bounds}
@@ -737,29 +732,25 @@ def _upper(bound_id, citation, statement, lhs, rhs, coeff, **kw):
                      coeff=coeff, direction="upper", **kw)
 
 
-@functools.cache
-def _catalog_index() -> dict[str, BoundSpec]:
-    """The shared id -> bound map, in source order; callers must not mutate it."""
-    return {b.bound_id: b for b in _build_catalog()}
-
-
 def builtin_catalog() -> list[BoundSpec]:
     """All 55 inequality records, in source order."""
-    return list(_catalog_index().values())
+    return list(_build_catalog())
 
 
 def catalog_by_id() -> dict[str, BoundSpec]:
-    return dict(_catalog_index())
+    return {b.bound_id: b for b in _build_catalog()}
 
 
-def _build_catalog() -> list[BoundSpec]:
+@functools.cache
+def _build_catalog() -> tuple[BoundSpec, ...]:
+    """The catalog, built once: a chain holds the very entries it links."""
     one = Coeff("n", lambda n: 1)
     root2 = Coeff("n", lambda n: 2 ** 0.5)
     n_minus_1 = Coeff("n", lambda n: n - 1)
     delta = Coeff("delta", lambda d: d)
     ub17 = Coeff("n", lambda n: (n - 1) ** 7 / (8 * (n - 2) ** 3))
     c9_rh = Coeff("delta", lambda d: d ** 7 / (8 * (d - 1) ** 3))
-    entries = [
+    return (
         _lower("T1L", "Theorem 1 (lower)",
                "sqrt(2)*X(G) <= GA(G) for connected G, n >= 2; equality iff G = P2",
                GA, X, root2, claimed_equality=P2_FAMILY),
@@ -802,23 +793,24 @@ def _build_catalog() -> list[BoundSpec]:
                "sqrt(2(n-2))/(n-1)*GA(G) <= ABC(G) for n >= 3, delta >= 2; equality iff G = K_n",
                ABC, GA, Coeff("n", lambda n: (2 * (n - 2)) ** 0.5 / (n - 1)),
                n_min=3, delta_min=2, claimed_equality=COMPLETE_FAMILY),
-        _upper("T4U", "Theorem 4 (upper)",
-               "ABC(G) <= (n+1)/(4*sqrt(n-1))*GA(G) for n >= 3, delta >= 2; equality iff G = C_3",
-               ABC, GA, Coeff("n", lambda n: (n + 1) / (4 * (n - 1) ** 0.5)),
-               n_min=3, delta_min=2, claimed_equality=C3_FAMILY),
-        _upper("EXT-2a", "Zhong-Xu chain (2), first link",
-               "H(G) <= R(G) for delta >= 2; equality iff G is regular",
-               H, R, one, delta_min=2, claimed_equality=REGULAR_FAMILY),
-        _upper("EXT-2b", "Zhong-Xu chain (2), second link",
-               "R(G) <= X(G) for delta >= 2; equality iff G is a cycle",
-               R, X, one, delta_min=2, claimed_equality=CYCLE_FAMILY),
-        _upper("EXT-2c", "Zhong-Xu chain (2), third link",
-               "X(G) < ABC(G) for delta >= 2 (strict)",
-               X, ABC, one, delta_min=2, strict=True),
+        t4u := _upper("T4U", "Theorem 4 (upper)",
+                      "ABC(G) <= (n+1)/(4*sqrt(n-1))*GA(G) for n >= 3, delta >= 2; "
+                      "equality iff G = C_3",
+                      ABC, GA, Coeff("n", lambda n: (n + 1) / (4 * (n - 1) ** 0.5)),
+                      n_min=3, delta_min=2, claimed_equality=C3_FAMILY),
+        ext2a := _upper("EXT-2a", "Zhong-Xu chain (2), first link",
+                        "H(G) <= R(G) for delta >= 2; equality iff G is regular",
+                        H, R, one, delta_min=2, claimed_equality=REGULAR_FAMILY),
+        ext2b := _upper("EXT-2b", "Zhong-Xu chain (2), second link",
+                        "R(G) <= X(G) for delta >= 2; equality iff G is a cycle",
+                        R, X, one, delta_min=2, claimed_equality=CYCLE_FAMILY),
+        ext2c := _upper("EXT-2c", "Zhong-Xu chain (2), third link",
+                        "X(G) < ABC(G) for delta >= 2 (strict)",
+                        X, ABC, one, delta_min=2, strict=True),
         BoundSpec("C4", "Corollary 4",
                   "H(G) <= R(G) <= X(G) < ABC(G) <= (n+1)/(4*sqrt(n-1))*GA(G) "
                   "for n >= 3, delta >= 2 (chain of EXT-2a, EXT-2b, EXT-2c, T4U)",
-                  n_min=3, delta_min=2, chain=("EXT-2a", "EXT-2b", "EXT-2c", "T4U")),
+                  n_min=3, delta_min=2, chain=(ext2a, ext2b, ext2c, t4u)),
         _upper("EXT-3(i)", "Das-Trinajstic strict comparison (molecular)",
                "ABC(G) < GA(G) for molecular G (max degree <= 4) other than K_{1,4} and T*",
                ABC, GA, one, strict=True, degree_cap=lambda d, D: D <= MOLECULAR_MAX_DEGREE,
@@ -973,5 +965,4 @@ def _build_catalog() -> list[BoundSpec]:
                "equality claimed iff G is delta-regular",
                AZI, M2, Coeff("delta", lambda d: d ** 4 / (2 * (d - 1))), delta_min=2,
                claimed_equality=REGULAR_FAMILY),
-    ]
-    return entries
+    )

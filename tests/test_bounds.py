@@ -482,15 +482,27 @@ def _conjunction(verdicts):
 
 
 def test_chain_verdict_matches_conjunction(populations):
-    by_id = catalog_by_id()
-    chain = by_id["C4"]
-    for g in populations[5] + populations[6]:
-        whole = evaluate_bound(chain, g)
-        parts = [evaluate_bound(by_id[cid], g) for cid in chain.chain]
-        assert whole.verdict == _conjunction([p.verdict for p in parts])
-        # the margin is the slack of the tightest link that holds
-        held = [p.margin for p in parts if p.verdict == HOLDS]
-        assert whole.margin == (min(held) if held else None)
+    """C4, and a chain of bounds outside the catalog, one of them a chain
+    itself, evaluate as the conjunction of their links and audit as the
+    fold of those evaluations."""
+    custom = {b.bound_id: b for b in _custom_bounds()}
+    outside = BoundSpec("test-outside-chain", "test", "three bounds outside the catalog",
+                        chain=(custom["test-upper"], custom["test-azi"],
+                               custom["test-broken-chain"]))
+    graphs = populations[5] + populations[6]
+    for chain in (catalog_by_id()["C4"], outside):
+        for g in graphs:
+            whole = evaluate_bound(chain, g)
+            parts = [evaluate_bound(link, g) for link in chain.chain]
+            assert whole.verdict == _conjunction([p.verdict for p in parts])
+            # a checked chain's margin is the slack of the tightest link that
+            # holds with one
+            held = [p.margin for p in parts if p.verdict == HOLDS and p.margin is not None]
+            checked = whole.verdict in (HOLDS, VIOLATED)
+            assert whole.margin == (min(held) if held and checked else None)
+        assert audit(chain, graphs).to_dict() == _reference_report(chain, graphs, "population")
+    verdicts = Counter(evaluate_bound(outside, g).verdict for g in graphs)
+    assert verdicts[HOLDS] and verdicts[VIOLATED] and verdicts[PRECONDITION_SKIPPED]
 
 
 def test_chain_edge_cases():
@@ -525,31 +537,18 @@ def test_chain_edge_cases():
     assert report.violation_witnesses == ["C~", "D~{"]
 
 
-def test_a_chain_with_an_unknown_link_fails_before_any_graph_is_read(monkeypatch):
-    """A chain's links are looked up before the population is read or the
-    record is built: an id the catalog lacks is a ``ValueError`` naming the
-    chain and the id, and a population that fails if it is ever advanced is
-    never advanced."""
-    bad = BoundSpec("X", "c", "s", chain=("EXT-2a", "NOPE"))
-    message = r"^chain 'X' names unknown catalog id 'NOPE'$"
-
-    def untouchable():
-        raise AssertionError("the population was read")
-        yield
-
-    with pytest.raises(ValueError, match=message):
-        audit_all([bad], untouchable())
-    with pytest.raises(ValueError, match=message):
-        audit_all(builtin_catalog() + [bad], untouchable())
-    with pytest.raises(ValueError, match=message):
-        bounds_module.audit_labelled(iter([bad]), untouchable())
-
-    def no_record(g):
-        raise AssertionError("the record was built")
-
-    monkeypatch.setattr(bounds_module, "graph_context", no_record)
-    with pytest.raises(ValueError, match=message):
-        evaluate_bound(bad, cycle_graph(5))
+def test_a_chain_holds_bounds_not_ids():
+    """C4 holds the catalog's own entries, and a chain link that is not a
+    bound, a catalog id among them, is a ``ValueError`` naming the chain and
+    the link as the chain is built, before any population exists."""
+    by_id = catalog_by_id()
+    links = by_id["C4"].chain
+    assert [link.bound_id for link in links] == ["EXT-2a", "EXT-2b", "EXT-2c", "T4U"]
+    assert all(link is by_id[link.bound_id] for link in links)
+    for chain in (("EXT-2a",), (by_id["EXT-2a"], "NOPE"), (None,)):
+        with pytest.raises(ValueError) as err:
+            BoundSpec("X", "c", "s", chain=chain)
+        assert str(err.value) == f"chain 'X' holds {chain[-1]!r}, not a BoundSpec"
 
 
 def test_ext2_chain_structure(populations):
@@ -614,7 +613,8 @@ def test_bound_refuses_malformed_sides_and_coefficients():
             dataclasses.replace(base, **change)
         assert str(err.value) == message, change
     assert dataclasses.replace(t2u, lhs=CHI).sides == (7, 0)
-    assert dataclasses.replace(c4, chain=("EXT-2a",)).chain == ("EXT-2a",)
+    link = by_id["EXT-2a"]
+    assert dataclasses.replace(c4, chain=(link,)).chain == (link,)
 
 
 def test_coeff_refuses_a_variable_other_than_n_or_delta():
@@ -768,10 +768,10 @@ def _custom_bounds():
                   direction="upper", strict=True,
                   claimed_equality=REGULAR_FAMILY),
         BoundSpec("test-chain", "test", "a chain with a link on chi",
-                  chain=("EXT-2a", "EXT-4")),
+                  chain=(by_id["EXT-2a"], by_id["EXT-4"])),
         # K_n violates T7-(21)U, which no catalog chain has as a link
         BoundSpec("test-broken-chain", "test", "R <= X and T7-(21)U",
-                  chain=("EXT-2b", "T7-(21)U")),
+                  chain=(by_id["EXT-2b"], by_id["T7-(21)U"])),
         # equal hypotheses but for an exclusion labelled alike, so sharing
         # hypotheses or families by label instead of by test shows
         BoundSpec("test-not-cycle", "test", "H <= R off cycles",
@@ -933,11 +933,11 @@ def test_audit_evaluates_each_bound_once_per_key(monkeypatch):
     monkeypatch.setattr(BoundSpec, "admits", counted_hypotheses)
     monkeypatch.setattr(BoundSpec, "preconditions_met", uncalled)
     reports = audit_all(builtin_catalog(), graphs)
-    links = catalog_by_id()["C4"].chain
-    assert links == ("EXT-2a", "EXT-2b", "EXT-2c", "T4U")
+    links = [link.bound_id for link in catalog_by_id()["C4"].chain]
+    assert links == ["EXT-2a", "EXT-2b", "EXT-2c", "T4U"]
     chi_bounds = [catalog_by_id()[bid] for bid in ("EXT-4", "C6")]
     assert len(evaluated) == 61
-    assert sorted(evaluated) == sorted([(bid, 2) for bid in EXPECTED_IDS + list(links)]
+    assert sorted(evaluated) == sorted([(bid, 2) for bid in EXPECTED_IDS + links]
                                        + [(b.bound_id, 1) for b in chi_bounds])
     hypothesis_sets = {hypothesis_set(b) for b in builtin_catalog()}
     assert len(hypothesis_sets) == 7
@@ -1105,9 +1105,10 @@ def test_audit_matches_an_audit_keyed_by_exact_chi():
     """Keying on the partition and splitting a key by exact chi only where a
     report needs it gives the reports of an audit that keys every graph by
     its exact chi, for the catalog, the custom bounds, a lower bound on chi
-    (violated on stars and long cycles, attained on C_4) and chains that
-    name EXT-4, one of them capped at degree 3, away from EXT-4's smallest
-    margins, over every graph of order 1..7 (disconnected ones included),
+    (violated on stars and long cycles, attained on C_4), chains that hold
+    EXT-4, one of them capped at degree 3, away from EXT-4's smallest
+    margins, and a chain that holds that one, so reads chi two levels
+    down, over every graph of order 1..7 (disconnected ones included),
     seeded random graphs of order 8..12, K_2 joined to 7..10 independent
     vertices (chi 3, which violate EXT-4 at the bound of their partition)
     and K_13 and K_62, whose chi is undefined: each bound on chi audited
@@ -1119,10 +1120,13 @@ def test_audit_matches_an_audit_keyed_by_exact_chi():
     exact EXT-4 margin, and only its exact chi (3) takes it off the
     witness."""
     by_id = catalog_by_id()
+    chi_chain = BoundSpec("test-chi-chain", "test", "C6 and EXT-4 at degree <= 3",
+                          degree_cap=lambda d, D: D <= 3, chain=(by_id["C6"], by_id["EXT-4"]))
     bounds = builtin_catalog() + _custom_bounds() + [
         _chi_lower(),
-        BoundSpec("test-chi-chain", "test", "C6 and EXT-4 at degree <= 3",
-                  degree_cap=lambda d, D: D <= 3, chain=("C6", "EXT-4")),
+        chi_chain,
+        BoundSpec("test-nested-chain", "test", "test-chi-chain from order 5",
+                  n_min=5, chain=(chi_chain,)),
     ]
     rng = random.Random(41)
     graphs = [g for n in range(1, 8) for g in _classes(n, False)]
@@ -1132,10 +1136,13 @@ def test_audit_matches_an_audit_keyed_by_exact_chi():
     graphs += [complete_graph(13), complete_graph(62)]
     rng.shuffle(graphs)
     want = _exact_chi_reference(bounds, graphs, "mixed")
-    reads_chi = [b for b in bounds if CHI in (b.lhs, *(link.lhs for link in map(
-        by_id.get, b.chain)))]
-    assert len(reads_chi) == 5
-    for audited in [bounds, *([b] for b in reads_chi)]:
+
+    def reads_chi(b):
+        return b.lhs == CHI or any(map(reads_chi, b.chain))
+
+    on_chi = list(filter(reads_chi, bounds))
+    assert len(on_chi) == 6
+    for audited in [bounds, *([b] for b in on_chi)]:
         reports = audit_all(audited, graphs, population="mixed")
         for b in audited:
             assert reports[b.bound_id].to_dict() == want[b.bound_id], b.bound_id

@@ -59,8 +59,9 @@ ORDER_9_ONLY = pytest.mark.skipif(not os.environ.get(ORDER_9_OPT_IN),
                                   reason=f"order 9 takes 37 s; set {ORDER_9_OPT_IN}=1 to run it")
 
 
-def _digest(graphs):
-    return hashlib.sha256("\n".join(to_graph6(g) for g in graphs).encode()).hexdigest()
+def _digest(forms):
+    """The digest of graph6 strings, one a line, in order."""
+    return hashlib.sha256("\n".join(forms).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +192,18 @@ def test_matches_networkx_graph_atlas():
 
 
 def test_order_7_representatives_match_pinned_digest():
-    assert _digest(connected_graphs(7)) == REPRESENTATIVE_DIGESTS[7]
+    assert _digest(map(to_graph6, connected_graphs(7))) == REPRESENTATIVE_DIGESTS[7]
 
 
 def test_order_8_count_matches_oeis():
-    # OEIS A001349: connected graphs on 8 unlabeled vertices.
+    # OEIS A001349: connected graphs on 8 unlabeled vertices.  The stream is
+    # in ascending graph6 order, which the ordered digest alone would let a
+    # re-pin change unnoticed.
     graphs = connected_graphs(8)
     assert len(graphs) == 11117
-    assert _digest(graphs) == REPRESENTATIVE_DIGESTS[8]
+    forms = [to_graph6(g) for g in graphs]
+    assert forms == sorted(forms)
+    assert _digest(forms) == REPRESENTATIVE_DIGESTS[8]
 
 
 @pytest.mark.filterwarnings("ignore:The hashes produced .* changed:UserWarning")
@@ -237,7 +242,9 @@ def test_order_9_count_and_digest():
     # every representative rather than standing as an outside oracle.
     graphs = enumeration._classes(9)
     assert len(graphs) == 261080
-    assert _digest(graphs) == REPRESENTATIVE_DIGESTS[9]
+    forms = [to_graph6(g) for g in graphs]
+    assert forms == sorted(forms)  # ascending graph6, as at order 8
+    assert _digest(forms) == REPRESENTATIVE_DIGESTS[9]
 
 
 def test_filtered_count_matches_bruteforce():

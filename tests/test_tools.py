@@ -1,8 +1,9 @@
 """tools/same_output.py: byte-identity of CLI output between two checkouts
 and against pinned digests;
 tools/make_expected.py: the packaged pins and the verdicts it names as changed;
-the package names the traced benchmark wraps; no unused package import; and
-the closed forms' independence from the package."""
+the package names the traced benchmark wraps; no unused package import;
+the closed forms' independence from the package; and the grammar of the
+declared Python floor."""
 
 import importlib
 import importlib.util
@@ -191,3 +192,21 @@ def test_formulas_imports_only_the_standard_library():
     assert imported
     assert [name for name in imported
             if name.split(".")[0] not in sys.stdlib_module_names] == [], imported
+
+
+def test_every_source_file_parses_at_the_python_floor():
+    """Every ``.py`` file of the checkout parses with the grammar of the
+    floor pyproject.toml declares (``requires-python``).  This checks
+    grammar only: a library call the floor lacks still passes, since the
+    suite runs on whatever interpreter is installed, not on the floor."""
+    import ast
+    import re
+
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$',
+                      (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    assert floor, "requires-python must read >=3.N"
+    paths = sorted(path for top in ("src", "tests", "tools", "perfbench", "demos")
+                   for path in (ROOT / top).rglob("*.py"))
+    assert len(paths) >= 31
+    for path in paths:
+        ast.parse(path.read_bytes(), str(path), feature_version=(3, int(floor.group(1))))
