@@ -260,9 +260,9 @@ class _Columns:
     None, and its screen), n, delta and the key indices, all in ``columns``,
     and each key's position in ``shapes``, the distinct (connected, n,
     delta, Delta) of the keys, in ``shape_of``.  It also holds what the
-    bounds of the audit share: one ``_Live`` per hypothesis set and
-    undefined set, and the member keys per family test.  A key's strings
-    stay in the order they were read; a report sorts those it names.
+    bounds of the audit share: one ``_Live`` per hypothesis set, and the
+    member keys per family test.  A key's strings stay in the order they
+    were read; a report sorts those it names.
     """
 
     def __init__(self, groups: dict[GraphContext, list[str]]):
@@ -334,44 +334,39 @@ class _Live(dict):
 
 class _Checked(NamedTuple):
     """One bound's pass: its keys, the slack at each live key (its margin
-    where it holds, ``math.inf`` where it is attained or violated), and the
-    equality and the violated keys; every other live key holds.  A met key
-    that is not live is domain-skipped, any other a precondition skip."""
+    where it holds, ``math.inf`` where it is attained or violated), the
+    equality and the violated keys, and a chain's links' passes (none for a
+    plain bound).  Every other live key holds; a met key that is not live
+    is domain-skipped, any other a precondition skip."""
 
     live: _Live
     slacks: list[float]
     equal: list[int]
     violated: list[int]
+    links: tuple[_Checked, ...] = ()
 
 
-def _live(b: BoundSpec, cols: _Columns, undefined: tuple[int, ...] = ()) -> _Live:
-    """The keys that meet ``b``'s hypotheses and define the sides at the
-    positions ``undefined``, shared by the bounds with the same hypotheses
-    and undefined sides.  Per hypothesis set, ``b.admits`` is tested once
-    per distinct (connected, n, delta, Delta) of the keys, and the
-    exclusions only on the keys it admits."""
-    live = cols.live.get((b.hypotheses, undefined))
+def _live(b: BoundSpec, cols: _Columns) -> _Live:
+    """The keys that meet ``b``'s hypotheses, shared by the bounds with the
+    same hypotheses: ``b.admits`` is tested once per distinct (connected,
+    n, delta, Delta) of the keys, and the exclusions only on the keys it
+    admits."""
+    live = cols.live.get(b.hypotheses)
     if live is None:
-        if undefined:
-            met = _live(b, cols).met
-            out = set().union(*(cols.undefined[at] for at in undefined))
-            mask = [m and i not in out for i, m in enumerate(met)]
-        else:
-            admitted = [b.admits(*shape) for shape in cols.shapes]
-            met = list(map(admitted.__getitem__, cols.shape_of))
-            if b.exclusions:
-                met = [m and not any(f.contains(ctx) for f in b.exclusions)
-                       for m, ctx in zip(met, cols.ctxs)]
-            mask = met
-        live = cols.live[b.hypotheses, undefined] = _Live(cols, met, mask)
+        admitted = [b.admits(*shape) for shape in cols.shapes]
+        met = list(map(admitted.__getitem__, cols.shape_of))
+        if b.exclusions:
+            met = [m and not any(f.contains(ctx) for f in b.exclusions)
+                   for m, ctx in zip(met, cols.ctxs)]
+        live = cols.live[b.hypotheses] = _Live(cols, met, met)
     return live
 
 
 def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
     """One bound on every key of ``cols``: the margin rule of every check.
 
-    The live keys are those that meet the hypotheses and define both sides
-    (``_live``).  The coefficient is ``float(fn(x))`` at each distinct n or
+    The live keys are those that meet the hypotheses (``_live``) and define
+    both sides.  The coefficient is ``float(fn(x))`` at each distinct n or
     delta of them, and each margin is one multiplication and one subtraction.
     A margin above the screen of the lhs column, DEFAULT_TOL * max(1, max
     |lhs|), holds; only the keys at or below it go through the per-key rule:
@@ -383,13 +378,13 @@ def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
     every equality has a relative margin of at most 3e-16 and every other
     verdict at least 1e-3.
 
-    A chain is the conjunction of its links' passes, taken as key sets: it
-    meets its hypotheses where it and every link do, it checks the met keys
-    live in every link, and it is violated where any link is.  Its slack is
-    the smallest of its links' slacks, ``inf`` where it is violated.
+    A chain conjoins its links' passes, taken as key sets, and returns them
+    with its own: it meets its hypotheses where it and every link do, checks
+    the met keys live in every link, and is violated where any link is.  Its
+    slack is the smallest of its links' slacks, ``inf`` where it is violated.
     """
     if b.chain:
-        links = [_evaluate(link, cols) for link in b.chain]
+        links = tuple(_evaluate(link, cols) for link in b.chain)
         met = list(map(all, zip(_live(b, cols).met, *(link.live.met for link in links))))
         live = _Live(cols, met, list(map(all, zip(met, *(link.live.mask for link in links)))))
         broken = set().union(*(link.violated for link in links))
@@ -397,9 +392,11 @@ def _evaluate(b: BoundSpec, cols: _Columns) -> _Checked:
         at_keys = [compress(link.slacks, compress(live.mask, link.live.mask)) for link in links]
         lows = map(min, *at_keys, repeat(math.inf))
         slacks = [math.inf if i in broken else s for i, s in zip(live.keys, lows)]
-        return _Checked(live, slacks, [], [i for i in live.keys if i in broken])
+        return _Checked(live, slacks, [], [i for i in live.keys if i in broken], links)
 
-    live = _live(b, cols, tuple(at for at in b.sides if cols.undefined[at]))
+    live = _live(b, cols)
+    if out := set().union(*(cols.undefined[at] for at in b.sides)):
+        live = _Live(cols, live.met, [m and i not in out for i, m in enumerate(live.met)])
     lhs_at, rhs_at = b.sides
     slacks, equal, violated = _margins(b, live[lhs_at], live[rhs_at], live[b.coeff.var],
                                        cols.screens[lhs_at])
@@ -438,7 +435,7 @@ def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
     (``graph_context``), so a single graph and a population follow one
     margin rule.  The sides and margin are those the pass computes, read
     back from the record's columns.  A chain has no sides; its margin is the
-    smallest of its links' that hold, or None.
+    smallest of its links' that hold, read from their passes, or None.
     """
     ctx = graph_context(g)
     label = to_graph6(g) if g.n <= G6_MAX else None
@@ -449,7 +446,7 @@ def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
         return BoundCheck(b.bound_id, label, None, None, None, verdict)
     verdict = EQUALITY if checked.equal else VIOLATED if checked.violated else HOLDS
     if b.chain:
-        low = min(_evaluate(link, cols).slacks[0] for link in b.chain)
+        low = min(link.slacks[0] for link in checked.links)
         margin = None if low == math.inf else low
         return BoundCheck(b.bound_id, label, None, None, margin, verdict)
     lhs, rhs = (cols.sides[at][0] for at in b.sides)
@@ -464,7 +461,9 @@ def evaluate_bound(b: BoundSpec, g: Graph) -> BoundCheck:
 
 @dataclass
 class SharpnessReport:
-    """Aggregate of one bound's checks over a population."""
+    """Aggregate of one bound's checks over a population.  A bound that
+    claims no equality family has no ``family_mismatches``: both lists are
+    empty, and a strict bound lists its equalities in ``strict_conflicts``."""
 
     bound_id: str
     citation: str
@@ -688,12 +687,11 @@ def audit_labelled(bounds, labelled, population: str = "population") -> dict[str
     weights, the eight side values, n and delta), and the keys of a bound
     on chi are then split by exact chi where its report needs it.  Each
     hypothesis set and each claimed family is tested once per key and
-    shared by the bounds that state it, and so are the live keys and their
-    columns of each hypothesis and undefined set.  Each bound evaluates its
-    coefficient once per distinct n or delta of its live keys, computes its
-    margins over them, and applies the per-key rule only to the margins at
-    or below one screen; a chain evaluates its links again and conjoins
-    their passes.
+    shared by the bounds that state it, and so are the keys that meet each
+    hypothesis set and their columns.  Each bound evaluates its coefficient
+    once per distinct n or delta of its live keys, computes its margins over
+    them, and applies the per-key rule only to the margins at or below one
+    screen; a chain evaluates its links again and conjoins their passes.
     Witness lists are sorted by graph6 string, so the result does not
     depend on the population order (for equal populations as sets).
     """

@@ -537,6 +537,28 @@ def test_chain_edge_cases():
     assert report.violation_witnesses == ["C~", "D~{"]
 
 
+def test_evaluate_bound_evaluates_each_link_once(monkeypatch):
+    """A chain's check reads its margin from the passes of its links that
+    its own pass made: C4 on C_5 is five passes (C4 and its four links),
+    and a chain that holds C4 six, at any depth one pass per bound."""
+    c4 = catalog_by_id()["C4"]
+    around = BoundSpec("test-around-c4", "test", "C4 as one link", chain=(c4,))
+    evaluated = []
+    evaluate = bounds_module._evaluate
+
+    def counted(b, cols):
+        evaluated.append(b.bound_id)
+        return evaluate(b, cols)
+
+    monkeypatch.setattr(bounds_module, "_evaluate", counted)
+    links = ["EXT-2a", "EXT-2b", "EXT-2c", "T4U"]
+    for chain, passes in ((c4, ["C4", *links]), (around, ["test-around-c4", "C4", *links])):
+        evaluated.clear()
+        check = evaluate_bound(chain, cycle_graph(5))
+        assert check == (chain.bound_id, "Dhc", None, None, 0.21446609406726225, HOLDS)
+        assert evaluated == passes
+
+
 def test_a_chain_holds_bounds_not_ids():
     """C4 holds the catalog's own entries, and a chain link that is not a
     bound, a catalog id among them, is a ``ValueError`` naming the chain and
@@ -678,7 +700,8 @@ def _reference_report(b, graphs, population):
         if chk.verdict == EQUALITY:
             counts["equality"] += 1
             equality.append(chk.graph6)
-            if not in_family:
+            # a bound that claims no equality family has none to mismatch
+            if b.claimed_equality is not None and not in_family:
                 eq_not_family.append(chk.graph6)
             continue
         if in_family:
@@ -786,6 +809,15 @@ def _custom_bounds():
         BoundSpec("test-azi", "test", "4*M2* <= AZI from n = 2",
                   lhs=IndexId.AZI, rhs=IndexId.M2STAR, coeff=by_id["T7-(21)L"].coeff,
                   claimed_equality=P3_FAMILY),
+        # AZI on the right: attained on P3, violated on K_{1,3}, undefined on
+        # P2 (AZI) and above order 12 (chi)
+        BoundSpec("test-chi-azi", "test", "chi <= AZI/8 from n = 2",
+                  lhs=CHI, rhs=IndexId.AZI, coeff=Coeff("n", lambda n: 1 / 8),
+                  direction="upper", claimed_equality=P3_FAMILY),
+        # EXT-2a with no equality family: attained, with nothing to mismatch
+        BoundSpec("test-no-family", "test", "H <= R for delta >= 2, no equality claimed",
+                  lhs=IndexId.H, rhs=IndexId.R, coeff=by_id["EXT-2a"].coeff,
+                  direction="upper", delta_min=2),
     ]
 
 
@@ -1141,7 +1173,7 @@ def test_audit_matches_an_audit_keyed_by_exact_chi():
         return b.lhs == CHI or any(map(reads_chi, b.chain))
 
     on_chi = list(filter(reads_chi, bounds))
-    assert len(on_chi) == 6
+    assert len(on_chi) == 7
     for audited in [bounds, *([b] for b in on_chi)]:
         reports = audit_all(audited, graphs, population="mixed")
         for b in audited:

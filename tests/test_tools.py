@@ -1,6 +1,7 @@
 """tools/same_output.py: byte-identity of CLI output between two checkouts
 and against pinned digests;
 tools/make_expected.py: the packaged pins and the verdicts it names as changed;
+tools/tier1.py's line counts;
 the package names the traced benchmark wraps; no unused package import;
 the closed forms' independence from the package; and the grammar of the
 declared Python floor."""
@@ -20,6 +21,7 @@ SAME_OUTPUT = ROOT / "tools" / "same_output.py"
 SUBCOMMAND = "import sys\nprint(sys.argv[1])\n"
 VERIFY_CHANGED = 'import sys\nprint(sys.argv[1] + "!" * (sys.argv[1] == "verify"))\n'
 MAKE_EXPECTED = ROOT / "tools" / "make_expected.py"
+TIER1 = ROOT / "tools" / "tier1.py"
 DATA = ROOT / "src" / "degbound" / "data"
 
 
@@ -111,6 +113,23 @@ def test_make_expected_names_each_changed_verdict(tmp_path, monkeypatch, capsys)
     assert rewritten == sorted(p.name for p in DATA.glob("expected_enumerate_n*.json"))
     for name in rewritten:
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+def test_tier1_counts_code_lines_per_module(tmp_path, monkeypatch):
+    """``tools/tier1.py`` counts each module's code lines, leaving out blank
+    lines, comment-only lines and docstrings, by module name in sorted
+    order; its ``wc -l`` total counts every line."""
+    spec = importlib.util.spec_from_file_location("tier1", TIER1)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    package = tmp_path / "src" / "degbound"
+    package.mkdir(parents=True)
+    (package / "b.py").write_text('"""Module\ndoc."""\n\n# note\nX = 1\n\n\n'
+                                  'def f():\n    """One."""\n    return X  # ok\n')
+    (package / "a.py").write_text('Y = """not a\ndocstring"""\n')
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    assert list(tool.code_lines().items()) == [("a", 2), ("b", 3)]
+    assert tool.source_lines() == 12
 
 
 def test_tracing_patches_resolve(monkeypatch):

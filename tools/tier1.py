@@ -23,9 +23,10 @@ otherwise, after naming what failed unexpectedly, which by-design case
 passed and which skip was unexpected.  The last line it prints is
 ``src/degbound: N lines``, the ``wc -l`` total of ``src/degbound/*.py``, so
 each change can state its net line change of ``src/`` the same way.  The
-line before it, ``src/degbound: N code lines``, counts only the lines that
-are not blank, not comment-only and not inside a docstring, so a stated
-change shows whether it is code or prose.
+line before it, ``src/degbound: N code lines (bounds B, cli C, ...)``, counts
+only the lines that are not blank, not comment-only and not inside a
+docstring, in total and then per module in name order, so a stated change
+shows whether it is code or prose, and two runs give each module's net.
 """
 
 from __future__ import annotations
@@ -55,27 +56,30 @@ def source_lines() -> int:
     return sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "degbound").glob("*.py"))
 
 
-def code_lines() -> int:
-    """The lines of the package's modules that are not blank, not
-    comment-only and not inside a module, class or function docstring."""
-    total = 0
-    for path in (ROOT / "src" / "degbound").glob("*.py"):
+def code_lines() -> dict[str, int]:
+    """Per module of the package, by name in sorted order, its lines that are
+    not blank, not comment-only and not inside a module, class or function
+    docstring."""
+    counts = {}
+    for path in sorted((ROOT / "src" / "degbound").glob("*.py")):
         text = path.read_text(encoding="utf-8")
         docstrings = set()
         for node in ast.walk(ast.parse(text)):
             if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
                     and ast.get_docstring(node, clean=False) is not None):
                 docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
-        total += sum(1 for i, line in enumerate(text.splitlines(), 1)
-                     if line.strip() and not line.lstrip().startswith("#")
-                     and i not in docstrings)
-    return total
+        counts[path.stem] = sum(1 for i, line in enumerate(text.splitlines(), 1)
+                                if line.strip() and not line.lstrip().startswith("#")
+                                and i not in docstrings)
+    return counts
 
 
 def main() -> int:
     code = run()
     sys.stdout.flush()
-    print(f"src/degbound: {code_lines()} code lines", file=sys.stderr)
+    counts = code_lines()
+    modules = ", ".join(f"{name} {n}" for name, n in counts.items())
+    print(f"src/degbound: {sum(counts.values())} code lines ({modules})", file=sys.stderr)
     print(f"src/degbound: {source_lines()} lines", file=sys.stderr)
     return code
 
